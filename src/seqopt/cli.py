@@ -105,7 +105,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "tol": args.tol,
         "cap": args.cap,
         "engine": args.engine,
-        "threads": args.threads,
     }
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -139,8 +138,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     config_bytes = Path(args.config).read_bytes()
     p = load_problem(args.config)
-    params = {"rule_sha256": hashlib.sha256(Path(args.rule).read_bytes()).hexdigest(),
-              "threads": args.threads}
+    params = {"rule_sha256": hashlib.sha256(Path(args.rule).read_bytes()).hexdigest()}
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(args.rule) as fh:
@@ -164,7 +162,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "cap": args.cap,
         "compare": args.compare,
         "conservative": args.conservative,
-        "threads": args.threads,
     }
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -256,7 +253,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "theta_mode": args.theta_mode,
         "cap": args.cap,
         "trace": args.trace,
-        "threads": args.threads,
     }
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal sequential hypothesis testing: solve, evaluate, search, simulate.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker count recorded in the manifest (kernels are vectorized; no effect)",
-    )
     parser.add_argument("--out-root", default="out", help="directory for run outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,7 +6,9 @@ Two engines share one interface:
   Valid for any model; exponential in n.
 - "counts": states are symbol-count vectors, iid models only. Exchangeability
   makes every per-history quantity a function of the counts, so the stage size
-  is C(n+K-1, K-1), polynomial in n.
+  is C(n+K-1, K-1), polynomial in n. States are in lexicographic order, and a
+  state's index is its rank, a closed-form sum of binomial coefficients, so
+  each stage is built with array arithmetic from the stage before it.
 
 Per stage n the interface provides the state count, the child index of each
 (state, symbol) pair at stage n+1, the conditional step probabilities
@@ -79,44 +81,63 @@ class CountStateSpace:
             raise SeqOptError("count-vector engine requires an iid model")
         self.problem = problem
         self.k = problem.alphabet_size
-        self._states: dict[int, list[tuple[int, ...]]] = {0: [(0,) * self.k]}
-        self._index: dict[int, dict[tuple[int, ...], int]] = {0: {(0,) * self.k: 0}}
+        # Per built stage n: the (S_n, K) states in lexicographic order, their
+        # multiplicities, and (below the top stage) the (S_n, K) child table.
+        self._states: dict[int, np.ndarray] = {0: np.zeros((1, self.k), dtype=np.int64)}
         self._mult: dict[int, np.ndarray] = {0: np.ones(1)}
         self._children: dict[int, np.ndarray] = {}
+        self._top = 0
+        self._unit = np.eye(self.k, dtype=np.int64)
+        self._parts_after = np.arange(self.k - 1, 0, -1)
+        self._sizes = _composition_counts(self.k, 0)
+
+    def _rank(self, counts: np.ndarray) -> np.ndarray:
+        """Lexicographic index of each count vector (last axis) within its stage.
+
+        With rest_i = counts[i:].sum() and p = K-1-i parts after part i, the
+        vectors that agree on parts 0..i-1 and are smaller at part i number
+        C(rest_i + p, p) - C(rest_{i+1} + p, p) (hockey-stick identity).
+        """
+        rest = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+        p = self._parts_after
+        return (self._sizes[p, rest[..., :-1]] - self._sizes[p, rest[..., 1:]]).sum(axis=-1)
 
     def _build_to(self, n: int) -> None:
-        have = max(self._states)
-        for stage in range(have, n):
-            cur = self._states[stage]
-            seen = {
-                counts[:x] + (counts[x] + 1,) + counts[x + 1 :]
-                for counts in cur
-                for x in range(self.k)
-            }
-            nxt = sorted(seen)
-            index = {c: i for i, c in enumerate(nxt)}
-            ch = np.empty((len(cur), self.k), dtype=np.int64)
-            for si, counts in enumerate(cur):
-                for x in range(self.k):
-                    ch[si, x] = index[counts[:x] + (counts[x] + 1,) + counts[x + 1 :]]
-            self._states[stage + 1] = nxt
-            self._index[stage + 1] = index
+        """Build stages top+1..n, each from its predecessor's children."""
+        if n <= self._top:
+            return
+        if n >= self._sizes.shape[1]:
+            self._sizes = _composition_counts(self.k, 2 * n)
+        states, mult = self._states[self._top], self._mult[self._top]
+        for stage in range(self._top, n):
+            cand = states[:, None, :] + self._unit  # cand[s, x]: state s after symbol x
+            ch = self._rank(cand)
+            size = int(self._sizes[-1, stage + 1])
+            states = np.empty((size, self.k), dtype=np.int64)
+            states[ch.ravel()] = cand.reshape(-1, self.k)
+            mult = np.bincount(ch.ravel(), weights=np.repeat(mult, self.k), minlength=size)
             self._children[stage] = ch
-            mult_next = np.zeros(len(nxt))
-            np.add.at(mult_next, ch.ravel(), np.repeat(self._mult[stage], self.k))
-            self._mult[stage + 1] = mult_next
+            self._states[stage + 1] = states
+            self._mult[stage + 1] = mult
+        self._top = n
 
     def n_states(self, n: int) -> int:
         self._build_to(n)
         return len(self._states[n])
 
-    def states(self, n: int) -> list[tuple[int, ...]]:
+    def states(self, n: int) -> np.ndarray:
+        """Count vectors of stage n in lexicographic order, shape (S_n, K)."""
         self._build_to(n)
         return self._states[n]
 
-    def index_of(self, n: int, counts: tuple[int, ...]) -> int:
+    def index_of(self, n: int, counts) -> int:
+        c = np.asarray(counts)
+        if c.shape != (self.k,) or c.dtype.kind not in "iu" or (c < 0).any() or c.sum() != n:
+            raise SeqOptError(
+                f"{counts!r} is not a count vector of {n} observations over {self.k} symbols"
+            )
         self._build_to(n)
-        return self._index[n][counts]
+        return int(self._rank(c))
 
     def children(self, n: int) -> np.ndarray:
         self._build_to(n + 1)
@@ -132,7 +153,15 @@ class CountStateSpace:
         return self._mult[n]
 
     def label(self, n: int, idx: int) -> str:
-        return "|".join(str(c) for c in self.states(n)[idx])
+        return "|".join(str(c) for c in self.states(n)[idx].tolist())
+
+
+def _composition_counts(k: int, r_max: int) -> np.ndarray:
+    """table[p, r] = C(r + p, p): compositions of r into p + 1 parts, r <= r_max."""
+    table = np.ones((k, r_max + 1), dtype=np.int64)
+    for p in range(1, k):
+        table[p] = np.cumsum(table[p - 1])
+    return table
 
 
 StateSpace = TreeStateSpace | CountStateSpace

@@ -130,10 +130,12 @@ def simulate(
     theta_cdf = _theta_cdf(p, cfg.theta_mode)
     iid = p.obs.kind == "iid"
     obs_cdf = np.cumsum(p.obs.iid_pmf, axis=1) if iid else None
-    counts_engine = isinstance(space, CountStateSpace)
-    if counts_engine:
-        # Prime the per-stage index dicts once so the hot loop only reads them.
-        space.n_states(cfg.cap)
+    # child[n][s][x]: the stage n+1 count state reached from state s by symbol x
+    child = (
+        [space.children(n).tolist() for n in range(cfg.cap)]
+        if isinstance(space, CountStateSpace)
+        else None
+    )
     k = p.alphabet_size
     w = p.loss.w
     stop_probs = [rule.at(n) for n in range(1, cfg.cap + 1)]
@@ -158,7 +160,6 @@ def simulate(
         )
         theta = min(theta, p.n_params - 1)
         state = 0
-        counts = (0,) * k if counts_engine else None
         history: tuple[int, ...] = ()
         stopped = False
         for n in range(1, cfg.cap + 1):
@@ -169,9 +170,8 @@ def simulate(
                 x = int(np.searchsorted(row_cdf, u[2 * n - 1], side="right"))
                 history = history + (x,)
             x = min(x, k - 1)
-            if counts_engine:
-                counts = counts[:x] + (counts[x] + 1,) + counts[x + 1 :]
-                state = space.index_of(n, counts)
+            if child is not None:
+                state = child[n - 1][state][x]
             else:
                 state = state * k + x
             if u[2 * n] < stop_probs[n - 1][state]:

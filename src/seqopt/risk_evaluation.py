@@ -199,7 +199,8 @@ def evaluate(
             step = space.step_probs(n)
             nxt = np.zeros((space.n_states(n + 1), m))
             for x in range(space.k):
-                np.add.at(nxt, children[:, x], alive * step[:, :, x])
+                # children[:, x] repeats no index, so the buffered += drops no term.
+                nxt[children[:, x]] += alive * step[:, :, x]
             nxt[nxt < PRUNE_EPS] = 0.0
             mass = nxt
         else:
@@ -379,6 +380,6 @@ def truncatability_diagnostic(
         step = space.step_probs(n)
         nxt = np.zeros((space.n_states(n + 1), p.n_params))
         for x in range(space.k):
-            np.add.at(nxt, children[:, x], alive * step[:, :, x])
+            nxt[children[:, x]] += alive * step[:, :, x]
         mass = nxt
     return TruncatabilityDiagnostic(hs, tail_risk, stage_risk, reach_pi1, bound)

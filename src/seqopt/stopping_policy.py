@@ -185,7 +185,7 @@ def reachable_sets(rule: StoppingRule, space: StateSpace) -> list[np.ndarray]:
         alive = masks[-1] & (rule.at(n) < 1.0)
         nxt = np.zeros(space.n_states(n + 1), dtype=bool)
         for x in range(space.k):
-            np.logical_or.at(nxt, children[:, x], alive)
+            nxt[children[:, x]] |= alive
         masks.append(nxt)
     return masks
 
