@@ -1,4 +1,4 @@
-"""Optimal terminal decisions and the per-stage history table.
+"""Stage densities, optimal terminal decisions and the per-stage history table.
 
 For a history h of length n, the quantity driving everything downstream is the
 stage loss
@@ -6,9 +6,18 @@ stage loss
     stop_loss(h) = min_d sum_theta w(theta, d) * f_theta(h) * pi1(theta),
 
 the pi1-weighted loss density of the best terminal decision available now.
-HistoryTable caches, per stage: the per-parameter joint densities, the pi1 and
-pi2 mixtures, the stage loss, the minimizing decision (lowest index on ties),
-and the tie set.
+
+The work splits into two layers. A DensityLayer holds what does not depend on
+the loss: the state space and, per stage, the per-parameter joint densities
+f_theta, the pi1 and pi2 mixtures and the multiplicities. A HistoryTable is a
+view of one loss matrix over a layer: per stage it adds only the stage loss
+and the minimizing decision (lowest index on ties).
+
+`density_layer` shares layers through a weak memo keyed by (engine,
+observation model, pi1, pi2). Problems that differ only in their loss, such as
+the weighted problems of a multiplier search, get the same layer while any
+table, result or caller still holds it; once nothing does, it is freed. The
+layer's arrays are read-only, so no caller can change another's.
 
 Summing stop_loss over all length-n histories gives the fixed-sample-size
 Bayes risk at n, a non-increasing sequence (more data never hurts the optimal
@@ -17,71 +26,127 @@ terminal decision).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
-from .histories import StateSpace, state_space
+from .histories import StateSpace, resolve_engine, state_space
 from .errors import SeqOptError
 from .model import Problem, joint_density, mixture_density
 from .tolerances import TIE_ATOL
 
 
 @dataclass(eq=False)
-class StageData:
-    """Cached per-state quantities for one stage."""
+class StageDensities:
+    """Loss-independent per-state quantities for one stage (read-only arrays)."""
 
     f_theta: np.ndarray  # (S, m) joint density per parameter
     f_pi1: np.ndarray  # (S,) mixture under pi1
     f_pi2: np.ndarray  # (S,) mixture under pi2
     mult: np.ndarray  # (S,) histories collapsed into each state
+
+
+@dataclass(eq=False)
+class StageData(StageDensities):
+    """One stage of a HistoryTable: the layer's densities plus the loss view."""
+
     stop_loss: np.ndarray  # (S,) minimal pi1-weighted loss density
     decision: np.ndarray  # (S,) argmin decision index (lowest on ties)
-    tie_mask: np.ndarray  # (S, D) decisions within TIE_ATOL of the min
 
 
-class HistoryTable:
-    """Lazy per-stage cache of densities, stage losses and Bayes decisions."""
+class DensityLayer:
+    """Lazy per-stage cache of the state space's loss-independent densities."""
 
-    def __init__(self, problem: Problem, engine: str = "auto", space: StateSpace | None = None):
+    def __init__(self, problem: Problem, space: StateSpace):
         self.problem = problem
-        self.space = space if space is not None else state_space(problem, engine)
-        self._stages: dict[int, StageData] = {}
+        self.space = space
+        self._stages: list[StageDensities] = []
 
-    @property
-    def engine(self) -> str:
-        return self.space.engine
-
-    def stage(self, n: int) -> StageData:
-        if n not in self._stages:
-            top = max(self._stages) if self._stages else -1
-            for stage in range(top + 1, n + 1):
-                self._stages[stage] = self._build_stage(stage)
+    def stage(self, n: int) -> StageDensities:
+        if n < 0:
+            raise IndexError(f"no stage {n}")
+        for stage in range(len(self._stages), n + 1):
+            self._stages.append(self._build_stage(stage))
         return self._stages[n]
 
-    def _build_stage(self, n: int) -> StageData:
+    def _build_stage(self, n: int) -> StageDensities:
         p = self.problem
         m = p.n_params
         if n == 0:
             f_theta = np.ones((1, m))
         else:
-            prev = self._stages[n - 1]
+            prev = self._stages[n - 1].f_theta
             children = self.space.children(n - 1)
             step = self.space.step_probs(n - 1)
             f_theta = np.empty((self.space.n_states(n), m))
             for x in range(p.alphabet_size):
                 # Same value lands on a child from every predecessor: the joint
                 # density of a history depends only on its state.
-                f_theta[children[:, x], :] = prev.f_theta * step[:, :, x]
-        f_pi1 = f_theta @ p.priors.pi1
-        f_pi2 = f_theta @ p.priors.pi2
-        mult = self.space.mult(n)
-        costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
-        stop_loss = costs.min(axis=1)
-        decision = costs.argmin(axis=1)
-        tie_mask = costs <= stop_loss[:, None] + TIE_ATOL
-        return StageData(f_theta, f_pi1, f_pi2, mult, stop_loss, decision, tie_mask)
+                f_theta[children[:, x], :] = prev * step[:, :, x]
+        out = StageDensities(
+            f_theta, f_theta @ p.priors.pi1, f_theta @ p.priors.pi2, self.space.mult(n)
+        )
+        for arr in vars(out).values():
+            arr.flags.writeable = False
+        return out
+
+
+_LAYERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    return (a.shape, a.dtype.str, a.tobytes())
+
+
+def density_layer(problem: Problem, engine: str = "auto") -> DensityLayer:
+    """The shared density layer of a problem's observation model and priors.
+
+    iid models are keyed by their pmf's contents, kernels by the identity of
+    the ObservationModel object (the layer holds it, so the identity cannot be
+    reused while the entry lives).
+    """
+    engine = resolve_engine(problem, engine)
+    obs = problem.obs
+    model = _array_key(obs.iid_pmf) if obs.kind == "iid" else (id(obs), problem.n_params)
+    key = (engine, model, _array_key(problem.priors.pi1), _array_key(problem.priors.pi2))
+    layer = _LAYERS.get(key)
+    if layer is None:
+        layer = DensityLayer(problem, state_space(problem, engine))
+        _LAYERS[key] = layer
+    return layer
+
+
+class HistoryTable:
+    """Per-loss view of a shared density layer: stage losses and Bayes decisions."""
+
+    def __init__(self, problem: Problem, engine: str = "auto"):
+        self.problem = problem
+        self.layer = density_layer(problem, engine)
+        self._stages: dict[int, StageData] = {}
+
+    @property
+    def space(self) -> StateSpace:
+        return self.layer.space
+
+    @property
+    def engine(self) -> str:
+        return self.space.engine
+
+    def stage(self, n: int) -> StageData:
+        st = self._stages.get(n)
+        if st is None:
+            st = self._stages[n] = self._build_stage(n)
+        return st
+
+    def _build_stage(self, n: int) -> StageData:
+        p = self.problem
+        d = self.layer.stage(n)
+        costs = (d.f_theta * p.priors.pi1[None, :]) @ p.loss.w
+        return StageData(
+            d.f_theta, d.f_pi1, d.f_pi2, d.mult, costs.min(axis=1), costs.argmin(axis=1)
+        )
 
     @property
     def l0(self) -> float:

@@ -13,12 +13,14 @@ Two engines share one interface:
 Per stage n the interface provides the state count, the child index of each
 (state, symbol) pair at stage n+1, the conditional step probabilities
 step[s, theta, x], the number of histories collapsed into each state (mult),
-and a printable label.
+a printable label, and the inverse map from labels back to state indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections.abc import Sequence
+from math import comb
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .errors import BudgetExceededError, SeqOptError
 from .model import Problem
 
 DEFAULT_STATE_BUDGET = 4_000_000
+
+_NUMBER = "(?:0|[1-9][0-9]*)"  # a label's numbers, as str(int) writes them
 
 
 class TreeStateSpace:
@@ -71,6 +75,24 @@ class TreeStateSpace:
 
     def label(self, n: int, idx: int) -> str:
         return ",".join(str(x) for x in self.history(n, idx))
+
+    def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
+        """Index of each (stage, label) pair; -1 where the label is no state of its stage.
+
+        A label's symbols are the base-K digits of its index.
+        """
+        pattern = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
+        out = np.full(len(labels), -1, dtype=np.int64)
+        for i, (n, lab) in enumerate(zip(stages, labels)):
+            if not pattern.fullmatch(lab):
+                continue
+            digits = [int(t) for t in lab.split(",")]
+            if len(digits) == n and max(digits) < self.k:
+                idx = 0
+                for x in digits:
+                    idx = idx * self.k + x
+                out[i] = idx
+        return out
 
 
 class CountStateSpace:
@@ -155,6 +177,27 @@ class CountStateSpace:
     def label(self, n: int, idx: int) -> str:
         return "|".join(str(c) for c in self.states(n)[idx].tolist())
 
+    def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
+        """Index of each (stage, label) pair; -1 where the label is no state of its stage.
+
+        Well-formed labels are parsed to count vectors and ranked in one array
+        operation.
+        """
+        top = max(stages, default=0)
+        # No part has more digits than the top stage, so int64 cannot overflow.
+        number = f"(?:0|[1-9][0-9]{{0,{len(str(top)) - 1}}})"
+        pattern = re.compile(f"{number}(?:\\|{number}){{{self.k - 1}}}")
+        rows = [i for i, lab in enumerate(labels) if pattern.fullmatch(lab)]
+        out = np.full(len(labels), -1, dtype=np.int64)
+        if rows:
+            parts = "|".join([labels[i] for i in rows]).split("|")
+            counts = np.array(parts, dtype=np.int64).reshape(-1, self.k)
+            rows = np.array(rows)
+            ok = counts.sum(axis=1) == np.asarray(stages)[rows]
+            self._build_to(top)
+            out[rows[ok]] = self._rank(counts[ok])
+        return out
+
 
 def _composition_counts(k: int, r_max: int) -> np.ndarray:
     """table[p, r] = C(r + p, p): compositions of r into p + 1 parts, r <= r_max."""
@@ -167,10 +210,16 @@ def _composition_counts(k: int, r_max: int) -> np.ndarray:
 StateSpace = TreeStateSpace | CountStateSpace
 
 
+def resolve_engine(problem: Problem, engine: str = "auto") -> str:
+    """The engine "auto" stands for: counts for iid models, tree otherwise."""
+    if engine == "auto":
+        return "counts" if problem.obs.kind == "iid" else "tree"
+    return engine
+
+
 def state_space(problem: Problem, engine: str = "auto") -> StateSpace:
     """Pick an engine: counts for iid models, tree otherwise (or on request)."""
-    if engine == "auto":
-        engine = "counts" if problem.obs.kind == "iid" else "tree"
+    engine = resolve_engine(problem, engine)
     if engine == "counts":
         return CountStateSpace(problem)
     if engine == "tree":
@@ -179,16 +228,17 @@ def state_space(problem: Problem, engine: str = "auto") -> StateSpace:
 
 
 def check_state_budget(space: StateSpace, horizon: int, budget: int = DEFAULT_STATE_BUDGET) -> None:
-    total = 0
-    for n in range(horizon + 1):
-        if space.engine == "tree":
-            total += space.k**n
-        else:
-            # C(n+K-1, K-1) without building the stage
-            from math import comb
+    """Raise if stages 0..horizon hold more than `budget` states together.
 
-            total += comb(n + space.k - 1, space.k - 1)
-        if total > budget:
-            raise BudgetExceededError(
-                f"{space.engine} engine needs more than {budget} states for horizon {horizon}"
-            )
+    The totals are closed forms: sum_n K^n = (K^(N+1) - 1) / (K - 1) for the
+    tree, and sum_n C(n+K-1, K-1) = C(N+K, K) (hockey-stick) for counts.
+    """
+    k = space.k
+    if space.engine == "tree":
+        total = horizon + 1 if k == 1 else (k ** (horizon + 1) - 1) // (k - 1)
+    else:
+        total = comb(horizon + k, k)
+    if total > budget:
+        raise BudgetExceededError(
+            f"{space.engine} engine needs more than {budget} states for horizon {horizon}"
+        )

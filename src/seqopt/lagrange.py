@@ -31,9 +31,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .backward_induction import solve_limit, solve_truncated
-from .bayes_decision import HistoryTable, _weighted_loss
+from .bayes_decision import HistoryTable, _weighted_loss, density_layer
 from .errors import BudgetExceededError, InfeasibleTargetsError, SeqOptError
-from .histories import state_space
 from .model import ConstraintSpec, Problem, with_loss
 from .risk_evaluation import DecisionStrategy, evaluate
 from .stopping_policy import StoppingRule, extract_rule, truncate_rule
@@ -132,8 +131,7 @@ def _common_horizon(p: Problem, cfg: SearchConfig, packs: list[_Pack]) -> list[_
         if pk.horizon == top:
             out.append(pk)
             continue
-        space = state_space(p, pk.rule.engine)
-        rule = truncate_rule(pk.rule, top, space)
+        rule = truncate_rule(pk.rule, top, density_layer(p, pk.rule.engine).space)
         wp = weighted_problem(p, pk.lam)
         decision = DecisionStrategy.bayes(HistoryTable(wp, engine=pk.rule.engine), top)
         report = evaluate(p, rule, decision)
@@ -274,6 +272,9 @@ def match_constraints(
     targets_arr = np.asarray(targets, dtype=float)
     if np.any(targets_arr <= 0):
         raise InfeasibleTargetsError("targets must be > 0 (nonnegative losses cannot go below)")
+    # Every probe's weighted problem shares p's observation model and priors,
+    # so holding the layer here lets all of them reuse its stages.
+    layer = density_layer(p, cfg.engine)
     trace: list[dict] = []
 
     if k == 1:

@@ -23,10 +23,10 @@ from typing import IO
 import numpy as np
 
 from .errors import SeqOptError
-from .histories import CountStateSpace, state_space
+from .histories import CountStateSpace
 from .model import Problem
 from .risk_evaluation import DecisionStrategy
-from .bayes_decision import HistoryTable
+from .bayes_decision import HistoryTable, density_layer
 from .stopping_policy import StoppingRule
 
 _MASK64 = (1 << 64) - 1
@@ -124,9 +124,10 @@ def simulate(
         raise SeqOptError(
             f"cap must be in 1..{rule.horizon} (the rule's covered stages), got {cfg.cap}"
         )
-    space = state_space(p, rule.engine)
+    layer = density_layer(p, rule.engine)  # held so the table below shares it
+    space = layer.space
     if decision is None:
-        decision = DecisionStrategy.bayes(HistoryTable(p, space=space), cfg.cap)
+        decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cfg.cap)
     theta_cdf = _theta_cdf(p, cfg.theta_mode)
     iid = p.obs.kind == "iid"
     obs_cdf = np.cumsum(p.obs.iid_pmf, axis=1) if iid else None

@@ -25,7 +25,7 @@ from typing import IO
 
 import numpy as np
 
-from .bayes_decision import HistoryTable
+from .bayes_decision import HistoryTable, density_layer
 from .errors import BudgetExceededError, SeqOptError
 from .model import Problem
 from .stopping_policy import StoppingRule
@@ -160,9 +160,8 @@ def evaluate(
     (or, failing that, the problem's stored ones) produce the Lagrangian
     n_psi + sum_i lambda_i * w_group_i.
     """
-    if table is None:
-        table = HistoryTable(p, engine=rule.engine)
-    space = table.space
+    layer = table.layer if table is not None else density_layer(p, rule.engine)
+    space = layer.space
     horizon = rule.horizon
     for n in range(1, horizon + 1):
         if space.n_states(n) != len(rule.at(n)):
@@ -170,7 +169,9 @@ def evaluate(
                 f"rule stage {n} covers {len(rule.at(n))} states, problem has {space.n_states(n)}"
             )
     if decision is None:
-        decision = DecisionStrategy.bayes(table, horizon)
+        decision = DecisionStrategy.bayes(
+            table if table is not None else HistoryTable(p, rule.engine), horizon
+        )
     elif decision.horizon < horizon:
         raise SeqOptError("decision strategy does not cover the rule's horizon")
 
@@ -180,7 +181,7 @@ def evaluate(
     stop_dist = np.zeros((horizon, m))
     loss_theta = np.zeros(m)
     decision_probs = np.zeros((m, d_count))
-    mass = table.stage(1).f_theta.copy()
+    mass = layer.stage(1).f_theta.copy()
     leftover = np.zeros(m)
     for n in range(1, horizon + 1):
         probs = rule.at(n)

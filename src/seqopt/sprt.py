@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SeqOptError, UnreachableTargetsError
-from .histories import CountStateSpace, state_space
+from .bayes_decision import density_layer
+from .histories import CountStateSpace
 from .model import Problem
 from .risk_evaluation import DecisionStrategy, RiskReport, evaluate
 from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
@@ -79,7 +80,7 @@ def sprt_rule(p: Problem, spec: SprtSpec) -> tuple[StoppingRule, DecisionStrateg
     truncated); cap it with truncate_rule for exact capped evaluation.
     """
     _check_sprt_inputs(p, spec)
-    space = state_space(p, "counts")
+    space = density_layer(p, "counts").space
     mid = 0.5 * (spec.a_upper + spec.b_lower)
     probs: list[np.ndarray] = []
     decisions: list[np.ndarray] = []
@@ -117,11 +118,12 @@ class SprtOC:
 
 
 def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
+    _check_sprt_inputs(p, spec)
+    layer = density_layer(p, "counts")  # held so the calls below share it
     rule, decision = sprt_rule(p, spec)
-    space = state_space(p, "counts")
     open_report = evaluate(p, rule, decision)
     tail = 1.0 - open_report.mass_stopped_theta
-    capped = truncate_rule(rule, spec.cap, space)
+    capped = truncate_rule(rule, spec.cap, layer.space)
     report = evaluate(p, capped, decision)
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
@@ -182,6 +184,9 @@ def match_sprt_errors(
     a = min(max(math.log((1 - beta) / alpha), 1e-6), threshold_limit)
     b = max(min(math.log(beta / (1 - alpha)), -1e-6), -threshold_limit)
     spec = SprtSpec(a, b, hypotheses, cap)
+    _check_sprt_inputs(p, spec)
+    # Every threshold probe evaluates p on the count engine: hold its layer.
+    layer = density_layer(p, "counts")
     achieved = (math.inf, math.inf)
     for _ in range(max_sweeps):
         def alpha_of(av: float) -> float:
@@ -222,7 +227,7 @@ def continuation_is_interval(
     is below 1. States with log-LR nan (density zero under both hypotheses)
     are ignored.
     """
-    space = state_space(p, rule.engine)
+    space = density_layer(p, rule.engine).space
     masks = reachable_sets(rule, space)
     for n in range(1, rule.horizon):
         llr = llr_by_state(p, space, n, hypotheses)

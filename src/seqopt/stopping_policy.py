@@ -77,29 +77,31 @@ class StoppingRule:
 
 def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:
     """Read a rule written by StoppingRule.to_csv; every state must be covered."""
-    reader = csv.DictReader(fh)
-    rows = list(reader)
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    rows = [r for r in reader if r]
     if not rows:
         raise SeqOptError("empty rule file")
-    engines = {r["engine"] for r in rows}
+    fields = ("engine", "stage", "state", "stop_prob")
+    if not set(fields) <= set(header) or any(len(r) != len(header) for r in rows):
+        raise SeqOptError(f"rule file needs the columns {fields} in every row")
+    e_col, n_col, s_col, p_col = (header.index(f) for f in fields)
+    engines = {r[e_col] for r in rows}
     if len(engines) != 1:
         raise SeqOptError(f"rule file mixes engines: {sorted(engines)}")
     engine = engines.pop()
     space = state_space(problem, engine)
-    horizon = max(int(r["stage"]) for r in rows)
-    label_index = {
-        (n, space.label(n, i)): i for n in range(1, horizon + 1) for i in range(space.n_states(n))
-    }
+    stages = [int(r[n_col]) for r in rows]
+    horizon = max(stages)
     probs = [np.full(space.n_states(n), np.nan) for n in range(1, horizon + 1)]
-    for r in rows:
-        n = int(r["stage"])
-        key = (n, r["state"])
-        if key not in label_index:
-            raise SeqOptError(f"rule references unknown state {r['state']!r} at stage {n}")
-        v = float(r["stop_prob"])
+    indices = space.label_indices(stages, [r[s_col] for r in rows])
+    for r, n, i in zip(rows, stages, indices.tolist()):
+        if n < 1 or i < 0:
+            raise SeqOptError(f"rule references unknown state {r[s_col]!r} at stage {n}")
+        v = float(r[p_col])
         if not 0.0 <= v <= 1.0:
             raise SeqOptError(f"stop probability {v} outside [0, 1]")
-        probs[n - 1][label_index[key]] = v
+        probs[n - 1][i] = v
     for n, arr in enumerate(probs, start=1):
         if np.isnan(arr).any():
             raise SeqOptError(f"rule file leaves stage {n} states undefined")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
+from seqopt.histories import check_state_budget
 
 MAX_STATES = 3000  # states through the top stage, per drawn example
 
@@ -101,3 +102,29 @@ def test_index_of_rejects_non_compositions(counts):
     space = _space(3)
     with pytest.raises(so.SeqOptError):
         space.index_of(2, counts)
+
+
+def reference_budget_total(engine: str, k: int, horizon: int) -> int:
+    """States in stages 0..horizon, one stage at a time."""
+    return sum(k**n if engine == "tree" else comb(n + k - 1, k - 1) for n in range(horizon + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    engine=st.sampled_from(["tree", "counts"]),
+    k=st.integers(2, 6),
+    horizon=st.integers(1, 60),
+    offset=st.integers(-2, 2),
+)
+def test_state_budget_matches_stagewise_totals(engine, k, horizon, offset):
+    total = reference_budget_total(engine, k, horizon)
+    budget = max(total + offset, 0)  # offset 0 is the exact-budget boundary
+    space = so.state_space(_space(k).problem, engine)
+    if total > budget:
+        with pytest.raises(so.BudgetExceededError) as err:
+            check_state_budget(space, horizon, budget)
+        assert str(err.value) == (
+            f"{engine} engine needs more than {budget} states for horizon {horizon}"
+        )
+    else:
+        check_state_budget(space, horizon, budget)

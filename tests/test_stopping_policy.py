@@ -1,4 +1,6 @@
+import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -166,3 +168,76 @@ def test_tie_policies_give_equal_risk():
     ]
     assert max(risks) - min(risks) <= 1e-9
     assert risks[0] == pytest.approx(tables.q0, abs=1e-12)
+
+
+def _k3_problem() -> so.Problem:
+    return so.iid_problem(
+        [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.02
+    )
+
+
+def _random_rule_csv(engine: str, horizon: int = 4) -> tuple[so.StoppingRule, str]:
+    space = state_space(_k3_problem(), engine)
+    rng = np.random.default_rng(5)
+    probs = [rng.random(space.n_states(n)) for n in range(1, horizon + 1)]
+    rule = so.StoppingRule(engine, probs, truncated=False)
+    buf = io.StringIO()
+    rule.to_csv(buf, space)
+    return rule, buf.getvalue()
+
+
+@pytest.mark.parametrize("engine", ["counts", "tree"])
+def test_rule_csv_round_trip_both_engines(engine):
+    rule, text = _random_rule_csv(engine)
+    back = so.rule_from_csv(io.StringIO(text), _k3_problem())
+    assert (back.engine, back.horizon, back.truncated) == (engine, 4, False)
+    for n in range(1, 5):
+        assert back.at(n).tobytes() == rule.at(n).tobytes()
+
+
+@pytest.mark.parametrize(
+    "engine,label",
+    [
+        ("counts", "1|x|1"),
+        ("counts", "01|1|0"),
+        ("counts", "1|1"),
+        ("counts", "1|1|0|0"),
+        ("counts", "1|1|1"),
+        ("tree", "0,x"),
+        ("tree", "0"),
+        ("tree", "0,1,2"),
+        ("tree", "0,3"),
+    ],
+    ids=[
+        "counts-malformed", "counts-leading-zero", "counts-short", "counts-long",
+        "counts-wrong-sum", "tree-malformed", "tree-short", "tree-long", "tree-symbol-range",
+    ],
+)
+def test_rule_csv_rejects_unknown_state_labels(engine, label):
+    _, text = _random_rule_csv(engine)
+    rows = list(csv.reader(io.StringIO(text)))
+    next(r for r in rows if r[1] == "2")[2] = label
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    out.seek(0)
+    with pytest.raises(so.SeqOptError, match=f"unknown state '{re.escape(label)}' at stage 2"):
+        so.rule_from_csv(out, _k3_problem())
+
+
+def test_rule_csv_rejects_stage_zero(instance_b):
+    text = "engine,stage,state,stop_prob\ncounts,0,0|0,1.0\ncounts,1,1|0,1.0\ncounts,1,0|1,1.0\n"
+    with pytest.raises(so.SeqOptError, match=re.escape("unknown state '0|0' at stage 0")):
+        so.rule_from_csv(io.StringIO(text), instance_b)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "engine,stage,state\ncounts,1,1|0\ncounts,1,0|1\n",
+        "engine,stage,state,stop_prob\ncounts,1,1|0,1.0\ncounts,1,0|1\n",
+    ],
+    ids=["missing-column", "short-row"],
+)
+def test_rule_csv_rejects_missing_fields(instance_b, text):
+    with pytest.raises(so.SeqOptError, match="columns"):
+        so.rule_from_csv(io.StringIO(text), instance_b)
