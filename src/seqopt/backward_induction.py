@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import IO
 
 import numpy as np
@@ -68,25 +69,22 @@ class ValueTables:
     def l0(self) -> float:
         return self.table.l0
 
-    def rows(self):
-        """(stage, state label, stop_loss, cont, value) for every state."""
-        for n in range(self.horizon + 1):
-            st = self.table.stage(n)
-            cont_n = self.cont[n] if n < self.horizon else None
-            for i in range(len(st.stop_loss)):
-                yield (
-                    n,
-                    self.table.space.label(n, i),
-                    float(st.stop_loss[i]),
-                    float(cont_n[i]) if cont_n is not None else None,
-                    float(self.value[n][i]),
-                )
-
     def to_csv(self, fh: IO[str]) -> None:
+        """One row per state; floats as repr, the last stage's continue_value empty."""
         writer = csv.writer(fh)
         writer.writerow(["stage", "state", "stop_loss", "continue_value", "value"])
-        for stage, label, stop_loss, cont, value in self.rows():
-            writer.writerow([stage, label, repr(stop_loss), "" if cont is None else repr(cont), repr(value)])
+        for n in range(self.horizon + 1):
+            labels = self.table.space.labels(n)
+            cont = _reprs(self.cont[n]) if n < self.horizon else repeat("")
+            writer.writerows(
+                zip(repeat(n), labels, _reprs(self.table.stage(n).stop_loss), cont,
+                    _reprs(self.value[n]))
+            )
+
+
+def _reprs(arr: np.ndarray):
+    """repr(float(v)) for each entry of arr, converted to Python floats in one tolist()."""
+    return map(repr, np.asarray(arr, dtype=float).tolist())
 
 
 def solve_truncated(

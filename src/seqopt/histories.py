@@ -13,7 +13,8 @@ Two engines share one interface:
 Per stage n the interface provides the state count, the child index of each
 (state, symbol) pair at stage n+1, the conditional step probabilities
 step[s, theta, x], the number of histories collapsed into each state (mult),
-a printable label, and the inverse map from labels back to state indices.
+printable labels (one state's, or a whole stage's at once), and the inverse
+map from labels back to state indices.
 """
 
 from __future__ import annotations
@@ -75,6 +76,15 @@ class TreeStateSpace:
 
     def label(self, n: int, idx: int) -> str:
         return ",".join(str(x) for x in self.history(n, idx))
+
+    def labels(self, n: int) -> list[str]:
+        """label(n, i) for every stage-n state, in index order."""
+        symbols = [str(x) for x in range(self.k)]
+        out = [""]
+        for depth in range(n):
+            sep = "," if depth else ""
+            out = [f"{prefix}{sep}{x}" for prefix in out for x in symbols]
+        return out
 
     def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
         """Index of each (stage, label) pair; -1 where the label is no state of its stage.
@@ -176,6 +186,11 @@ class CountStateSpace:
 
     def label(self, n: int, idx: int) -> str:
         return "|".join(str(c) for c in self.states(n)[idx].tolist())
+
+    def labels(self, n: int) -> list[str]:
+        """label(n, i) for every stage-n state, in index order."""
+        fmt = "|".join(["{}"] * self.k)
+        return [fmt.format(*counts) for counts in self.states(n).tolist()]
 
     def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
         """Index of each (stage, label) pair; -1 where the label is no state of its stage.

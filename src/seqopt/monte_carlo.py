@@ -4,20 +4,41 @@ Each replication draws a parameter from the configured prior (or holds it
 fixed), then walks the observation process, stopping at stage n with the
 rule's probability there: stop iff u < stop_prob with a fresh uniform per
 stage, which has exactly the right probability for every value including 0
-and 1.
+and 1. Draws from a row-wise cdf (the prior, a pmf row, a kernel row) count
+the cdf entries at or below u, clipped to the last index.
 
-Reproducibility: replication r uses a counter-based Philox generator keyed by
-(seed, r), and consumes uniforms from its own block in a fixed order (one for
-the parameter draw, then an observation/stopping pair per stage). Estimates
-are plain means over the replication index, so results are bit-identical for
-a given (seed, replications) regardless of execution order.
+Randomness contract. Replication r reads its uniforms u[0], u[1], ... from
+the Philox4x64-10 stream keyed by (seed mod 2^64, r) (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11):
+
+- the key words are (seed, r), bumped by the Weyl constants between the ten
+  rounds; the 256-bit counter is (b + 1, 0, 0, 0) for block b = 0, 1, ...
+- block b yields four uint64 words, u[4b] .. u[4b+3], each converted to the
+  double (word >> 11) * 2^-53;
+- u[0] draws the parameter; u[2n-1] and u[2n] are stage n's observation and
+  stop draws, so one block covers two stages.
+
+This is the stream of
+Generator(Philox(key=np.array([seed, r], dtype=np.uint64))).random(n).
+`philox_uniforms` computes it in numpy for many replications at once.
+
+The walk runs in chunks of consecutive replications. Each chunk is walked
+stage by stage over its replications still running, and a Philox block is
+generated only for those, when the walk first reads from it. Every
+replication's draws depend only on (seed, r), and estimates are plain means
+over the replication index, so results are bit-identical for a given (seed,
+replications) whatever the chunking. SimResult.stats reports the walk time,
+the chunk and Philox block counts and the replications still running at each
+stage; it stays out of to_dict and to_json.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import numbers
+import time
+from dataclasses import dataclass, field
 from typing import IO
 
 import numpy as np
@@ -26,10 +47,20 @@ from .errors import SeqOptError
 from .histories import CountStateSpace
 from .model import Problem
 from .risk_evaluation import DecisionStrategy
+from .backward_induction import _reprs
 from .bayes_decision import HistoryTable, density_layer
 from .stopping_policy import StoppingRule
 
 _MASK64 = (1 << 64) - 1
+_CHUNK = 1 << 13  # replications walked together; memory is O(_CHUNK * K)
+
+# Philox4x64-10: round multipliers, Weyl key increments, uint64 helpers.
+_PHILOX_ROUNDS = 10
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32, _S32, _S11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _S32
+_TO_DOUBLE = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -60,6 +91,8 @@ class SimResult:
     flagged: bool
     theta_freq: np.ndarray
     trace: dict[str, np.ndarray] | None = None
+    # Telemetry (walk_s, chunks, philox_blocks, running); not in to_dict.
+    stats: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -92,23 +125,70 @@ class SimResult:
         writer = csv.writer(fh)
         writer.writerow(["replication", "theta", "tau", "decision", "loss", "cap_hit"])
         t = self.trace
-        for i in range(self.replications):
-            writer.writerow(
-                [i, int(t["theta"][i]), int(t["tau"][i]), int(t["decision"][i]),
-                 repr(float(t["loss"][i])), int(t["cap_hit"][i])]
-            )
+        writer.writerows(
+            zip(range(self.replications), t["theta"].tolist(), t["tau"].tolist(),
+                t["decision"].tolist(), _reprs(t["loss"]), t["cap_hit"].astype(int).tolist())
+        )
 
 
-def _theta_cdf(p: Problem, mode: str | int) -> np.ndarray | None:
-    if mode == "pi1":
-        return np.cumsum(p.priors.pi1)
-    if mode == "pi2":
-        return np.cumsum(p.priors.pi2)
-    if isinstance(mode, int):
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check_config(p: Problem, rule: StoppingRule, cfg: SimConfig) -> None:
+    for name in ("replications", "cap", "seed"):
+        if not _is_int(getattr(cfg, name)):
+            raise SeqOptError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
+    if cfg.replications < 1:
+        raise SeqOptError("need at least one replication")
+    if cfg.cap < 1 or cfg.cap > rule.horizon:
+        raise SeqOptError(
+            f"cap must be in 1..{rule.horizon} (the rule's covered stages), got {cfg.cap}"
+        )
+    mode = cfg.theta_mode
+    if _is_int(mode):
         if not 0 <= mode < p.n_params:
             raise SeqOptError(f"fixed parameter index {mode} out of range")
-        return None
-    raise SeqOptError(f"theta_mode must be 'pi1', 'pi2' or an index, got {mode!r}")
+    elif not (isinstance(mode, str) and mode in ("pi1", "pi2")):
+        raise SeqOptError(f"theta_mode must be 'pi1', 'pi2' or an index, got {mode!r}")
+
+
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products _PHILOX_M * x.
+
+    The high word is assembled from 32-bit halves, so no product overflows.
+    """
+    x_lo, x_hi = x & _LO32, x >> _S32
+    t = _PHILOX_M_HI * x_lo + ((_PHILOX_M_LO * x_lo) >> _S32)
+    w = (t & _LO32) + _PHILOX_M_LO * x_hi
+    return _PHILOX_M_HI * x_hi + (t >> _S32) + (w >> _S32), _PHILOX_M * x
+
+
+def philox_uniforms(seed: int, reps: np.ndarray, block: int) -> np.ndarray:
+    """Uniforms 4*block .. 4*block+3 of each replication's stream, shape (4, len(reps)).
+
+    Column i equals those entries of
+    Generator(Philox(key=np.array([seed, reps[i]], dtype=np.uint64))).random(n).
+    The counter words are kept as two rows, the multiplied words (0, 2) and
+    the xored words (1, 3), so each round is one batch of array operations.
+    """
+    key = np.empty((2, len(reps)), dtype=np.uint64)
+    key[0], key[1] = seed, reps
+    mul = np.zeros_like(key)
+    mul[0] = block + 1
+    xor = np.zeros_like(key)
+    for i in range(_PHILOX_ROUNDS):
+        if i:
+            key += _PHILOX_W
+        hi, lo = _mulhilo(mul)
+        mul, xor = hi[::-1] ^ xor ^ key, lo[::-1]
+    words = np.stack([mul[0], xor[0], mul[1], xor[1]])
+    return (words >> _S11) * _TO_DOUBLE
+
+
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf[i], u[i], side="right") for each row i of a row-wise cdf."""
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def simulate(
@@ -118,74 +198,73 @@ def simulate(
     decision: DecisionStrategy | None = None,
 ) -> SimResult:
     """Simulate a rule; see the module docstring for the randomness contract."""
-    if cfg.replications < 1:
-        raise SeqOptError("need at least one replication")
-    if cfg.cap < 1 or cfg.cap > rule.horizon:
-        raise SeqOptError(
-            f"cap must be in 1..{rule.horizon} (the rule's covered stages), got {cfg.cap}"
-        )
+    _check_config(p, rule, cfg)
+    reps, cap = int(cfg.replications), int(cfg.cap)
+    mode = cfg.theta_mode if isinstance(cfg.theta_mode, str) else int(cfg.theta_mode)
     layer = density_layer(p, rule.engine)  # held so the table below shares it
     space = layer.space
     if decision is None:
-        decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cfg.cap)
-    theta_cdf = _theta_cdf(p, cfg.theta_mode)
+        decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cap)
+    theta_cdf = None if isinstance(mode, int) else np.cumsum(getattr(p.priors, mode))
     iid = p.obs.kind == "iid"
     obs_cdf = np.cumsum(p.obs.iid_pmf, axis=1) if iid else None
-    # child[n][s][x]: the stage n+1 count state reached from state s by symbol x
+    # child[n][s, x]: the stage n+1 count state reached from state s by symbol x
     child = (
-        [space.children(n).tolist() for n in range(cfg.cap)]
-        if isinstance(space, CountStateSpace)
-        else None
+        [space.children(n) for n in range(cap)] if isinstance(space, CountStateSpace) else None
     )
     k = p.alphabet_size
-    w = p.loss.w
-    stop_probs = [rule.at(n) for n in range(1, cfg.cap + 1)]
-    decisions = [decision.at(n) for n in range(1, cfg.cap + 1)]
+    stop_probs = [rule.at(n) for n in range(1, cap + 1)]
+    decisions = [decision.at(n) for n in range(1, cap + 1)]
 
-    reps = cfg.replications
-    taus = np.empty(reps, dtype=np.int64)
+    taus = np.full(reps, cap, dtype=np.int64)
     thetas = np.empty(reps, dtype=np.int64)
     decs = np.empty(reps, dtype=np.int64)
-    losses = np.empty(reps)
     cap_hits = np.zeros(reps, dtype=bool)
-    block_len = 1 + 2 * cfg.cap
-    seed = cfg.seed & _MASK64
+    seed = int(cfg.seed) & _MASK64
+    running = np.zeros(cap, dtype=np.int64)
+    blocks = 0
+    t0 = time.perf_counter()
 
-    for r in range(reps):
-        gen = np.random.Generator(np.random.Philox(key=[seed, r]))
-        u = gen.random(block_len)
-        theta = (
-            int(np.searchsorted(theta_cdf, u[0], side="right"))
-            if theta_cdf is not None
-            else int(cfg.theta_mode)
-        )
-        theta = min(theta, p.n_params - 1)
-        state = 0
-        history: tuple[int, ...] = ()
-        stopped = False
-        for n in range(1, cfg.cap + 1):
+    for start in range(0, reps, _CHUNK):
+        # rep, theta, state and u (the Philox block the walk has reached) hold
+        # the chunk's replications still running, aligned by position.
+        rep = np.arange(start, min(start + _CHUNK, reps), dtype=np.int64)
+        block, u = 0, philox_uniforms(seed, rep, 0)
+        blocks += len(rep)
+        if theta_cdf is None:
+            theta = np.full(len(rep), mode, dtype=np.int64)
+        else:
+            theta = np.minimum(_draw(theta_cdf[None, :], u[0]), p.n_params - 1)
+        thetas[rep] = theta
+        state = np.zeros(len(rep), dtype=np.int64)
+        for n in range(1, cap + 1):
+            running[n - 1] += len(rep)
+            draws = []
+            for j in (2 * n - 1, 2 * n):  # the observation, then the stop draw
+                if j // 4 != block:
+                    block, u = j // 4, philox_uniforms(seed, rep, j // 4)
+                    blocks += len(rep)
+                draws.append(u[j % 4])
             if iid:
-                x = int(np.searchsorted(obs_cdf[theta], u[2 * n - 1], side="right"))
+                row_cdf = obs_cdf[theta]
             else:
-                row_cdf = np.cumsum(p.obs.conditional_pmf(theta, history))
-                x = int(np.searchsorted(row_cdf, u[2 * n - 1], side="right"))
-                history = history + (x,)
-            x = min(x, k - 1)
-            if child is not None:
-                state = child[n - 1][state][x]
-            else:
-                state = state * k + x
-            if u[2 * n] < stop_probs[n - 1][state]:
-                taus[r] = n
-                decs[r] = int(decisions[n - 1][state])
-                stopped = True
-                break
-        if not stopped:
-            taus[r] = cfg.cap
-            decs[r] = int(decisions[cfg.cap - 1][state])
-            cap_hits[r] = True
-        thetas[r] = theta
-        losses[r] = w[theta, decs[r]]
+                row_cdf = np.cumsum(space.step_probs(n - 1)[state, theta], axis=1)
+            x = np.minimum(_draw(row_cdf, draws[0]), k - 1)
+            state = child[n - 1][state, x] if child is not None else state * k + x
+            stop = draws[1] < stop_probs[n - 1][state]
+            if n == cap:
+                decs[rep] = decisions[n - 1][state]
+                cap_hits[rep[~stop]] = True
+            elif stop.any():
+                done = rep[stop]
+                taus[done] = n
+                decs[done] = decisions[n - 1][state[stop]]
+                go = ~stop
+                rep, state, theta, u = rep[go], state[go], theta[go], u[:, go]
+                if not len(rep):
+                    break
+    walk_s = time.perf_counter() - t0
+    losses = np.asarray(p.loss.w, dtype=float)[thetas, decs]
 
     sqrt_r = float(np.sqrt(reps))
 
@@ -221,9 +300,9 @@ def simulate(
         }
     return SimResult(
         replications=reps,
-        seed=cfg.seed,
-        cap=cfg.cap,
-        theta_mode=cfg.theta_mode,
+        seed=int(cfg.seed),
+        cap=cap,
+        theta_mode=mode,
         tau_mean=tau_mean,
         tau_se=tau_se,
         loss_mean=loss_mean,
@@ -236,4 +315,10 @@ def simulate(
         flagged=cap_fraction > cfg.cap_hit_threshold,
         theta_freq=theta_freq,
         trace=trace,
+        stats={
+            "walk_s": walk_s,
+            "chunks": -(-reps // _CHUNK),
+            "philox_blocks": blocks,
+            "running": running.tolist(),
+        },
     )

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO
 
 import numpy as np
 
-from .backward_induction import ValueTables
+from .backward_induction import ValueTables, _reprs
 from .errors import SeqOptError
 from .histories import StateSpace, state_space
 from .model import Problem
@@ -70,9 +71,9 @@ class StoppingRule:
         writer = csv.writer(fh)
         writer.writerow(["engine", "stage", "state", "stop_prob"])
         for n in range(1, self.horizon + 1):
-            arr = self.at(n)
-            for i in range(len(arr)):
-                writer.writerow([self.engine, n, space.label(n, i), repr(float(arr[i]))])
+            writer.writerows(
+                zip(repeat(self.engine), repeat(n), space.labels(n), _reprs(self.at(n)))
+            )
 
 
 def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:

@@ -128,3 +128,12 @@ def test_state_budget_matches_stagewise_totals(engine, k, horizon, offset):
         )
     else:
         check_state_budget(space, horizon, budget)
+
+
+@pytest.mark.parametrize(
+    "engine, k, top", [("counts", 2, 7), ("counts", 4, 5), ("tree", 2, 6), ("tree", 12, 2)]
+)
+def test_stage_labels_match_single_labels(engine, k, top):
+    space = so.state_space(_space(k).problem, engine)
+    for n in range(top + 1):
+        assert space.labels(n) == [space.label(n, i) for i in range(space.n_states(n))]

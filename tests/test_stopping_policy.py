@@ -8,6 +8,8 @@ import pytest
 import seqopt as so
 from seqopt.histories import state_space
 
+from conftest import random_instance
+
 
 def _optimal_rule(instance_b, horizon=2):
     return so.extract_rule(so.solve_truncated(instance_b, horizon))
@@ -241,3 +243,23 @@ def test_rule_csv_rejects_stage_zero(instance_b):
 def test_rule_csv_rejects_missing_fields(instance_b, text):
     with pytest.raises(so.SeqOptError, match="columns"):
         so.rule_from_csv(io.StringIO(text), instance_b)
+
+
+@pytest.mark.parametrize("engine, k, horizon", [("counts", 3, 6), ("tree", 3, 4), ("tree", 11, 2)])
+def test_rule_csv_matches_row_by_row_writer(engine, k, horizon):
+    rng = np.random.default_rng(k * horizon)
+    p, _ = random_instance(rng, m=2, k=k)
+    space = state_space(p, engine)
+    probs = [rng.uniform(size=space.n_states(n)) for n in range(1, horizon + 1)]
+    probs[0][0] = 1.0
+    rule = so.StoppingRule(engine, probs, truncated=False)
+    buf = io.StringIO()
+    rule.to_csv(buf, space)
+    ref = io.StringIO()
+    writer = csv.writer(ref)
+    writer.writerow(["engine", "stage", "state", "stop_prob"])
+    for n in range(1, horizon + 1):
+        arr = rule.at(n)
+        for i in range(len(arr)):
+            writer.writerow([engine, n, space.label(n, i), repr(float(arr[i]))])
+    assert buf.getvalue() == ref.getvalue()
