@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .backward_induction import should_take_observations, solve_limit, solve_truncated
+from .bayes_decision import density_layer
 from .config import load_problem
 from .errors import (
     BudgetExceededError,
@@ -40,7 +41,6 @@ from .errors import (
     SeqOptError,
     UnreachableTargetsError,
 )
-from .histories import state_space
 from .lagrange import SearchConfig, match_constraints
 from .monte_carlo import SimConfig, simulate
 from .risk_evaluation import evaluate
@@ -186,7 +186,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 gamma = row.get("gamma", "")
                 fh.write(f"{lam},{ach},{row['n_psi']:.17g},{gamma}\n")
         with open(out_dir / "rule.csv", "w") as fh:
-            lag_result.rule.to_csv(fh, state_space(p, lag_result.rule.engine))
+            lag_result.rule.to_csv(fh, density_layer(p, lag_result.rule.engine).space)
         outputs += ["trace.csv", "rule.csv"]
 
     sprt_result = None
@@ -205,9 +205,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         sprt_result = sprt_operating_characteristics(p, spec)
         name = "sprt_rule.csv" if args.compare else "rule.csv"
         rule, _ = sprt_rule(p, spec)
-        capped = truncate_rule(rule, spec.cap, state_space(p, "counts"))
+        space = density_layer(p, "counts").space
         with open(out_dir / name, "w") as fh:
-            capped.to_csv(fh, state_space(p, "counts"))
+            truncate_rule(rule, spec.cap, space).to_csv(fh, space)
         outputs.append(name)
 
     result_payload: dict = {"mode": args.mode, "targets": targets}

@@ -14,7 +14,9 @@ Per stage n the interface provides the state count, the child index of each
 (state, symbol) pair at stage n+1, the conditional step probabilities
 step[s, theta, x], the number of histories collapsed into each state (mult),
 printable labels (one state's, or a whole stage's at once), and the inverse
-map from labels back to state indices.
+map from labels back to state indices. `push_forward` is the one forward
+propagation over the child tables: it carries stage-n mass (or reachability)
+to stage n+1.
 """
 
 from __future__ import annotations
@@ -240,6 +242,31 @@ def state_space(problem: Problem, engine: str = "auto") -> StateSpace:
     if engine == "tree":
         return TreeStateSpace(problem)
     raise SeqOptError(f"unknown engine {engine!r}")
+
+
+def push_forward(
+    space: StateSpace, n: int, values: np.ndarray, weighted: bool = True
+) -> np.ndarray:
+    """Carry stage-n values to stage n+1: each child sums what its parents send.
+
+    With `weighted`, values is (S_n, m) per-parameter mass and the edge of
+    symbol x multiplies it by x's conditional pmf: iid_pmf's column x for iid
+    models, the kernel rows of step_probs otherwise. Without, values travel
+    unchanged; boolean values then sum as a logical or, so reachability never
+    underflows.
+    """
+    children = space.children(n)
+    out = np.zeros((space.n_states(n + 1),) + values.shape[1:], dtype=values.dtype)
+    if not weighted:
+        edges = None
+    elif space.problem.obs.kind == "iid":
+        edges = space.problem.obs.iid_pmf.T  # edges[x]: (m,) pmf of symbol x
+    else:
+        edges = np.moveaxis(space.step_probs(n), 2, 0)  # edges[x]: (S_n, m)
+    for x in range(space.k):
+        # children[:, x] repeats no index, so the buffered += drops no term.
+        out[children[:, x]] += values if edges is None else values * edges[x]
+    return out
 
 
 def check_state_budget(space: StateSpace, horizon: int, budget: int = DEFAULT_STATE_BUDGET) -> None:

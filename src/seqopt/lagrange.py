@@ -19,11 +19,21 @@ around an inner scalar match of the first. If the outer step cannot be
 interpolated, the result reports converged=False with the bracketing frontier
 points instead of pretending equality. More than two groups: supply your own
 multipliers and use weighted_problem / lagrangian directly.
+
+Because the achieved losses are step functions, most probes extract a rule
+and decision strategy some earlier probe of the same call already had. One
+call keeps the achieved losses per 16-byte digest of the (rule, decision)
+pair and evaluates each distinct pair once; the probe path and every result
+are those of evaluating each probe. `MultiplierSearchResult.stats` reports
+the probe, evaluation and reuse counts and the seconds spent solving,
+extracting and evaluating, and each probe is logged at DEBUG level.
 """
 
 from __future__ import annotations
 
-import math
+import hashlib
+import logging
+import time
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Sequence
 
@@ -36,6 +46,8 @@ from .errors import BudgetExceededError, InfeasibleTargetsError, SeqOptError
 from .model import ConstraintSpec, Problem, with_loss
 from .risk_evaluation import DecisionStrategy, evaluate
 from .stopping_policy import StoppingRule, extract_rule, truncate_rule
+
+log = logging.getLogger(__name__)
 
 
 def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
@@ -100,6 +112,9 @@ class MultiplierSearchResult:
     horizon: int
     frontier_trace: list[dict] = field(default_factory=list)
     weighted: Problem | None = None
+    # probes, evaluated (distinct rule/decision pairs), reused, and seconds
+    # spent in solve, extract and evaluate
+    stats: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -112,40 +127,88 @@ class _Pack:
     horizon: int
 
 
-def _solve_at(p: Problem, lam: np.ndarray, cfg: SearchConfig) -> _Pack:
-    wp = weighted_problem(p, lam)
-    if cfg.horizon is not None:
-        tables = solve_truncated(wp, cfg.horizon, engine=cfg.engine)
-    else:
-        tables = solve_limit(wp, tol=cfg.limit_tol, n_cap=cfg.n_cap, engine=cfg.engine)
-    rule = extract_rule(tables, tie_policy="stop")
-    decision = DecisionStrategy.bayes(tables.table, tables.horizon)
-    report = evaluate(p, rule, decision)
-    return _Pack(lam.copy(), rule, decision, report.w_groups.copy(), report.n_psi, tables.horizon)
+def _pair_digest(rule: StoppingRule, decision: DecisionStrategy) -> bytes:
+    """16-byte digest of a (rule, decision) pair over the rule's stages."""
+    h = hashlib.blake2b(rule.horizon.to_bytes(8, "little"), digest_size=16)
+    for arr in (*rule.stop_probs, *decision.decisions[: rule.horizon]):
+        h.update(np.ascontiguousarray(arr))
+    return h.digest()
 
 
-def _common_horizon(p: Problem, cfg: SearchConfig, packs: list[_Pack]) -> list[_Pack]:
-    top = max(pk.horizon for pk in packs)
-    out = []
-    for pk in packs:
-        if pk.horizon == top:
-            out.append(pk)
-            continue
-        rule = truncate_rule(pk.rule, top, density_layer(p, pk.rule.engine).space)
-        wp = weighted_problem(p, pk.lam)
-        decision = DecisionStrategy.bayes(HistoryTable(wp, engine=pk.rule.engine), top)
-        report = evaluate(p, rule, decision)
-        out.append(_Pack(pk.lam, rule, decision, report.w_groups.copy(), report.n_psi, top))
-    return out
+class _Search:
+    """One match_constraints call: its problem, config, evaluations and stats.
+
+    Achieved losses are step functions of the multipliers, so most probes
+    extract a rule already seen. Evaluations are kept by _pair_digest of the
+    (rule, decision) pair, digests and a few floats only, and each distinct
+    pair is evaluated once.
+    """
+
+    def __init__(self, p: Problem, cfg: SearchConfig):
+        self.p = p
+        self.cfg = cfg
+        self.trace: list[dict] = []
+        self._achieved: dict[bytes, tuple[np.ndarray, float]] = {}
+        self.stats: dict = {"probes": 0, "evaluated": 0, "reused": 0,
+                            "solve_s": 0.0, "extract_s": 0.0, "evaluate_s": 0.0}
+
+    def achieved(self, rule: StoppingRule, decision: DecisionStrategy) -> tuple[np.ndarray, float]:
+        """Group losses and n_psi of the pair, evaluated on first sight only."""
+        key = _pair_digest(rule, decision)
+        hit = self._achieved.get(key)
+        if hit is None:
+            t0 = time.perf_counter()
+            report = evaluate(self.p, rule, decision)
+            self.stats["evaluate_s"] += time.perf_counter() - t0
+            self.stats["evaluated"] += 1
+            hit = self._achieved[key] = (report.w_groups.copy(), report.n_psi)
+        else:
+            self.stats["reused"] += 1
+        return hit[0].copy(), hit[1]
+
+    def solve_at(self, lam: np.ndarray) -> _Pack:
+        """Probe: solve the weighted problem, extract its rule, record the outcome."""
+        cfg = self.cfg
+        t0 = time.perf_counter()
+        wp = weighted_problem(self.p, lam)
+        if cfg.horizon is not None:
+            tables = solve_truncated(wp, cfg.horizon, engine=cfg.engine)
+        else:
+            tables = solve_limit(wp, tol=cfg.limit_tol, n_cap=cfg.n_cap, engine=cfg.engine)
+        t1 = time.perf_counter()
+        rule = extract_rule(tables, tie_policy="stop")
+        decision = DecisionStrategy.bayes(tables.table, tables.horizon)
+        self.stats["solve_s"] += t1 - t0
+        self.stats["extract_s"] += time.perf_counter() - t1
+        w_groups, n_psi = self.achieved(rule, decision)
+        self.stats["probes"] += 1
+        self.trace.append({"lam": lam.tolist(), "achieved": w_groups.tolist(), "n_psi": n_psi})
+        log.debug(
+            "probe %d lam=%s horizon=%d achieved=%s n_psi=%r",
+            self.stats["probes"], lam, tables.horizon, w_groups, n_psi,
+        )
+        return _Pack(lam.copy(), rule, decision, w_groups, n_psi, tables.horizon)
+
+    def common_horizon(self, packs: list[_Pack]) -> list[_Pack]:
+        """Extend every pack's rule (truncated) and decisions to the largest horizon."""
+        top = max(pk.horizon for pk in packs)
+        out = []
+        for pk in packs:
+            if pk.horizon == top:
+                out.append(pk)
+                continue
+            t0 = time.perf_counter()
+            rule = truncate_rule(pk.rule, top, density_layer(self.p, pk.rule.engine).space)
+            wp = weighted_problem(self.p, pk.lam)
+            decision = DecisionStrategy.bayes(HistoryTable(wp, engine=pk.rule.engine), top)
+            self.stats["extract_s"] += time.perf_counter() - t0
+            w_groups, n_psi = self.achieved(rule, decision)
+            out.append(_Pack(pk.lam, rule, decision, w_groups, n_psi, top))
+        return out
 
 
 def _blend_to_target(
-    p: Problem,
-    lo: _Pack,
-    hi: _Pack,
-    group: int,
-    target: float,
-    trace: list[dict],
+    search: _Search, lo: _Pack, hi: _Pack, group: int, target: float
 ) -> _Pack | None:
     """Mix the two bracket-end rules so group's achieved loss hits the target.
 
@@ -156,7 +219,7 @@ def _blend_to_target(
 
         def gap(gamma: float) -> float:
             rule = hi.rule.blend(lo.rule, gamma)
-            return float(evaluate(p, rule, decision).w_groups[group] - target)
+            return float(search.achieved(rule, decision)[0][group] - target)
 
         g0, g1 = gap(0.0), gap(1.0)
         if g0 == 0.0:
@@ -168,24 +231,22 @@ def _blend_to_target(
         else:
             continue
         rule = hi.rule.blend(lo.rule, gamma)
-        report = evaluate(p, rule, decision)
+        w_groups, n_psi = search.achieved(rule, decision)
         lam = hi.lam
-        trace.append(
-            {"lam": lam.tolist(), "achieved": report.w_groups.tolist(),
-             "n_psi": report.n_psi, "gamma": gamma}
+        search.trace.append(
+            {"lam": lam.tolist(), "achieved": w_groups.tolist(), "n_psi": n_psi, "gamma": gamma}
         )
-        return _Pack(lam, rule, decision, report.w_groups.copy(), report.n_psi, hi.horizon)
+        log.debug("blend lam=%s gamma=%r achieved=%s", lam, gamma, w_groups)
+        return _Pack(lam, rule, decision, w_groups, n_psi, hi.horizon)
     return None
 
 
 def _match_scalar(
-    p: Problem,
-    cfg: SearchConfig,
+    search: _Search,
     group: int,
     target: float,
     make_lam: Callable[[float], np.ndarray],
     x_init: float,
-    trace: list[dict],
 ) -> tuple[float, _Pack, bool]:
     """Tune one multiplier until achieved w_group hits the target.
 
@@ -193,13 +254,10 @@ def _match_scalar(
     (multiplier, pack, converged). Raises InfeasibleTargetsError when no
     bracket exists within the growth budget.
     """
+    cfg, trace = search.cfg, search.trace
 
     def probe(x: float) -> _Pack:
-        pk = _solve_at(p, make_lam(x), cfg)
-        trace.append(
-            {"lam": pk.lam.tolist(), "achieved": pk.achieved.tolist(), "n_psi": pk.n_psi}
-        )
-        return pk
+        return search.solve_at(make_lam(x))
 
     x = x_init
     pk = probe(x)
@@ -244,8 +302,8 @@ def _match_scalar(
             lo_x, lo = mid_x, mid
         else:
             hi_x, hi = mid_x, mid
-    lo, hi = _common_horizon(p, cfg, [lo, hi])
-    blended = _blend_to_target(p, lo, hi, group, target, trace)
+    lo, hi = search.common_horizon([lo, hi])
+    blended = _blend_to_target(search, lo, hi, group, target)
     if blended is not None and abs(blended.achieved[group] - target) <= cfg.residual_tol:
         return hi_x, blended, True
     return hi_x, (blended if blended is not None else hi), False
@@ -275,21 +333,21 @@ def match_constraints(
     # Every probe's weighted problem shares p's observation model and priors,
     # so holding the layer here lets all of them reuse its stages.
     layer = density_layer(p, cfg.engine)
-    trace: list[dict] = []
+    search = _Search(p, cfg)
+    trace = search.trace
 
     if k == 1:
         x, pack, converged = _match_scalar(
-            p, cfg, 0, float(targets_arr[0]), lambda v: np.array([v]), cfg.lambda_init, trace
+            search, 0, float(targets_arr[0]), lambda v: np.array([v]), cfg.lambda_init
         )
-        return _result(p, pack, targets_arr, converged, trace)
+        return _result(search, pack, targets_arr, converged)
 
     inner_init = cfg.lambda_init
 
     def inner(y: float) -> tuple[_Pack, bool]:
         nonlocal inner_init
         x, pack, ok = _match_scalar(
-            p, cfg, 0, float(targets_arr[0]),
-            lambda v: np.array([v, y]), inner_init, trace,
+            search, 0, float(targets_arr[0]), lambda v: np.array([v, y]), inner_init
         )
         inner_init = x  # warm start the next inner match
         return pack, ok
@@ -297,7 +355,7 @@ def match_constraints(
     y = cfg.lambda_init
     pack, inner_ok = inner(y)
     if abs(pack.achieved[1] - targets_arr[1]) <= cfg.residual_tol and inner_ok:
-        return _result(p, pack, targets_arr, True, trace)
+        return _result(search, pack, targets_arr, True)
     lo_y = hi_y = y
     lo_pack = hi_pack = pack
     steps = 0
@@ -337,8 +395,8 @@ def match_constraints(
             hi_y, hi_pack = mid_y, mid_pack
         best = mid_pack
     if not converged:
-        lo_pack, hi_pack = _common_horizon(p, cfg, [lo_pack, hi_pack])
-        blended = _blend_to_target(p, lo_pack, hi_pack, 1, float(targets_arr[1]), trace)
+        lo_pack, hi_pack = search.common_horizon([lo_pack, hi_pack])
+        blended = _blend_to_target(search, lo_pack, hi_pack, 1, float(targets_arr[1]))
         if blended is not None:
             best = blended
             converged = bool(
@@ -348,16 +406,13 @@ def match_constraints(
             best = hi_pack
     if converged and abs(best.achieved[0] - targets_arr[0]) > cfg.residual_tol:
         converged = False
-    return _result(p, best, targets_arr, converged, trace)
+    return _result(search, best, targets_arr, converged)
 
 
 def _result(
-    p: Problem,
-    pack: _Pack,
-    targets: np.ndarray,
-    converged: bool,
-    trace: list[dict],
+    search: _Search, pack: _Pack, targets: np.ndarray, converged: bool
 ) -> MultiplierSearchResult:
+    p = search.p
     return MultiplierSearchResult(
         lam=pack.lam.copy(),
         targets=targets.copy(),
@@ -368,8 +423,9 @@ def _result(
         n_psi=pack.n_psi,
         converged=converged,
         horizon=pack.horizon,
-        frontier_trace=trace,
+        frontier_trace=search.trace,
         weighted=weighted_problem(p, pack.lam),
+        stats=dict(search.stats),
     )
 
 

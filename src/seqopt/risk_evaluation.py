@@ -27,6 +27,7 @@ import numpy as np
 
 from .bayes_decision import HistoryTable, density_layer
 from .errors import BudgetExceededError, SeqOptError
+from .histories import push_forward
 from .model import Problem
 from .stopping_policy import StoppingRule
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
@@ -160,6 +161,17 @@ def evaluate(
     (or, failing that, the problem's stored ones) produce the Lagrangian
     n_psi + sum_i lambda_i * w_group_i.
     """
+    return _forward(p, rule, decision, multipliers, table)[0]
+
+
+def _forward(
+    p: Problem,
+    rule: StoppingRule,
+    decision: DecisionStrategy | None = None,
+    multipliers: np.ndarray | None = None,
+    table: HistoryTable | None = None,
+) -> tuple[RiskReport, np.ndarray]:
+    """evaluate's pass, also returning the (S, m) mass that arrives at the last stage."""
     layer = table.layer if table is not None else density_layer(p, rule.engine)
     space = layer.space
     horizon = rule.horizon
@@ -195,15 +207,8 @@ def evaluate(
             if sel.any():
                 decision_probs[:, dd] += stopped[sel].sum(axis=0)
         if n < horizon:
-            alive = mass * (1.0 - probs)[:, None]
-            children = space.children(n)
-            step = space.step_probs(n)
-            nxt = np.zeros((space.n_states(n + 1), m))
-            for x in range(space.k):
-                # children[:, x] repeats no index, so the buffered += drops no term.
-                nxt[children[:, x]] += alive * step[:, :, x]
-            nxt[nxt < PRUNE_EPS] = 0.0
-            mass = nxt
+            mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
+            mass[mass < PRUNE_EPS] = 0.0
         else:
             leftover = (mass * (1.0 - probs)[:, None]).sum(axis=0)
 
@@ -236,7 +241,7 @@ def evaluate(
         i1, i2 = _hypothesis_indices(p)
         error_probs = (float(decision_probs[i1, 1]), float(decision_probs[i2, 0]))
 
-    return RiskReport(
+    report = RiskReport(
         n_psi=n_psi,
         n_theta=n_theta,
         w_total=w_total,
@@ -256,6 +261,7 @@ def evaluate(
         param_labels=p.params.labels,
         decision_labels=p.loss.decisions,
     )
+    return report, mass
 
 
 @dataclass(eq=False)
@@ -376,11 +382,5 @@ def truncatability_diagnostic(
             probs = np.ones(space.n_states(n))
         else:
             raise SeqOptError(f"rule undefined at stage {n}; extend it or lower the horizons")
-        alive = mass * (1.0 - probs)[:, None]
-        children = space.children(n)
-        step = space.step_probs(n)
-        nxt = np.zeros((space.n_states(n + 1), p.n_params))
-        for x in range(space.k):
-            nxt[children[:, x]] += alive * step[:, :, x]
-        mass = nxt
+        mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
     return TruncatabilityDiagnostic(hs, tail_risk, stage_risk, reach_pi1, bound)

@@ -5,12 +5,17 @@ as soon as it leaves the open interval (b_lower, a_upper), deciding j iff the
 ratio is at or above a_upper. On an iid finite alphabet the ratio is a linear
 function of the symbol counts, so the count-vector state space enumerates
 every reachable ratio value exactly and the operating characteristics come out
-of the exact forward evaluator, no approximation beyond the reported cap tail.
+of one pass of the exact forward evaluator over the capped rule, no
+approximation beyond the reported cap tail. The same enumeration makes the
+operating characteristics step functions of the thresholds, so threshold
+matching searches one candidate per step instead of the reals.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,8 +24,10 @@ from .errors import SeqOptError, UnreachableTargetsError
 from .bayes_decision import density_layer
 from .histories import CountStateSpace
 from .model import Problem
-from .risk_evaluation import DecisionStrategy, RiskReport, evaluate
+from .risk_evaluation import DecisionStrategy, RiskReport, _forward
 from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,13 @@ def llr_by_state(
     if isinstance(space, CountStateSpace):
         counts = np.asarray(space.states(n), dtype=float)
     else:
-        counts = np.zeros((space.n_states(n), space.k))
-        for idx in range(space.n_states(n)):
-            for x in space.history(n, idx):
-                counts[idx, x] += 1
+        # A tree state's symbols are the base-K digits of its index.
+        s = space.n_states(n)
+        rows, idx = np.arange(s), np.arange(s)
+        counts = np.zeros((s, space.k))
+        for _ in range(n):
+            counts[rows, idx % space.k] += 1
+            idx //= space.k
     terms = np.where(counts > 0, counts * inc[None, :], 0.0)
     return terms.sum(axis=1)
 
@@ -118,40 +128,82 @@ class SprtOC:
 
 
 def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
+    """Exact OCs from one forward pass of the rule capped at spec.cap.
+
+    The cap force-stops the mass that reaches stage cap inside the thresholds;
+    its sum per parameter is tail_theta.
+    """
     _check_sprt_inputs(p, spec)
     layer = density_layer(p, "counts")  # held so the calls below share it
     rule, decision = sprt_rule(p, spec)
-    open_report = evaluate(p, rule, decision)
-    tail = 1.0 - open_report.mass_stopped_theta
     capped = truncate_rule(rule, spec.cap, layer.space)
-    report = evaluate(p, capped, decision)
+    report, arrived = _forward(p, capped, decision)
+    tail = (arrived * (1.0 - rule.at(spec.cap))[:, None]).sum(axis=0)
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
     beta = float(report.decision_probs[j, 0])
     return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report)
 
 
-def _bisect_threshold(
-    oc_of: "callable", lo: float, hi: float, target: float, iters: int = 60
-) -> tuple[float, float]:
-    """Smallest threshold magnitude whose achieved error is <= target.
+def _llr_levels(
+    p: Problem, space: CountStateSpace, stages: range, hypotheses: tuple[int, int]
+) -> np.ndarray:
+    """Sorted distinct finite log-LR values of the count states of the given stages."""
+    llr = np.concatenate([llr_by_state(p, space, n, hypotheses) for n in stages])
+    # Sorted in Python: a first numpy sort maps ~0.3 MB of SIMD sort code.
+    return np.array(sorted(set(llr[np.isfinite(llr)].tolist())))
 
-    `oc_of` must be non-increasing in its argument. Returns (threshold,
-    achieved). When even oc_of(hi) > target, returns (hi, oc_of(hi)).
+
+def _threshold_candidates(
+    passed: Callable[[np.ndarray], np.ndarray], count: int, lo: float, hi: float
+) -> np.ndarray:
+    """One threshold in [lo, hi] per piece on which the searched rule is constant.
+
+    The rule only changes where the threshold passes one of `count`
+    breakpoints: passed(t) tells, for each i, whether threshold t[i] has
+    passed breakpoint i, and is monotone in t. The piece below every
+    breakpoint is represented by lo. Each other piece starts at a breakpoint
+    and is represented by the point that halving [lo, hi] 60 times converges
+    to when the error switches there: the threshold a search over the reals
+    returns. Keeping that exact point, not just its piece, keeps the
+    thresholds' midpoint, which sets what the states the cap force-stops
+    decide.
     """
-    f_lo, f_hi = oc_of(lo), oc_of(hi)
+    low, high = np.full(count, lo), np.full(count, hi)
+    inside = ~passed(low) & passed(high)
+    for _ in range(60):
+        mid = 0.5 * (low + high)
+        over = passed(mid)
+        high = np.where(over, mid, high)
+        low = np.where(over, low, mid)
+    return np.array(sorted({lo, hi, *high[inside].tolist()}))
+
+
+def _bisect_threshold(
+    oc_of: Callable[[float], float], candidates: np.ndarray, target: float
+) -> tuple[float, float]:
+    """Smallest candidate threshold magnitude whose achieved error is <= target.
+
+    Bisects over the sorted candidates, one per distinct capped rule, so it
+    needs about log2(len(candidates)) + 2 OC calls. `oc_of` must be
+    non-increasing over the candidates. Returns (threshold, achieved); when
+    even the largest candidate's error exceeds the target, returns that
+    candidate and its error.
+    """
+    lo, hi = 0, len(candidates) - 1
+    f_lo, f_hi = oc_of(float(candidates[lo])), oc_of(float(candidates[hi]))
     if f_hi > target:
-        return hi, f_hi
+        return float(candidates[hi]), f_hi
     if f_lo <= target:
-        return lo, f_lo
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        f_mid = oc_of(mid)
+        return float(candidates[lo]), f_lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid = oc_of(float(candidates[mid]))
         if f_mid <= target:
             hi, f_hi = mid, f_mid
         else:
-            lo, f_lo = mid, f_mid
-    return hi, f_hi
+            lo = mid
+    return float(candidates[hi]), f_hi
 
 
 def match_sprt_errors(
@@ -167,11 +219,19 @@ def match_sprt_errors(
 ) -> SprtSpec:
     """Thresholds whose exact error probabilities match the targets.
 
-    Alternates one-dimensional bisection on a_upper (driving alpha) and
+    Alternates one-dimensional searches on a_upper (driving alpha) and
     b_lower (driving beta), starting from the classical approximations
-    a = log((1-beta)/alpha), b = log(beta/(1-alpha)). The operating
-    characteristics are step functions of the thresholds on a finite alphabet,
-    so exact equality is generally unattainable:
+    a = log((1-beta)/alpha), b = log(beta/(1-alpha)). On a finite alphabet the
+    capped rule only changes where the searched threshold passes a log-LR
+    value of some count state of stages 1..cap (the stopping sets), or where
+    the thresholds' midpoint passes one of stage cap (the decisions of the
+    states the cap force-stops). So each search bisects over one candidate
+    per such piece of [1e-6, threshold_limit] (see _threshold_candidates)
+    rather than over the reals: about log2 of the number of breakpoints in OC
+    calls instead of 62, with the threshold values a real-valued bisection
+    finds wherever the error crosses its target once. Since the operating
+    characteristics are step functions of the thresholds, exact equality is
+    generally unattainable:
 
     - conservative=False: require |achieved - target| <= tol for both errors,
       else raise UnreachableTargetsError carrying the best spec found.
@@ -187,19 +247,48 @@ def match_sprt_errors(
     _check_sprt_inputs(p, spec)
     # Every threshold probe evaluates p on the count engine: hold its layer.
     layer = density_layer(p, "counts")
+    # Breakpoints: the log-LR levels of stages 1..cap, where a threshold
+    # changes which states stop, then those of stage cap, where the midpoint
+    # changes what the states the cap force-stops decide.
+    levels = _llr_levels(p, layer.space, range(1, cap + 1), hypotheses)
+    cap_levels = _llr_levels(p, layer.space, range(cap, cap + 1), hypotheses)
+    n_levels, count = len(levels), len(levels) + len(cap_levels)
     achieved = (math.inf, math.inf)
-    for _ in range(max_sweeps):
-        def alpha_of(av: float) -> float:
-            return sprt_operating_characteristics(p, replace(spec, a_upper=av)).alpha
+    for sweep in range(max_sweeps):
+        b_now = spec.b_lower
 
-        a, alpha_hat = _bisect_threshold(alpha_of, 1e-6, threshold_limit, alpha)
+        def a_passed(t: np.ndarray) -> np.ndarray:
+            # The level no longer stops / the cap level now decides 0.
+            return np.concatenate(
+                (levels < t[:n_levels], cap_levels < 0.5 * (t[n_levels:] + b_now))
+            )
+
+        a_candidates = _threshold_candidates(a_passed, count, 1e-6, threshold_limit)
+
+        def alpha_of(av: float) -> float:
+            oc = sprt_operating_characteristics(p, replace(spec, a_upper=av))
+            log.debug("sweep %d a_upper=%r b_lower=%r alpha=%r", sweep, av, spec.b_lower, oc.alpha)
+            return oc.alpha
+
+        a, alpha_hat = _bisect_threshold(alpha_of, a_candidates, alpha)
         spec = replace(spec, a_upper=a)
+        a_now = spec.a_upper
+
+        def b_passed(t: np.ndarray) -> np.ndarray:
+            # t is -b_lower. The level no longer stops / the cap level now decides 1.
+            return np.concatenate(
+                (levels > -t[:n_levels], cap_levels >= 0.5 * (a_now + -t[n_levels:]))
+            )
+
+        b_candidates = _threshold_candidates(b_passed, count, 1e-6, threshold_limit)
 
         def beta_of(bv: float) -> float:
             # bv is the magnitude of the lower threshold.
-            return sprt_operating_characteristics(p, replace(spec, b_lower=-bv)).beta
+            oc = sprt_operating_characteristics(p, replace(spec, b_lower=-bv))
+            log.debug("sweep %d a_upper=%r b_lower=%r beta=%r", sweep, spec.a_upper, -bv, oc.beta)
+            return oc.beta
 
-        b_mag, beta_hat = _bisect_threshold(beta_of, 1e-6, threshold_limit, beta)
+        b_mag, beta_hat = _bisect_threshold(beta_of, b_candidates, beta)
         spec = replace(spec, b_lower=-b_mag)
         oc = sprt_operating_characteristics(p, spec)
         achieved = (oc.alpha, oc.beta)

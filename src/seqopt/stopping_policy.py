@@ -22,7 +22,7 @@ import numpy as np
 
 from .backward_induction import ValueTables, _reprs
 from .errors import SeqOptError
-from .histories import StateSpace, state_space
+from .histories import StateSpace, push_forward, state_space
 from .model import Problem
 from .tolerances import TIE_ATOL
 
@@ -184,12 +184,7 @@ def reachable_sets(rule: StoppingRule, space: StateSpace) -> list[np.ndarray]:
     """
     masks = [np.ones(space.n_states(1), dtype=bool)]
     for n in range(1, rule.horizon):
-        children = space.children(n)
-        alive = masks[-1] & (rule.at(n) < 1.0)
-        nxt = np.zeros(space.n_states(n + 1), dtype=bool)
-        for x in range(space.k):
-            nxt[children[:, x]] |= alive
-        masks.append(nxt)
+        masks.append(push_forward(space, n, masks[-1] & (rule.at(n) < 1.0), weighted=False))
     return masks
 
 

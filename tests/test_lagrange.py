@@ -1,8 +1,13 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import seqopt as so
 from seqopt.histories import state_space
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_weighted_problem_identity():
@@ -183,3 +188,65 @@ def test_match_limit_mode_single_group():
     assert res.achieved[0] == pytest.approx(0.1, abs=1e-6)
     # sanity: the matched rule is no slower than matching requires
     assert res.n_psi < 4.0
+
+
+def _match_cases():
+    two = so.load_problem(CONFIGS / "two_channel.json")
+    one = so.iid_problem(
+        [[0.8, 0.2], [0.3, 0.7]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.02,
+        groups=((0, 1),), bounds=(0.24,),
+    )
+    return [
+        (two, [0.1, 0.05], so.SearchConfig(horizon=4)),  # two groups, blended steps
+        (one, [0.24], so.SearchConfig(horizon=2)),  # randomized inside a step
+        (one, [0.1], so.SearchConfig(limit_tol=1e-9, n_cap=64)),  # limit: common horizon
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_match_evaluates_each_distinct_pair_once(monkeypatch, case):
+    p, targets, cfg = _match_cases()[case]
+    lg = so.lagrange
+    seen = []
+    real_evaluate = lg.evaluate
+
+    def recording(p_, rule, decision=None, *args, **kwargs):
+        seen.append(lg._pair_digest(rule, decision))
+        return real_evaluate(p_, rule, decision, *args, **kwargs)
+
+    monkeypatch.setattr(lg, "evaluate", recording)
+    res = so.match_constraints(p, targets, cfg)
+    assert len(seen) == len(set(seen)) == res.stats["evaluated"]
+    assert res.stats["probes"] == sum("gamma" not in row for row in res.frontier_trace)
+
+    # A digest unique per lookup: every probe is evaluated, as without the map.
+    fresh = iter(range(10**9))
+    monkeypatch.setattr(lg, "_pair_digest", lambda rule, decision: next(fresh))
+    seen.clear()
+    ref = so.match_constraints(p, targets, cfg)
+    assert ref.stats["reused"] == 0
+    assert len(seen) == ref.stats["evaluated"] == res.stats["evaluated"] + res.stats["reused"]
+    assert ref.stats["probes"] == res.stats["probes"]
+    assert np.array_equal(ref.lam, res.lam)
+    assert np.array_equal(ref.achieved, res.achieved)
+    assert ref.n_psi == res.n_psi
+    assert ref.converged == res.converged
+    assert ref.horizon == res.horizon
+    assert ref.frontier_trace == res.frontier_trace
+    assert len(ref.rule.stop_probs) == len(res.rule.stop_probs)
+    for a, b in zip(ref.rule.stop_probs, res.rule.stop_probs):
+        assert np.array_equal(a, b)
+    for a, b in zip(ref.decision.decisions, res.decision.decisions):
+        assert np.array_equal(a, b)
+
+
+def test_match_stats_and_probe_log(caplog):
+    p, targets, cfg = _match_cases()[0]
+    with caplog.at_level(logging.DEBUG, logger="seqopt.lagrange"):
+        res = so.match_constraints(p, targets, cfg)
+    stats = res.stats
+    assert set(stats) == {"probes", "evaluated", "reused", "solve_s", "extract_s", "evaluate_s"}
+    assert 0 < stats["evaluated"] < stats["probes"]
+    assert all(stats[k] > 0 for k in ("solve_s", "extract_s", "evaluate_s"))
+    probe_lines = [r for r in caplog.records if r.getMessage().startswith("probe ")]
+    assert len(probe_lines) == stats["probes"]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import seqopt as so
-from seqopt.histories import state_space
+from seqopt.histories import push_forward, state_space
+from seqopt.risk_evaluation import _forward
 
 from conftest import random_instance
 from oracle import rule_risk, best_truncated_risk
@@ -174,3 +175,57 @@ def test_random_rules_never_beat_solver(instance_b):
         probs.append(np.ones(space.n_states(horizon)))
         rule = so.StoppingRule("counts", probs, truncated=True)
         assert so.evaluate(instance_b, rule).r >= q0 - 1e-9
+
+
+def _markov_kernel_problem():
+    from seqopt.model import ObservationModel
+
+    rows = {0: ((0.6, 0.3, 0.1), (0.2, 0.5, 0.3)), 1: ((0.1, 0.3, 0.6), (0.3, 0.3, 0.4))}
+
+    def kernel(theta, hist):
+        return rows[theta][0 if not hist or hist[-1] == 0 else 1]
+
+    return so.Problem(
+        params=so.ParameterSpace(("a", "b")),
+        obs=ObservationModel(alphabet_size=3, kind="dependent", kernel=kernel),
+        loss=so.LossSpec(("d1", "d2"), so.zero_one_loss(2)),
+        priors=so.Priors(np.array([0.4, 0.6]), np.array([0.5, 0.5])),
+        cost=so.CostSpec(0.02),
+    )
+
+
+@pytest.mark.parametrize("kind", ["counts", "tree_iid", "markov"])
+def test_push_forward_matches_per_symbol_scatter(kind):
+    """push_forward against the scatter of step_probs slices it replaced, bit for bit."""
+    rng = np.random.default_rng(4)
+    if kind == "markov":
+        space = state_space(_markov_kernel_problem(), "tree")
+    else:
+        p, _ = random_instance(rng, m=3, k=3)
+        space = state_space(p, "counts" if kind == "counts" else "tree")
+    for n in range(1, 5):
+        s, m = space.n_states(n), space.problem.n_params
+        values = rng.uniform(size=(s, m)) * (rng.uniform(size=(s, 1)) < 0.7)
+        children, step = space.children(n), space.step_probs(n)
+        want = np.zeros((space.n_states(n + 1), m))
+        for x in range(space.k):
+            want[children[:, x]] += values * step[:, :, x]
+        assert np.array_equal(push_forward(space, n, values), want)
+        alive = rng.uniform(size=s) < 0.5
+        reach = np.zeros(space.n_states(n + 1), dtype=bool)
+        for x in range(space.k):
+            reach[children[:, x]] |= alive
+        assert np.array_equal(push_forward(space, n, alive, weighted=False), reach)
+
+
+def test_reachable_sets_do_not_underflow_at_depth():
+    p = so.iid_problem([[0.9, 0.1], [0.8, 0.2]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    space = state_space(p, "counts")
+    horizon = 400
+    never = so.StoppingRule("counts", [np.zeros(space.n_states(n)) for n in range(1, horizon + 1)],
+                            truncated=False)
+    masks = so.reachable_sets(never, space)
+    assert all(mask.all() for mask in masks)
+    # the forward mass of the same rule vanishes there: 0.1^400 is below the float range
+    _, arrived = _forward(p, never)
+    assert (arrived == 0.0).any()

@@ -1,9 +1,15 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqopt as so
+from seqopt import sprt
+from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 
 
@@ -152,3 +158,235 @@ def test_sprt_requires_iid():
 def test_bad_thresholds_rejected(channel):
     with pytest.raises(so.SeqOptError):
         so.sprt_rule(channel, so.SprtSpec(a_upper=-1.0, b_lower=1.0, cap=5))
+
+
+def reference_llr_by_state_tree(p, space, n, hypotheses=(0, 1)):
+    """Tree-state log-LRs with counts taken by walking each history in Python."""
+    inc = so.llr_increments(p, hypotheses)
+    counts = np.zeros((space.n_states(n), space.k))
+    for idx in range(space.n_states(n)):
+        for x in space.history(n, idx):
+            counts[idx, x] += 1
+    terms = np.where(counts > 0, counts * inc[None, :], 0.0)
+    return terms.sum(axis=1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_llr_by_state_tree_matches_history_loop(k):
+    rng = np.random.default_rng(k)
+    pmf = rng.uniform(0.05, 1.0, size=(2, k))
+    if k > 2:
+        pmf[0, 0] = pmf[1, 0] = 0.0  # symbol 0: log-LR nan
+        pmf[0, 1] = 0.0  # symbol 1: log-LR +inf
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    space = state_space(p, "tree")
+    for n in range(1, 6):
+        for hyp in ((0, 1), (1, 0)):
+            with np.errstate(invalid="ignore"):  # 0 * inf for unseen symbols
+                got = so.llr_by_state(p, space, n, hyp)
+                want = reference_llr_by_state_tree(p, space, n, hyp)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def two_pass_oc(p, spec):
+    """Capped report plus the tail as 1 - mass stopped by the open (uncapped) rule."""
+    rule, decision = so.sprt_rule(p, spec)
+    open_report = so.evaluate(p, rule, decision)
+    capped = so.truncate_rule(rule, spec.cap, state_space(p, "counts"))
+    return so.evaluate(p, capped, decision), 1.0 - open_report.mass_stopped_theta
+
+
+def assert_same_report(a, b):
+    assert a.to_dict() == b.to_dict()
+    for name in ("n_theta", "stop_dist_theta", "decision_probs", "mass_stopped_theta"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize(
+    "a, b, cap", [(math.log(3.0), -math.log(3.0), 100), (2.0, -1.0, 12), (3.0, -3.0, 40)]
+)
+def test_one_pass_oc_matches_two_pass(channel, a, b, cap):
+    spec = so.SprtSpec(a, b, cap=cap)
+    oc = so.sprt_operating_characteristics(channel, spec)
+    report, tail = two_pass_oc(channel, spec)
+    assert_same_report(oc.report, report)
+    assert np.abs(oc.tail_theta - tail).max() <= 1e-15
+    assert oc.tail_theta.max() > 0 or cap == 100  # the short caps do force-stop mass
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(2, 3),
+    weights=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+    cap=st.integers(1, 40),
+    a=st.floats(0.05, 4.0),
+    b=st.floats(0.05, 4.0),
+)
+def test_one_pass_oc_matches_two_pass_random(k, weights, cap, a, b):
+    pmf = np.array(weights[: 2 * k], dtype=float).reshape(2, k)
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    spec = so.SprtSpec(a, -b, cap=cap)
+    oc = so.sprt_operating_characteristics(p, spec)
+    report, tail = two_pass_oc(p, spec)
+    assert_same_report(oc.report, report)
+    # 1 - (mass stopped) carries the rounding of summing every stage's
+    # stopped mass; the direct sum of the force-stopped mass does not.
+    assert np.abs(oc.tail_theta - tail).max() <= (cap + 1) * 2.0**-51
+
+
+def test_threshold_candidates_pick_one_threshold_per_piece():
+    levels = np.array([3.0, -1.0, 1e-7, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, 70.0])
+
+    def passed(t):
+        return levels < t
+
+    cands = sprt._threshold_candidates(passed, len(levels), 1e-6, 60.0)
+    inner = np.array([0.5, 1.0, np.nextafter(1.0, 2.0), 3.0])
+    assert cands[0] == 1e-6 and cands[-1] == 60.0 and len(cands) == len(inner) + 2
+    # each piece's candidate lies just above the breakpoint it starts at
+    assert np.all(cands[1:-1] > inner)
+    assert np.all(cands[1:-1] - inner <= np.maximum(60.0 * 2.0**-60, np.spacing(inner)))
+    # every set {level >= t} for t in [1e-6, 60] is hit by a candidate
+    grid = np.concatenate((np.linspace(1e-6, 60.0, 2001), inner))
+    assert {tuple(levels >= t) for t in grid} == {tuple(levels >= t) for t in cands}
+    none = sprt._threshold_candidates(lambda t: t > 100.0, 3, 1e-6, 60.0)
+    assert none.tolist() == [1e-6, 60.0]
+
+
+def test_threshold_candidates_are_where_real_bisection_converges():
+    rng = np.random.default_rng(8)
+    breaks = np.concatenate((rng.uniform(0, 5, 50), [2e-6, 0.1, 0.25, 1 / 3]))
+    cands = sprt._threshold_candidates(lambda t: breaks < t, len(breaks), 1e-6, 60.0)
+    for b in breaks.tolist():
+        limit = reference_bisect(lambda t: float(t <= b), 1e-6, 60.0, 0.5)[0]
+        assert limit in cands
+
+
+def test_symmetric_match_needs_few_oc_calls(monkeypatch):
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
+    calls = []
+    real = sprt.sprt_operating_characteristics
+
+    def counted(p_, spec):
+        calls.append(spec)
+        return real(p_, spec)
+
+    monkeypatch.setattr(sprt, "sprt_operating_characteristics", counted)
+    spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
+    assert len(calls) <= 30
+    oc = real(p, spec)
+    assert oc.alpha <= 0.05 and oc.beta <= 0.05
+
+
+def reference_bisect(oc_of, lo, hi, target, iters=60):
+    """Threshold search over the reals: 60 halvings of [lo, hi]."""
+    f_lo, f_hi = oc_of(lo), oc_of(hi)
+    if f_hi > target:
+        return hi, f_hi
+    if f_lo <= target:
+        return lo, f_lo
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        f_mid = oc_of(mid)
+        if f_mid <= target:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return hi, f_hi
+
+
+def reference_match(p, alpha, beta, cap, tol=1e-4, conservative=False, max_sweeps=8,
+                    threshold_limit=60.0):
+    """match_sprt_errors with each threshold found by reference_bisect."""
+    a = min(max(math.log((1 - beta) / alpha), 1e-6), threshold_limit)
+    b = max(min(math.log(beta / (1 - alpha)), -1e-6), -threshold_limit)
+    spec = so.SprtSpec(a, b, (0, 1), cap)
+    achieved = (math.inf, math.inf)
+    for _ in range(max_sweeps):
+        a, _ = reference_bisect(
+            lambda av: so.sprt_operating_characteristics(p, replace(spec, a_upper=av)).alpha,
+            1e-6, threshold_limit, alpha,
+        )
+        spec = replace(spec, a_upper=a)
+        b_mag, _ = reference_bisect(
+            lambda bv: so.sprt_operating_characteristics(p, replace(spec, b_lower=-bv)).beta,
+            1e-6, threshold_limit, beta,
+        )
+        spec = replace(spec, b_lower=-b_mag)
+        oc = so.sprt_operating_characteristics(p, spec)
+        achieved = (oc.alpha, oc.beta)
+        if conservative:
+            if achieved[0] <= alpha and achieved[1] <= beta:
+                return spec
+        elif abs(achieved[0] - alpha) <= tol and abs(achieved[1] - beta) <= tol:
+            return spec
+    if conservative and achieved[0] <= alpha and achieved[1] <= beta:
+        return spec
+    raise so.UnreachableTargetsError("unreachable", best=spec, achieved=achieved)
+
+
+def match_outcome(match, p, alpha, beta, cap, conservative):
+    """(alpha, beta, e_tau) of the matched spec, or the error's achieved pair."""
+    try:
+        spec = match(p, alpha, beta, cap=cap, conservative=conservative, max_sweeps=2)
+    except so.UnreachableTargetsError as err:
+        oc = so.sprt_operating_characteristics(p, err.best)
+        assert (oc.alpha, oc.beta) == err.achieved  # the error carries its best spec
+        return "unreachable", err.achieved
+    oc = so.sprt_operating_characteristics(p, spec)
+    return "matched", (oc.alpha, oc.beta), tuple(oc.e_tau.tolist())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(2, 3),
+    weights=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+    cap=st.integers(1, 30),
+    a=st.floats(0.05, 4.0),
+    b=st.floats(0.05, 4.0),
+    slack=st.sampled_from([0.0, 0.0, 0.01, 0.2]),
+    conservative=st.booleans(),
+)
+def test_lattice_match_agrees_with_real_bisection(k, weights, cap, a, b, slack, conservative):
+    """Candidate bisection against 60 real halvings on random two-hypothesis tests.
+
+    Targets are operating characteristics some thresholds achieve, raised by
+    `slack`. Both searches agree whenever each threshold search's test
+    "error <= target" switches once over the candidates, as it does wherever
+    the error is monotone over them; the match contract holds on every
+    instance.
+    """
+    pmf = np.array(weights[: 2 * k], dtype=float).reshape(2, k)
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    layer = density_layer(p, "counts")  # shared by every OC call below
+    drawn = so.sprt_operating_characteristics(p, so.SprtSpec(a, -b, cap=cap))
+    alpha, beta = drawn.alpha * (1 + slack), drawn.beta * (1 + slack)
+    if not (0 < alpha < 1 and 0 < beta < 1):
+        return
+    got = match_outcome(so.match_sprt_errors, p, alpha, beta, cap, conservative)
+    want = match_outcome(reference_match, p, alpha, beta, cap, conservative)
+
+    if got[0] == "matched":
+        a_hat, b_hat = got[1]
+        if conservative:
+            assert a_hat <= alpha and b_hat <= beta
+        else:
+            assert abs(a_hat - alpha) <= 1e-4 and abs(b_hat - beta) <= 1e-4
+
+    if got != want:
+        # Rerun, recording at every candidate whether its error is within target.
+        switches_once = []
+        real = sprt._bisect_threshold
+
+        def watched(oc_of, candidates, target):
+            within = [oc_of(float(c)) <= target for c in candidates]
+            switches_once.append(all(x <= y for x, y in zip(within, within[1:])))
+            return real(oc_of, candidates, target)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sprt, "_bisect_threshold", watched)
+            assert match_outcome(so.match_sprt_errors, p, alpha, beta, cap, conservative) == got
+        assert not all(switches_once), (got, want)
