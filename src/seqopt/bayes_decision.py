@@ -17,7 +17,8 @@ and the minimizing decision (lowest index on ties).
 observation model, pi1, pi2). Problems that differ only in their loss, such as
 the weighted problems of a multiplier search, get the same layer while any
 table, result or caller still holds it; once nothing does, it is freed. The
-layer's arrays are read-only, so no caller can change another's.
+layer's and the tables' arrays are read-only, so no caller can change
+another's.
 
 Summing stop_loss over all length-n histories gives the fixed-sample-size
 Bayes risk at n, a non-increasing sequence (more data never hurts the optimal
@@ -50,7 +51,7 @@ class StageDensities:
 
 @dataclass(eq=False)
 class StageData(StageDensities):
-    """One stage of a HistoryTable: the layer's densities plus the loss view."""
+    """One stage of a HistoryTable: the layer's densities plus the loss view (read-only)."""
 
     stop_loss: np.ndarray  # (S,) minimal pi1-weighted loss density
     decision: np.ndarray  # (S,) argmin decision index (lowest on ties)
@@ -144,9 +145,11 @@ class HistoryTable:
         p = self.problem
         d = self.layer.stage(n)
         costs = (d.f_theta * p.priors.pi1[None, :]) @ p.loss.w
-        return StageData(
-            d.f_theta, d.f_pi1, d.f_pi2, d.mult, costs.min(axis=1), costs.argmin(axis=1)
-        )
+        stop_loss, decision = costs.min(axis=1), costs.argmin(axis=1)
+        # setflags costs about half of `.flags.writeable =`; every search probe builds stages.
+        stop_loss.setflags(write=False)
+        decision.setflags(write=False)
+        return StageData(d.f_theta, d.f_pi1, d.f_pi2, d.mult, stop_loss, decision)
 
     @property
     def l0(self) -> float:

@@ -37,7 +37,6 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     InfeasibleTargetsError,
-    InvalidProblemError,
     SeqOptError,
     UnreachableTargetsError,
 )
@@ -339,18 +338,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidProblemError, OSError) as e:
+    except (SeqOptError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (InfeasibleTargetsError, UnreachableTargetsError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except BudgetExceededError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except SeqOptError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        if isinstance(e, (InfeasibleTargetsError, UnreachableTargetsError)):
+            return 3
+        return 4 if isinstance(e, BudgetExceededError) else 2
 
 
 if __name__ == "__main__":

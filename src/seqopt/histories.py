@@ -58,19 +58,13 @@ class TreeStateSpace:
         return tuple(reversed(digits))
 
     def step_probs(self, n: int) -> np.ndarray:
-        """Conditional pmf of the next symbol, shape (S_n, m, K)."""
+        """Conditional pmf of the next symbol, shape (S_n, m, K); kernels' from kernel_rows."""
         p = self.problem
         if p.obs.kind == "iid":
             s = self.n_states(n)
             return np.broadcast_to(p.obs.iid_pmf[None, :, :], (s, p.n_params, self.k))
         if n not in self._step_cache:
-            s = self.n_states(n)
-            out = np.empty((s, p.n_params, self.k))
-            for i in range(s):
-                h = self.history(n, i)
-                for t in range(p.n_params):
-                    out[i, t, :] = p.obs.conditional_pmf(t, h)
-            self._step_cache[n] = out
+            self._step_cache[n] = p.obs.kernel_rows(p.n_params, n)
         return self._step_cache[n]
 
     def mult(self, n: int) -> np.ndarray:

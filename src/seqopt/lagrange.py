@@ -42,9 +42,9 @@ from scipy.optimize import brentq
 
 from .backward_induction import solve_limit, solve_truncated
 from .bayes_decision import HistoryTable, _weighted_loss, density_layer
-from .errors import BudgetExceededError, InfeasibleTargetsError, SeqOptError
-from .model import ConstraintSpec, Problem, with_loss
-from .risk_evaluation import DecisionStrategy, evaluate
+from .errors import InfeasibleTargetsError, SeqOptError
+from .model import Problem, with_loss
+from .risk_evaluation import DecisionStrategy, evaluate, stopping_frontiers
 from .stopping_policy import StoppingRule, extract_rule, truncate_rule
 
 log = logging.getLogger(__name__)
@@ -63,12 +63,10 @@ def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
         raise SeqOptError("one multiplier per constraint group required")
     if any(l < 0 for l in lam):
         raise SeqOptError("multipliers must be >= 0")
-    wp = with_loss(p, _weighted_loss(p, lam))
+    multipliers = tuple(float(l) for l in lam)
     return replace(
-        wp,
-        constraints=ConstraintSpec(
-            p.constraints.groups, p.constraints.bounds, tuple(float(l) for l in lam)
-        ),
+        with_loss(p, _weighted_loss(p, lam)),
+        constraints=replace(p.constraints, multipliers=multipliers),
     )
 
 
@@ -450,7 +448,11 @@ def verify_conditional_optimality(
     n_tol: float = 1e-9,
     w_tol: float = 1e-12,
 ) -> OptimalityCheck:
-    """Enumerate truncated rules and look for one that beats the matched rule.
+    """Look among all deterministic truncated rules for one that beats the matched rule.
+
+    Rules are walked once per distinct stopping frontier, in the order of
+    `stopping_frontiers`, and `n_rules` counts them; `rule_budget` caps the
+    2^H stop/continue assignments over the interior histories.
 
     A violation is a deterministic rule truncated at `horizon` whose every
     group loss (under the weighted problem's own decision strategy) is at most
@@ -460,63 +462,28 @@ def verify_conditional_optimality(
     chain promises a strictly smaller sample size then.
     """
     table = HistoryTable(p, engine="tree")
-    space = table.space
-    k = space.k
-    interior = [(n, s) for n in range(1, horizon) for s in range(space.n_states(n))]
-    if 2 ** len(interior) > rule_budget:
-        raise BudgetExceededError(
-            f"2^{len(interior)} rules exceed the budget of {rule_budget}"
-        )
-    bit_of = {ns: i for i, ns in enumerate(interior)}
-    decision = DecisionStrategy.bayes(HistoryTable(result.weighted, engine="tree"), horizon)
-    g_count = len(p.constraints.groups)
-    # Per-state sums: sample-size weight under pi2, per-group pi1-weighted loss.
-    n_node: dict[int, np.ndarray] = {}
-    w_node: dict[int, np.ndarray] = {}
-    for n in range(1, horizon + 1):
-        st = table.stage(n)
-        n_node[n] = n * st.f_pi2
-        picked = p.loss.w.T[decision.at(n)]  # (S, m)
-        per_theta = picked * st.f_theta * p.priors.pi1[None, :]
-        w_node[n] = np.stack(
-            [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups],
-            axis=1,
-        )  # (S, g)
+    weighted = HistoryTable(result.weighted, engine="tree")  # the weighted problem's decisions
 
-    seen: set[frozenset] = set()
+    def node(n: int) -> np.ndarray:
+        """Per state: sample-size weight under pi2, then per-group pi1-weighted loss."""
+        st = table.stage(n)
+        per_theta = p.loss.w.T[weighted.stage(n).decision] * st.f_theta * p.priors.pi1[None, :]
+        groups = [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups]
+        return np.column_stack([n * st.f_pi2] + groups)  # (S, 1 + g)
+
     violations: list[dict] = []
     strict: list[dict] = []
-    for mask in range(2 ** len(interior)):
-        frontier: list[tuple[int, int]] = []
-
-        def walk(n: int, s: int) -> np.ndarray:
-            if n == horizon or (mask >> bit_of[(n, s)]) & 1:
-                frontier.append((n, s))
-                out = np.empty(1 + g_count)
-                out[0] = n_node[n][s]
-                out[1:] = w_node[n][s]
-                return out
-            return sum(walk(n + 1, s * k + x) for x in range(k))
-
-        totals = sum(walk(1, s) for s in range(k))
-        key = frozenset(frontier)
-        if key in seen:
-            continue
-        seen.add(key)
-        n_rule = float(totals[0])
-        w_rule = totals[1:]
+    frontiers = stopping_frontiers(table.space, horizon, node, rule_budget)
+    for n_rules, (frontier, totals) in enumerate(frontiers, 1):
+        n_rule, w_rule = float(totals[0]), totals[1:]
         if np.all(w_rule <= result.achieved + w_tol):
-            entry = {
-                "frontier": sorted(key),
-                "n_psi": n_rule,
-                "w_groups": w_rule.tolist(),
-            }
+            entry = {"frontier": sorted(frontier), "n_psi": n_rule, "w_groups": w_rule.tolist()}
             if n_rule < result.n_psi - n_tol:
                 violations.append(entry)
             elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + w_tol:
                 strict.append(entry)
     return OptimalityCheck(
-        n_rules=len(seen),
+        n_rules=n_rules,
         n_star=result.n_psi,
         achieved=result.achieved.copy(),
         violations=violations,

@@ -12,8 +12,10 @@ counting measure on the alphabet, so a "density" is just a probability mass.
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
+from itertools import islice, product
 
 import numpy as np
 
@@ -69,6 +71,48 @@ class ObservationModel:
         except KeyError:
             raise KernelDomainError(f"kernel undefined for history {tuple(history)}") from None
         return np.asarray(row, dtype=float)
+
+    def kernel_rows(self, m: int, n: int) -> np.ndarray:
+        """Read-only (K^n, m, K) array of conditional_pmf(theta, h_i), h_i in base-K order.
+
+        Walked once per stage for the life of the model; raises KernelDomainError
+        at an undefined or wrong-length row.
+        """
+        rows, faults = _kernel_stage(self, m, n)
+        if faults:
+            raise KernelDomainError(next(iter(faults.values())))
+        return rows
+
+
+# Per dependent model: (m, n) -> (rows, faults) of each complete stage walked.
+_KERNEL_STAGES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kernel_stage(obs: ObservationModel, m: int, n: int, count: int | None = None):
+    """The kernel walk: one conditional_pmf call per (theta, history) of stage n.
+
+    Covers the first `count` histories, or the whole stage, which is cached.
+    Returns the rows, NaN where one failed, and failure messages by (index, theta).
+    """
+    k = obs.alphabet_size
+    cache = _KERNEL_STAGES.setdefault(obs, {}) if count is None else {}
+    if (m, n) not in cache:
+        rows = np.full((max(k, 0) ** n if count is None else count, m, max(k, 0)), np.nan)
+        faults: dict[tuple[int, int], str] = {}
+        for i, h in enumerate(islice(product(range(k), repeat=n), len(rows))):
+            for theta in range(m):
+                try:
+                    row = obs.conditional_pmf(theta, h)
+                    if row.shape != (k,):
+                        raise KernelDomainError(
+                            f"dimension mismatch: kernel pmf at {h} has shape {row.shape}"
+                        )
+                    rows[i, theta] = row
+                except KernelDomainError as e:
+                    faults[(i, theta)] = str(e)
+        rows.flags.writeable = False
+        cache[(m, n)] = rows, faults
+    return cache[(m, n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,6 +184,35 @@ def _check_pmf_row(row: np.ndarray, what: str, errors: list[str]) -> None:
         errors.append(f"pmf-not-normalized: {what} sums to {total!r}")
 
 
+def _check_kernel(p: Problem, budget: int, errors: list[str]) -> None:
+    """Append a kernel's violations in breadth-first order, at most `budget` histories.
+
+    Stops after the history that takes the list past 100 errors.
+    """
+    m, k = p.params.size, p.obs.alphabet_size
+    visited = 0
+    for n in range(p.obs.horizon):
+        size = max(k, 0) ** n
+        count = max(0, min(size, budget - visited))
+        rows, faults = _kernel_stage(p.obs, m, n, None if count == size else count)
+        visited += count
+        # A failed row is NaN, so its total flags it too.
+        flagged = (rows < 0).any(axis=2) | ~(np.abs(rows.sum(axis=2) - 1.0) <= NORM_ATOL)
+        for i in np.flatnonzero(flagged.any(axis=1)):
+            h = tuple(int(i) // k**j % k for j in reversed(range(n)))
+            for theta in np.flatnonzero(flagged[i]):
+                if (i, theta) in faults:
+                    errors.append(faults[(i, theta)])
+                else:
+                    what = f"kernel pmf of {p.params.labels[theta]} at {h}"
+                    _check_pmf_row(rows[i, theta], what, errors)
+            if len(errors) > 100:
+                return
+        if count < size:
+            errors.append(f"kernel validation exceeded state budget {budget}")
+            return
+
+
 def validate_problem(p: Problem, kernel_state_budget: int = _VALIDATION_STATE_BUDGET) -> Problem:
     """Check every structural invariant of a Problem.
 
@@ -147,8 +220,9 @@ def validate_problem(p: Problem, kernel_state_budget: int = _VALIDATION_STATE_BU
     InvalidProblemError carrying the complete list of violations (the check
     does not stop at the first one).
 
-    For dependent models the kernel is walked breadth-first over all histories
-    up to its horizon, capped at `kernel_state_budget` states.
+    For dependent models the rows of every history shorter than the horizon
+    are checked, at most `kernel_state_budget` histories. They are the
+    model's cached `kernel_rows`, which the tree engine reuses.
     """
     errors: list[str] = []
     m = p.params.size
@@ -175,45 +249,12 @@ def validate_problem(p: Problem, kernel_state_budget: int = _VALIDATION_STATE_BU
             else:
                 for i, label in enumerate(p.params.labels):
                     _check_pmf_row(pmf[i], f"pmf of {label}", errors)
+    elif p.obs.kernel is None:
+        errors.append("dependent model missing kernel")
+    elif p.obs.horizon is None or p.obs.horizon < 1:
+        errors.append("dependent model needs a positive horizon")
     else:
-        if p.obs.kernel is None:
-            errors.append("dependent model missing kernel")
-        elif p.obs.horizon is None or p.obs.horizon < 1:
-            errors.append("dependent model needs a positive horizon")
-        else:
-            frontier: list[tuple[int, ...]] = [()]
-            visited = 0
-            for depth in range(p.obs.horizon):
-                nxt: list[tuple[int, ...]] = []
-                for h in frontier:
-                    visited += 1
-                    if visited > kernel_state_budget:
-                        errors.append(
-                            f"kernel validation exceeded state budget {kernel_state_budget}"
-                        )
-                        frontier = []
-                        nxt = []
-                        break
-                    for theta in range(m):
-                        try:
-                            row = p.obs.conditional_pmf(theta, h)
-                        except KernelDomainError as e:
-                            errors.append(str(e))
-                            continue
-                        if row.shape != (k,):
-                            errors.append(
-                                f"dimension mismatch: kernel pmf at {h} has shape {row.shape}"
-                            )
-                        else:
-                            _check_pmf_row(
-                                row, f"kernel pmf of {p.params.labels[theta]} at {h}", errors
-                            )
-                    if len(errors) > 100:
-                        break
-                    nxt.extend(h + (x,) for x in range(k))
-                frontier = nxt
-                if len(errors) > 100:
-                    break
+        _check_kernel(p, kernel_state_budget, errors)
 
     w = np.asarray(p.loss.w, dtype=float)
     if p.loss.size < 1:
@@ -273,11 +314,6 @@ def joint_density(p: Problem, theta: int, history: Sequence[int]) -> float:
     for x in h:
         if not (0 <= x < k):
             raise SeqOptError(f"symbol {x} out of alphabet range 0..{k - 1}")
-    if p.obs.kind == "iid":
-        out = 1.0
-        for x in h:
-            out *= float(p.obs.iid_pmf[theta, x])
-        return out
     out = 1.0
     for n, x in enumerate(h):
         out *= float(p.obs.conditional_pmf(theta, h[:n])[x])

@@ -10,9 +10,9 @@ stopped slice contributes to the sample-size and terminal-loss functionals:
     r           = c * n_psi + w_total
 
 `brute_force_optimum` is the independent check on the backward induction: it
-enumerates every deterministic truncated stopping rule on the raw history tree
-and evaluates each one directly from the definition of the risk, sharing no
-code with the recursion it checks.
+evaluates every deterministic truncated rule on the raw history tree, one per
+distinct stopping frontier, directly from the definition of the risk, sharing
+no code with the recursion it checks.
 """
 
 from __future__ import annotations
@@ -20,14 +20,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain, product
 from typing import IO
 
 import numpy as np
 
 from .bayes_decision import HistoryTable, density_layer
 from .errors import BudgetExceededError, SeqOptError
-from .histories import push_forward
+from .histories import StateSpace, push_forward
 from .model import Problem
 from .stopping_policy import StoppingRule
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
@@ -41,7 +43,7 @@ class DecisionStrategy:
 
     @classmethod
     def bayes(cls, table: HistoryTable, horizon: int) -> "DecisionStrategy":
-        return cls([table.stage(n).decision.copy() for n in range(1, horizon + 1)])
+        return cls([table.stage(n).decision for n in range(1, horizon + 1)])
 
     @property
     def horizon(self) -> int:
@@ -273,60 +275,65 @@ class BruteForceResult:
     distinct_risks: list[float]  # sorted, one per distinct on-path behavior
 
 
+def stopping_frontiers(
+    space: StateSpace, horizon: int, stage_value: Callable[[int], Sequence], rule_budget: int
+) -> Iterator[tuple]:
+    """Each deterministic tree rule truncated at `horizon`, once per on-path behavior.
+
+    A rule is known by its frontier: the histories (n, s) where it stops with
+    no stopped ancestor (stage `horizon` always stops). Yields (frontier,
+    total), depth-first and stopping before continuing; total adds
+    stage_value(n)[s] over the frontier, children in symbol order, each sum
+    starting from 0. Raises BudgetExceededError, before asking for any stage's
+    values, when the 2^H stop/continue assignments over the H histories of
+    stages 1..horizon-1 exceed `rule_budget`.
+    """
+    h_count = sum(space.n_states(n) for n in range(1, horizon))
+    if 2**h_count > rule_budget:
+        raise BudgetExceededError(f"2^{h_count} truncated rules exceed the budget of {rule_budget}")
+    value = [None] + [stage_value(n) for n in range(1, horizon + 1)]
+
+    def joined(parts):
+        for combo in product(*parts):
+            yield tuple(chain.from_iterable(f for f, _ in combo)), sum(v for _, v in combo)
+
+    def below(n: int, s: int):
+        yield ((n, s),), value[n][s]
+        if n < horizon:
+            yield from joined([list(below(n + 1, s * space.k + x)) for x in range(space.k)])
+
+    return joined([list(below(1, s)) for s in range(space.k)])
+
+
 def brute_force_optimum(
     p: Problem, horizon: int, rule_budget: int = 2**20
 ) -> BruteForceResult:
     """Minimal combined risk over every deterministic rule truncated at `horizon`.
 
-    Enumerates all 2^H stop/continue assignments over the interior history
-    tree (H = number of histories of length 1..horizon-1) and evaluates each
-    assignment's risk directly: a path contributes c*n*f_pi2 + stop_loss at
-    its first stopped history. The argmin set is deduplicated by on-path
-    behavior, since assignments below a stopped history are unreachable.
+    Walks the distinct stopping frontiers (`stopping_frontiers`) and evaluates
+    each rule's risk directly: a path contributes c*n*f_pi2 + stop_loss at its
+    first stopped history. `n_enumerated` counts, and `rule_budget` caps, the
+    2^H stop/continue assignments over the H interior histories.
     """
     table = HistoryTable(p, engine="tree")
     space = table.space
-    k = space.k
-    interior = [(n, s) for n in range(1, horizon) for s in range(space.n_states(n))]
-    h_count = len(interior)
-    if 2**h_count > rule_budget:
-        raise BudgetExceededError(
-            f"2^{h_count} truncated rules exceed the budget of {rule_budget}"
-        )
-    bit_of = {ns: i for i, ns in enumerate(interior)}
-    stop_value = {
-        n: p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss
-        for n in range(1, horizon + 1)
-    }
 
-    best: dict[frozenset, float] = {}
-    min_risk = math.inf
-    for mask in range(2**h_count):
-        frontier: list[tuple[int, int]] = []
+    def stop_value(n: int) -> list[float]:
+        return (p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss).tolist()
 
-        def walk(n: int, s: int) -> float:
-            if n == horizon or (mask >> bit_of[(n, s)]) & 1:
-                frontier.append((n, s))
-                return float(stop_value[n][s])
-            return sum(walk(n + 1, s * k + x) for x in range(k))
-
-        risk = sum(walk(1, s) for s in range(k))
-        key = frozenset(frontier)
-        if key not in best:
-            best[key] = risk
-        if risk < min_risk:
-            min_risk = risk
-
-    argmin_keys = [key for key, risk in best.items() if risk <= min_risk + 1e-15]
+    found = list(stopping_frontiers(space, horizon, stop_value, rule_budget))
+    min_risk = min(risk for _, risk in found)
     rules = []
-    for key in argmin_keys:
-        probs = [np.zeros(space.n_states(n)) for n in range(1, horizon + 1)]
-        for n, s in key:
-            probs[n - 1][s] = 1.0
-        probs[horizon - 1][:] = 1.0
-        rules.append(StoppingRule("tree", probs, truncated=True))
+    for frontier, risk in found:
+        if risk <= min_risk + 1e-15:
+            probs = [np.zeros(space.n_states(n)) for n in range(1, horizon + 1)]
+            for n, s in frontier:
+                probs[n - 1][s] = 1.0
+            probs[horizon - 1][:] = 1.0
+            rules.append(StoppingRule("tree", probs, truncated=True))
+    n_rules = 2 ** sum(space.n_states(n) for n in range(1, horizon))
     return BruteForceResult(
-        min_risk, rules, 2**h_count, len(best), sorted(best.values())
+        min_risk, rules, n_rules, len(found), sorted(risk for _, risk in found)
     )
 
 

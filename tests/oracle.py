@@ -5,7 +5,8 @@ at a time, with no shared code or arrays from the package under test. The
 point is an arithmetic path different enough that agreement is evidence, not
 tautology. Conventions match the package where a convention is needed:
 decisions break ties toward the lowest index, observations and parameters are
-0-based indices, histories are tuples of symbols.
+0-based indices, histories are tuples of symbols. The two mask walks at the
+end are the exception: see the note above them.
 """
 
 from itertools import product
@@ -129,3 +130,126 @@ def best_truncated_risk(pmf, pi1, pi2, w, c, horizon):
         if best is None or risk < best:
             best = risk
     return best
+
+
+# The two enumerations below count through all 2^H stop/continue assignments
+# over the H interior histories of the raw tree, one mask at a time. They read
+# the package's stage tables (checked against the references above elsewhere)
+# but share no enumeration code with the frontier walk they referee.
+
+
+def mask_walk_brute_force(p, horizon, rule_budget=2**20):
+    """brute_force_optimum as a walk of every mask; returns a BruteForceResult."""
+    import numpy as np
+
+    import seqopt as so
+
+    table = so.HistoryTable(p, engine="tree")
+    space = table.space
+    k = space.k
+    interior = [(n, s) for n in range(1, horizon) for s in range(space.n_states(n))]
+    h_count = len(interior)
+    if 2**h_count > rule_budget:
+        raise so.BudgetExceededError(
+            f"2^{h_count} truncated rules exceed the budget of {rule_budget}"
+        )
+    bit_of = {ns: i for i, ns in enumerate(interior)}
+    stop_value = {
+        n: p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss
+        for n in range(1, horizon + 1)
+    }
+
+    best = {}
+    min_risk = float("inf")
+    for mask in range(2**h_count):
+        frontier = []
+
+        def walk(n, s):
+            if n == horizon or (mask >> bit_of[(n, s)]) & 1:
+                frontier.append((n, s))
+                return float(stop_value[n][s])
+            return sum(walk(n + 1, s * k + x) for x in range(k))
+
+        risk = sum(walk(1, s) for s in range(k))
+        key = frozenset(frontier)
+        if key not in best:
+            best[key] = risk
+        if risk < min_risk:
+            min_risk = risk
+
+    argmin_keys = [key for key, risk in best.items() if risk <= min_risk + 1e-15]
+    rules = []
+    for key in argmin_keys:
+        probs = [np.zeros(space.n_states(n)) for n in range(1, horizon + 1)]
+        for n, s in key:
+            probs[n - 1][s] = 1.0
+        probs[horizon - 1][:] = 1.0
+        rules.append(so.StoppingRule("tree", probs, truncated=True))
+    return so.BruteForceResult(min_risk, rules, 2**h_count, len(best), sorted(best.values()))
+
+
+def mask_walk_conditional_optimality(
+    p, result, horizon, rule_budget=2**20, n_tol=1e-9, w_tol=1e-12
+):
+    """verify_conditional_optimality as a walk of every mask; returns an OptimalityCheck."""
+    import numpy as np
+
+    import seqopt as so
+
+    table = so.HistoryTable(p, engine="tree")
+    space = table.space
+    k = space.k
+    interior = [(n, s) for n in range(1, horizon) for s in range(space.n_states(n))]
+    if 2 ** len(interior) > rule_budget:
+        raise so.BudgetExceededError(
+            f"2^{len(interior)} rules exceed the budget of {rule_budget}"
+        )
+    bit_of = {ns: i for i, ns in enumerate(interior)}
+    decision = so.DecisionStrategy.bayes(so.HistoryTable(result.weighted, engine="tree"), horizon)
+    g_count = len(p.constraints.groups)
+    n_node = {}
+    w_node = {}
+    for n in range(1, horizon + 1):
+        st = table.stage(n)
+        n_node[n] = n * st.f_pi2
+        picked = p.loss.w.T[decision.at(n)]
+        per_theta = picked * st.f_theta * p.priors.pi1[None, :]
+        w_node[n] = np.stack(
+            [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups], axis=1
+        )
+
+    seen = set()
+    violations = []
+    strict = []
+    for mask in range(2 ** len(interior)):
+        frontier = []
+
+        def walk(n, s):
+            if n == horizon or (mask >> bit_of[(n, s)]) & 1:
+                frontier.append((n, s))
+                out = np.empty(1 + g_count)
+                out[0] = n_node[n][s]
+                out[1:] = w_node[n][s]
+                return out
+            return sum(walk(n + 1, s * k + x) for x in range(k))
+
+        totals = sum(walk(1, s) for s in range(k))
+        key = frozenset(frontier)
+        if key in seen:
+            continue
+        seen.add(key)
+        n_rule = float(totals[0])
+        w_rule = totals[1:]
+        if np.all(w_rule <= result.achieved + w_tol):
+            entry = {"frontier": sorted(key), "n_psi": n_rule, "w_groups": w_rule.tolist()}
+            if n_rule < result.n_psi - n_tol:
+                violations.append(entry)
+            elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + w_tol:
+                strict.append(entry)
+    return so.OptimalityCheck(
+        n_rules=len(seen),
+        n_star=result.n_psi,
+        achieved=result.achieved.copy(),
+        violations=violations,
+        strict_violations=strict,
+    )

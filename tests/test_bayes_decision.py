@@ -226,6 +226,6 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
 
 def test_shared_arrays_are_read_only(instance_b):
     st = HistoryTable(instance_b).stage(3)
-    for arr in (st.f_theta, st.f_pi1, st.f_pi2, st.mult):
+    for arr in (st.f_theta, st.f_pi1, st.f_pi2, st.mult, st.stop_loss, st.decision):
         with pytest.raises(ValueError):
             arr[0] = 1.0

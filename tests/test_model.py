@@ -138,3 +138,110 @@ def test_exchangeability_of_joint_density(instance_b):
     a = so.joint_density(instance_b, 1, (1, 0, 1, 1))
     b = so.joint_density(instance_b, 1, (1, 1, 1, 0))
     assert a == pytest.approx(b, abs=1e-15)
+
+
+def _kernel_problem(kernel, horizon, k=2, w=None, labels=("a", "b")):
+    m = len(labels)
+    return so.Problem(
+        params=so.ParameterSpace(labels),
+        obs=ObservationModel(alphabet_size=k, kind="dependent", kernel=kernel, horizon=horizon),
+        loss=so.LossSpec(("d1", "d2"), so.zero_one_loss(m) if w is None else np.asarray(w)),
+        priors=so.Priors(np.full(m, 1.0 / m), np.full(m, 1.0 / m)),
+        cost=so.CostSpec(0.02),
+    )
+
+
+def _validation_errors(p, **kwargs):
+    with pytest.raises(so.InvalidProblemError) as exc:
+        so.validate_problem(p, **kwargs)
+    return exc.value.errors
+
+
+def test_validation_table_kernel_missing_history_and_bad_loss():
+    table = {(t, h): (0.5, 0.5) for t in range(2) for h in [(), (0,), (1,), (0, 0), (1, 0)]}
+    table.update({(0, (1, 1)): (0.5, 0.5)})  # (0, 1) missing for both, (1, 1) for theta 1
+    p = _kernel_problem(table, horizon=3, w=[[0.0, -1.0], [1.0, 0.0]])
+    assert _validation_errors(p) == [
+        "kernel undefined for history (0, 1)",
+        "kernel undefined for history (0, 1)",
+        "kernel undefined for history (1, 1)",
+        "negative loss entry (loss matrix must be finite and >= 0)",
+    ]
+
+
+def test_validation_reports_wrong_length_row():
+    def kernel(theta, hist):
+        return (0.2, 0.3, 0.5) if theta == 1 and hist == (1,) else (0.4, 0.6)
+
+    assert _validation_errors(_kernel_problem(kernel, horizon=3)) == [
+        "dimension mismatch: kernel pmf at (1,) has shape (3,)",
+    ]
+
+
+def test_validation_names_label_and_history_of_bad_rows():
+    def kernel(theta, hist):
+        if hist == (0, 1) and theta == 0:
+            return (-0.25, 1.25)
+        if hist == (1, 0, 1) and theta == 1:
+            return (0.5, 0.6)
+        if hist == (1, 1):
+            return (-0.5, 0.5)
+        return (0.3, 0.7)
+
+    p = _kernel_problem(kernel, horizon=4, labels=("low", "high"))
+    assert _validation_errors(p) == [
+        "negative probability in kernel pmf of low at (0, 1)",
+        "negative probability in kernel pmf of low at (1, 1)",
+        "pmf-not-normalized: kernel pmf of low at (1, 1) sums to 0.0",
+        "negative probability in kernel pmf of high at (1, 1)",
+        "pmf-not-normalized: kernel pmf of high at (1, 1) sums to 0.0",
+        "pmf-not-normalized: kernel pmf of high at (1, 0, 1) sums to 1.1",
+    ]
+
+
+def test_validation_state_budget_message():
+    def kernel(theta, hist):
+        return (0.1, 0.8) if hist == (1, 0) else (0.5, 0.5)
+
+    p = _kernel_problem(kernel, horizon=6)
+    # Budget 5 covers the root, both stage-1 and the first two stage-2
+    # histories; (1, 0) is the sixth history in breadth-first order.
+    assert _validation_errors(p, kernel_state_budget=5) == [
+        "kernel validation exceeded state budget 5",
+    ]
+    assert _validation_errors(p, kernel_state_budget=6) == [
+        "pmf-not-normalized: kernel pmf of a at (1, 0) sums to 0.9",
+        "pmf-not-normalized: kernel pmf of b at (1, 0) sums to 0.9",
+        "kernel validation exceeded state budget 6",
+    ]
+    flat = _kernel_problem(lambda t, h: (0.5, 0.5), horizon=3)
+    so.validate_problem(flat, kernel_state_budget=7)
+    assert _validation_errors(flat, kernel_state_budget=6) == [
+        "kernel validation exceeded state budget 6",
+    ]
+
+
+def test_validation_budget_keeps_errors_found_before_it():
+    def kernel(theta, hist):
+        return (0.7, 0.7) if hist in ((1,), (0, 1), (1, 1, 0)) else (0.5, 0.5)
+
+    p = _kernel_problem(kernel, horizon=5, labels=("a",), w=[[0.0, 1.0]])
+    assert _validation_errors(p, kernel_state_budget=5) == [
+        "pmf-not-normalized: kernel pmf of a at (1,) sums to 1.4",
+        "pmf-not-normalized: kernel pmf of a at (0, 1) sums to 1.4",
+        "kernel validation exceeded state budget 5",
+    ]
+
+
+def test_validation_stops_collecting_kernel_rows_at_the_cap():
+    from itertools import product
+
+    p = _kernel_problem(lambda t, h: (0.6, 0.6), horizon=8, w=[[0.0, -1.0], [1.0, 0.0]])
+    histories = [h for n in range(8) for h in product(range(2), repeat=n)]
+    expected = [
+        f"pmf-not-normalized: kernel pmf of {lab} at {h} sums to 1.2"
+        for h in histories[:51]
+        for lab in ("a", "b")
+    ]
+    expected.append("negative loss entry (loss matrix must be finite and >= 0)")
+    assert _validation_errors(p) == expected
