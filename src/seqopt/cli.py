@@ -174,6 +174,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         lag_result = match_constraints(p, targets, cfg)
         lag_report = evaluate(p, lag_result.rule, lag_result.decision)
         flagged = flagged or not lag_result.converged
+        st = lag_result.stats
+        print(f"lagrange: converged={lag_result.converged} gap={st['gap']:.3g} "
+              f"lp_rounds={st['lp_rounds']} probes={st['probes']}", file=sys.stderr)
         with open(out_dir / "trace.csv", "w") as fh:
             k = len(lag_result.lam)
             lam_cols = ",".join(f"lam_{i}" for i in range(k))

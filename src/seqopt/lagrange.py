@@ -3,51 +3,67 @@
 Scaling each constraint group's losses by a multiplier and solving the
 weighted problem yields a rule that is optimal among all procedures whose
 group losses do not exceed its own achieved values: the weighted optimality
-chain converts a loss advantage into a sample-size advantage. The search below
-tunes the multipliers until the achieved group losses hit requested targets.
+chain converts a loss advantage into a sample-size advantage.
 
-Achieved losses are step functions of the multipliers (rules are discrete),
-so exact equality generally needs randomization: at a multiplier where the
-optimal rule flips, the flipping states are ties between stopping and
-continuing, and mixing the two rules there sweeps the achieved loss
-continuously across the step. The scalar search brackets the critical
-multiplier, identifies the flip states as the difference between the two
-bracket-end rules, and root-finds the mixing weight.
+`match_constraints` finds the procedure of least expected sample size whose
+group losses are at most the targets t. The dual function
+g(lam) = min over rules of [c n_psi + sum_g lam_g (W_g - t_g)] is concave and
+piecewise linear, and a weighted solve at lam yields an exact supporting
+plane of it: the evaluated (n_psi, W) of its optimal (rule, decision) pair.
+The search is column generation over these pairs (Dantzig and Wolfe, Oper.
+Res. 8, 1960; Kelley, J. SIAM 8, 1960). A master LP over the pairs found so
+far, min sum_i mu_i c n_i s.t. sum_i mu_i W_i <= t, sum_i mu_i = 1, gives the
+multipliers as its duals; pricing is one weighted solve there, the first at
+lam = 1. The loop stops once the master value minus the last pricing's
+Lagrangian bound, the gap, is within 1e-12 max(1, value): nothing meeting the
+targets is cheaper by more. While no mixture of the pairs meets them, lam
+grows fourfold per round along the duals of a phase-I LP (least total
+excess); after 80 rounds the targets count as below the achievable frontier.
 
-With two groups the search nests: an outer bisection on the second multiplier
-around an inner scalar match of the first. If the outer step cannot be
-interpolated, the result reports converged=False with the bracketing frontier
-points instead of pretending equality. More than two groups: supply your own
-multipliers and use weighted_problem / lagrangian directly.
+Contract. Targets are upper bounds with complementary slackness. The result
+is the exact mu-mixture of the at most G+1 pairs of the last master (G
+groups): one StoppingRule with the mixed stopping flows, p(s) =
+sum_i mu_i a_i(s) p_i(s) / sum_i mu_i a_i(s) where a_i(s) counts the
+histories of s that rule i lets arrive, and one DecisionStrategy whose
+decision probabilities are the mixed stopped flow per decision; `achieved`
+is its evaluation. converged=True only when the gap is certified, every
+achieved loss is at most target + residual_tol, and every group with
+lam_g > 0 is within residual_tol of its target. A target looser than every
+rule needs gets lam_g = 0 and a positive slack.
 
-Because the achieved losses are step functions, most probes extract a rule
-and decision strategy some earlier probe of the same call already had. One
-call keeps the achieved losses per 16-byte digest of the (rule, decision)
-pair and evaluates each distinct pair once; the probe path and every result
-are those of evaluating each probe. `MultiplierSearchResult.stats` reports
-the probe, evaluation and reuse counts and the seconds spent solving,
-extracting and evaluating, and each probe is logged at DEBUG level.
+One call evaluates each distinct pair once, keyed by a 16-byte digest.
+`MultiplierSearchResult.stats` reports probes, evaluations, reuses, LP solves
+(lp_rounds), the final gap, and the seconds spent solving, extracting and
+evaluating; each probe is logged at DEBUG level.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import linprog
 
 from .backward_induction import solve_limit, solve_truncated
 from .bayes_decision import HistoryTable, _weighted_loss, density_layer
 from .errors import InfeasibleTargetsError, SeqOptError
+from .histories import StateSpace, push_forward
 from .model import Problem, with_loss
 from .risk_evaluation import DecisionStrategy, evaluate, stopping_frontiers
 from .stopping_policy import StoppingRule, extract_rule, truncate_rule
 
 log = logging.getLogger(__name__)
+
+_GROWTH = 4.0  # phase-I multiplier growth per round
+_GROWTH_STEPS = 80  # phase-I rounds before the targets count as infeasible
+_MAX_ROUNDS = 500  # pricing rounds of the master before giving up on the gap
+_GAP_TOL = 1e-12  # certified gap, relative to max(1, master value)
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
@@ -61,11 +77,13 @@ def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
         raise SeqOptError("weighted_problem needs constraint groups")
     if len(lam) != len(p.constraints.groups):
         raise SeqOptError("one multiplier per constraint group required")
-    if any(l < 0 for l in lam):
-        raise SeqOptError("multipliers must be >= 0")
     multipliers = tuple(float(l) for l in lam)
+    if not all(math.isfinite(l) for l in multipliers):
+        raise SeqOptError(f"multipliers must be finite, got {list(multipliers)}")
+    if any(l < 0 for l in multipliers):
+        raise SeqOptError("multipliers must be >= 0")
     return replace(
-        with_loss(p, _weighted_loss(p, lam)),
+        with_loss(p, _weighted_loss(p, multipliers)),
         constraints=replace(p.constraints, multipliers=multipliers),
     )
 
@@ -89,11 +107,6 @@ class SearchConfig:
     limit_tol: float = 1e-11
     n_cap: int = 256
     residual_tol: float = 1e-6
-    lambda_init: float = 1.0
-    bracket_factor: float = 4.0
-    max_bracket_steps: int = 80
-    max_bisect_iter: int = 200
-    bisect_rel_tol: float = 1e-13
     engine: str = "auto"
 
 
@@ -110,8 +123,9 @@ class MultiplierSearchResult:
     horizon: int
     frontier_trace: list[dict] = field(default_factory=list)
     weighted: Problem | None = None
-    # probes, evaluated (distinct rule/decision pairs), reused, and seconds
-    # spent in solve, extract and evaluate
+    # probes, evaluated (distinct rule/decision pairs), reused, lp_rounds
+    # (LP solves), gap (master value minus the last pricing's bound), and
+    # seconds spent in solve, extract and evaluate
     stats: dict = field(default_factory=dict)
 
 
@@ -128,7 +142,8 @@ class _Pack:
 def _pair_digest(rule: StoppingRule, decision: DecisionStrategy) -> bytes:
     """16-byte digest of a (rule, decision) pair over the rule's stages."""
     h = hashlib.blake2b(rule.horizon.to_bytes(8, "little"), digest_size=16)
-    for arr in (*rule.stop_probs, *decision.decisions[: rule.horizon]):
+    probs = decision.probs[: rule.horizon] if decision.probs is not None else ()
+    for arr in (*rule.stop_probs, *decision.decisions[: rule.horizon], *probs):
         h.update(np.ascontiguousarray(arr))
     return h.digest()
 
@@ -147,8 +162,9 @@ class _Search:
         self.cfg = cfg
         self.trace: list[dict] = []
         self._achieved: dict[bytes, tuple[np.ndarray, float]] = {}
-        self.stats: dict = {"probes": 0, "evaluated": 0, "reused": 0,
-                            "solve_s": 0.0, "extract_s": 0.0, "evaluate_s": 0.0}
+        self.stats: dict = {"probes": 0, "evaluated": 0, "reused": 0, "lp_rounds": 0,
+                            "gap": math.inf, "solve_s": 0.0, "extract_s": 0.0,
+                            "evaluate_s": 0.0}
 
     def achieved(self, rule: StoppingRule, decision: DecisionStrategy) -> tuple[np.ndarray, float]:
         """Group losses and n_psi of the pair, evaluated on first sight only."""
@@ -188,7 +204,10 @@ class _Search:
         return _Pack(lam.copy(), rule, decision, w_groups, n_psi, tables.horizon)
 
     def common_horizon(self, packs: list[_Pack]) -> list[_Pack]:
-        """Extend every pack's rule (truncated) and decisions to the largest horizon."""
+        """Extend every pack's rule (truncated) and decisions to the largest horizon.
+
+        The extension stops where the rule did, so the losses stay the pack's.
+        """
         top = max(pk.horizon for pk in packs)
         out = []
         for pk in packs:
@@ -200,229 +219,164 @@ class _Search:
             wp = weighted_problem(self.p, pk.lam)
             decision = DecisionStrategy.bayes(HistoryTable(wp, engine=pk.rule.engine), top)
             self.stats["extract_s"] += time.perf_counter() - t0
-            w_groups, n_psi = self.achieved(rule, decision)
-            out.append(_Pack(pk.lam, rule, decision, w_groups, n_psi, top))
+            out.append(_Pack(pk.lam, rule, decision, pk.achieved, pk.n_psi, top))
         return out
 
+    def _lp(self, cost: np.ndarray, a_ub: np.ndarray, targets: np.ndarray, n_mix: int):
+        """One HiGHS solve over x >= 0: a_ub x <= targets, x[:n_mix] sums to 1."""
+        self.stats["lp_rounds"] += 1
+        a_eq = np.zeros((1, len(cost)))
+        a_eq[0, :n_mix] = 1.0
+        return linprog(cost, A_ub=a_ub, b_ub=targets, A_eq=a_eq, b_eq=[1.0],
+                       method="highs", options=_HIGHS)
 
-def _blend_to_target(
-    search: _Search, lo: _Pack, hi: _Pack, group: int, target: float
-) -> _Pack | None:
-    """Mix the two bracket-end rules so group's achieved loss hits the target.
+    def master(self, cols: list[_Pack], targets: np.ndarray):
+        """Cheapest mixture of the columns meeting the targets: (value, mu, lam).
 
-    Returns None when neither end's decision strategy gives a sign bracket
-    (the step the target sits in is not spanned by mixing these two rules).
+        None when no mixture meets them.
+        """
+        w = np.array([pk.achieved for pk in cols]).T
+        res = self._lp(self.p.cost.c * np.array([pk.n_psi for pk in cols]), w, targets, len(cols))
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise SeqOptError(f"master LP failed: {res.message}")
+        return float(res.fun), res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+
+    def excess_direction(self, cols: list[_Pack], targets: np.ndarray) -> np.ndarray:
+        """Duals of the phase-I LP, scaled to max 1: the groups whose excess to cut.
+
+        The phase-I LP finds the mixture of least total excess sum_g s_g
+        subject to sum_i mu_i W_i - s <= t and sum_i mu_i = 1.
+        """
+        w = np.array([pk.achieved for pk in cols]).T
+        g, i = w.shape
+        res = self._lp(np.r_[np.zeros(i), np.ones(g)], np.hstack([w, -np.eye(g)]), targets, i)
+        y = np.maximum(-res.ineqlin.marginals, 0.0)
+        return y / y.max()
+
+
+def _mixture(
+    space: StateSpace, packs: list[_Pack], mu: np.ndarray
+) -> tuple[StoppingRule, DecisionStrategy]:
+    """The mu-mixture of pairs over a common horizon as one (rule, decision) pair.
+
+    a_i(s) counts the histories of state s that pair i's rule lets through
+    (push_forward without weights); the model's density of s is common to
+    every pair and cancels. Where no pair arrives (or none stops) the plain
+    mu-average stands in; it is never used.
     """
-    for decision in (hi.decision, lo.decision):
-
-        def gap(gamma: float) -> float:
-            rule = hi.rule.blend(lo.rule, gamma)
-            return float(search.achieved(rule, decision)[0][group] - target)
-
-        g0, g1 = gap(0.0), gap(1.0)
-        if g0 == 0.0:
-            gamma = 0.0
-        elif g1 == 0.0:
-            gamma = 1.0
-        elif (g0 < 0) != (g1 < 0):
-            gamma = float(brentq(gap, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16))
-        else:
-            continue
-        rule = hi.rule.blend(lo.rule, gamma)
-        w_groups, n_psi = search.achieved(rule, decision)
-        lam = hi.lam
-        search.trace.append(
-            {"lam": lam.tolist(), "achieved": w_groups.tolist(), "n_psi": n_psi, "gamma": gamma}
-        )
-        log.debug("blend lam=%s gamma=%r achieved=%s", lam, gamma, w_groups)
-        return _Pack(lam, rule, decision, w_groups, n_psi, hi.horizon)
-    return None
-
-
-def _match_scalar(
-    search: _Search,
-    group: int,
-    target: float,
-    make_lam: Callable[[float], np.ndarray],
-    x_init: float,
-) -> tuple[float, _Pack, bool]:
-    """Tune one multiplier until achieved w_group hits the target.
-
-    Achieved loss is non-increasing in the multiplier. Returns
-    (multiplier, pack, converged). Raises InfeasibleTargetsError when no
-    bracket exists within the growth budget.
-    """
-    cfg, trace = search.cfg, search.trace
-
-    def probe(x: float) -> _Pack:
-        return search.solve_at(make_lam(x))
-
-    x = x_init
-    pk = probe(x)
-    if abs(pk.achieved[group] - target) <= cfg.residual_tol:
-        return x, pk, True
-    lo_x = hi_x = x
-    lo = hi = pk
-    steps = 0
-    while lo.achieved[group] < target:  # need a looser end: shrink the multiplier
-        hi_x, hi = lo_x, lo
-        lo_x = lo_x / cfg.bracket_factor
-        lo = probe(lo_x)
-        steps += 1
-        if abs(lo.achieved[group] - target) <= cfg.residual_tol:
-            return lo_x, lo, True
-        if steps > cfg.max_bracket_steps:
-            raise InfeasibleTargetsError(
-                f"target {target} for group {group} above the achievable frontier",
-                frontier=trace[-3:],
-            )
-    while hi.achieved[group] > target:  # need a tighter end: grow the multiplier
-        lo_x, lo = hi_x, hi
-        hi_x = hi_x * cfg.bracket_factor
-        hi = probe(hi_x)
-        steps += 1
-        if abs(hi.achieved[group] - target) <= cfg.residual_tol:
-            return hi_x, hi, True
-        if steps > cfg.max_bracket_steps:
-            raise InfeasibleTargetsError(
-                f"target {target} for group {group} below the achievable frontier",
-                frontier=trace[-3:],
-            )
-    # Invariant: lo.achieved >= target >= hi.achieved, lo_x <= hi_x.
-    for _ in range(cfg.max_bisect_iter):
-        if hi_x - lo_x <= cfg.bisect_rel_tol * max(1.0, hi_x):
-            break
-        mid_x = 0.5 * (lo_x + hi_x)
-        mid = probe(mid_x)
-        if abs(mid.achieved[group] - target) <= cfg.residual_tol:
-            return mid_x, mid, True
-        if mid.achieved[group] >= target:
-            lo_x, lo = mid_x, mid
-        else:
-            hi_x, hi = mid_x, mid
-    lo, hi = search.common_horizon([lo, hi])
-    blended = _blend_to_target(search, lo, hi, group, target)
-    if blended is not None and abs(blended.achieved[group] - target) <= cfg.residual_tol:
-        return hi_x, blended, True
-    return hi_x, (blended if blended is not None else hi), False
+    horizon = packs[0].horizon
+    arrive = np.ones((space.n_states(1), len(packs)))
+    probs, decisions, weights = [], [], []
+    for n in range(1, horizon + 1):
+        p_n = np.column_stack([pk.rule.at(n) for pk in packs])  # (S, I)
+        onehot = np.column_stack([pk.decision.at(n) for pk in packs])[:, :, None] == np.arange(
+            space.problem.n_decisions
+        )  # (S, I, D)
+        flow = arrive * mu
+        stopped = flow * p_n
+        flow_s, stopped_s = flow.sum(axis=1), stopped.sum(axis=1)
+        probs.append(np.divide(stopped_s, flow_s, out=p_n @ mu, where=flow_s > 0))
+        q = np.divide((stopped[:, :, None] * onehot).sum(axis=1), stopped_s[:, None],
+                      out=mu @ onehot, where=stopped_s[:, None] > 0)
+        weights.append(q)
+        decisions.append(q.argmax(axis=1))
+        if n < horizon:
+            arrive = push_forward(space, n, arrive * (1.0 - p_n), weighted=False)
+            arrive /= arrive.max(initial=1.0)  # one scale per stage: the ratios keep
+    rule = StoppingRule(packs[0].rule.engine, probs, truncated=True)
+    return rule, DecisionStrategy(decisions, weights)
 
 
 def match_constraints(
     p: Problem, targets: Sequence[float], cfg: SearchConfig = SearchConfig()
 ) -> MultiplierSearchResult:
-    """Find multipliers whose extracted rule achieves the target group losses.
+    """Least expected sample size subject to group losses at most the targets.
 
-    One group: bracketing plus bisection on the multiplier, with tie-state
-    randomization when the target falls inside a step. Two groups: outer
-    bisection on the second multiplier around inner scalar matches of the
-    first. A result with converged=False carries the nearest frontier points
-    in frontier_trace; its rule is still the best bracket end found.
+    Column generation over (rule, decision) pairs; see the module docstring
+    for the contract. Raises InfeasibleTargetsError for targets <= 0 or below
+    the achievable frontier, SeqOptError for non-finite targets. A result with
+    converged=False is the best mixture found; frontier_trace lists every
+    probe and stats["gap"] its uncertified gap.
     """
     if p.constraints is None:
         raise SeqOptError("match_constraints needs constraint groups")
     k = len(p.constraints.groups)
     if len(targets) != k:
         raise SeqOptError(f"expected {k} targets, got {len(targets)}")
-    if k > 2:
-        raise SeqOptError("built-in search covers 1 or 2 groups; supply multipliers directly")
-    targets_arr = np.asarray(targets, dtype=float)
-    if np.any(targets_arr <= 0):
+    t = np.asarray(targets, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise SeqOptError(f"targets must be finite, got {t.tolist()}")
+    if np.any(t <= 0):
         raise InfeasibleTargetsError("targets must be > 0 (nonnegative losses cannot go below)")
     # Every probe's weighted problem shares p's observation model and priors,
     # so holding the layer here lets all of them reuse its stages.
     layer = density_layer(p, cfg.engine)
     search = _Search(p, cfg)
-    trace = search.trace
+    c = p.cost.c
 
-    if k == 1:
-        x, pack, converged = _match_scalar(
-            search, 0, float(targets_arr[0]), lambda v: np.array([v]), cfg.lambda_init
-        )
-        return _result(search, pack, targets_arr, converged)
+    def bound(pk: _Pack, lam: np.ndarray) -> float:
+        return float(c * pk.n_psi + lam @ (pk.achieved - t))
 
-    inner_init = cfg.lambda_init
+    def add(cols: list[_Pack], pk: _Pack) -> bool:
+        """Append pk unless a column with its exact (n_psi, W) is there already."""
+        if any(pk.n_psi == q.n_psi and np.array_equal(pk.achieved, q.achieved) for q in cols):
+            return False
+        cols.append(pk)
+        return True
 
-    def inner(y: float) -> tuple[_Pack, bool]:
-        nonlocal inner_init
-        x, pack, ok = _match_scalar(
-            search, 0, float(targets_arr[0]), lambda v: np.array([v, y]), inner_init
-        )
-        inner_init = x  # warm start the next inner match
-        return pack, ok
-
-    y = cfg.lambda_init
-    pack, inner_ok = inner(y)
-    if abs(pack.achieved[1] - targets_arr[1]) <= cfg.residual_tol and inner_ok:
-        return _result(search, pack, targets_arr, True)
-    lo_y = hi_y = y
-    lo_pack = hi_pack = pack
-    steps = 0
-    while lo_pack.achieved[1] < targets_arr[1]:
-        hi_y, hi_pack = lo_y, lo_pack
-        lo_y /= cfg.bracket_factor
-        lo_pack, _ = inner(lo_y)
-        steps += 1
-        if steps > cfg.max_bracket_steps:
+    lam = np.ones(k)
+    pack = search.solve_at(lam)
+    cols = [pack]
+    growth = 0
+    while (master := search.master(cols, t)) is None:
+        growth += 1
+        if growth > _GROWTH_STEPS:
             raise InfeasibleTargetsError(
-                f"target {targets_arr[1]} for group 1 above the achievable frontier",
-                frontier=trace[-3:],
+                f"targets {t.tolist()} below the achievable frontier",
+                frontier=search.trace[-3:],
             )
-    while hi_pack.achieved[1] > targets_arr[1]:
-        lo_y, lo_pack = hi_y, hi_pack
-        hi_y *= cfg.bracket_factor
-        hi_pack, _ = inner(hi_y)
-        steps += 1
-        if steps > cfg.max_bracket_steps:
-            raise InfeasibleTargetsError(
-                f"target {targets_arr[1]} for group 1 below the achievable frontier",
-                frontier=trace[-3:],
-            )
-    converged = False
-    best = hi_pack
-    for _ in range(cfg.max_bisect_iter):
-        if abs(best.achieved[1] - targets_arr[1]) <= cfg.residual_tol:
-            converged = True
+        lam = _GROWTH**growth * search.excess_direction(cols, t)
+        pack = search.solve_at(lam)
+        add(cols, pack)
+    for rounds in range(_MAX_ROUNDS + 1):
+        value, mu, duals = master
+        gap = value - bound(pack, lam)
+        gap_tol = _GAP_TOL * max(1.0, abs(value))
+        if gap <= gap_tol or rounds == _MAX_ROUNDS:
             break
-        if hi_y - lo_y <= cfg.bisect_rel_tol * max(1.0, hi_y):
+        lam, pack = duals, search.solve_at(duals)
+        if not add(cols, pack):  # the master cannot move: report this gap
+            gap = value - bound(pack, lam)
             break
-        mid_y = 0.5 * (lo_y + hi_y)
-        mid_pack, _ = inner(mid_y)
-        if mid_pack.achieved[1] >= targets_arr[1]:
-            lo_y, lo_pack = mid_y, mid_pack
-        else:
-            hi_y, hi_pack = mid_y, mid_pack
-        best = mid_pack
-    if not converged:
-        lo_pack, hi_pack = search.common_horizon([lo_pack, hi_pack])
-        blended = _blend_to_target(search, lo_pack, hi_pack, 1, float(targets_arr[1]))
-        if blended is not None:
-            best = blended
-            converged = bool(
-                np.all(np.abs(blended.achieved - targets_arr) <= cfg.residual_tol)
-            )
-        else:
-            best = hi_pack
-    if converged and abs(best.achieved[0] - targets_arr[0]) > cfg.residual_tol:
-        converged = False
-    return _result(search, best, targets_arr, converged)
-
-
-def _result(
-    search: _Search, pack: _Pack, targets: np.ndarray, converged: bool
-) -> MultiplierSearchResult:
-    p = search.p
+        master = search.master(cols, t)
+    search.stats["gap"] = gap
+    keep = mu > 1e-12 * mu.max()
+    active = search.common_horizon([pk for pk, on in zip(cols, keep) if on])
+    if len(active) == 1:
+        rule, decision = active[0].rule, active[0].decision
+    else:
+        rule, decision = _mixture(layer.space, active, mu[keep] / mu[keep].sum())
+    achieved, n_psi = search.achieved(rule, decision)
+    tol = cfg.residual_tol
+    converged = bool(
+        gap <= gap_tol
+        and np.all(achieved <= t + tol)
+        and np.all(np.abs(achieved - t)[lam > 0] <= tol)
+    )
     return MultiplierSearchResult(
-        lam=pack.lam.copy(),
-        targets=targets.copy(),
-        achieved=pack.achieved.copy(),
-        slack=targets - pack.achieved,
-        rule=pack.rule,
-        decision=pack.decision,
-        n_psi=pack.n_psi,
+        lam=lam.copy(),
+        targets=t.copy(),
+        achieved=achieved,
+        slack=t - achieved,
+        rule=rule,
+        decision=decision,
+        n_psi=n_psi,
         converged=converged,
-        horizon=pack.horizon,
+        horizon=active[0].horizon,
         frontier_trace=search.trace,
-        weighted=weighted_problem(p, pack.lam),
+        weighted=weighted_problem(p, lam),
         stats=dict(search.stats),
     )
 

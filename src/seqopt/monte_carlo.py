@@ -4,8 +4,11 @@ Each replication draws a parameter from the configured prior (or holds it
 fixed), then walks the observation process, stopping at stage n with the
 rule's probability there: stop iff u < stop_prob with a fresh uniform per
 stage, which has exactly the right probability for every value including 0
-and 1. Draws from a row-wise cdf (the prior, a pmf row, a kernel row) count
-the cdf entries at or below u, clipped to the last index.
+and 1. A randomized decision strategy draws the decision from the same stop
+uniform, rescaled to [0, 1): u/p on a stop, (u-p)/(1-p) on the cap's forced
+stop, so the stream is the same for every strategy. Draws from a row-wise
+cdf (the prior, a pmf row, a kernel row) count the cdf entries at or below
+u, clipped to the last index.
 
 Randomness contract. Replication r reads its uniforms u[0], u[1], ... from
 the Philox4x64-10 stream keyed by (seed mod 2^64, r) (Salmon et al.,
@@ -215,6 +218,17 @@ def simulate(
     k = p.alphabet_size
     stop_probs = [rule.at(n) for n in range(1, cap + 1)]
     decisions = [decision.at(n) for n in range(1, cap + 1)]
+    dec_cdf = None if decision.probs is None else [
+        np.cumsum(q, axis=1) for q in decision.probs[:cap]]
+
+    def decide(n: int, state: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Stage-n decisions; a randomized strategy draws at the stop draw u, rescaled."""
+        if dec_cdf is None:
+            return decisions[n - 1][state]
+        p_stop = stop_probs[n - 1][state]
+        below = u < p_stop  # u/p on a stop, (u-p)/(1-p) on the cap's forced stop
+        v = np.where(below, u, u - p_stop) / np.where(below, p_stop, 1.0 - p_stop)
+        return np.minimum(_draw(dec_cdf[n - 1][state], v), p.n_decisions - 1)
 
     taus = np.full(reps, cap, dtype=np.int64)
     thetas = np.empty(reps, dtype=np.int64)
@@ -253,12 +267,12 @@ def simulate(
             state = child[n - 1][state, x] if child is not None else state * k + x
             stop = draws[1] < stop_probs[n - 1][state]
             if n == cap:
-                decs[rep] = decisions[n - 1][state]
+                decs[rep] = decide(n, state, draws[1])
                 cap_hits[rep[~stop]] = True
             elif stop.any():
                 done = rep[stop]
                 taus[done] = n
-                decs[done] = decisions[n - 1][state[stop]]
+                decs[done] = decide(n, state[stop], draws[1][stop])
                 go = ~stop
                 rep, state, theta, u = rep[go], state[go], theta[go], u[:, go]
                 if not len(rep):

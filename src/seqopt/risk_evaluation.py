@@ -37,9 +37,15 @@ from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
 
 @dataclass(eq=False)
 class DecisionStrategy:
-    """Terminal decision index per stage and state."""
+    """Terminal decision index per stage and state.
+
+    A randomized strategy also carries probs: per stage an (S, D) array of
+    decision probabilities per state, which evaluate and simulate then use
+    in place of decisions (kept as each state's likeliest decision).
+    """
 
     decisions: list[np.ndarray]
+    probs: list[np.ndarray] | None = None
 
     @classmethod
     def bayes(cls, table: HistoryTable, horizon: int) -> "DecisionStrategy":
@@ -55,6 +61,8 @@ class DecisionStrategy:
         return self.decisions[n - 1]
 
     def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
+        if self.probs is not None:
+            raise SeqOptError("with_decision needs a deterministic strategy")
         arrs = [a.copy() for a in self.decisions]
         arrs[n - 1][state] = decision
         return DecisionStrategy(arrs)
@@ -201,13 +209,18 @@ def _forward(
         probs = rule.at(n)
         stopped = mass * probs[:, None]
         stop_dist[n - 1] = stopped.sum(axis=0)
-        dec = decision.at(n)
-        picked = w.T[dec]  # (S, m): loss of the chosen decision per parameter
-        loss_theta += (stopped * picked).sum(axis=0)
-        for dd in range(d_count):
-            sel = dec == dd
-            if sel.any():
-                decision_probs[:, dd] += stopped[sel].sum(axis=0)
+        if decision.probs is None:
+            dec = decision.at(n)
+            picked = w.T[dec]  # (S, m): loss of the chosen decision per parameter
+            loss_theta += (stopped * picked).sum(axis=0)
+            for dd in range(d_count):
+                sel = dec == dd
+                if sel.any():
+                    decision_probs[:, dd] += stopped[sel].sum(axis=0)
+        else:
+            q = decision.probs[n - 1]  # (S, D) decision probabilities
+            loss_theta += (stopped * (q @ w.T)).sum(axis=0)
+            decision_probs += stopped.T @ q
         if n < horizon:
             mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
             mass[mass < PRUNE_EPS] = 0.0

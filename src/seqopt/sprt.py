@@ -90,12 +90,20 @@ def sprt_rule(p: Problem, spec: SprtSpec) -> tuple[StoppingRule, DecisionStrateg
     truncated); cap it with truncate_rule for exact capped evaluation.
     """
     _check_sprt_inputs(p, spec)
-    space = density_layer(p, "counts").space
+    return _rule_from_llr(spec, _llr_table(p, density_layer(p, "counts").space, spec))
+
+
+def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> list[np.ndarray]:
+    """llr_by_state of stages 1..cap: all a ratio test with these hypotheses reads."""
+    return [llr_by_state(p, space, n, spec.hypotheses) for n in range(1, spec.cap + 1)]
+
+
+def _rule_from_llr(spec: SprtSpec, llrs: list[np.ndarray]) -> tuple[StoppingRule, DecisionStrategy]:
+    """sprt_rule from the per-stage log-LR table of _llr_table."""
     mid = 0.5 * (spec.a_upper + spec.b_lower)
     probs: list[np.ndarray] = []
     decisions: list[np.ndarray] = []
-    for n in range(1, spec.cap + 1):
-        llr = llr_by_state(p, space, n, spec.hypotheses)
+    for llr in llrs:
         inside = (llr > spec.b_lower) & (llr < spec.a_upper)
         probs.append(np.where(inside, 0.0, 1.0))
         decisions.append((llr >= mid).astype(np.int64))
@@ -135,8 +143,13 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
     """
     _check_sprt_inputs(p, spec)
     layer = density_layer(p, "counts")  # held so the calls below share it
-    rule, decision = sprt_rule(p, spec)
-    capped = truncate_rule(rule, spec.cap, layer.space)
+    return _oc(p, spec, layer.space, _llr_table(p, layer.space, spec))
+
+
+def _oc(p: Problem, spec: SprtSpec, space: CountStateSpace, llrs: list[np.ndarray]) -> SprtOC:
+    """sprt_operating_characteristics over a log-LR table from _llr_table."""
+    rule, decision = _rule_from_llr(spec, llrs)
+    capped = truncate_rule(rule, spec.cap, space)
     report, arrived = _forward(p, capped, decision)
     tail = (arrived * (1.0 - rule.at(spec.cap))[:, None]).sum(axis=0)
     i, j = spec.hypotheses
@@ -145,11 +158,9 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
     return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report)
 
 
-def _llr_levels(
-    p: Problem, space: CountStateSpace, stages: range, hypotheses: tuple[int, int]
-) -> np.ndarray:
-    """Sorted distinct finite log-LR values of the count states of the given stages."""
-    llr = np.concatenate([llr_by_state(p, space, n, hypotheses) for n in stages])
+def _llr_levels(llrs: list[np.ndarray]) -> np.ndarray:
+    """Sorted distinct finite log-LR values over the given stages' arrays."""
+    llr = np.concatenate(llrs)
     # Sorted in Python: a first numpy sort maps ~0.3 MB of SIMD sort code.
     return np.array(sorted(set(llr[np.isfinite(llr)].tolist())))
 
@@ -247,11 +258,12 @@ def match_sprt_errors(
     _check_sprt_inputs(p, spec)
     # Every threshold probe evaluates p on the count engine: hold its layer.
     layer = density_layer(p, "counts")
-    # Breakpoints: the log-LR levels of stages 1..cap, where a threshold
-    # changes which states stop, then those of stage cap, where the midpoint
-    # changes what the states the cap force-stops decide.
-    levels = _llr_levels(p, layer.space, range(1, cap + 1), hypotheses)
-    cap_levels = _llr_levels(p, layer.space, range(cap, cap + 1), hypotheses)
+    # One log-LR table serves every probe. Breakpoints: its levels, where a
+    # threshold changes which states stop, then those of stage cap, where the
+    # midpoint changes what the states the cap force-stops decide.
+    llrs = _llr_table(p, layer.space, spec)
+    levels = _llr_levels(llrs)
+    cap_levels = _llr_levels(llrs[-1:])
     n_levels, count = len(levels), len(levels) + len(cap_levels)
     achieved = (math.inf, math.inf)
     for sweep in range(max_sweeps):
@@ -266,7 +278,7 @@ def match_sprt_errors(
         a_candidates = _threshold_candidates(a_passed, count, 1e-6, threshold_limit)
 
         def alpha_of(av: float) -> float:
-            oc = sprt_operating_characteristics(p, replace(spec, a_upper=av))
+            oc = _oc(p, replace(spec, a_upper=av), layer.space, llrs)
             log.debug("sweep %d a_upper=%r b_lower=%r alpha=%r", sweep, av, spec.b_lower, oc.alpha)
             return oc.alpha
 
@@ -284,13 +296,13 @@ def match_sprt_errors(
 
         def beta_of(bv: float) -> float:
             # bv is the magnitude of the lower threshold.
-            oc = sprt_operating_characteristics(p, replace(spec, b_lower=-bv))
+            oc = _oc(p, replace(spec, b_lower=-bv), layer.space, llrs)
             log.debug("sweep %d a_upper=%r b_lower=%r beta=%r", sweep, spec.a_upper, -bv, oc.beta)
             return oc.beta
 
         b_mag, beta_hat = _bisect_threshold(beta_of, b_candidates, beta)
         spec = replace(spec, b_lower=-b_mag)
-        oc = sprt_operating_characteristics(p, spec)
+        oc = _oc(p, spec, layer.space, llrs)
         achieved = (oc.alpha, oc.beta)
         if conservative:
             if achieved[0] <= alpha and achieved[1] <= beta:

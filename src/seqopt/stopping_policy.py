@@ -57,16 +57,6 @@ class StoppingRule:
         probs[n - 1][state] = value
         return StoppingRule(self.engine, probs, self.truncated, self.tie_states)
 
-    def blend(self, other: "StoppingRule", weight: float) -> "StoppingRule":
-        """Pointwise mix: (1-weight) * self + weight * other."""
-        if other.engine != self.engine or other.horizon != self.horizon:
-            raise SeqOptError("can only blend rules over the same stages and engine")
-        probs = [
-            (1.0 - weight) * a + weight * b
-            for a, b in zip(self.stop_probs, other.stop_probs)
-        ]
-        return StoppingRule(self.engine, probs, self.truncated and other.truncated)
-
     def to_csv(self, fh: IO[str], space: StateSpace) -> None:
         writer = csv.writer(fh)
         writer.writerow(["engine", "stage", "state", "stop_prob"])

@@ -227,7 +227,7 @@ def test_exit_code_infeasible(tmp_path, capsys):
         capsys,
         "--out-root", str(tmp_path),
         "search", TWO_CHANNEL,
-        "--targets", "0.6,0.6",
+        "--targets", "0.0001,0.0001",
         "--horizon", "2",
     )
     assert code == 3

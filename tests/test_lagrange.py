@@ -1,10 +1,15 @@
 import logging
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import lagrange_reference
 import seqopt as so
+from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -48,6 +53,19 @@ def test_weighted_problem_validates():
     )
     with pytest.raises(so.SeqOptError):
         so.weighted_problem(bare, [1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weighted_problem_rejects_non_finite(instance_b, bad):
+    with pytest.raises(so.SeqOptError, match="finite"):
+        so.weighted_problem(instance_b, [bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_match_rejects_non_finite_targets(instance_b, bad):
+    with pytest.raises(so.SeqOptError, match="finite") as err:
+        so.match_constraints(instance_b, [bad, 0.1], so.SearchConfig(horizon=2))
+    assert not isinstance(err.value, so.InfeasibleTargetsError)
 
 
 def test_lagrangian_hand_value(instance_b):
@@ -115,27 +133,36 @@ def test_match_two_groups_asymmetric():
 
 
 def test_infeasible_targets_raise(instance_b):
+    # Targets looser than every rule needs are upper bounds, not infeasible:
+    # the multipliers drop to 0 and the slack stays.
+    res = so.match_constraints(instance_b, [0.6, 0.6], so.SearchConfig(horizon=3))
+    assert res.converged
+    assert np.all(res.lam == 0.0) and np.all(res.slack > 0)
+    # below the frontier: two observations cannot get both losses to 1e-4
     with pytest.raises(so.InfeasibleTargetsError):
-        so.match_constraints(instance_b, [0.6, 0.6], so.SearchConfig(horizon=3))
+        so.match_constraints(instance_b, [1e-4, 1e-4], so.SearchConfig(horizon=2))
     p1 = so.iid_problem(
         [[0.8, 0.2], [0.3, 0.7]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.02,
         groups=((0, 1),), bounds=(0.2,),
     )
     # at horizon 2 no rule gets the total loss below 0.225
     with pytest.raises(so.InfeasibleTargetsError):
-        so.match_constraints(p1, [0.2], so.SearchConfig(horizon=2, max_bracket_steps=25))
+        so.match_constraints(p1, [0.2], so.SearchConfig(horizon=2))
     with pytest.raises(so.InfeasibleTargetsError):
         so.match_constraints(p1, [-0.1], so.SearchConfig(horizon=2))
 
 
-def test_too_many_groups_rejected():
+def test_three_groups_match():
     p = so.iid_problem(
         [[0.8, 0.2], [0.5, 0.5], [0.3, 0.7]], so.zero_one_loss(3),
         [1 / 3] * 3, [1 / 3] * 3, 0.02,
-        groups=((0,), (1,), (2,)), bounds=(0.1, 0.1, 0.1),
+        groups=((0,), (1,), (2,)), bounds=(0.1, 0.2, 0.1),
     )
-    with pytest.raises(so.SeqOptError, match="1 or 2 groups"):
-        so.match_constraints(p, [0.1, 0.1, 0.1])
+    res = so.match_constraints(p, [0.1, 0.2, 0.1], so.SearchConfig(horizon=6))
+    assert res.converged
+    assert res.achieved == pytest.approx([0.1, 0.2, 0.1], abs=1e-6)
+    assert np.all(res.lam > 0)
+    assert res.stats["gap"] <= 1e-12
 
 
 def test_conditional_optimality_of_matched_rule():
@@ -245,8 +272,107 @@ def test_match_stats_and_probe_log(caplog):
     with caplog.at_level(logging.DEBUG, logger="seqopt.lagrange"):
         res = so.match_constraints(p, targets, cfg)
     stats = res.stats
-    assert set(stats) == {"probes", "evaluated", "reused", "solve_s", "extract_s", "evaluate_s"}
-    assert 0 < stats["evaluated"] < stats["probes"]
+    assert set(stats) == {"probes", "evaluated", "reused", "lp_rounds", "gap",
+                          "solve_s", "extract_s", "evaluate_s"}
+    # each probe is evaluated at most once, plus the final mixture
+    assert 0 < stats["evaluated"] <= stats["probes"] + 1
+    assert stats["lp_rounds"] > 0 and stats["gap"] <= 1e-12
     assert all(stats[k] > 0 for k in ("solve_s", "extract_s", "evaluate_s"))
     probe_lines = [r for r in caplog.records if r.getMessage().startswith("probe ")]
     assert len(probe_lines) == stats["probes"]
+
+
+@pytest.mark.parametrize("engine", ["counts", "tree"])
+def test_mixture_is_exact(engine):
+    # Two pairs that differ in where they stop and in what they decide: the
+    # one-rule mixture must have the mu-weighted operating characteristics.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    lg = so.lagrange
+    layer = density_layer(p, engine)
+    packs, reports = [], []
+    for lam, horizon in (([0.2, 2.0], 5), ([3.0, 0.3], 3)):
+        tables = so.solve_truncated(so.weighted_problem(p, lam), horizon, engine=engine)
+        rule = so.extract_rule(tables)
+        decision = so.DecisionStrategy.bayes(tables.table, horizon)
+        rep = so.evaluate(p, rule, decision)
+        packs.append(lg._Pack(np.array(lam), rule, decision, rep.w_groups, rep.n_psi, horizon))
+        reports.append(rep)
+    search = lg._Search(p, so.SearchConfig(engine=engine))
+    mu = np.array([0.3, 0.7])
+    rule, decision = lg._mixture(layer.space, search.common_horizon(packs), mu)
+    assert rule.horizon == decision.horizon == 5
+    mixed = so.evaluate(p, rule, decision)
+    for key in ("n_psi", "w_groups", "decision_probs", "n_theta"):
+        want = mu[0] * getattr(reports[0], key) + mu[1] * getattr(reports[1], key)
+        assert np.allclose(getattr(mixed, key), want, rtol=0, atol=1e-12), key
+    stop_dist = mu[0] * reports[0].stop_dist_theta
+    stop_dist[:3] += mu[1] * reports[1].stop_dist_theta
+    assert np.allclose(mixed.stop_dist_theta, stop_dist, rtol=0, atol=1e-12)
+    # a randomized strategy hashes apart from its likeliest decisions
+    assert lg._pair_digest(rule, decision) != lg._pair_digest(
+        rule, so.DecisionStrategy(decision.decisions)
+    )
+
+
+def test_uncertified_gap_reports_unconverged(monkeypatch):
+    # Cut the pricing rounds short: the best mixture so far comes back with
+    # its open gap and converged=False, its losses still its own.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    monkeypatch.setattr(so.lagrange, "_MAX_ROUNDS", 2)
+    res = so.match_constraints(p, [0.05, 0.03], so.SearchConfig(horizon=8))
+    assert not res.converged
+    assert res.stats["gap"] > 1e-6
+    rep = so.evaluate(p, res.rule, res.decision)
+    assert np.array_equal(rep.w_groups, res.achieved) and rep.n_psi == res.n_psi
+
+
+def _group_partition(rng, m, n_groups):
+    cuts = sorted(rng.choice(np.arange(1, m), size=n_groups - 1, replace=False).tolist())
+    return tuple(tuple(int(t) for t in part) for part in np.split(rng.permutation(m), cuts))
+
+
+def _lagrange_losses(p, horizon, lam):
+    tables = so.solve_truncated(so.weighted_problem(p, lam), horizon)
+    decision = so.DecisionStrategy.bayes(tables.table, horizon)
+    return so.evaluate(p, so.extract_rule(tables), decision).w_groups
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 3), st.integers(2, 4), st.integers(1, 7), st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_match_converges_on_feasible_targets(k, m, horizon, n_groups, seed):
+    assume(n_groups <= m)
+    rng = np.random.default_rng(seed)
+    pmf = rng.uniform(0.05, 1.0, size=(m, k))
+    pi1, pi2 = rng.uniform(0.2, 1.0, size=(2, m))
+    p = so.iid_problem(
+        (pmf / pmf.sum(axis=1, keepdims=True)).tolist(), so.zero_one_loss(m),
+        (pi1 / pi1.sum()).tolist(), (pi2 / pi2.sum()).tolist(), float(rng.uniform(0.005, 0.05)),
+        groups=_group_partition(rng, m, n_groups), bounds=(0.1,) * n_groups,
+    )
+    # A convex combination of two Lagrange rules' losses is feasible.
+    mix = rng.uniform()
+    targets = (
+        mix * _lagrange_losses(p, horizon, rng.uniform(0.05, 5.0, n_groups))
+        + (1 - mix) * _lagrange_losses(p, horizon, rng.uniform(0.05, 5.0, n_groups))
+    )
+    assume(np.all(targets > 0))
+    cfg = so.SearchConfig(horizon=horizon)
+    res = so.match_constraints(p, targets, cfg)
+    assert res.converged
+    assert res.stats["gap"] <= 1e-12
+    rep = so.evaluate(p, res.rule, res.decision)
+    assert np.max(np.abs(rep.w_groups - res.achieved)) <= 1e-12
+    if sum(k**n for n in range(1, horizon)) <= 20:
+        assert so.verify_conditional_optimality(p, res, horizon).ok
+    if n_groups <= 2:
+        try:
+            ref = lagrange_reference.match_constraints(
+                p, targets, lagrange_reference.ReferenceConfig(horizon=horizon)
+            )
+        except so.InfeasibleTargetsError:
+            return
+        if np.all(ref.achieved <= targets):
+            assert res.n_psi <= ref.n_psi + 1e-9

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from seqopt.histories import CountStateSpace, state_space
 from seqopt.model import ObservationModel
 
 MASK64 = (1 << 64) - 1
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TRACE_KEYS = ("theta", "tau", "decision", "loss", "cap_hit")
 
 
@@ -272,6 +274,44 @@ def test_randomized_rule_simulation_agrees(instance_b):
     rep = so.evaluate(instance_b, rule)
     res = so.simulate(instance_b, rule, so.SimConfig(replications=60000, seed=21, cap=2))
     assert abs(res.tau_mean - rep.n_psi) <= 4 * res.tau_se
+
+
+def _agrees_with_evaluate(p, rule, decision, cap, seed):
+    """Monte Carlo under pi1 against the exact evaluation of the rule capped at cap."""
+    rep = so.evaluate(p, so.truncate_rule(rule, cap), decision)
+    sim = so.simulate(
+        p, rule, so.SimConfig(replications=40000, seed=seed, cap=cap, theta_mode="pi1"), decision
+    )
+    assert abs(sim.tau_mean - rep.n_theta @ p.priors.pi1) <= 4 * max(sim.tau_se, 1e-9)
+    for gi in range(len(p.constraints.groups)):
+        assert abs(sim.group_loss_mean[gi] - rep.w_groups[gi]) <= 4 * sim.group_loss_se[gi]
+    exact_freq = p.priors.pi1 @ rep.decision_probs
+    for d in range(p.n_decisions):
+        assert abs(sim.decision_freq[d] - exact_freq[d]) <= 4 * sim.decision_freq_se[d]
+
+
+@pytest.mark.parametrize("targets, horizon, cap", [((0.2, 0.12), 1, 1), ((0.05, 0.03), 8, 5)])
+def test_matched_mixture_simulation_agrees(targets, horizon, cap):
+    # At horizon 1 every rule stops at once and the match mixes decisions
+    # alone: the likeliest decisions would give losses (0.1, 0.15). At cap 5
+    # the cap force-stops states the horizon-8 rule would continue.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    res = so.match_constraints(p, targets, so.SearchConfig(horizon=horizon))
+    assert res.converged
+    assert any(((q > 0) & (q < 1)).any() for q in res.decision.probs)
+    _agrees_with_evaluate(p, res.rule, res.decision, cap, seed=17)
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_randomized_decisions_reuse_the_stop_draw(instance_b, cap):
+    # Stage 1 stops with probability 1/2, so at cap 1 half the replications
+    # are force-stopped; their decisions come from (u-p)/(1-p), the others'
+    # from u/p, and both must follow the state's decision probabilities.
+    stop = [np.full(2, 0.5), np.ones(3)]
+    probs = [np.array([[0.3, 0.7], [0.9, 0.1]]), np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0]])]
+    decision = so.DecisionStrategy([q.argmax(axis=1) for q in probs], probs)
+    rule = so.StoppingRule("counts", stop, truncated=True)
+    _agrees_with_evaluate(instance_b, rule, decision, cap, seed=23)
 
 
 def test_trace_export(instance_b):

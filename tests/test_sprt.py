@@ -280,6 +280,31 @@ def test_symmetric_match_needs_few_oc_calls(monkeypatch):
     assert oc.alpha <= 0.05 and oc.beta <= 0.05
 
 
+def test_match_reads_one_llr_table(monkeypatch):
+    # The threshold search reads one log-LR table of stages 1..cap for its
+    # breakpoints and every OC it computes.
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
+    stages, ocs = [], []
+    real_llr, real_oc = sprt.llr_by_state, sprt._oc
+
+    def llr_counted(p_, space, n, hypotheses=(0, 1)):
+        stages.append(n)
+        return real_llr(p_, space, n, hypotheses)
+
+    def oc_counted(*args):
+        ocs.append(args[1])
+        return real_oc(*args)
+
+    monkeypatch.setattr(sprt, "llr_by_state", llr_counted)
+    monkeypatch.setattr(sprt, "_oc", oc_counted)
+    spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
+    assert stages == list(range(1, 51))
+    assert 0 < len(ocs) <= 30
+    monkeypatch.undo()
+    oc = so.sprt_operating_characteristics(p, spec)
+    assert oc.alpha <= 0.05 and oc.beta <= 0.05
+
+
 def reference_bisect(oc_of, lo, hi, target, iters=60):
     """Threshold search over the reals: 60 halvings of [lo, hi]."""
     f_lo, f_hi = oc_of(lo), oc_of(hi)

@@ -66,14 +66,6 @@ def test_truncate_rule_idempotent_and_extends(instance_b):
     assert np.all(longer.at(3) == 1.0) and np.all(longer.at(4) == 1.0)
 
 
-def test_blend_is_pointwise_mixture(instance_b):
-    a = _optimal_rule(instance_b)
-    b = so.StoppingRule(a.engine, [np.ones_like(v) for v in a.stop_probs], True)
-    mix = a.blend(b, 0.25)
-    for n in range(1, 3):
-        assert np.allclose(mix.at(n), 0.75 * a.at(n) + 0.25 * b.at(n), atol=1e-15)
-
-
 def test_reachable_sets_prune_stopped_branches(instance_b):
     # three-stage optimum: continue through stage 1, stop at stage 2 on
     # agreement (two 1s or two 0s), continue on a split sample
