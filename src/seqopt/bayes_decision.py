@@ -16,7 +16,11 @@ and the minimizing decision (lowest index on ties).
 `density_layer` shares layers through a weak memo keyed by (engine,
 observation model, pi1, pi2). Problems that differ only in their loss, such as
 the weighted problems of a multiplier search, get the same layer while any
-table, result or caller still holds it; once nothing does, it is freed. The
+table, result or caller still holds it; once nothing does, it is freed. In
+the same way each layer shares one view per loss matrix, keyed by its shape,
+dtype and bytes: every live table of that loss, such as a solve's, the one
+`evaluate` builds for its default decisions and the one an extracted rule
+keeps, reads and extends the same stages, so each is built once. The
 layer's and the tables' arrays are read-only, so no caller can change
 another's.
 
@@ -57,6 +61,10 @@ class StageData(StageDensities):
     decision: np.ndarray  # (S,) argmin decision index (lowest on ties)
 
 
+class _LossView(dict):
+    """Stage n -> StageData of one loss matrix over a layer; weakly referenceable."""
+
+
 class DensityLayer:
     """Lazy per-stage cache of the state space's loss-independent densities."""
 
@@ -64,6 +72,15 @@ class DensityLayer:
         self.problem = problem
         self.space = space
         self._stages: list[StageDensities] = []
+        self._views: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+    def view(self, w: np.ndarray) -> _LossView:
+        """The stage cache shared by every live table of loss matrix w."""
+        key = _array_key(w)
+        view = self._views.get(key)
+        if view is None:
+            view = self._views[key] = _LossView()
+        return view
 
     def stage(self, n: int) -> StageDensities:
         if n < 0:
@@ -120,12 +137,16 @@ def density_layer(problem: Problem, engine: str = "auto") -> DensityLayer:
 
 
 class HistoryTable:
-    """Per-loss view of a shared density layer: stage losses and Bayes decisions."""
+    """Per-loss view of a shared density layer: stage losses and Bayes decisions.
+
+    Tables of the same layer and loss matrix share their stages (see the
+    module docstring).
+    """
 
     def __init__(self, problem: Problem, engine: str = "auto"):
         self.problem = problem
         self.layer = density_layer(problem, engine)
-        self._stages: dict[int, StageData] = {}
+        self._stages = self.layer.view(problem.loss.w)
 
     @property
     def space(self) -> StateSpace:

@@ -40,11 +40,19 @@ from .errors import (
     SeqOptError,
     UnreachableTargetsError,
 )
+from .histories import StateSpace
 from .lagrange import SearchConfig, match_constraints
+from .model import Problem
 from .monte_carlo import SimConfig, simulate
-from .risk_evaluation import evaluate
+from .risk_evaluation import DecisionStrategy, evaluate
 from .sprt import match_sprt_errors, sprt_operating_characteristics, sprt_rule
-from .stopping_policy import extract_rule, rule_from_csv, truncate_rule
+from .stopping_policy import (
+    StoppingRule,
+    extract_rule,
+    read_rule_csv,
+    truncate_rule,
+    write_rule_csv,
+)
 
 FLAGGED = 5
 
@@ -95,6 +103,28 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ConfigError(f"{what} must be comma separated numbers, got {text!r}") from None
 
 
+def _write_rule(
+    path: Path, p: Problem, rule: StoppingRule, decision: DecisionStrategy, space: StateSpace
+) -> None:
+    """A rule file that also carries the decision strategy the rule was evaluated with."""
+    onehot = np.eye(p.n_decisions)
+    probs = [
+        onehot[decision.at(n)] if decision.probs is None else decision.probs[n - 1]
+        for n in range(1, rule.horizon + 1)
+    ]
+    with open(path, "w") as fh:
+        write_rule_csv(fh, rule, space, probs)
+
+
+def _read_rule(path: str, p: Problem) -> tuple[StoppingRule, DecisionStrategy | None]:
+    """A rule file's rule and, if it carries one, its decision strategy."""
+    with open(path) as fh:
+        rule, probs = read_rule_csv(fh, p)
+    if probs is None:
+        return rule, None
+    return rule, DecisionStrategy([q.argmax(axis=1) for q in probs], probs)
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     config_bytes = Path(args.config).read_bytes()
     p = load_problem(args.config)
@@ -140,9 +170,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     params = {"rule_sha256": hashlib.sha256(Path(args.rule).read_bytes()).hexdigest()}
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.rule) as fh:
-        rule = rule_from_csv(fh, p)
-    report = evaluate(p, rule)
+    layer = density_layer(p)  # held so reading and evaluating the rule share it
+    rule, decision = _read_rule(args.rule, p)
+    report = evaluate(p, rule, decision)
     _dump_json(out_dir / "report.json", report.to_dict())
     with open(out_dir / "report.csv", "w") as fh:
         report.to_csv(fh)
@@ -181,14 +211,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             k = len(lag_result.lam)
             lam_cols = ",".join(f"lam_{i}" for i in range(k))
             ach_cols = ",".join(f"achieved_{i}" for i in range(k))
-            fh.write(f"{lam_cols},{ach_cols},n_psi,gamma\n")
+            fh.write(f"{lam_cols},{ach_cols},n_psi\n")
             for row in lag_result.frontier_trace:
                 lam = ",".join(f"{v:.17g}" for v in row["lam"])
                 ach = ",".join(f"{v:.17g}" for v in row["achieved"])
-                gamma = row.get("gamma", "")
-                fh.write(f"{lam},{ach},{row['n_psi']:.17g},{gamma}\n")
-        with open(out_dir / "rule.csv", "w") as fh:
-            lag_result.rule.to_csv(fh, density_layer(p, lag_result.rule.engine).space)
+                fh.write(f"{lam},{ach},{row['n_psi']:.17g}\n")
+        space = density_layer(p, lag_result.rule.engine).space
+        _write_rule(out_dir / "rule.csv", p, lag_result.rule, lag_result.decision, space)
         outputs += ["trace.csv", "rule.csv"]
 
     sprt_result = None
@@ -206,10 +235,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
         spec = match_sprt_errors(p, alpha_t, beta_t, cap=args.cap, conservative=conservative)
         sprt_result = sprt_operating_characteristics(p, spec)
         name = "sprt_rule.csv" if args.compare else "rule.csv"
-        rule, _ = sprt_rule(p, spec)
+        rule, decision = sprt_rule(p, spec)
         space = density_layer(p, "counts").space
-        with open(out_dir / name, "w") as fh:
-            truncate_rule(rule, spec.cap, space).to_csv(fh, space)
+        _write_rule(out_dir / name, p, truncate_rule(rule, spec.cap, space), decision, space)
         outputs.append(name)
 
     result_payload: dict = {"mode": args.mode, "targets": targets}
@@ -258,8 +286,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.rule) as fh:
-        rule = rule_from_csv(fh, p)
+    layer = density_layer(p)  # held so reading and simulating the rule share it
+    rule, decision = _read_rule(args.rule, p)
     theta_mode: str | int = args.theta_mode
     if theta_mode not in ("pi1", "pi2"):
         try:
@@ -276,7 +304,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         theta_mode=theta_mode,
         keep_trace=args.trace,
     )
-    result = simulate(p, rule, cfg)
+    result = simulate(p, rule, cfg, decision)
     _dump_json(out_dir / "estimates.json", result.to_dict())
     outputs = ["estimates.json"]
     if args.trace:

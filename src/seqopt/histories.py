@@ -6,9 +6,14 @@ Two engines share one interface:
   Valid for any model; exponential in n.
 - "counts": states are symbol-count vectors, iid models only. Exchangeability
   makes every per-history quantity a function of the counts, so the stage size
-  is C(n+K-1, K-1), polynomial in n. States are in lexicographic order, and a
-  state's index is its rank, a closed-form sum of binomial coefficients, so
-  each stage is built with array arithmetic from the stage before it.
+  is C(n+K-1, K-1), polynomial in n. States are in lexicographic order, and
+  each stage is built from the one before it in two blocks, with no ranking:
+  the states whose first count is 0 (the (K-1)-part compositions of n, built
+  the same way and kept per space), then the previous stage's states with
+  the first count raised by one. Adding a symbol keeps that order, so a
+  symbol's children are the next stage's states that count it, ascending.
+  A state's rank, a closed-form sum of binomial coefficients, serves only the
+  lookups from count vectors and labels to indices.
 
 Per stage n the interface provides the state count, the child index of each
 (state, symbol) pair at stage n+1, the conditional step probabilities
@@ -115,7 +120,7 @@ class CountStateSpace:
         self._mult: dict[int, np.ndarray] = {0: np.ones(1)}
         self._children: dict[int, np.ndarray] = {}
         self._top = 0
-        self._unit = np.eye(self.k, dtype=np.int64)
+        self._heads: dict[int, list[np.ndarray]] = {}  # (K-1)-part stages, see _compositions
         self._parts_after = np.arange(self.k - 1, 0, -1)
         self._sizes = _composition_counts(self.k, 0)
 
@@ -127,23 +132,28 @@ class CountStateSpace:
         C(rest_i + p, p) - C(rest_{i+1} + p, p) (hockey-stick identity).
         """
         rest = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
+        r_max = int(rest[..., 0].max(initial=0))
+        if r_max >= self._sizes.shape[1]:
+            self._sizes = _composition_counts(self.k, 2 * r_max)
         p = self._parts_after
         return (self._sizes[p, rest[..., :-1]] - self._sizes[p, rest[..., 1:]]).sum(axis=-1)
 
     def _build_to(self, n: int) -> None:
-        """Build stages top+1..n, each from its predecessor's children."""
+        """Build stages top+1..n, each from its predecessor, without ranking.
+
+        Adding e_x keeps lexicographic order, and its image of stage n is the
+        set of stage-(n+1) states with c_x >= 1, so children[:, x] lists those
+        states' indices in ascending order.
+        """
         if n <= self._top:
             return
-        if n >= self._sizes.shape[1]:
-            self._sizes = _composition_counts(self.k, 2 * n)
         states, mult = self._states[self._top], self._mult[self._top]
         for stage in range(self._top, n):
-            cand = states[:, None, :] + self._unit  # cand[s, x]: state s after symbol x
-            ch = self._rank(cand)
-            size = int(self._sizes[-1, stage + 1])
-            states = np.empty((size, self.k), dtype=np.int64)
-            states[ch.ravel()] = cand.reshape(-1, self.k)
-            mult = np.bincount(ch.ravel(), weights=np.repeat(mult, self.k), minlength=size)
+            states = _next_stage(states, _compositions(self.k - 1, stage + 1, self._heads))
+            ch = np.empty((len(mult), self.k), dtype=np.int64)
+            for x in range(self.k):
+                ch[:, x] = np.flatnonzero(states[:, x])
+            mult = np.bincount(ch.ravel(), weights=np.repeat(mult, self.k), minlength=len(states))
             self._children[stage] = ch
             self._states[stage + 1] = states
             self._mult[stage + 1] = mult
@@ -216,6 +226,35 @@ def _composition_counts(k: int, r_max: int) -> np.ndarray:
     for p in range(1, k):
         table[p] = np.cumsum(table[p - 1])
     return table
+
+
+def _next_stage(prev: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """The compositions of r in lexicographic order, from those of r-1 (prev).
+
+    First come those with first part 0: the compositions of r into one part
+    fewer (head) behind a 0. Then come prev's, first part raised by one.
+    """
+    out = np.zeros((len(head) + len(prev), prev.shape[1]), dtype=np.int64)
+    out[: len(head), 1:] = head
+    out[len(head) :] = prev
+    out[len(head) :, 0] += 1
+    return out
+
+
+def _compositions(parts: int, r: int, memo: dict[int, list[np.ndarray]]) -> np.ndarray:
+    """The compositions of r into `parts` parts in lexicographic order, one per row.
+
+    One part is the base case; no parts leaves only the empty composition of
+    0. memo[parts] keeps the stages 0, 1, ... built so far.
+    """
+    if parts == 0:
+        return np.zeros((int(r == 0), 0), dtype=np.int64)
+    if parts == 1:
+        return np.array([[r]], dtype=np.int64)
+    stages = memo.setdefault(parts, [np.zeros((1, parts), dtype=np.int64)])
+    while len(stages) <= r:
+        stages.append(_next_stage(stages[-1], _compositions(parts - 1, len(stages), memo)))
+    return stages[r]
 
 
 StateSpace = TreeStateSpace | CountStateSpace

@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .backward_induction import solve_limit, solve_truncated
 from .bayes_decision import HistoryTable, _weighted_loss, density_layer
@@ -224,6 +223,8 @@ class _Search:
 
     def _lp(self, cost: np.ndarray, a_ub: np.ndarray, targets: np.ndarray, n_mix: int):
         """One HiGHS solve over x >= 0: a_ub x <= targets, x[:n_mix] sums to 1."""
+        from scipy.optimize import linprog  # SciPy loads with the first master LP only
+
         self.stats["lp_rounds"] += 1
         a_eq = np.zeros((1, len(cost)))
         a_eq[0, :n_mix] = 1.0

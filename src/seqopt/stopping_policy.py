@@ -22,7 +22,8 @@ import numpy as np
 
 from .backward_induction import ValueTables, _reprs
 from .errors import SeqOptError
-from .histories import StateSpace, push_forward, state_space
+from .bayes_decision import density_layer
+from .histories import StateSpace, push_forward
 from .model import Problem
 from .tolerances import TIE_ATOL
 
@@ -40,6 +41,9 @@ class StoppingRule:
     stop_probs: list[np.ndarray]
     truncated: bool
     tie_states: list[np.ndarray] | None = None
+    # extract_rule's solve table, kept so its density layer and Bayes stages
+    # outlive the ValueTables. Not a field: no CSV, digest or equality sees it.
+    _table = None
 
     @property
     def horizon(self) -> int:
@@ -58,16 +62,50 @@ class StoppingRule:
         return StoppingRule(self.engine, probs, self.truncated, self.tie_states)
 
     def to_csv(self, fh: IO[str], space: StateSpace) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["engine", "stage", "state", "stop_prob"])
-        for n in range(1, self.horizon + 1):
-            writer.writerows(
-                zip(repeat(self.engine), repeat(n), space.labels(n), _reprs(self.at(n)))
-            )
+        write_rule_csv(fh, self, space)
+
+
+DECISION_PROB = "decision_prob_"  # + decision index: the optional decision columns
+
+
+def write_rule_csv(
+    fh: IO[str],
+    rule: StoppingRule,
+    space: StateSpace,
+    decision_probs: list[np.ndarray] | None = None,
+) -> None:
+    """One row per state: engine, stage, label, stop probability (repr).
+
+    With decision_probs (per stage an (S, D) array), each row also carries
+    the state's decision probabilities, one column decision_prob_<d> per
+    decision index.
+    """
+    d_count = 0 if decision_probs is None else decision_probs[0].shape[1]
+    writer = csv.writer(fh)
+    writer.writerow(
+        ["engine", "stage", "state", "stop_prob"] + [f"{DECISION_PROB}{d}" for d in range(d_count)]
+    )
+    for n in range(1, rule.horizon + 1):
+        extra = [_reprs(decision_probs[n - 1][:, d]) for d in range(d_count)]
+        writer.writerows(
+            zip(repeat(rule.engine), repeat(n), space.labels(n), _reprs(rule.at(n)), *extra)
+        )
 
 
 def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:
     """Read a rule written by StoppingRule.to_csv; every state must be covered."""
+    return read_rule_csv(fh, problem)[0]
+
+
+def read_rule_csv(
+    fh: IO[str], problem: Problem
+) -> tuple[StoppingRule, list[np.ndarray] | None]:
+    """A rule file's rule and, if it has decision columns, its decision probabilities.
+
+    The decision probabilities (per stage an (S, D) array, as write_rule_csv
+    takes them) are None for a file without decision_prob_<d> columns. Rows
+    are checked in file order; the first offending one raises.
+    """
     reader = csv.reader(fh)
     header = next(reader, [])
     rows = [r for r in reader if r]
@@ -76,28 +114,61 @@ def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:
     fields = ("engine", "stage", "state", "stop_prob")
     if not set(fields) <= set(header) or any(len(r) != len(header) for r in rows):
         raise SeqOptError(f"rule file needs the columns {fields} in every row")
-    e_col, n_col, s_col, p_col = (header.index(f) for f in fields)
-    engines = {r[e_col] for r in rows}
+    columns = list(zip(*rows))
+
+    def column(name: str) -> tuple[str, ...]:
+        return columns[header.index(name)]
+
+    engines = set(column("engine"))
     if len(engines) != 1:
         raise SeqOptError(f"rule file mixes engines: {sorted(engines)}")
     engine = engines.pop()
-    space = state_space(problem, engine)
-    stages = [int(r[n_col]) for r in rows]
-    horizon = max(stages)
-    probs = [np.full(space.n_states(n), np.nan) for n in range(1, horizon + 1)]
-    indices = space.label_indices(stages, [r[s_col] for r in rows])
-    for r, n, i in zip(rows, stages, indices.tolist()):
-        if n < 1 or i < 0:
-            raise SeqOptError(f"rule references unknown state {r[s_col]!r} at stage {n}")
-        v = float(r[p_col])
-        if not 0.0 <= v <= 1.0:
-            raise SeqOptError(f"stop probability {v} outside [0, 1]")
-        probs[n - 1][i] = v
+    space = density_layer(problem, engine).space
+    stages = np.array(column("stage"), dtype=np.int64)  # raises as int() would
+    labels = column("state")
+    horizon = int(stages.max())
+    indices = space.label_indices(stages.tolist(), labels)
+    unknown = (stages < 1) | (indices < 0)
+    first = int(np.argmax(unknown)) if unknown.any() else len(rows)
+    # Only rows above the first unknown state are parsed, so errors keep file order.
+    values = np.array(column("stop_prob")[:first], dtype=float)  # raises as float() would
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        raise SeqOptError(f"stop probability {float(values[np.argmax(outside)])} outside [0, 1]")
+    if first < len(rows):
+        raise SeqOptError(
+            f"rule references unknown state {labels[first]!r} at stage {stages[first]}"
+        )
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    offsets = np.cumsum([0] + sizes)
+    at = offsets[stages - 1] + indices  # each row's position in all stages, concatenated
+    flat = np.full(offsets[-1], np.nan)
+    flat[at] = values
+    probs = np.split(flat, offsets[1:-1])
     for n, arr in enumerate(probs, start=1):
         if np.isnan(arr).any():
             raise SeqOptError(f"rule file leaves stage {n} states undefined")
     truncated = bool(np.all(probs[-1] == 1.0))
-    return StoppingRule(engine, probs, truncated)
+    rule = StoppingRule(engine, probs, truncated)
+    d_names = [h for h in header if h.startswith(DECISION_PROB)]
+    if not d_names:
+        return rule, None
+    d_count = problem.n_decisions
+    if d_names != [f"{DECISION_PROB}{d}" for d in range(d_count)]:
+        raise SeqOptError(
+            f"rule file's decision columns must be {DECISION_PROB}0..{DECISION_PROB}{d_count - 1}"
+        )
+    q = np.array([column(h) for h in d_names], dtype=float).T  # (rows, D)
+    bad = ~np.all((q >= 0.0) & (q <= 1.0), axis=1) | (np.abs(q.sum(axis=1) - 1.0) > 1e-9)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SeqOptError(
+            f"decision probabilities of state {labels[i]!r} at stage {stages[i]} "
+            "must lie in [0, 1] and sum to 1"
+        )
+    table = np.empty((offsets[-1], d_count))
+    table[at] = q
+    return rule, np.split(table, offsets[1:-1])
 
 
 def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> StoppingRule:
@@ -107,6 +178,11 @@ def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> Stopp
     stop_loss > cont + TIE_ATOL, and on ties apply `tie_policy`: "stop",
     "continue", or a float in [0, 1] used as the stop probability there.
     The final stage always stops.
+
+    The rule keeps the tables' HistoryTable. While it lives, so do the shared
+    density layer and loss view (see bayes_decision), so `evaluate` and
+    `simulate` of the rule under a problem of the same model, priors and loss
+    reuse the solve's stages instead of building them again.
     """
     if isinstance(tie_policy, str):
         if tie_policy == "stop":
@@ -133,7 +209,9 @@ def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> Stopp
         ties.append(np.flatnonzero(tie))
     probs.append(np.ones(tables.table.space.n_states(n_horizon)))
     ties.append(np.array([], dtype=np.int64))
-    return StoppingRule(tables.engine, probs, truncated=True, tie_states=ties)
+    rule = StoppingRule(tables.engine, probs, truncated=True, tie_states=ties)
+    rule._table = tables.table
+    return rule
 
 
 def truncate_rule(rule: StoppingRule, horizon: int, space: StateSpace | None = None) -> StoppingRule:

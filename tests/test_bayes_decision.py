@@ -229,3 +229,48 @@ def test_shared_arrays_are_read_only(instance_b):
     for arr in (st.f_theta, st.f_pi1, st.f_pi2, st.mult, st.stop_loss, st.decision):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def _count_stage_builds(monkeypatch) -> list[int]:
+    calls: list[int] = []
+    build = HistoryTable._build_stage
+
+    def counted(self, n):
+        calls.append(n)
+        return build(self, n)
+
+    monkeypatch.setattr(HistoryTable, "_build_stage", counted)
+    return calls
+
+
+def test_one_view_serves_solve_evaluate_and_bayes(monkeypatch):
+    p, _ = random_instance(np.random.default_rng(8), m=2, k=3)
+    calls = _count_stage_builds(monkeypatch)
+    tables = so.solve_truncated(p, 30)
+    so.evaluate(p, so.extract_rule(tables))
+    decision = so.DecisionStrategy.bayes(HistoryTable(p), 30)
+    assert sorted(calls) == list(range(31))  # each stage once, for all three
+    assert HistoryTable(p)._stages is tables.table._stages
+    assert all(decision.at(n) is tables.table.stage(n).decision for n in range(1, 31))
+
+
+def test_other_loss_or_pi1_gets_its_own_view(instance_b):
+    table = HistoryTable(instance_b)
+    other_loss = HistoryTable(with_loss(instance_b, 2.0 * instance_b.loss.w))
+    assert other_loss.layer is table.layer and other_loss._stages is not table._stages
+    pi = np.array([0.3, 0.7])
+    other_pi1 = HistoryTable(replace(instance_b, priors=so.Priors(pi, instance_b.priors.pi2)))
+    assert other_pi1.layer is not table.layer and other_pi1._stages is not table._stages
+    assert other_loss.stage(2).stop_loss.tobytes() == (2.0 * table.stage(2).stop_loss).tobytes()
+
+
+def test_views_and_layers_die_with_the_last_table_and_rule(instance_b):
+    tables = so.solve_truncated(instance_b, 6)
+    rule = so.extract_rule(tables)
+    layer, view = weakref.ref(tables.table.layer), weakref.ref(tables.table._stages)
+    del tables
+    gc.collect()
+    assert layer() is not None and view() is not None  # the rule keeps its table
+    del rule
+    gc.collect()
+    assert layer() is None and view() is None

@@ -98,8 +98,51 @@ def test_search_lagrange(tmp_path, capsys):
     assert lag["achieved"] == pytest.approx([0.18, 0.045], abs=1e-9)
     assert lag["n_psi"] == pytest.approx(1.55, abs=1e-9)
     header = (out_dir / "trace.csv").read_text().splitlines()[0]
-    assert header == "lam_0,lam_1,achieved_0,achieved_1,n_psi,gamma"
+    assert header == "lam_0,lam_1,achieved_0,achieved_1,n_psi"
     assert (out_dir / "rule.csv").exists()
+
+
+def _evaluate_rule(capsys, tmp_path, config: str, rule_csv: Path) -> dict:
+    code, ev_dir = run(
+        capsys, "--out-root", str(tmp_path), "evaluate", config, "--rule", str(rule_csv)
+    )
+    assert code == 0
+    return json.loads((ev_dir / "report.json").read_text())
+
+
+def test_search_rule_keeps_its_decisions(tmp_path, capsys):
+    code, out_dir = run(
+        capsys,
+        "--out-root", str(tmp_path),
+        "search", TWO_CHANNEL,
+        "--targets", "0.2,0.12",
+        "--horizon", "1",
+    )
+    assert code == 0
+    lag = json.loads((out_dir / "result.json").read_text())["lagrange"]
+    assert lag["converged"] is True
+    assert lag["achieved"] == pytest.approx([0.18, 0.12], abs=1e-12)
+    header = (out_dir / "rule.csv").read_text().splitlines()[0]
+    assert header == "engine,stage,state,stop_prob,decision_prob_0,decision_prob_1"
+    report = _evaluate_rule(capsys, tmp_path, TWO_CHANNEL, out_dir / "rule.csv")
+    assert report["w_groups"] == pytest.approx(lag["achieved"], abs=1e-12)
+    assert report["n_psi"] == pytest.approx(lag["n_psi"], abs=1e-12)
+
+
+def test_sprt_rule_keeps_its_decisions(tmp_path, capsys):
+    code, out_dir = run(
+        capsys,
+        "--out-root", str(tmp_path),
+        "search", SYMMETRIC,
+        "--targets", "0.05,0.05",
+        "--mode", "sprt",
+        "--cap", "30",
+        "--conservative",
+    )
+    assert code == 0
+    oc = json.loads((out_dir / "result.json").read_text())["sprt"]
+    report = _evaluate_rule(capsys, tmp_path, SYMMETRIC, out_dir / "rule.csv")
+    assert report["error_probs"] == pytest.approx([oc["alpha"], oc["beta"]], abs=1e-12)
 
 
 def test_search_sprt(tmp_path, capsys):

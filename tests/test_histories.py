@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import seqopt as so
 from seqopt.histories import check_state_budget
+from seqopt.model import ObservationModel
 
 MAX_STATES = 3000  # states through the top stage, per drawn example
 
@@ -43,6 +45,9 @@ def reference_count_stages(k: int, n: int):
 
 def _space(k: int) -> so.CountStateSpace:
     pmf = np.full((2, k), 1.0 / k)
+    if k == 1:  # problems need two symbols; the space itself takes one
+        p = so.iid_problem(np.full((2, 2), 0.5), so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+        return so.CountStateSpace(replace(p, obs=ObservationModel(1, "iid", pmf)))
     return so.CountStateSpace(so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01))
 
 
@@ -80,6 +85,26 @@ def test_count_space_matches_reference_enumeration(data):
                 assert math.isclose(mult[i], multinomial, rel_tol=stage * 2.0**-53)
         if stage < n:
             assert np.array_equal(space.children(stage), ref_children[stage])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_built_stages_agree_with_ranking(data):
+    k = data.draw(st.integers(1, 6), label="k")
+    n = data.draw(st.integers(0, _deepest_stage(k) if k > 1 else 40), label="n")
+    first = data.draw(st.integers(0, n), label="first build")
+    _, _, _, ref_mult = reference_count_stages(k, n)
+    space = _space(k)
+    space.n_states(first)
+    unit = np.eye(k, dtype=np.int64)
+    for stage in range(n + 1):
+        states = space.states(stage)
+        assert np.array_equal(space._rank(states), np.arange(len(states)))
+        assert space.mult(stage).tobytes() == ref_mult[stage].tobytes()
+        if stage < n:
+            children = space.children(stage)
+            for x in range(k):
+                assert np.array_equal(children[:, x], space._rank(states + unit[x]))
 
 
 def test_deep_binary_space_mult_is_bit_identical():

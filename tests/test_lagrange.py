@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,21 @@ from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def test_scipy_loads_with_the_first_master_lp_only():
+    script = (
+        "import sys\n"
+        "import seqopt, seqopt.cli\n"
+        "assert 'scipy' not in sys.modules\n"
+        "p = seqopt.iid_problem([[0.8, 0.2], [0.3, 0.7]], seqopt.zero_one_loss(2), [0.5, 0.5],\n"
+        "                       [0.5, 0.5], 0.02, groups=((0,), (1,)), bounds=(0.18, 0.045))\n"
+        "seqopt.match_constraints(p, [0.18, 0.045], seqopt.SearchConfig(horizon=2))\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(so.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
 
 def test_weighted_problem_identity():

@@ -194,6 +194,18 @@ def _rule(p, horizon):
     return so.extract_rule(so.solve_truncated(p, horizon))
 
 
+def test_extracted_rule_simulates_without_rebuilding_stages(monkeypatch):
+    p = so.iid_problem(
+        [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01
+    )
+    rule = _rule(p, 100)  # its ValueTables is gone; the rule keeps the table
+    built = []
+    build = HistoryTable._build_stage
+    monkeypatch.setattr(HistoryTable, "_build_stage", lambda t, n: built.append(n) or build(t, n))
+    so.simulate(p, rule, so.SimConfig(replications=200, seed=3, cap=100))
+    assert built == []
+
+
 def test_replay_is_byte_identical(instance_b):
     rule = _rule(instance_b, 4)
     cfg = so.SimConfig(replications=2000, seed=42, cap=4)

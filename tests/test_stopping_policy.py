@@ -7,6 +7,7 @@ import pytest
 
 import seqopt as so
 from seqopt.histories import state_space
+from seqopt.stopping_policy import read_rule_csv, write_rule_csv
 
 from conftest import random_instance
 
@@ -255,3 +256,81 @@ def test_rule_csv_matches_row_by_row_writer(engine, k, horizon):
         for i in range(len(arr)):
             writer.writerow([engine, n, space.label(n, i), repr(float(arr[i]))])
     assert buf.getvalue() == ref.getvalue()
+
+
+def test_only_extracted_rules_keep_their_table(instance_b):
+    tables = so.solve_truncated(instance_b, 3)
+    rule = so.extract_rule(tables)
+    assert rule._table is tables.table
+    buf = io.StringIO()
+    rule.to_csv(buf, tables.table.space)
+    buf.seek(0)
+    derived = (
+        rule.with_prob(1, 0, 0.5),
+        so.truncate_rule(rule, 2),
+        so.rule_from_csv(buf, instance_b),
+    )
+    assert all(r._table is None for r in derived)
+
+
+def _decision_probs(space, horizon: int, d_count: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(9)
+    out = []
+    for n in range(1, horizon + 1):
+        q = rng.random((space.n_states(n), d_count))
+        out.append(q / q.sum(axis=1, keepdims=True))
+    return out
+
+
+@pytest.mark.parametrize("engine", ["counts", "tree"])
+def test_rule_csv_decision_columns_round_trip(engine):
+    rule, _ = _random_rule_csv(engine)
+    space = state_space(_k3_problem(), engine)
+    probs = _decision_probs(space, rule.horizon, 2)
+    buf = io.StringIO()
+    write_rule_csv(buf, rule, space, probs)
+    assert buf.getvalue().splitlines()[0] == (
+        "engine,stage,state,stop_prob,decision_prob_0,decision_prob_1"
+    )
+    buf.seek(0)
+    back, back_probs = read_rule_csv(buf, _k3_problem())
+    for n in range(1, rule.horizon + 1):
+        assert back.at(n).tobytes() == rule.at(n).tobytes()
+        assert back_probs[n - 1].tobytes() == probs[n - 1].tobytes()
+    _, text = _random_rule_csv(engine)
+    assert read_rule_csv(io.StringIO(text), _k3_problem())[1] is None
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: [r[:-1] for r in rows], "decision columns"),
+        (lambda rows: [r[:4] + [r[5], r[4]] for r in rows], "decision columns"),
+        (lambda rows: rows[:3] + [rows[3][:4] + ["0.5", "0.6"]] + rows[4:], "sum to 1"),
+        (lambda rows: rows[:3] + [rows[3][:4] + ["-0.5", "1.5"]] + rows[4:], "lie in"),
+    ],
+    ids=["one-column", "out-of-order", "bad-sum", "negative"],
+)
+def test_rule_csv_rejects_bad_decision_columns(edit, message):
+    rule, _ = _random_rule_csv("counts")
+    space = state_space(_k3_problem(), "counts")
+    buf = io.StringIO()
+    write_rule_csv(buf, rule, space, _decision_probs(space, rule.horizon, 2))
+    rows = edit(list(csv.reader(io.StringIO(buf.getvalue()))))
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    out.seek(0)
+    with pytest.raises(so.SeqOptError, match=message):
+        read_rule_csv(out, _k3_problem())
+
+
+def test_rule_csv_reports_the_first_offending_row(instance_b):
+    text = (
+        "engine,stage,state,stop_prob\n"
+        "counts,1,1|0,1.5\ncounts,1,9|9,1.0\ncounts,1,0|1,1.0\n"
+    )
+    with pytest.raises(so.SeqOptError, match=re.escape("stop probability 1.5 outside [0, 1]")):
+        so.rule_from_csv(io.StringIO(text), instance_b)
+    text = text.replace("1.5", "1.0").replace("0|1,1.0", "0|1,2.0")
+    with pytest.raises(so.SeqOptError, match=re.escape("unknown state '9|9' at stage 1")):
+        so.rule_from_csv(io.StringIO(text), instance_b)
