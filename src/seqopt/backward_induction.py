@@ -91,19 +91,18 @@ def solve_truncated(
     p: Problem,
     horizon: int,
     engine: str = "auto",
-    table: HistoryTable | None = None,
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> ValueTables:
     """Solve the horizon-N problem exactly.
 
     The returned tables are exact for the class of procedures that stop by
     `horizon`; any stopping rule whose stop set matches the value comparison
-    (see stopping_policy.extract_rule) attains cont[0].
+    (see stopping_policy.extract_rule) attains cont[0]. Their HistoryTable
+    shares its stages with every live table of the problem (see bayes_decision).
     """
     if horizon < 1:
         raise SeqOptError("horizon must be >= 1")
-    if table is None:
-        table = HistoryTable(p, engine)
+    table = HistoryTable(p, engine)
     check_state_budget(table.space, horizon, state_budget)
     c = p.cost.c
     value: list[np.ndarray | None] = [None] * (horizon + 1)
@@ -133,27 +132,18 @@ def solve_limit(
     pass `n_cap`. A run that exhausts the cap without meeting the tolerance
     returns the last tables with converged=False; that is a flagged result,
     not a failure, since cont[0] decreases monotonically and the trace shows
-    how far it got.
+    how far it got. Each doubling reuses the stages of the one before.
     """
     if n_start < 1:
         raise SeqOptError("n_start must be >= 1")
-    table = HistoryTable(p, engine)
-    trace: list[tuple[int, float]] = []
-    horizon = n_start
-    tables = solve_truncated(p, horizon, table=table, state_budget=state_budget)
-    trace.append((horizon, tables.q0))
+    tables = solve_truncated(p, n_start, engine, state_budget)
+    trace = [(n_start, tables.q0)]
     converged = False
-    while True:
-        nxt = horizon * 2
-        if nxt > n_cap:
-            break
-        nxt_tables = solve_truncated(p, nxt, table=table, state_budget=state_budget)
-        trace.append((nxt, nxt_tables.q0))
-        gap = trace[-2][1] - trace[-1][1]
-        horizon, tables = nxt, nxt_tables
-        if abs(gap) < tol:
-            converged = True
-            break
+    while not converged and 2 * tables.horizon <= n_cap:
+        # `tables` is rebound only after the solve, so it keeps the stages alive for it
+        tables = solve_truncated(p, 2 * tables.horizon, engine, state_budget)
+        trace.append((tables.horizon, tables.q0))
+        converged = abs(trace[-2][1] - trace[-1][1]) < tol
     tables.q0_trace = trace
     tables.converged = converged
     tables.tol = tol

@@ -210,13 +210,12 @@ def bayes_decide(
     return decision, best, ties
 
 
-def stagewise_bayes_risk(
-    p: Problem, n: int, engine: str = "auto", table: HistoryTable | None = None
-) -> float:
-    """Bayes risk of the best fixed-sample-size procedure with n observations."""
-    if table is None:
-        table = HistoryTable(p, engine)
-    st = table.stage(n)
+def stagewise_bayes_risk(p: Problem, n: int, engine: str = "auto") -> float:
+    """Bayes risk of the best fixed-sample-size procedure with n observations.
+
+    Stage n comes from the problem's shared loss view (see the module docstring).
+    """
+    st = HistoryTable(p, engine).stage(n)
     return float(np.dot(st.mult, st.stop_loss))
 
 

@@ -31,15 +31,14 @@ achieved loss is at most target + residual_tol, and every group with
 lam_g > 0 is within residual_tol of its target. A target looser than every
 rule needs gets lam_g = 0 and a positive slack.
 
-One call evaluates each distinct pair once, keyed by a 16-byte digest.
-`MultiplierSearchResult.stats` reports probes, evaluations, reuses, LP solves
-(lp_rounds), the final gap, and the seconds spent solving, extracting and
-evaluating; each probe is logged at DEBUG level.
+Each probe evaluates its own pair, and a mixture is evaluated once more.
+`MultiplierSearchResult.stats` reports probes, LP solves (lp_rounds), the
+final gap, and the seconds spent solving, extracting and evaluating; each
+probe is logged at DEBUG level.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 import time
@@ -49,7 +48,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .backward_induction import solve_limit, solve_truncated
-from .bayes_decision import HistoryTable, _weighted_loss, density_layer
+from .bayes_decision import HistoryTable, _weighted_loss
 from .errors import InfeasibleTargetsError, SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem, with_loss
@@ -94,10 +93,10 @@ def lagrangian(
     decision: DecisionStrategy | None = None,
 ) -> float:
     """n_psi + sum_i lambda_i * w_group_i for a given rule and strategy."""
-    report = evaluate(p, rule, decision)
-    if report.w_groups is None:
+    value = evaluate(p, rule, decision, multipliers=lam).lagrangian
+    if value is None:
         raise SeqOptError("lagrangian needs constraint groups")
-    return float(report.n_psi + np.dot(np.asarray(lam, dtype=float), report.w_groups))
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,15 +121,14 @@ class MultiplierSearchResult:
     horizon: int
     frontier_trace: list[dict] = field(default_factory=list)
     weighted: Problem | None = None
-    # probes, evaluated (distinct rule/decision pairs), reused, lp_rounds
-    # (LP solves), gap (master value minus the last pricing's bound), and
-    # seconds spent in solve, extract and evaluate
+    # probes, lp_rounds (LP solves), gap (master value minus the last
+    # pricing's bound), and seconds spent in solve, extract and evaluate
     stats: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
 class _Pack:
-    lam: np.ndarray
+    table: HistoryTable  # the probe's weighted solve table
     rule: StoppingRule
     decision: DecisionStrategy
     achieved: np.ndarray
@@ -138,46 +136,22 @@ class _Pack:
     horizon: int
 
 
-def _pair_digest(rule: StoppingRule, decision: DecisionStrategy) -> bytes:
-    """16-byte digest of a (rule, decision) pair over the rule's stages."""
-    h = hashlib.blake2b(rule.horizon.to_bytes(8, "little"), digest_size=16)
-    probs = decision.probs[: rule.horizon] if decision.probs is not None else ()
-    for arr in (*rule.stop_probs, *decision.decisions[: rule.horizon], *probs):
-        h.update(np.ascontiguousarray(arr))
-    return h.digest()
-
-
 class _Search:
-    """One match_constraints call: its problem, config, evaluations and stats.
-
-    Achieved losses are step functions of the multipliers, so most probes
-    extract a rule already seen. Evaluations are kept by _pair_digest of the
-    (rule, decision) pair, digests and a few floats only, and each distinct
-    pair is evaluated once.
-    """
+    """One match_constraints call: its problem, config, probe log and stats."""
 
     def __init__(self, p: Problem, cfg: SearchConfig):
         self.p = p
         self.cfg = cfg
         self.trace: list[dict] = []
-        self._achieved: dict[bytes, tuple[np.ndarray, float]] = {}
-        self.stats: dict = {"probes": 0, "evaluated": 0, "reused": 0, "lp_rounds": 0,
-                            "gap": math.inf, "solve_s": 0.0, "extract_s": 0.0,
-                            "evaluate_s": 0.0}
+        self.stats: dict = {"probes": 0, "lp_rounds": 0, "gap": math.inf,
+                            "solve_s": 0.0, "extract_s": 0.0, "evaluate_s": 0.0}
 
-    def achieved(self, rule: StoppingRule, decision: DecisionStrategy) -> tuple[np.ndarray, float]:
-        """Group losses and n_psi of the pair, evaluated on first sight only."""
-        key = _pair_digest(rule, decision)
-        hit = self._achieved.get(key)
-        if hit is None:
-            t0 = time.perf_counter()
-            report = evaluate(self.p, rule, decision)
-            self.stats["evaluate_s"] += time.perf_counter() - t0
-            self.stats["evaluated"] += 1
-            hit = self._achieved[key] = (report.w_groups.copy(), report.n_psi)
-        else:
-            self.stats["reused"] += 1
-        return hit[0].copy(), hit[1]
+    def outcome(self, rule: StoppingRule, decision: DecisionStrategy) -> tuple[np.ndarray, float]:
+        """Group losses and n_psi of the pair, timed into evaluate_s."""
+        t0 = time.perf_counter()
+        report = evaluate(self.p, rule, decision)
+        self.stats["evaluate_s"] += time.perf_counter() - t0
+        return report.w_groups, report.n_psi
 
     def solve_at(self, lam: np.ndarray) -> _Pack:
         """Probe: solve the weighted problem, extract its rule, record the outcome."""
@@ -193,32 +167,31 @@ class _Search:
         decision = DecisionStrategy.bayes(tables.table, tables.horizon)
         self.stats["solve_s"] += t1 - t0
         self.stats["extract_s"] += time.perf_counter() - t1
-        w_groups, n_psi = self.achieved(rule, decision)
+        w_groups, n_psi = self.outcome(rule, decision)
         self.stats["probes"] += 1
         self.trace.append({"lam": lam.tolist(), "achieved": w_groups.tolist(), "n_psi": n_psi})
         log.debug(
             "probe %d lam=%s horizon=%d achieved=%s n_psi=%r",
             self.stats["probes"], lam, tables.horizon, w_groups, n_psi,
         )
-        return _Pack(lam.copy(), rule, decision, w_groups, n_psi, tables.horizon)
+        return _Pack(tables.table, rule, decision, w_groups, n_psi, tables.horizon)
 
     def common_horizon(self, packs: list[_Pack]) -> list[_Pack]:
         """Extend every pack's rule (truncated) and decisions to the largest horizon.
 
-        The extension stops where the rule did, so the losses stay the pack's.
+        The extension stops where the rule did, so the losses stay the pack's;
+        the decisions come from the pack's own solve table.
         """
         top = max(pk.horizon for pk in packs)
-        out = []
-        for pk in packs:
-            if pk.horizon == top:
-                out.append(pk)
-                continue
-            t0 = time.perf_counter()
-            rule = truncate_rule(pk.rule, top, density_layer(self.p, pk.rule.engine).space)
-            wp = weighted_problem(self.p, pk.lam)
-            decision = DecisionStrategy.bayes(HistoryTable(wp, engine=pk.rule.engine), top)
-            self.stats["extract_s"] += time.perf_counter() - t0
-            out.append(_Pack(pk.lam, rule, decision, pk.achieved, pk.n_psi, top))
+        t0 = time.perf_counter()
+        out = [
+            pk if pk.horizon == top else replace(
+                pk, rule=truncate_rule(pk.rule, top, pk.table.space),
+                decision=DecisionStrategy.bayes(pk.table, top), horizon=top,
+            )
+            for pk in packs
+        ]
+        self.stats["extract_s"] += time.perf_counter() - t0
         return out
 
     def _lp(self, cost: np.ndarray, a_ub: np.ndarray, targets: np.ndarray, n_mix: int):
@@ -312,8 +285,7 @@ def match_constraints(
     if np.any(t <= 0):
         raise InfeasibleTargetsError("targets must be > 0 (nonnegative losses cannot go below)")
     # Every probe's weighted problem shares p's observation model and priors,
-    # so holding the layer here lets all of them reuse its stages.
-    layer = density_layer(p, cfg.engine)
+    # so all of them read one density layer, kept alive by the columns' tables.
     search = _Search(p, cfg)
     c = p.cost.c
 
@@ -355,11 +327,12 @@ def match_constraints(
     search.stats["gap"] = gap
     keep = mu > 1e-12 * mu.max()
     active = search.common_horizon([pk for pk, on in zip(cols, keep) if on])
+    pk = active[0]
     if len(active) == 1:
-        rule, decision = active[0].rule, active[0].decision
+        rule, decision, achieved, n_psi = pk.rule, pk.decision, pk.achieved, pk.n_psi
     else:
-        rule, decision = _mixture(layer.space, active, mu[keep] / mu[keep].sum())
-    achieved, n_psi = search.achieved(rule, decision)
+        rule, decision = _mixture(pk.table.space, active, mu[keep] / mu[keep].sum())
+        achieved, n_psi = search.outcome(rule, decision)
     tol = cfg.residual_tol
     converged = bool(
         gap <= gap_tol

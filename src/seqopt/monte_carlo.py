@@ -49,7 +49,7 @@ import numpy as np
 from .errors import SeqOptError
 from .histories import CountStateSpace
 from .model import Problem
-from .risk_evaluation import DecisionStrategy
+from .risk_evaluation import DecisionStrategy, _check_coverage
 from .backward_induction import _reprs
 from .bayes_decision import HistoryTable, density_layer
 from .stopping_policy import StoppingRule
@@ -206,6 +206,7 @@ def simulate(
     mode = cfg.theta_mode if isinstance(cfg.theta_mode, str) else int(cfg.theta_mode)
     layer = density_layer(p, rule.engine)  # held so the table below shares it
     space = layer.space
+    _check_coverage(space, rule, decision, cap)
     if decision is None:
         decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cap)
     theta_cdf = None if isinstance(mode, int) else np.cumsum(getattr(p.priors, mode))

@@ -163,15 +163,28 @@ def evaluate(
     rule: StoppingRule,
     decision: DecisionStrategy | None = None,
     multipliers: np.ndarray | None = None,
-    table: HistoryTable | None = None,
 ) -> RiskReport:
     """Exact forward evaluation of a rule under a problem.
 
     `decision` defaults to the problem's own Bayes strategy. `multipliers`
     (or, failing that, the problem's stored ones) produce the Lagrangian
-    n_psi + sum_i lambda_i * w_group_i.
+    n_psi + sum_i lambda_i * w_group_i. The Bayes stages are shared with every
+    live table of the problem (see bayes_decision), such as an extracted rule's.
     """
-    return _forward(p, rule, decision, multipliers, table)[0]
+    return _forward(p, rule, decision, multipliers)[0]
+
+
+def _check_coverage(
+    space: StateSpace, rule: StoppingRule, decision: DecisionStrategy | None, horizon: int
+) -> None:
+    """Raise unless the rule's stages 1..horizon match the space and the decisions reach horizon."""
+    for n in range(1, horizon + 1):
+        if space.n_states(n) != len(rule.at(n)):
+            raise SeqOptError(
+                f"rule stage {n} covers {len(rule.at(n))} states, problem has {space.n_states(n)}"
+            )
+    if decision is not None and decision.horizon < horizon:
+        raise SeqOptError("decision strategy does not cover the rule's horizon")
 
 
 def _forward(
@@ -179,23 +192,14 @@ def _forward(
     rule: StoppingRule,
     decision: DecisionStrategy | None = None,
     multipliers: np.ndarray | None = None,
-    table: HistoryTable | None = None,
 ) -> tuple[RiskReport, np.ndarray]:
     """evaluate's pass, also returning the (S, m) mass that arrives at the last stage."""
-    layer = table.layer if table is not None else density_layer(p, rule.engine)
+    layer = density_layer(p, rule.engine)
     space = layer.space
     horizon = rule.horizon
-    for n in range(1, horizon + 1):
-        if space.n_states(n) != len(rule.at(n)):
-            raise SeqOptError(
-                f"rule stage {n} covers {len(rule.at(n))} states, problem has {space.n_states(n)}"
-            )
+    _check_coverage(space, rule, decision, horizon)
     if decision is None:
-        decision = DecisionStrategy.bayes(
-            table if table is not None else HistoryTable(p, rule.engine), horizon
-        )
-    elif decision.horizon < horizon:
-        raise SeqOptError("decision strategy does not cover the rule's horizon")
+        decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), horizon)
 
     m = p.n_params
     d_count = p.n_decisions
@@ -374,10 +378,10 @@ class TruncatabilityDiagnostic:
 
 
 def truncatability_diagnostic(
-    p: Problem, rule: StoppingRule, horizons: list[int], table: HistoryTable | None = None
+    p: Problem, rule: StoppingRule, horizons: list[int]
 ) -> TruncatabilityDiagnostic:
-    if table is None:
-        table = HistoryTable(p, engine=rule.engine)
+    """Tail and stage risks of the rule at each horizon, over the problem's shared stages."""
+    table = HistoryTable(p, engine=rule.engine)
     space = table.space
     hs = sorted(horizons)
     top = hs[-1]

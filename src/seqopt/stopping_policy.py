@@ -23,7 +23,7 @@ import numpy as np
 from .backward_induction import ValueTables, _reprs
 from .errors import SeqOptError
 from .bayes_decision import density_layer
-from .histories import StateSpace, push_forward
+from .histories import StateSpace, check_state_budget, push_forward
 from .model import Problem
 from .tolerances import TIE_ATOL
 
@@ -42,7 +42,7 @@ class StoppingRule:
     truncated: bool
     tie_states: list[np.ndarray] | None = None
     # extract_rule's solve table, kept so its density layer and Bayes stages
-    # outlive the ValueTables. Not a field: no CSV, digest or equality sees it.
+    # outlive the ValueTables. Not a field: neither CSV nor equality sees it.
     _table = None
 
     @property
@@ -104,7 +104,9 @@ def read_rule_csv(
 
     The decision probabilities (per stage an (S, D) array, as write_rule_csv
     takes them) are None for a file without decision_prob_<d> columns. Rows
-    are checked in file order; the first offending one raises.
+    are checked in file order; the first offending one raises. A file naming
+    a stage past the state budget raises BudgetExceededError before any
+    stage is built.
     """
     reader = csv.reader(fh)
     header = next(reader, [])
@@ -127,6 +129,7 @@ def read_rule_csv(
     stages = np.array(column("stage"), dtype=np.int64)  # raises as int() would
     labels = column("state")
     horizon = int(stages.max())
+    check_state_budget(space, max(horizon, 0))  # before any stage is built or sized
     indices = space.label_indices(stages.tolist(), labels)
     unknown = (stages < 1) | (indices < 0)
     first = int(np.argmax(unknown)) if unknown.any() else len(rows)

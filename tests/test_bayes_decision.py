@@ -252,6 +252,11 @@ def test_one_view_serves_solve_evaluate_and_bayes(monkeypatch):
     assert sorted(calls) == list(range(31))  # each stage once, for all three
     assert HistoryTable(p)._stages is tables.table._stages
     assert all(decision.at(n) is tables.table.stage(n).decision for n in range(1, 31))
+    # limit mode: each doubling's solve reuses the stages the previous one built
+    q, _ = random_instance(np.random.default_rng(9), m=2, k=2)
+    calls.clear()
+    limit = so.solve_limit(q, tol=0.0, n_cap=64)
+    assert limit.horizon == 64 and sorted(calls) == list(range(65))
 
 
 def test_other_loss_or_pi1_gets_its_own_view(instance_b):

@@ -300,6 +300,14 @@ def test_exit_code_budget(tmp_path, capsys):
     assert code == 4
 
 
+def test_exit_code_rule_past_the_budget(tmp_path, capsys):
+    rule = tmp_path / "rule.csv"
+    rule.write_text('engine,stage,state,stop_prob\ntree,40,"' + ",".join(["0"] * 40) + '",1.0\n')
+    code, _ = run(capsys, "--out-root", str(tmp_path), "evaluate", SYMMETRIC, "--rule", str(rule))
+    assert code == 4
+    assert "states for horizon 40" in run.err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -373,6 +373,22 @@ def test_cap_must_not_exceed_rule_horizon(instance_b):
         so.simulate(instance_b, rule, so.SimConfig(replications=10, seed=1, cap=5))
 
 
+def test_rule_or_decisions_not_covering_the_cap_raise(instance_b):
+    # The same coverage checks as evaluate: a rule over another state space,
+    # and a decision strategy that stops short of the cap.
+    from conftest import random_instance
+
+    p3, _ = random_instance(np.random.default_rng(3), m=2, k=3)
+    alien = so.extract_rule(so.solve_truncated(p3, 6))
+    cfg = so.SimConfig(replications=10, seed=1, cap=6)
+    with pytest.raises(so.SeqOptError, match="rule stage 1 covers 3 states, problem has 2"):
+        so.simulate(instance_b, alien, cfg)
+    rule = _rule(instance_b, 6)
+    short = so.DecisionStrategy.bayes(HistoryTable(instance_b), 4)
+    with pytest.raises(so.SeqOptError, match="decision strategy does not cover"):
+        so.simulate(instance_b, rule, cfg, short)
+
+
 def _random_problem(data, rng):
     kind = data.draw(st.sampled_from(["counts", "tree_iid", "markov"]), label="kind")
     k = data.draw(st.integers(2, 3), label="k")

@@ -1,15 +1,19 @@
 import csv
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqopt as so
+from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 from seqopt.stopping_policy import read_rule_csv, write_rule_csv
 
 from conftest import random_instance
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _optimal_rule(instance_b, horizon=2):
@@ -334,3 +338,18 @@ def test_rule_csv_reports_the_first_offending_row(instance_b):
     text = text.replace("1.5", "1.0").replace("0|1,1.0", "0|1,2.0")
     with pytest.raises(so.SeqOptError, match=re.escape("unknown state '9|9' at stage 1")):
         so.rule_from_csv(io.StringIO(text), instance_b)
+
+
+@pytest.mark.parametrize(
+    "row", ["counts,3000,3000|0,1.0", 'tree,40,"' + ",".join(["0"] * 40) + '",1.0'],
+    ids=["counts", "tree"],
+)
+def test_rule_csv_past_the_state_budget_raises_before_building(row):
+    # One row naming a far stage: the budget check comes before any stage is
+    # built or any per-stage array is sized.
+    p = so.load_problem(CONFIGS / "symmetric.json")
+    layer = density_layer(p, row.split(",")[0])  # held, to look at its space after
+    with pytest.raises(so.BudgetExceededError):
+        so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + row + "\n"), p)
+    if layer.space.engine == "counts":
+        assert layer.space._top == 0
