@@ -37,7 +37,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .histories import StateSpace, resolve_engine, state_space
+from .histories import StateSpace, push_forward, resolve_engine, state_space
 from .errors import SeqOptError
 from .model import Problem, joint_density, mixture_density
 from .tolerances import TIE_ATOL
@@ -96,13 +96,16 @@ class DensityLayer:
             f_theta = np.ones((1, m))
         else:
             prev = self._stages[n - 1].f_theta
-            children = self.space.children(n - 1)
-            step = self.space.step_probs(n - 1)
-            f_theta = np.empty((self.space.n_states(n), m))
-            for x in range(p.alphabet_size):
-                # Same value lands on a child from every predecessor: the joint
-                # density of a history depends only on its state.
-                f_theta[children[:, x], :] = prev * step[:, :, x]
+            if self.space.engine == "tree":
+                # A tree state has one parent, so its density is what that parent pushes.
+                f_theta = push_forward(self.space, n - 1, prev)
+            else:
+                children = self.space.children(n - 1)
+                f_theta = np.empty((self.space.n_states(n), m))
+                for x in range(p.alphabet_size):
+                    # Same value lands on a child from every predecessor: the joint
+                    # density of a history depends only on its state.
+                    f_theta[children[:, x], :] = prev * p.obs.iid_pmf[:, x]
         out = StageDensities(
             f_theta, f_theta @ p.priors.pi1, f_theta @ p.priors.pi2, self.space.mult(n)
         )

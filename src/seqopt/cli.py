@@ -107,11 +107,7 @@ def _write_rule(
     path: Path, p: Problem, rule: StoppingRule, decision: DecisionStrategy, space: StateSpace
 ) -> None:
     """A rule file that also carries the decision strategy the rule was evaluated with."""
-    onehot = np.eye(p.n_decisions)
-    probs = [
-        onehot[decision.at(n)] if decision.probs is None else decision.probs[n - 1]
-        for n in range(1, rule.horizon + 1)
-    ]
+    probs = [decision.stage_probs(n, p.n_decisions) for n in range(1, rule.horizon + 1)]
     with open(path, "w") as fh:
         write_rule_csv(fh, rule, space, probs)
 

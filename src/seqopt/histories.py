@@ -15,13 +15,25 @@ Two engines share one interface:
   A state's rank, a closed-form sum of binomial coefficients, serves only the
   lookups from count vectors and labels to indices.
 
-Per stage n the interface provides the state count, the child index of each
+Per stage n the interface provides the state count (a closed form on both
+engines, so sizing a stage builds nothing), the child index of each
 (state, symbol) pair at stage n+1, the conditional step probabilities
 step[s, theta, x], the number of histories collapsed into each state (mult),
 printable labels (one state's, or a whole stage's at once), and the inverse
 map from labels back to state indices. `push_forward` is the one forward
-propagation over the child tables: it carries stage-n mass (or reachability)
-to stage n+1.
+propagation over the child tables: it carries stage-n mass, mixture flows or
+reachability to stage n+1. Each child's value is the sum, in symbol order
+from 0, of what its parents send: the same float sums as a scatter-add per
+symbol, bit for bit.
+
+- tree: child s*K+x has the single parent s, so the push is one broadcast
+  product (or repeat) and a reshape, and each sum has one term.
+- counts: one `np.bincount` over the flattened child table per trailing
+  column. bincount adds in input order, state by state and within a state
+  symbol by symbol. A count state c's parents c - e_x have increasing
+  indices as x increases (two of them first differ at the smaller symbol,
+  whose count is one lower there), so every child receives its terms in
+  symbol order.
 """
 
 from __future__ import annotations
@@ -160,8 +172,8 @@ class CountStateSpace:
         self._top = n
 
     def n_states(self, n: int) -> int:
-        self._build_to(n)
-        return len(self._states[n])
+        """C(n+K-1, K-1), in closed form: sizing a stage does not build it."""
+        return comb(n + self.k - 1, self.k - 1)
 
     def states(self, n: int) -> np.ndarray:
         """Count vectors of stage n in lexicographic order, shape (S_n, K)."""
@@ -202,7 +214,7 @@ class CountStateSpace:
         """Index of each (stage, label) pair; -1 where the label is no state of its stage.
 
         Well-formed labels are parsed to count vectors and ranked in one array
-        operation.
+        operation. Ranking needs no stage built.
         """
         top = max(stages, default=0)
         # No part has more digits than the top stage, so int64 cannot overflow.
@@ -215,7 +227,6 @@ class CountStateSpace:
             counts = np.array(parts, dtype=np.int64).reshape(-1, self.k)
             rows = np.array(rows)
             ok = counts.sum(axis=1) == np.asarray(stages)[rows]
-            self._build_to(top)
             out[rows[ok]] = self._rank(counts[ok])
         return out
 
@@ -282,24 +293,39 @@ def push_forward(
 ) -> np.ndarray:
     """Carry stage-n values to stage n+1: each child sums what its parents send.
 
-    With `weighted`, values is (S_n, m) per-parameter mass and the edge of
-    symbol x multiplies it by x's conditional pmf: iid_pmf's column x for iid
-    models, the kernel rows of step_probs otherwise. Without, values travel
-    unchanged; boolean values then sum as a logical or, so reachability never
-    underflows.
+    values is (S_n,) or (S_n, C), float64 or bool. With `weighted` it is
+    (S_n, m) per-parameter mass, and the edge of symbol x multiplies column j
+    by P_j(x | state): iid_pmf[j, x] for iid models, the kernel rows of
+    step_probs otherwise. Without, values travel unchanged; boolean values
+    then sum as a logical or, so reachability never underflows.
+
+    The sums are the per-symbol scatter's, bit for bit (see the module
+    docstring): a tree child has one parent, and a count child's parents
+    arrive in the order of the symbols they add.
     """
+    k = space.k
+    if space.engine == "tree":
+        if not weighted:
+            return np.repeat(values, k, axis=0)
+        if space.problem.obs.kind == "iid":
+            edges = space.problem.obs.iid_pmf.T[None]  # (1, K, m)
+        else:
+            edges = space.step_probs(n).swapaxes(1, 2)  # (S_n, K, m)
+        return (values[:, None, :] * edges).reshape(-1, values.shape[1])
+    size = space.n_states(n + 1)
     children = space.children(n)
-    out = np.zeros((space.n_states(n + 1),) + values.shape[1:], dtype=values.dtype)
-    if not weighted:
-        edges = None
-    elif space.problem.obs.kind == "iid":
-        edges = space.problem.obs.iid_pmf.T  # edges[x]: (m,) pmf of symbol x
+    cols = values.reshape(len(values), -1)
+    out = np.empty((size, cols.shape[1]), dtype=values.dtype)
+    if values.dtype == bool:
+        for j in range(cols.shape[1]):
+            out[:, j] = np.bincount(children[cols[:, j]].ravel(), minlength=size) > 0
     else:
-        edges = np.moveaxis(space.step_probs(n), 2, 0)  # edges[x]: (S_n, m)
-    for x in range(space.k):
-        # children[:, x] repeats no index, so the buffered += drops no term.
-        out[children[:, x]] += values if edges is None else values * edges[x]
-    return out
+        flat = children.ravel()
+        pmf = space.problem.obs.iid_pmf
+        for j in range(cols.shape[1]):
+            sent = cols[:, j, None] * pmf[j] if weighted else np.repeat(cols[:, j], k)
+            out[:, j] = np.bincount(flat, weights=sent.ravel(), minlength=size)
+    return out.reshape((size,) + values.shape[1:])
 
 
 def check_state_budget(space: StateSpace, horizon: int, budget: int = DEFAULT_STATE_BUDGET) -> None:

@@ -206,7 +206,7 @@ def simulate(
     mode = cfg.theta_mode if isinstance(cfg.theta_mode, str) else int(cfg.theta_mode)
     layer = density_layer(p, rule.engine)  # held so the table below shares it
     space = layer.space
-    _check_coverage(space, rule, decision, cap)
+    _check_coverage(space, rule, decision, cap, p.n_decisions)
     if decision is None:
         decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cap)
     theta_cdf = None if isinstance(mode, int) else np.cumsum(getattr(p.priors, mode))

@@ -1,13 +1,26 @@
 """Exact evaluation of a stopping rule plus terminal decision strategy.
 
 The evaluator runs one forward pass over the state space, carrying the
-per-parameter measure of histories that are still unstopped. At each stage the
-stopped slice contributes to the sample-size and terminal-loss functionals:
+per-parameter measure of histories that are still unstopped (see
+`histories.push_forward`). At stage n, with stop probabilities p (S,), the
+arriving mass M (S, m) and the strategy's decision probabilities q (S, D)
+(one-hot rows for a deterministic strategy), the pass books
 
-    n_theta[t]  = sum_n n * P_t(stop at n)          (inf if mass leaks past the cap)
-    n_psi       = pi2-weighted average of n_theta
-    w_total     = sum_n sum_states stop * loss(best decision) weighted by pi1
-    r           = c * n_psi + w_total
+    stop_dist[n]     = p @ M                      (m,) mass stopped per parameter
+    block_n          = (q * p[:, None]).T @ M     (D, m) of it per decision
+
+and sends M * (1 - p) on to stage n+1. Everything else comes from those two
+after the pass:
+
+    decision_probs   = (sum_n block_n).T          (m, D)
+    loss_theta[t]    = sum_d decision_probs[t, d] * w[t, d]
+    n_theta[t]       = sum_n n * stop_dist[n, t]  (inf if mass leaks past the cap)
+    n_psi            = pi2-weighted average of n_theta
+    w_total          = loss_theta @ pi1
+    r                = c * n_psi + w_total
+
+The stopping mass reads only p, so decision probabilities whose rows sum to 1
+within rounding leave it unchanged.
 
 `brute_force_optimum` is the independent check on the backward induction: it
 evaluates every deterministic truncated rule on the raw history tree, one per
@@ -18,10 +31,12 @@ no code with the recursion it checks.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import time
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import IO
 
@@ -33,6 +48,14 @@ from .histories import StateSpace, push_forward
 from .model import Problem
 from .stopping_policy import StoppingRule
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
+
+
+@functools.cache
+def _one_hot(d_count: int) -> np.ndarray:
+    """Read-only identity matrix: row d is decision d's one-hot row (built once per size)."""
+    eye = np.eye(d_count)
+    eye.setflags(write=False)
+    return eye
 
 
 @dataclass(eq=False)
@@ -60,6 +83,12 @@ class DecisionStrategy:
             raise IndexError(f"strategy covers stages 1..{self.horizon}, asked for {n}")
         return self.decisions[n - 1]
 
+    def stage_probs(self, n: int, d_count: int) -> np.ndarray:
+        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions."""
+        if self.probs is not None:
+            return self.probs[n - 1]
+        return _one_hot(d_count)[self.at(n)]
+
     def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
         if self.probs is not None:
             raise SeqOptError("with_decision needs a deterministic strategy")
@@ -75,6 +104,10 @@ class RiskReport:
     Probabilities are absolute (not conditional on stopping); for a truncated
     rule each parameter's stopping mass is 1 and the rows of
     `decision_probs` sum to 1.
+
+    `stats` describes the pass, not its result: "forward_s" (its seconds),
+    "stages" (walked) and "states" (visited over those stages). It stays out
+    of to_dict and to_csv, so written outputs are reproducible.
     """
 
     n_psi: float
@@ -95,6 +128,7 @@ class RiskReport:
     r_finite: bool
     param_labels: tuple[str, ...] = ()
     decision_labels: tuple[str, ...] = ()
+    stats: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -175,16 +209,43 @@ def evaluate(
 
 
 def _check_coverage(
-    space: StateSpace, rule: StoppingRule, decision: DecisionStrategy | None, horizon: int
+    space: StateSpace,
+    rule: StoppingRule,
+    decision: DecisionStrategy | None,
+    horizon: int,
+    d_count: int,
 ) -> None:
-    """Raise unless the rule's stages 1..horizon match the space and the decisions reach horizon."""
-    for n in range(1, horizon + 1):
-        if space.n_states(n) != len(rule.at(n)):
-            raise SeqOptError(
-                f"rule stage {n} covers {len(rule.at(n))} states, problem has {space.n_states(n)}"
-            )
-    if decision is not None and decision.horizon < horizon:
+    """Raise SeqOptError unless the rule and the decisions fit stages 1..horizon.
+
+    Each decision stage must give an integer index in [0, d_count) per state
+    of the space, and a randomized strategy's probs must be (S_n, d_count).
+    Shape tests per stage, and one min and one max over all the stages.
+    """
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    for n, size in enumerate(sizes, start=1):
+        if size != len(rule.at(n)):
+            raise SeqOptError(f"rule stage {n} covers {len(rule.at(n))} states, problem has {size}")
+    if decision is None:
+        return
+    decs = decision.decisions[:horizon]
+    probs = [] if decision.probs is None else decision.probs[:horizon]
+    if len(decs) < horizon or (decision.probs is not None and len(probs) < horizon):
         raise SeqOptError("decision strategy does not cover the rule's horizon")
+    for n, (size, dec) in enumerate(zip(sizes, decs), start=1):
+        if np.shape(dec) != (size,):
+            raise SeqOptError(f"decision stage {n} covers {len(dec)} states, problem has {size}")
+    for n, (size, q) in enumerate(zip(sizes, probs), start=1):
+        if np.shape(q) != (size, d_count):
+            raise SeqOptError(
+                f"decision probabilities of stage {n} have shape {np.shape(q)}, "
+                f"expected {(size, d_count)}"
+            )
+    flat = np.concatenate(decs)
+    if flat.dtype.kind not in "iu":
+        raise SeqOptError(f"decision indices must be integers, got {flat.dtype}")
+    if flat.min() < 0 or flat.max() >= d_count:
+        n = next(n for n, dec in enumerate(decs, start=1) if dec.min() < 0 or dec.max() >= d_count)
+        raise SeqOptError(f"decision stage {n} has indices outside [0, {d_count})")
 
 
 def _forward(
@@ -197,39 +258,31 @@ def _forward(
     layer = density_layer(p, rule.engine)
     space = layer.space
     horizon = rule.horizon
-    _check_coverage(space, rule, decision, horizon)
+    d_count = p.n_decisions
+    _check_coverage(space, rule, decision, horizon, d_count)
     if decision is None:
         decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), horizon)
 
+    start = time.perf_counter()
     m = p.n_params
-    d_count = p.n_decisions
-    w = p.loss.w
     stop_dist = np.zeros((horizon, m))
-    loss_theta = np.zeros(m)
-    decision_probs = np.zeros((m, d_count))
+    blocks = np.zeros((d_count, m))  # mass stopped per (decision, parameter)
     mass = layer.stage(1).f_theta.copy()
     leftover = np.zeros(m)
+    states = 0
     for n in range(1, horizon + 1):
         probs = rule.at(n)
-        stopped = mass * probs[:, None]
-        stop_dist[n - 1] = stopped.sum(axis=0)
-        if decision.probs is None:
-            dec = decision.at(n)
-            picked = w.T[dec]  # (S, m): loss of the chosen decision per parameter
-            loss_theta += (stopped * picked).sum(axis=0)
-            for dd in range(d_count):
-                sel = dec == dd
-                if sel.any():
-                    decision_probs[:, dd] += stopped[sel].sum(axis=0)
-        else:
-            q = decision.probs[n - 1]  # (S, D) decision probabilities
-            loss_theta += (stopped * (q @ w.T)).sum(axis=0)
-            decision_probs += stopped.T @ q
+        states += len(probs)
+        stop_dist[n - 1] = probs @ mass
+        blocks += (decision.stage_probs(n, d_count) * probs[:, None]).T @ mass
         if n < horizon:
             mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
             mass[mass < PRUNE_EPS] = 0.0
         else:
             leftover = (mass * (1.0 - probs)[:, None]).sum(axis=0)
+    decision_probs = np.ascontiguousarray(blocks.T)
+    loss_theta = (decision_probs * p.loss.w).sum(axis=1)
+    stats = {"forward_s": time.perf_counter() - start, "stages": horizon, "states": states}
 
     stages = np.arange(1, horizon + 1, dtype=float)
     n_theta = stages @ stop_dist
@@ -279,6 +332,7 @@ def _forward(
         r_finite=r_finite,
         param_labels=p.params.labels,
         decision_labels=p.loss.decisions,
+        stats=stats,
     )
     return report, mass
 

@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import seqopt as so
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# that fails in CI fails the same way locally. Example counts stay each test's.
+settings.register_profile("ci", derandomize=True, database=None, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ at a time, with no shared code or arrays from the package under test. The
 point is an arithmetic path different enough that agreement is evidence, not
 tautology. Conventions match the package where a convention is needed:
 decisions break ties toward the lowest index, observations and parameters are
-0-based indices, histories are tuples of symbols. The two mask walks at the
-end are the exception: see the note above them.
+0-based indices, histories are tuples of symbols. The two mask walks and the
+forward pass at the end are the exception: see the notes above them.
 """
 
 from itertools import product
@@ -253,3 +253,127 @@ def mask_walk_conditional_optimality(
         violations=violations,
         strict_violations=strict,
     )
+
+
+# The forward pass below is the one `risk_evaluation` ran before it became one
+# bincount push per parameter and one stopped-mass product per stage: a
+# scatter-add per symbol, and per stage one boolean mask per decision or a
+# separate product for randomized decisions. It reads the package's state
+# spaces, density layer and report type, and shares no pass code with it.
+
+
+def scatter_push(space, n, values, weighted=True):
+    """push_forward as a scatter-add per symbol, symbols in ascending order."""
+    import numpy as np
+
+    children = space.children(n)
+    out = np.zeros((space.n_states(n + 1),) + values.shape[1:], dtype=values.dtype)
+    if not weighted:
+        edges = None
+    elif space.problem.obs.kind == "iid":
+        edges = space.problem.obs.iid_pmf.T  # edges[x]: (m,) pmf of symbol x
+    else:
+        edges = np.moveaxis(space.step_probs(n), 2, 0)  # edges[x]: (S_n, m)
+    for x in range(space.k):
+        # children[:, x] repeats no index, so the buffered += drops no term.
+        out[children[:, x]] += values if edges is None else values * edges[x]
+    return out
+
+
+def reference_forward(p, rule, decision=None, multipliers=None):
+    """risk_evaluation._forward as the mask loop; returns (RiskReport, arriving mass)."""
+    import math
+
+    import numpy as np
+
+    import seqopt as so
+    from seqopt.bayes_decision import density_layer
+    from seqopt.risk_evaluation import _hypothesis_indices
+    from seqopt.tolerances import PRUNE_EPS, STOP_MASS_ATOL
+
+    layer = density_layer(p, rule.engine)
+    space = layer.space
+    horizon = rule.horizon
+    if decision is None:
+        decision = so.DecisionStrategy.bayes(so.HistoryTable(p, rule.engine), horizon)
+
+    m = p.n_params
+    d_count = p.n_decisions
+    w = p.loss.w
+    stop_dist = np.zeros((horizon, m))
+    loss_theta = np.zeros(m)
+    decision_probs = np.zeros((m, d_count))
+    mass = layer.stage(1).f_theta.copy()
+    leftover = np.zeros(m)
+    for n in range(1, horizon + 1):
+        probs = rule.at(n)
+        stopped = mass * probs[:, None]
+        stop_dist[n - 1] = stopped.sum(axis=0)
+        if decision.probs is None:
+            dec = decision.at(n)
+            picked = w.T[dec]  # (S, m): loss of the chosen decision per parameter
+            loss_theta += (stopped * picked).sum(axis=0)
+            for dd in range(d_count):
+                sel = dec == dd
+                if sel.any():
+                    decision_probs[:, dd] += stopped[sel].sum(axis=0)
+        else:
+            q = decision.probs[n - 1]  # (S, D) decision probabilities
+            loss_theta += (stopped * (q @ w.T)).sum(axis=0)
+            decision_probs += stopped.T @ q
+        if n < horizon:
+            mass = scatter_push(space, n, mass * (1.0 - probs)[:, None])
+            mass[mass < PRUNE_EPS] = 0.0
+        else:
+            leftover = (mass * (1.0 - probs)[:, None]).sum(axis=0)
+
+    stages = np.arange(1, horizon + 1, dtype=float)
+    n_theta = stages @ stop_dist
+    n_theta = np.where(leftover > STOP_MASS_ATOL, math.inf, n_theta)
+    stop_pi2 = stop_dist @ p.priors.pi2
+    stop_pi1 = stop_dist @ p.priors.pi1
+    leak_pi2 = float(leftover @ p.priors.pi2)
+    n_psi = float(stages @ stop_pi2) if leak_pi2 <= STOP_MASS_ATOL else math.inf
+    w_total = float(loss_theta @ p.priors.pi1)
+    r_finite = leak_pi2 <= STOP_MASS_ATOL
+    r = p.cost.c * n_psi + w_total if r_finite else math.inf
+
+    w_groups = None
+    lagrangian = None
+    if p.constraints is not None:
+        w_groups = np.array(
+            [
+                float(sum(p.priors.pi1[t] * loss_theta[t] for t in group))
+                for group in p.constraints.groups
+            ]
+        )
+        lam = multipliers if multipliers is not None else p.constraints.multipliers
+        if lam is not None:
+            lagrangian = float(n_psi + np.dot(np.asarray(lam, dtype=float), w_groups))
+
+    error_probs = None
+    if d_count == 2 and m >= 2:
+        i1, i2 = _hypothesis_indices(p)
+        error_probs = (float(decision_probs[i1, 1]), float(decision_probs[i2, 0]))
+
+    report = so.RiskReport(
+        n_psi=n_psi,
+        n_theta=n_theta,
+        w_total=w_total,
+        w_groups=w_groups,
+        r=float(r),
+        lagrangian=lagrangian,
+        stop_dist_theta=stop_dist,
+        stop_dist_pi1=stop_pi1,
+        stop_dist_pi2=stop_pi2,
+        decision_probs=decision_probs,
+        error_probs=error_probs,
+        mass_stopped_theta=stop_dist.sum(axis=0),
+        mass_stopped_pi1=float(stop_pi1.sum()),
+        mass_stopped_pi2=float(stop_pi2.sum()),
+        horizon=horizon,
+        r_finite=r_finite,
+        param_labels=p.params.labels,
+        decision_labels=p.loss.decisions,
+    )
+    return report, mass

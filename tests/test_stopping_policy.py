@@ -353,3 +353,14 @@ def test_rule_csv_past_the_state_budget_raises_before_building(row):
         so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + row + "\n"), p)
     if layer.space.engine == "counts":
         assert layer.space._top == 0
+
+
+def test_incomplete_rule_csv_raises_before_building():
+    # One row naming stage 2800 (3.9M states, inside the budget): ranking and
+    # the stage sizes are closed forms, so the file is found incomplete with
+    # no count stage built.
+    p = so.load_problem(CONFIGS / "symmetric.json")
+    layer = density_layer(p, "counts")  # held, to look at its space after
+    with pytest.raises(so.SeqOptError, match="rule file leaves stage 1 states undefined"):
+        so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\ncounts,2800,2800|0,1.0\n"), p)
+    assert layer.space._top == 0
