@@ -9,7 +9,7 @@ the pi1-weighted loss density of the best terminal decision available now.
 
 The work splits into two layers. A DensityLayer holds what does not depend on
 the loss: the state space and, per stage, the per-parameter joint densities
-f_theta, the pi1 and pi2 mixtures and the multiplicities. A HistoryTable is a
+f_theta, the pi2 mixture and the multiplicities. A HistoryTable is a
 view of one loss matrix over a layer: per stage it adds only the stage loss
 and the minimizing decision (lowest index on ties).
 
@@ -37,7 +37,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .histories import StateSpace, push_forward, resolve_engine, state_space
+from .histories import StateSpace, resolve_engine, state_space
 from .errors import SeqOptError
 from .model import Problem, joint_density, mixture_density
 from .tolerances import TIE_ATOL
@@ -48,7 +48,6 @@ class StageDensities:
     """Loss-independent per-state quantities for one stage (read-only arrays)."""
 
     f_theta: np.ndarray  # (S, m) joint density per parameter
-    f_pi1: np.ndarray  # (S,) mixture under pi1
     f_pi2: np.ndarray  # (S,) mixture under pi2
     mult: np.ndarray  # (S,) histories collapsed into each state
 
@@ -96,19 +95,14 @@ class DensityLayer:
             f_theta = np.ones((1, m))
         else:
             prev = self._stages[n - 1].f_theta
-            if self.space.engine == "tree":
-                # A tree state has one parent, so its density is what that parent pushes.
-                f_theta = push_forward(self.space, n - 1, prev)
-            else:
-                children = self.space.children(n - 1)
-                f_theta = np.empty((self.space.n_states(n), m))
-                for x in range(p.alphabet_size):
-                    # Same value lands on a child from every predecessor: the joint
-                    # density of a history depends only on its state.
-                    f_theta[children[:, x], :] = prev * p.obs.iid_pmf[:, x]
-        out = StageDensities(
-            f_theta, f_theta @ p.priors.pi1, f_theta @ p.priors.pi2, self.space.mult(n)
-        )
+            children = self.space.children(n - 1)
+            step = self.space.step_probs(n - 1)
+            f_theta = np.empty((self.space.n_states(n), m))
+            for x in range(p.alphabet_size):
+                # Same value lands on a count state from every predecessor: the
+                # joint density of a history depends only on its state.
+                f_theta[children[:, x]] = prev * step[:, :, x]
+        out = StageDensities(f_theta, f_theta @ p.priors.pi2, self.space.mult(n))
         for arr in vars(out).values():
             arr.flags.writeable = False
         return out
@@ -173,7 +167,7 @@ class HistoryTable:
         # setflags costs about half of `.flags.writeable =`; every search probe builds stages.
         stop_loss.setflags(write=False)
         decision.setflags(write=False)
-        return StageData(d.f_theta, d.f_pi1, d.f_pi2, d.mult, stop_loss, decision)
+        return StageData(d.f_theta, d.f_pi2, d.mult, stop_loss, decision)
 
     @property
     def l0(self) -> float:

@@ -15,25 +15,24 @@ Two engines share one interface:
   A state's rank, a closed-form sum of binomial coefficients, serves only the
   lookups from count vectors and labels to indices.
 
-Per stage n the interface provides the state count (a closed form on both
-engines, so sizing a stage builds nothing), the child index of each
-(state, symbol) pair at stage n+1, the conditional step probabilities
-step[s, theta, x], the number of histories collapsed into each state (mult),
-printable labels (one state's, or a whole stage's at once), and the inverse
-map from labels back to state indices. `push_forward` is the one forward
-propagation over the child tables: it carries stage-n mass, mixture flows or
-reachability to stage n+1. Each child's value is the sum, in symbol order
-from 0, of what its parents send: the same float sums as a scatter-add per
-symbol, bit for bit.
+Per stage n every engine provides the state count `n_states(n)` (a closed
+form, so sizing a stage builds nothing), the child table `children(n)`
+((S_n, K) indices at stage n+1; arange(S_n*K) on the tree), the conditional
+step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K) for
+kernels; iid rows do not depend on the state and come as one (1, m, K)
+block), each state's symbol counts `states(n)`, the histories collapsed into
+each state `mult(n)`, printable labels (`label`, `labels`) and their inverse
+`label_indices`. No other module asks which engine it holds.
 
-- tree: child s*K+x has the single parent s, so the push is one broadcast
-  product (or repeat) and a reshape, and each sum has one term.
-- counts: one `np.bincount` over the flattened child table per trailing
-  column. bincount adds in input order, state by state and within a state
-  symbol by symbol. A count state c's parents c - e_x have increasing
-  indices as x increases (two of them first differ at the smaller symbol,
-  whose count is one lower there), so every child receives its terms in
-  symbol order.
+`push_forward` is the one forward propagation: it carries stage-n mass,
+mixture flows or reachability to stage n+1 with one `np.bincount` over the
+flattened child table per trailing column. bincount adds in input order,
+state by state and within a state symbol by symbol, so each child receives
+the sum, in symbol order from 0, of what its parents send: the float sums of
+a scatter-add per symbol, bit for bit. A tree child has the single parent s;
+a count state c's parents c - e_x have increasing indices as x increases
+(two of them first differ at the smaller symbol, whose count is one lower
+there).
 """
 
 from __future__ import annotations
@@ -64,8 +63,7 @@ class TreeStateSpace:
         return self.k**n
 
     def children(self, n: int) -> np.ndarray:
-        s = self.n_states(n)
-        return np.arange(s, dtype=np.int64)[:, None] * self.k + np.arange(self.k, dtype=np.int64)
+        return np.arange(self.n_states(n) * self.k, dtype=np.int64).reshape(-1, self.k)
 
     def history(self, n: int, idx: int) -> tuple[int, ...]:
         digits = []
@@ -74,12 +72,21 @@ class TreeStateSpace:
             idx //= self.k
         return tuple(reversed(digits))
 
+    def states(self, n: int) -> np.ndarray:
+        """Symbol counts of the stage-n histories, shape (S_n, K): base-K digits tallied."""
+        s = self.n_states(n)
+        rows, idx = np.arange(s), np.arange(s)
+        counts = np.zeros((s, self.k), dtype=np.int64)
+        for _ in range(n):
+            counts[rows, idx % self.k] += 1
+            idx //= self.k
+        return counts
+
     def step_probs(self, n: int) -> np.ndarray:
-        """Conditional pmf of the next symbol, shape (S_n, m, K); kernels' from kernel_rows."""
+        """Conditional pmf of the next symbol: iid rows (1, m, K), else (S_n, m, K) kernel rows."""
         p = self.problem
         if p.obs.kind == "iid":
-            s = self.n_states(n)
-            return np.broadcast_to(p.obs.iid_pmf[None, :, :], (s, p.n_params, self.k))
+            return p.obs.iid_pmf[None]
         if n not in self._step_cache:
             self._step_cache[n] = p.obs.kernel_rows(p.n_params, n)
         return self._step_cache[n]
@@ -194,9 +201,7 @@ class CountStateSpace:
         return self._children[n]
 
     def step_probs(self, n: int) -> np.ndarray:
-        p = self.problem
-        s = self.n_states(n)
-        return np.broadcast_to(p.obs.iid_pmf[None, :, :], (s, p.n_params, self.k))
+        return self.problem.obs.iid_pmf[None]
 
     def mult(self, n: int) -> np.ndarray:
         self._build_to(n)
@@ -295,23 +300,12 @@ def push_forward(
 
     values is (S_n,) or (S_n, C), float64 or bool. With `weighted` it is
     (S_n, m) per-parameter mass, and the edge of symbol x multiplies column j
-    by P_j(x | state): iid_pmf[j, x] for iid models, the kernel rows of
-    step_probs otherwise. Without, values travel unchanged; boolean values
-    then sum as a logical or, so reachability never underflows.
+    by P_j(x | state) from step_probs. Without, values travel unchanged;
+    boolean values then sum as a logical or, so reachability never underflows.
 
     The sums are the per-symbol scatter's, bit for bit (see the module
-    docstring): a tree child has one parent, and a count child's parents
-    arrive in the order of the symbols they add.
+    docstring).
     """
-    k = space.k
-    if space.engine == "tree":
-        if not weighted:
-            return np.repeat(values, k, axis=0)
-        if space.problem.obs.kind == "iid":
-            edges = space.problem.obs.iid_pmf.T[None]  # (1, K, m)
-        else:
-            edges = space.step_probs(n).swapaxes(1, 2)  # (S_n, K, m)
-        return (values[:, None, :] * edges).reshape(-1, values.shape[1])
     size = space.n_states(n + 1)
     children = space.children(n)
     cols = values.reshape(len(values), -1)
@@ -321,9 +315,9 @@ def push_forward(
             out[:, j] = np.bincount(children[cols[:, j]].ravel(), minlength=size) > 0
     else:
         flat = children.ravel()
-        pmf = space.problem.obs.iid_pmf
+        step = space.step_probs(n) if weighted else None
         for j in range(cols.shape[1]):
-            sent = cols[:, j, None] * pmf[j] if weighted else np.repeat(cols[:, j], k)
+            sent = cols[:, j, None] * step[:, j] if weighted else np.repeat(cols[:, j], space.k)
             out[:, j] = np.bincount(flat, weights=sent.ravel(), minlength=size)
     return out.reshape((size,) + values.shape[1:])
 
@@ -331,15 +325,13 @@ def push_forward(
 def check_state_budget(space: StateSpace, horizon: int, budget: int = DEFAULT_STATE_BUDGET) -> None:
     """Raise if stages 0..horizon hold more than `budget` states together.
 
-    The totals are closed forms: sum_n K^n = (K^(N+1) - 1) / (K - 1) for the
-    tree, and sum_n C(n+K-1, K-1) = C(N+K, K) (hockey-stick) for counts.
+    Stage sizes are closed forms, and the sum stops at the first stage past
+    the budget, so an oversized horizon is never summed to its end.
     """
-    k = space.k
-    if space.engine == "tree":
-        total = horizon + 1 if k == 1 else (k ** (horizon + 1) - 1) // (k - 1)
-    else:
-        total = comb(horizon + k, k)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{space.engine} engine needs more than {budget} states for horizon {horizon}"
-        )
+    total = 0
+    for n in range(horizon + 1):
+        total += space.n_states(n)
+        if total > budget:
+            raise BudgetExceededError(
+                f"{space.engine} engine needs more than {budget} states for horizon {horizon}"
+            )

@@ -25,9 +25,11 @@ from .bayes_decision import density_layer
 from .histories import CountStateSpace
 from .model import Problem
 from .risk_evaluation import DecisionStrategy, RiskReport, _forward
-from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
+from .stopping_policy import StoppingRule, reachable_sets
 
 log = logging.getLogger(__name__)
+
+_LlrTable = tuple[np.ndarray, list[slice]]  # stages' log-LRs concatenated, each stage's slice
 
 
 @dataclass(frozen=True)
@@ -69,16 +71,7 @@ def llr_by_state(
 ) -> np.ndarray:
     """Log-LR of every stage-n state; nan where both hypotheses have density 0."""
     inc = llr_increments(p, hypotheses)
-    if isinstance(space, CountStateSpace):
-        counts = np.asarray(space.states(n), dtype=float)
-    else:
-        # A tree state's symbols are the base-K digits of its index.
-        s = space.n_states(n)
-        rows, idx = np.arange(s), np.arange(s)
-        counts = np.zeros((s, space.k))
-        for _ in range(n):
-            counts[rows, idx % space.k] += 1
-            idx //= space.k
+    counts = np.asarray(space.states(n), dtype=float)
     terms = np.where(counts > 0, counts * inc[None, :], 0.0)
     return terms.sum(axis=1)
 
@@ -93,22 +86,28 @@ def sprt_rule(p: Problem, spec: SprtSpec) -> tuple[StoppingRule, DecisionStrateg
     return _rule_from_llr(spec, _llr_table(p, density_layer(p, "counts").space, spec))
 
 
-def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> list[np.ndarray]:
-    """llr_by_state of stages 1..cap: all a ratio test with these hypotheses reads."""
-    return [llr_by_state(p, space, n, spec.hypotheses) for n in range(1, spec.cap + 1)]
+def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> _LlrTable:
+    """llr_by_state of stages 1..cap: all a ratio test with these hypotheses reads.
+
+    The stages come concatenated in one array, with the slice of each.
+    """
+    llrs = [llr_by_state(p, space, n, spec.hypotheses) for n in range(1, spec.cap + 1)]
+    ends = np.cumsum([len(a) for a in llrs]).tolist()
+    return np.concatenate(llrs), [slice(a, b) for a, b in zip([0] + ends, ends)]
 
 
-def _rule_from_llr(spec: SprtSpec, llrs: list[np.ndarray]) -> tuple[StoppingRule, DecisionStrategy]:
-    """sprt_rule from the per-stage log-LR table of _llr_table."""
+def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, DecisionStrategy]:
+    """sprt_rule from a log-LR table of _llr_table.
+
+    One stop mask and one decision array cover every stage; the rule and the
+    strategy hold per-stage views of them.
+    """
+    llr, stages = table
     mid = 0.5 * (spec.a_upper + spec.b_lower)
-    probs: list[np.ndarray] = []
-    decisions: list[np.ndarray] = []
-    for llr in llrs:
-        inside = (llr > spec.b_lower) & (llr < spec.a_upper)
-        probs.append(np.where(inside, 0.0, 1.0))
-        decisions.append((llr >= mid).astype(np.int64))
-    rule = StoppingRule("counts", probs, truncated=False)
-    return rule, DecisionStrategy(decisions)
+    stop = np.where((llr > spec.b_lower) & (llr < spec.a_upper), 0.0, 1.0)
+    decide = (llr >= mid).astype(np.int64)
+    rule = StoppingRule("counts", [stop[s] for s in stages], truncated=False)
+    return rule, DecisionStrategy([decide[s] for s in stages])
 
 
 @dataclass(eq=False)
@@ -143,24 +142,25 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
     """
     _check_sprt_inputs(p, spec)
     layer = density_layer(p, "counts")  # held so the calls below share it
-    return _oc(p, spec, layer.space, _llr_table(p, layer.space, spec))
+    return _oc(p, spec, _llr_table(p, layer.space, spec))
 
 
-def _oc(p: Problem, spec: SprtSpec, space: CountStateSpace, llrs: list[np.ndarray]) -> SprtOC:
+def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     """sprt_operating_characteristics over a log-LR table from _llr_table."""
-    rule, decision = _rule_from_llr(spec, llrs)
-    capped = truncate_rule(rule, spec.cap, space)
+    rule, decision = _rule_from_llr(spec, table)
+    # truncate_rule(rule, spec.cap): the rule's own stages are fresh, so none is copied.
+    last = rule.at(spec.cap)
+    capped = StoppingRule("counts", rule.stop_probs[:-1] + [np.ones(len(last))], truncated=True)
     report, arrived = _forward(p, capped, decision)
-    tail = (arrived * (1.0 - rule.at(spec.cap))[:, None]).sum(axis=0)
+    tail = (arrived * (1.0 - last)[:, None]).sum(axis=0)
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
     beta = float(report.decision_probs[j, 0])
     return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report)
 
 
-def _llr_levels(llrs: list[np.ndarray]) -> np.ndarray:
-    """Sorted distinct finite log-LR values over the given stages' arrays."""
-    llr = np.concatenate(llrs)
+def _llr_levels(llr: np.ndarray) -> np.ndarray:
+    """Sorted distinct finite values of a log-LR array."""
     # Sorted in Python: a first numpy sort maps ~0.3 MB of SIMD sort code.
     return np.array(sorted(set(llr[np.isfinite(llr)].tolist())))
 
@@ -261,9 +261,10 @@ def match_sprt_errors(
     # One log-LR table serves every probe. Breakpoints: its levels, where a
     # threshold changes which states stop, then those of stage cap, where the
     # midpoint changes what the states the cap force-stops decide.
-    llrs = _llr_table(p, layer.space, spec)
-    levels = _llr_levels(llrs)
-    cap_levels = _llr_levels(llrs[-1:])
+    table = _llr_table(p, layer.space, spec)
+    llr, stages = table
+    levels = _llr_levels(llr)
+    cap_levels = _llr_levels(llr[stages[-1]])
     n_levels, count = len(levels), len(levels) + len(cap_levels)
     achieved = (math.inf, math.inf)
     for sweep in range(max_sweeps):
@@ -278,7 +279,7 @@ def match_sprt_errors(
         a_candidates = _threshold_candidates(a_passed, count, 1e-6, threshold_limit)
 
         def alpha_of(av: float) -> float:
-            oc = _oc(p, replace(spec, a_upper=av), layer.space, llrs)
+            oc = _oc(p, replace(spec, a_upper=av), table)
             log.debug("sweep %d a_upper=%r b_lower=%r alpha=%r", sweep, av, spec.b_lower, oc.alpha)
             return oc.alpha
 
@@ -296,13 +297,13 @@ def match_sprt_errors(
 
         def beta_of(bv: float) -> float:
             # bv is the magnitude of the lower threshold.
-            oc = _oc(p, replace(spec, b_lower=-bv), layer.space, llrs)
+            oc = _oc(p, replace(spec, b_lower=-bv), table)
             log.debug("sweep %d a_upper=%r b_lower=%r beta=%r", sweep, spec.a_upper, -bv, oc.beta)
             return oc.beta
 
         b_mag, beta_hat = _bisect_threshold(beta_of, b_candidates, beta)
         spec = replace(spec, b_lower=-b_mag)
-        oc = _oc(p, spec, layer.space, llrs)
+        oc = _oc(p, spec, table)
         achieved = (oc.alpha, oc.beta)
         if conservative:
             if achieved[0] <= alpha and achieved[1] <= beta:

@@ -174,6 +174,12 @@ def read_rule_csv(
     return rule, np.split(table, offsets[1:-1])
 
 
+def _strict_sides(stop_loss: np.ndarray, cont: np.ndarray, eps: float = TIE_ATOL) -> tuple:
+    """Masks where stopping beats, and where it trails, continuing by more than eps; else a tie."""
+    diff = stop_loss - cont
+    return diff < -eps, diff > eps
+
+
 def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> StoppingRule:
     """Optimal stopping rule from solved tables.
 
@@ -202,10 +208,7 @@ def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> Stopp
     ties: list[np.ndarray] = []
     n_horizon = tables.horizon
     for n in range(1, n_horizon):
-        st = tables.table.stage(n)
-        diff = st.stop_loss - tables.cont[n]
-        stop = diff < -TIE_ATOL
-        cont = diff > TIE_ATOL
+        stop, cont = _strict_sides(tables.table.stage(n).stop_loss, tables.cont[n])
         tie = ~stop & ~cont
         arr = np.where(stop, 1.0, np.where(tie, gamma, 0.0))
         probs.append(arr)
@@ -290,9 +293,7 @@ def sandwich_check(
         st = tables.table.stage(n)
         cont = tables.cont[n]
         probs = rule.at(n)
-        diff = st.stop_loss - cont
-        must_stop = diff < -eps
-        must_cont = diff > eps
+        must_stop, must_cont = _strict_sides(st.stop_loss, cont, eps)
         bad = masks[n - 1] & ((must_stop & (probs < 1.0)) | (must_cont & (probs > 0.0)))
         for i in np.flatnonzero(bad):
             out.append(

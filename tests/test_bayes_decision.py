@@ -150,7 +150,7 @@ def _markov_problem() -> so.Problem:
 def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...]]:
     """Stages 0..n as one table computed densities and losses together.
 
-    Per stage: (f_theta, f_pi1, f_pi2, mult, stop_loss, decision). This is the
+    Per stage: (f_theta, f_pi2, mult, stop_loss, decision). This is the
     arithmetic the density layer and the loss view split between them.
     """
     out = []
@@ -165,7 +165,7 @@ def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...
             f_theta = nxt
         costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
         out.append(
-            (f_theta, f_theta @ p.priors.pi1, f_theta @ p.priors.pi2, space.mult(stage),
+            (f_theta, f_theta @ p.priors.pi2, space.mult(stage),
              costs.min(axis=1), costs.argmin(axis=1))
         )
     return out
@@ -217,16 +217,16 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
     ref = reference_stages(shared.problem, so.state_space(p, engine), n)
     for stage in range(n + 1):
         st, d = shared.stage(stage), unshared.stage(stage)
-        arrays = (st.f_theta, st.f_pi1, st.f_pi2, st.mult, st.stop_loss, st.decision)
+        arrays = (st.f_theta, st.f_pi2, st.mult, st.stop_loss, st.decision)
         for got, want in zip(arrays, ref[stage]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        for got, want in zip(arrays, (d.f_theta, d.f_pi1, d.f_pi2, d.mult)):
+        for got, want in zip(arrays, (d.f_theta, d.f_pi2, d.mult)):
             assert got.tobytes() == want.tobytes()
 
 
 def test_shared_arrays_are_read_only(instance_b):
     st = HistoryTable(instance_b).stage(3)
-    for arr in (st.f_theta, st.f_pi1, st.f_pi2, st.mult, st.stop_loss, st.decision):
+    for arr in (st.f_theta, st.f_pi2, st.mult, st.stop_loss, st.decision):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

@@ -1,6 +1,8 @@
 import math
+import re
 from dataclasses import replace
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,3 +164,18 @@ def test_stage_labels_match_single_labels(engine, k, top):
     space = so.state_space(_space(k).problem, engine)
     for n in range(top + 1):
         assert space.labels(n) == [space.label(n, i) for i in range(space.n_states(n))]
+
+
+def test_only_the_engines_know_the_state_encoding():
+    """No module asks which engine it holds; stage walks read the engine interface.
+
+    A new engine is then one class in histories.py.
+    """
+    asks = re.compile(r"\.engine\s*[!=]=|isinstance\([^)]*StateSpace")
+    hits = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(Path(so.__file__).parent.glob("*.py"))
+        for i, line in enumerate(path.read_text().splitlines(), start=1)
+        if asks.search(line)
+    ]
+    assert hits == []
