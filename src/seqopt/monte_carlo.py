@@ -211,8 +211,6 @@ def simulate(
     theta_cdf = None if isinstance(mode, int) else np.cumsum(getattr(p.priors, mode))
     iid = p.obs.kind == "iid"
     obs_cdf = np.cumsum(p.obs.iid_pmf, axis=1) if iid else None
-    # child[n][s, x]: the stage n+1 state reached from state s by symbol x
-    child = [space.children(n) for n in range(cap)]
     k = p.alphabet_size
     stop_probs = [rule.at(n) for n in range(1, cap + 1)]
     decisions = [decision.at(n) for n in range(1, cap + 1)]
@@ -262,7 +260,7 @@ def simulate(
             else:
                 row_cdf = np.cumsum(space.step_probs(n - 1)[state, theta], axis=1)
             x = np.minimum(_draw(row_cdf, draws[0]), k - 1)
-            state = child[n - 1][state, x]
+            state = space.children(n - 1)[state, x]  # one stage's child table at a time
             stop = draws[1] < stop_probs[n - 1][state]
             if n == cap:
                 decs[rep] = decide(n, state, draws[1])

@@ -25,7 +25,7 @@ from .bayes_decision import density_layer
 from .histories import CountStateSpace
 from .model import Problem
 from .risk_evaluation import DecisionStrategy, RiskReport, _forward
-from .stopping_policy import StoppingRule, reachable_sets
+from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
 
 log = logging.getLogger(__name__)
 
@@ -148,11 +148,8 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
 def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     """sprt_operating_characteristics over a log-LR table from _llr_table."""
     rule, decision = _rule_from_llr(spec, table)
-    # truncate_rule(rule, spec.cap): the rule's own stages are fresh, so none is copied.
-    last = rule.at(spec.cap)
-    capped = StoppingRule("counts", rule.stop_probs[:-1] + [np.ones(len(last))], truncated=True)
-    report, arrived = _forward(p, capped, decision)
-    tail = (arrived * (1.0 - last)[:, None]).sum(axis=0)
+    report, arrived = _forward(p, truncate_rule(rule, spec.cap), decision)
+    tail = (arrived * (1.0 - rule.at(spec.cap))[:, None]).sum(axis=0)
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
     beta = float(report.decision_probs[j, 0])
