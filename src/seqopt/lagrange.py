@@ -20,6 +20,14 @@ targets is cheaper by more. While no mixture of the pairs meets them, lam
 grows fourfold per round along the duals of a phase-I LP (least total
 excess); after 80 rounds the targets count as below the achievable frontier.
 
+Both LPs are solved by `_simplex`, a dense two-phase tableau simplex in numpy
+with Bland's rule. The certificate does not depend on its accuracy. By weak
+duality, c n + lam (W - t) of an exact weighted solve at lam is a lower bound
+on the cost of every procedure meeting the targets, for any lam >= 0,
+whatever LP produced lam; and every "converged" check runs on the mixture as
+re-evaluated, not on the LP's value of it. A poor LP can delay convergence
+but cannot fake it.
+
 Contract. Targets are upper bounds with complementary slackness. The result
 is the exact mu-mixture of the at most G+1 pairs of the last master (G
 groups): one StoppingRule with the mixed stopping flows, p(s) =
@@ -33,8 +41,8 @@ rule needs gets lam_g = 0 and a positive slack.
 
 Each probe evaluates its own pair, and a mixture is evaluated once more.
 `MultiplierSearchResult.stats` reports probes, LP solves (lp_rounds), the
-final gap, and the seconds spent solving, extracting and evaluating; each
-probe is logged at DEBUG level.
+final gap, and the seconds spent solving, extracting, evaluating and in the
+LPs (lp_s); each probe is logged at DEBUG level.
 """
 
 from __future__ import annotations
@@ -61,7 +69,7 @@ _GROWTH = 4.0  # phase-I multiplier growth per round
 _GROWTH_STEPS = 80  # phase-I rounds before the targets count as infeasible
 _MAX_ROUNDS = 500  # pricing rounds of the master before giving up on the gap
 _GAP_TOL = 1e-12  # certified gap, relative to max(1, master value)
-_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_LP_EPS = 1e-12  # the LP's pivot, reduced-cost and phase-I feasibility tolerance
 
 
 def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
@@ -122,7 +130,7 @@ class MultiplierSearchResult:
     frontier_trace: list[dict] = field(default_factory=list)
     weighted: Problem | None = None
     # probes, lp_rounds (LP solves), gap (master value minus the last
-    # pricing's bound), and seconds spent in solve, extract and evaluate
+    # pricing's bound), and seconds spent in solve, extract, evaluate and lp
     stats: dict = field(default_factory=dict)
 
 
@@ -144,7 +152,7 @@ class _Search:
         self.cfg = cfg
         self.trace: list[dict] = []
         self.stats: dict = {"probes": 0, "lp_rounds": 0, "gap": math.inf,
-                            "solve_s": 0.0, "extract_s": 0.0, "evaluate_s": 0.0}
+                            "solve_s": 0.0, "extract_s": 0.0, "evaluate_s": 0.0, "lp_s": 0.0}
 
     def outcome(self, rule: StoppingRule, decision: DecisionStrategy) -> tuple[np.ndarray, float]:
         """Group losses and n_psi of the pair, timed into evaluate_s."""
@@ -195,14 +203,12 @@ class _Search:
         return out
 
     def _lp(self, cost: np.ndarray, a_ub: np.ndarray, targets: np.ndarray, n_mix: int):
-        """One HiGHS solve over x >= 0: a_ub x <= targets, x[:n_mix] sums to 1."""
-        from scipy.optimize import linprog  # SciPy loads with the first master LP only
-
+        """One `_simplex` solve, counted in lp_rounds and timed into lp_s."""
+        t0 = time.perf_counter()
+        res = _simplex(cost, a_ub, targets, n_mix)
         self.stats["lp_rounds"] += 1
-        a_eq = np.zeros((1, len(cost)))
-        a_eq[0, :n_mix] = 1.0
-        return linprog(cost, A_ub=a_ub, b_ub=targets, A_eq=a_eq, b_eq=[1.0],
-                       method="highs", options=_HIGHS)
+        self.stats["lp_s"] += time.perf_counter() - t0
+        return res
 
     def master(self, cols: list[_Pack], targets: np.ndarray):
         """Cheapest mixture of the columns meeting the targets: (value, mu, lam).
@@ -211,11 +217,10 @@ class _Search:
         """
         w = np.array([pk.achieved for pk in cols]).T
         res = self._lp(self.p.cost.c * np.array([pk.n_psi for pk in cols]), w, targets, len(cols))
-        if res.status == 2:
+        if res is None:
             return None
-        if res.status != 0:
-            raise SeqOptError(f"master LP failed: {res.message}")
-        return float(res.fun), res.x, np.maximum(-res.ineqlin.marginals, 0.0)
+        value, mu, marginals = res
+        return value, mu, np.maximum(-marginals, 0.0)
 
     def excess_direction(self, cols: list[_Pack], targets: np.ndarray) -> np.ndarray:
         """Duals of the phase-I LP, scaled to max 1: the groups whose excess to cut.
@@ -225,9 +230,59 @@ class _Search:
         """
         w = np.array([pk.achieved for pk in cols]).T
         g, i = w.shape
-        res = self._lp(np.r_[np.zeros(i), np.ones(g)], np.hstack([w, -np.eye(g)]), targets, i)
-        y = np.maximum(-res.ineqlin.marginals, 0.0)
+        _, _, marginals = self._lp(
+            np.r_[np.zeros(i), np.ones(g)], np.hstack([w, -np.eye(g)]), targets, i
+        )
+        y = np.maximum(-marginals, 0.0)
         return y / y.max()
+
+
+def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
+    """min cost @ x s.t. a_ub x <= b_ub, sum(x[:n_mix]) == 1 and x >= 0, for b_ub > 0.
+
+    A dense two-phase tableau simplex under Bland's rule (Bland, Math. Oper.
+    Res. 2, 1977), which cannot cycle: the lowest improving column enters and,
+    among tied rows, the lowest basic column leaves. The slacks start as the
+    basis of the inequality rows, one artificial variable as that of the
+    equality row. Returns None when infeasible, else (value, x, marginals):
+    the inequality duals d value / d b_ub, <= 0 as in scipy's `linprog`. x and
+    the duals are solved afresh at the final basis, so pivoting error does not
+    build up in them.
+    """
+    g, n = a_ub.shape
+    art = n + g  # the artificial variable's column
+    a = np.zeros((g + 1, art + 1))
+    a[:g, :n], a[:g, n:art], a[g, :n_mix], a[g, art] = a_ub, np.eye(g), 1.0, 1.0
+    rhs = np.r_[b_ub, 1.0]
+    tab = np.column_stack([a, rhs])  # B^-1 [A | b]; the starting basis B is I
+    basis = np.arange(n, art + 1)
+
+    def pivot(r: int, j: int) -> None:
+        tab[r] /= tab[r, j]
+        col = tab[:, j].copy()
+        col[r] = 0.0
+        tab[:] -= np.outer(col, tab[r])
+        basis[r] = j
+
+    for c, free in ((np.eye(art + 1)[art], art + 1), (np.r_[cost, np.zeros(g + 1)], art)):
+        while (entering := np.flatnonzero(c[:free] - c[basis] @ tab[:, :free] < -_LP_EPS)).size:
+            j = entering[0]
+            rows = np.flatnonzero(tab[:, j] > _LP_EPS)
+            if not rows.size:
+                raise SeqOptError("master LP is unbounded")
+            ratio = tab[rows, -1] / tab[rows, j]
+            ties = rows[ratio <= ratio.min() + _LP_EPS]
+            pivot(ties[np.argmin(basis[ties])], j)
+        if free > art:  # end of phase I
+            if c[basis] @ tab[:, -1] > _LP_EPS:
+                return None
+            for r in np.flatnonzero(basis == art):  # basic at level 0: pivot it out
+                tab[r, -1] = 0.0
+                pivot(r, int(np.argmax(np.abs(tab[r, :art]))))
+    x = np.zeros(art + 1)
+    x[basis] = np.linalg.solve(a[:, basis], rhs)
+    duals = np.linalg.solve(a[:, basis].T, c[basis])
+    return float(cost @ x[:n]), x[:n], duals[:g]
 
 
 def _mixture(

@@ -18,7 +18,9 @@ from seqopt.histories import state_space
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def test_scipy_loads_with_the_first_master_lp_only():
+def test_match_never_loads_scipy():
+    # The master LP is numpy's: a fixed-horizon match, a limit-mode match and
+    # one whose targets are infeasible all leave SciPy unloaded.
     script = (
         "import sys\n"
         "import seqopt, seqopt.cli\n"
@@ -26,7 +28,16 @@ def test_scipy_loads_with_the_first_master_lp_only():
         "p = seqopt.iid_problem([[0.8, 0.2], [0.3, 0.7]], seqopt.zero_one_loss(2), [0.5, 0.5],\n"
         "                       [0.5, 0.5], 0.02, groups=((0,), (1,)), bounds=(0.18, 0.045))\n"
         "seqopt.match_constraints(p, [0.18, 0.045], seqopt.SearchConfig(horizon=2))\n"
-        "assert 'scipy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
+        "seqopt.match_constraints(p, [0.18, 0.045], seqopt.SearchConfig(n_cap=64))\n"
+        "assert 'scipy' not in sys.modules\n"
+        "try:\n"
+        "    seqopt.match_constraints(p, [1e-4, 1e-4], seqopt.SearchConfig(horizon=2))\n"
+        "except seqopt.InfeasibleTargetsError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('targets below the frontier were matched')\n"
+        "assert 'scipy' not in sys.modules\n"
     )
     src = str(Path(so.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -274,10 +285,12 @@ def test_match_stats_and_probe_log(caplog):
     with caplog.at_level(logging.DEBUG, logger="seqopt.lagrange"):
         res = so.match_constraints(p, targets, cfg)
     stats = res.stats
-    assert set(stats) == {"probes", "lp_rounds", "gap", "solve_s", "extract_s", "evaluate_s"}
+    assert set(stats) == {
+        "probes", "lp_rounds", "gap", "solve_s", "extract_s", "evaluate_s", "lp_s"
+    }
     assert stats["probes"] > 0
     assert stats["lp_rounds"] > 0 and stats["gap"] <= 1e-12
-    assert all(stats[k] > 0 for k in ("solve_s", "extract_s", "evaluate_s"))
+    assert all(stats[k] > 0 for k in ("solve_s", "extract_s", "evaluate_s", "lp_s"))
     probe_lines = [r for r in caplog.records if r.getMessage().startswith("probe ")]
     assert len(probe_lines) == stats["probes"]
 
@@ -320,6 +333,82 @@ def test_uncertified_gap_reports_unconverged(monkeypatch):
     assert res.stats["gap"] > 1e-6
     rep = so.evaluate(p, res.rule, res.decision)
     assert np.array_equal(rep.w_groups, res.achieved) and rep.n_psi == res.n_psi
+
+
+@pytest.mark.parametrize("scale", [2.0, 0.5])
+@pytest.mark.parametrize("case", range(3))
+def test_bad_master_duals_cannot_fake_convergence(monkeypatch, case, scale):
+    # The gap is the master value minus a weighted solve's Lagrangian at the
+    # multipliers the master hands out, a lower bound for any of them: wrong
+    # duals (scaled and permuted) may stall the search but never certify a
+    # mixture dearer than the optimum.
+    p, targets, cfg = _match_cases()[case]
+    ref = so.match_constraints(p, targets, cfg)
+    real_master = so.lagrange._Search.master
+
+    def bad_master(self, cols, t):
+        res = real_master(self, cols, t)
+        return None if res is None else (res[0], res[1], scale * res[2][::-1])
+
+    monkeypatch.setattr(so.lagrange._Search, "master", bad_master)
+    res = so.match_constraints(p, targets, cfg)
+    assert not res.converged or abs(res.n_psi - ref.n_psi) <= 1e-12
+
+
+def _random_master(rng):
+    """A small master or phase-I LP (cost, a_ub, b_ub, n_mix) with degenerate draws."""
+    g, n = int(rng.integers(1, 4)), int(rng.integers(1, 16))
+    if rng.integers(2):  # a coarse grid makes ties and degenerate vertices exact
+        t, cost = rng.integers(1, 9, g) / 8, rng.integers(1, 9, n) / 8
+        w = rng.integers(0, 9, (g, n)) / 8
+    else:
+        t, cost = rng.uniform(0.05, 1.0, g), rng.uniform(0.02, 2.0, n)
+        w = rng.uniform(0.0, 1.0, (g, n))
+    for _ in range(rng.integers(0, 3)):  # duplicate columns
+        i, j = rng.integers(n, size=2)
+        w[:, j], cost[j] = w[:, i], cost[i]
+    for _ in range(rng.integers(0, 3)):  # a column exactly on a target
+        row, j = rng.integers(g), rng.integers(n)
+        w[row, j] = t[row]
+    if rng.integers(4) == 0:  # an all-zero loss row
+        w[rng.integers(g)] = 0.0
+    if rng.integers(4) == 0:  # every column above one target: an infeasible master
+        row = rng.integers(g)
+        w[row] += t[row] + rng.uniform(0.01, 0.5)
+    if rng.integers(2):  # the phase-I LP of least total excess, always feasible
+        return np.r_[np.zeros(n), np.ones(g)], np.hstack([w, -np.eye(g)]), t, n
+    return cost, w, t, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_master_lp_agrees_with_linprog(seed):
+    from scipy.optimize import linprog
+
+    cost, a_ub, b_ub, n_mix = _random_master(np.random.default_rng(seed))
+    a_eq = np.zeros((1, len(cost)))
+    a_eq[0, :n_mix] = 1.0
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert ref.status in (0, 2)
+    res = so.lagrange._simplex(cost, a_ub, b_ub, n_mix)
+    assert (res is None) == (ref.status == 2)
+    if res is None:
+        return
+    value, x, marginals = res
+    tol = 1e-12 * max(1.0, abs(value))
+    assert abs(value - ref.fun) <= tol
+    assert np.all(a_ub @ x <= b_ub + 1e-12) and np.all(x >= -1e-12)
+    assert abs(x[:n_mix].sum() - 1.0) <= 1e-12
+    # Duals are not unique at a degenerate vertex, so check them for dual
+    # feasibility and strong duality: lam = -marginals >= 0 prices no column
+    # outside the mixture below zero, and its Lagrangian bound is the value.
+    lam = -marginals
+    reduced = cost + lam @ a_ub
+    assert np.all(lam >= -1e-12)
+    assert np.all(reduced[n_mix:] >= -1e-12)
+    assert abs(reduced[:n_mix].min() - lam @ b_ub - value) <= tol * (1.0 + np.abs(lam).sum())
 
 
 def _group_partition(rng, m, n_groups):
