@@ -9,9 +9,9 @@ the pi1-weighted loss density of the best terminal decision available now.
 
 The work splits into two layers. A DensityLayer holds what does not depend on
 the loss: the state space and, per stage, the per-parameter joint densities
-f_theta, the pi2 mixture and the multiplicities. A HistoryTable is a
-view of one loss matrix over a layer: per stage it adds only the stage loss
-and the minimizing decision (lowest index on ties).
+f_theta and the pi2 mixture. A HistoryTable is a view of one loss matrix over
+a layer: per stage it adds only the stage loss and the minimizing decision
+(lowest index on ties).
 
 `density_layer` shares layers through a weak memo keyed by (engine,
 observation model, pi1, pi2). Problems that differ only in their loss, such as
@@ -24,9 +24,11 @@ keeps, reads and extends the same stages, so each is built once. The
 layer's and the tables' arrays are read-only, so no caller can change
 another's.
 
-Summing stop_loss over all length-n histories gives the fixed-sample-size
-Bayes risk at n, a non-increasing sequence (more data never hurts the optimal
-terminal decision).
+The fixed-sample-size Bayes risk at n, non-increasing in n, sums the same
+minimum over stage-n states with f_theta replaced by the forward mass, the
+probability under theta of reaching the state: its density times its history
+count, one factor for every theta, so the decision is unchanged and the sum
+stays on probability scale at any depth.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .histories import StateSpace, resolve_engine, state_space
+from .histories import StateSpace, push_forward, resolve_engine, state_space
 from .errors import SeqOptError
 from .model import Problem, joint_density, mixture_density
 from .tolerances import TIE_ATOL
@@ -49,7 +51,6 @@ class StageDensities:
 
     f_theta: np.ndarray  # (S, m) joint density per parameter
     f_pi2: np.ndarray  # (S,) mixture under pi2
-    mult: np.ndarray  # (S,) histories collapsed into each state
 
 
 @dataclass(eq=False)
@@ -102,7 +103,7 @@ class DensityLayer:
                 # Same value lands on a count state from every predecessor: the
                 # joint density of a history depends only on its state.
                 f_theta[children[:, x]] = prev * step[:, :, x]
-        out = StageDensities(f_theta, f_theta @ p.priors.pi2, self.space.mult(n))
+        out = StageDensities(f_theta, f_theta @ p.priors.pi2)
         for arr in vars(out).values():
             arr.flags.writeable = False
         return out
@@ -167,7 +168,7 @@ class HistoryTable:
         # setflags costs about half of `.flags.writeable =`; every search probe builds stages.
         stop_loss.setflags(write=False)
         decision.setflags(write=False)
-        return StageData(d.f_theta, d.f_pi2, d.mult, stop_loss, decision)
+        return StageData(d.f_theta, d.f_pi2, stop_loss, decision)
 
     @property
     def l0(self) -> float:
@@ -207,13 +208,23 @@ def bayes_decide(
     return decision, best, ties
 
 
+def _bayes_loss(p: Problem, mass: np.ndarray) -> float:
+    """Sum over states of min_d sum_theta w(theta, d) pi1(theta) mass[s, theta]."""
+    return float(((mass * p.priors.pi1) @ p.loss.w).min(axis=1).sum())
+
+
 def stagewise_bayes_risk(p: Problem, n: int, engine: str = "auto") -> float:
     """Bayes risk of the best fixed-sample-size procedure with n observations.
 
-    Stage n comes from the problem's shared loss view (see the module docstring).
+    Reads the forward mass of stage n (see the module docstring).
     """
-    st = HistoryTable(p, engine).stage(n)
-    return float(np.dot(st.mult, st.stop_loss))
+    if n < 0:
+        raise IndexError(f"no stage {n}")
+    space = density_layer(p, engine).space
+    mass = np.ones((1, p.n_params))
+    for stage in range(n):
+        mass = push_forward(space, stage, mass)
+    return _bayes_loss(p, mass)
 
 
 def posterior(p: Problem, history: Sequence[int]) -> np.ndarray:

@@ -166,7 +166,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     params = {"rule_sha256": hashlib.sha256(Path(args.rule).read_bytes()).hexdigest()}
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    layer = density_layer(p)  # held so reading and evaluating the rule share it
     rule, decision = _read_rule(args.rule, p)
     report = evaluate(p, rule, decision)
     _dump_json(out_dir / "report.json", report.to_dict())
@@ -282,7 +281,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    layer = density_layer(p)  # held so reading and simulating the rule share it
     rule, decision = _read_rule(args.rule, p)
     theta_mode: str | int = args.theta_mode
     if theta_mode not in ("pi1", "pi2"):

@@ -20,9 +20,9 @@ form, so sizing a stage builds nothing), the child table `children(n)`
 ((S_n, K) indices at stage n+1; arange(S_n*K) on the tree), the conditional
 step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K) for
 kernels; iid rows do not depend on the state and come as one (1, m, K)
-block), each state's symbol counts `states(n)`, the histories collapsed into
-each state `mult(n)`, printable labels (`label`, `labels`) and their inverse
-`label_indices`. No other module asks which engine it holds.
+block), each state's symbol counts `states(n)`, printable labels (`label`,
+`labels`) and their inverse `label_indices`. No other module asks which
+engine it holds.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
 mixture flows or reachability to stage n+1 with one `np.bincount` over the
@@ -91,9 +91,6 @@ class TreeStateSpace:
             self._step_cache[n] = p.obs.kernel_rows(p.n_params, n)
         return self._step_cache[n]
 
-    def mult(self, n: int) -> np.ndarray:
-        return np.ones(self.n_states(n))
-
     def label(self, n: int, idx: int) -> str:
         return ",".join(str(x) for x in self.history(n, idx))
 
@@ -133,10 +130,9 @@ class CountStateSpace:
             raise SeqOptError("count-vector engine requires an iid model")
         self.problem = problem
         self.k = problem.alphabet_size
-        # Per built stage n: the (S_n, K) states in lexicographic order, their
-        # multiplicities, and (below the top stage) the (S_n, K) child table.
+        # Per built stage n: the (S_n, K) states in lexicographic order and
+        # (below the top stage) the (S_n, K) child table.
         self._states: dict[int, np.ndarray] = {0: np.zeros((1, self.k), dtype=np.int64)}
-        self._mult: dict[int, np.ndarray] = {0: np.ones(1)}
         self._children: dict[int, np.ndarray] = {}
         self._top = 0
         self._heads: dict[int, list[np.ndarray]] = {}  # (K-1)-part stages, see _compositions
@@ -166,16 +162,14 @@ class CountStateSpace:
         """
         if n <= self._top:
             return
-        states, mult = self._states[self._top], self._mult[self._top]
+        states = self._states[self._top]
         for stage in range(self._top, n):
+            ch = np.empty((len(states), self.k), dtype=np.int64)
             states = _next_stage(states, _compositions(self.k - 1, stage + 1, self._heads))
-            ch = np.empty((len(mult), self.k), dtype=np.int64)
             for x in range(self.k):
                 ch[:, x] = np.flatnonzero(states[:, x])
-            mult = np.bincount(ch.ravel(), weights=np.repeat(mult, self.k), minlength=len(states))
             self._children[stage] = ch
             self._states[stage + 1] = states
-            self._mult[stage + 1] = mult
         self._top = n
 
     def n_states(self, n: int) -> int:
@@ -202,10 +196,6 @@ class CountStateSpace:
 
     def step_probs(self, n: int) -> np.ndarray:
         return self.problem.obs.iid_pmf[None]
-
-    def mult(self, n: int) -> np.ndarray:
-        self._build_to(n)
-        return self._mult[n]
 
     def label(self, n: int, idx: int) -> str:
         return "|".join(str(c) for c in self.states(n)[idx].tolist())

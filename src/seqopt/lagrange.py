@@ -16,7 +16,9 @@ far, min sum_i mu_i c n_i s.t. sum_i mu_i W_i <= t, sum_i mu_i = 1, gives the
 multipliers as its duals; pricing is one weighted solve there, the first at
 lam = 1. The loop stops once the master value minus the last pricing's
 Lagrangian bound, the gap, is within 1e-12 max(1, value): nothing meeting the
-targets is cheaper by more. While no mixture of the pairs meets them, lam
+targets is cheaper by more. An exact pricing never gives a negative gap, so
+a gap below -1e-12 max(1, value) certifies nothing: that solve was not the
+Lagrangian's minimiser. While no mixture of the pairs meets them, lam
 grows fourfold per round along the duals of a phase-I LP (least total
 excess); after 80 rounds the targets count as below the achievable frontier.
 
@@ -390,7 +392,7 @@ def match_constraints(
         achieved, n_psi = search.outcome(rule, decision)
     tol = cfg.residual_tol
     converged = bool(
-        gap <= gap_tol
+        abs(gap) <= gap_tol
         and np.all(achieved <= t + tol)
         and np.all(np.abs(achieved - t)[lam > 0] <= tol)
     )

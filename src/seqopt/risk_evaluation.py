@@ -42,7 +42,7 @@ from typing import IO
 
 import numpy as np
 
-from .bayes_decision import HistoryTable, density_layer
+from .bayes_decision import HistoryTable, _bayes_loss, density_layer
 from .errors import BudgetExceededError, SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem
@@ -413,8 +413,8 @@ class TruncatabilityDiagnostic:
     """Forward-tail diagnostics of a rule at a list of horizons.
 
     tail_risk[i] is the unstopped mass arriving at horizons[i] weighted by the
-    stage loss there: the exact gap term between a rule's risk and its
-    truncated version's. bound[i] is the bounded-loss upper bound
+    loss of the Bayes decision there: the exact gap term between a rule's risk
+    and its truncated version's. bound[i] is the bounded-loss upper bound
     max_loss * P_pi1(still running). stage_risk[i] is the fixed-sample Bayes
     risk, whose decay toward zero is sufficient for truncation to lose nothing
     in the limit.
@@ -434,22 +434,18 @@ class TruncatabilityDiagnostic:
 def truncatability_diagnostic(
     p: Problem, rule: StoppingRule, horizons: list[int]
 ) -> TruncatabilityDiagnostic:
-    """Tail and stage risks of the rule at each horizon, over the problem's shared stages."""
-    table = HistoryTable(p, engine=rule.engine)
-    space = table.space
+    """Tail and stage risks at each horizon, from the rule's and every history's forward mass."""
+    space = density_layer(p, rule.engine).space
     hs = sorted(horizons)
     top = hs[-1]
     w_max = float(np.max(p.loss.w))
     tail_risk, stage_risk, reach_pi1, bound = [], [], [], []
-    mass = table.stage(1).f_theta.copy()
+    mass = every = push_forward(space, 0, np.ones((1, p.n_params)))
     for n in range(1, top + 1):
         if n in hs:
-            st = table.stage(n)
-            picked = p.loss.w.T[st.decision]
-            tail = float((mass * picked * p.priors.pi1[None, :]).sum())
             reach = float((mass @ p.priors.pi1).sum())
-            tail_risk.append(tail)
-            stage_risk.append(float(np.dot(st.mult, st.stop_loss)))
+            tail_risk.append(_bayes_loss(p, mass))
+            stage_risk.append(_bayes_loss(p, every))
             reach_pi1.append(reach)
             bound.append(w_max * reach)
         if n == top:
@@ -461,4 +457,5 @@ def truncatability_diagnostic(
         else:
             raise SeqOptError(f"rule undefined at stage {n}; extend it or lower the horizons")
         mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
+        every = push_forward(space, n, every)
     return TruncatabilityDiagnostic(hs, tail_risk, stage_risk, reach_pi1, bound)

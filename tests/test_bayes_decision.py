@@ -1,9 +1,13 @@
 import gc
+import math
 import weakref
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqopt as so
 from seqopt.bayes_decision import DensityLayer, HistoryTable, density_layer
@@ -117,16 +121,27 @@ def test_multiplier_scaling_scales_losses(instance_b):
     assert loss2 == pytest.approx(2 * loss, abs=1e-14)
 
 
-def test_engines_build_identical_stage_losses(instance_b):
-    tree = HistoryTable(instance_b, engine="tree")
-    counts = HistoryTable(instance_b, engine="counts")
-    for n in range(1, 6):
-        st_t = tree.stage(n)
-        st_c = counts.stage(n)
-        # aggregate over tree states per count vector equals counts entry
-        risk_t = float(st_t.mult @ st_t.stop_loss)
-        risk_c = float(st_c.mult @ st_c.stop_loss)
-        assert risk_t == pytest.approx(risk_c, abs=1e-13)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 3), n=st.integers(0, 8))
+def test_stagewise_risk_matches_history_sum(seed, k, n):
+    # Both engines' forward-mass risk against the sum of the stage loss over
+    # every length-n history, computed history by history.
+    p, raw = random_instance(np.random.default_rng(seed), k=k)
+    want = sum(
+        stage_loss(raw["pmf"], raw["pi1"], raw["w"], hist)[0]
+        for hist in product(range(k), repeat=n)
+    )
+    for engine in ("tree", "counts"):
+        got = so.stagewise_bayes_risk(p, n, engine)
+        assert abs(got - want) <= 1e-12 * max(1.0, want), engine
+
+
+def test_stagewise_risk_stays_finite_at_depth(symmetric):
+    # Per-history densities underflow long before n = 1000, and the history
+    # counts of a count state overflow past n = 1030; forward mass does neither.
+    risks = [so.stagewise_bayes_risk(symmetric, n) for n in (1000, 1040, 2048)]
+    assert all(math.isfinite(r) and r > 0 for r in risks)
+    assert risks[0] >= risks[1] >= risks[2]
 
 
 def _markov_problem() -> so.Problem:
@@ -150,7 +165,7 @@ def _markov_problem() -> so.Problem:
 def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...]]:
     """Stages 0..n as one table computed densities and losses together.
 
-    Per stage: (f_theta, f_pi2, mult, stop_loss, decision). This is the
+    Per stage: (f_theta, f_pi2, stop_loss, decision). This is the
     arithmetic the density layer and the loss view split between them.
     """
     out = []
@@ -165,8 +180,7 @@ def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...
             f_theta = nxt
         costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
         out.append(
-            (f_theta, f_theta @ p.priors.pi2, space.mult(stage),
-             costs.min(axis=1), costs.argmin(axis=1))
+            (f_theta, f_theta @ p.priors.pi2, costs.min(axis=1), costs.argmin(axis=1))
         )
     return out
 
@@ -217,16 +231,16 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
     ref = reference_stages(shared.problem, so.state_space(p, engine), n)
     for stage in range(n + 1):
         st, d = shared.stage(stage), unshared.stage(stage)
-        arrays = (st.f_theta, st.f_pi2, st.mult, st.stop_loss, st.decision)
+        arrays = (st.f_theta, st.f_pi2, st.stop_loss, st.decision)
         for got, want in zip(arrays, ref[stage]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        for got, want in zip(arrays, (d.f_theta, d.f_pi2, d.mult)):
+        for got, want in zip(arrays, (d.f_theta, d.f_pi2)):
             assert got.tobytes() == want.tobytes()
 
 
 def test_shared_arrays_are_read_only(instance_b):
     st = HistoryTable(instance_b).stage(3)
-    for arr in (st.f_theta, st.f_pi2, st.mult, st.stop_loss, st.decision):
+    for arr in (st.f_theta, st.f_pi2, st.stop_loss, st.decision):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

@@ -335,13 +335,14 @@ def test_uncertified_gap_reports_unconverged(monkeypatch):
     assert np.array_equal(rep.w_groups, res.achieved) and rep.n_psi == res.n_psi
 
 
-@pytest.mark.parametrize("scale", [2.0, 0.5])
+@pytest.mark.parametrize("scale", [2.0, 0.5, 1.000001])
 @pytest.mark.parametrize("case", range(3))
 def test_bad_master_duals_cannot_fake_convergence(monkeypatch, case, scale):
     # The gap is the master value minus a weighted solve's Lagrangian at the
     # multipliers the master hands out, a lower bound for any of them: wrong
     # duals (scaled and permuted) may stall the search but never certify a
-    # mixture dearer than the optimum.
+    # mixture dearer than the optimum. Exact pricing never gives a negative
+    # gap, so a converged search has none beyond the tolerance either.
     p, targets, cfg = _match_cases()[case]
     ref = so.match_constraints(p, targets, cfg)
     real_master = so.lagrange._Search.master
@@ -353,6 +354,8 @@ def test_bad_master_duals_cannot_fake_convergence(monkeypatch, case, scale):
     monkeypatch.setattr(so.lagrange._Search, "master", bad_master)
     res = so.match_constraints(p, targets, cfg)
     assert not res.converged or abs(res.n_psi - ref.n_psi) <= 1e-12
+    gap_tol = so.lagrange._GAP_TOL * max(1.0, p.cost.c * res.n_psi)
+    assert not res.converged or res.stats["gap"] >= -gap_tol
 
 
 def _random_master(rng):

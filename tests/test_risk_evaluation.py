@@ -152,6 +152,21 @@ def test_truncatability_tail_vanishes(symmetric):
     assert all(b >= t - 1e-15 for b, t in zip(diag.bound, diag.tail_risk))
 
 
+def test_never_stop_tail_is_the_stage_risk_at_depth(symmetric):
+    # A rule that never stops lets every history through, so its tail risk is
+    # the fixed-sample Bayes risk at each horizon, and both stay finite.
+    space = state_space(symmetric, "counts")
+    horizons = [2**i for i in range(12)]
+    probs = [np.zeros(space.n_states(n)) for n in range(1, horizons[-1])]
+    probs.append(np.ones(space.n_states(horizons[-1])))
+    rule = so.StoppingRule("counts", probs, truncated=True)
+    diag = so.truncatability_diagnostic(symmetric, rule, horizons)
+    assert diag.tail_risk == diag.stage_risk
+    assert diag.tail_nonincreasing
+    assert all(math.isfinite(t) and t > 0 for t in diag.tail_risk)
+    assert diag.tail_risk[-1] < 1e-60
+
+
 def test_untruncatable_never_stop_risk_grows(uninformative):
     space = state_space(uninformative, "counts")
     for horizon in (4, 8, 16, 32):
