@@ -19,7 +19,6 @@ is a convergence diagnostic, not a heuristic.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO
@@ -70,21 +69,49 @@ class ValueTables:
         return self.table.l0
 
     def to_csv(self, fh: IO[str]) -> None:
-        """One row per state; floats as repr, the last stage's continue_value empty."""
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "state", "stop_loss", "continue_value", "value"])
+        """One row per state; floats as repr, the last stage's continue_value empty.
+
+        Each stage is one block of text, byte for byte what csv.writer writes.
+        """
+        fh.write("stage,state,stop_loss,continue_value,value\r\n")
         for n in range(self.horizon + 1):
-            labels = self.table.space.labels(n)
-            cont = _reprs(self.cont[n]) if n < self.horizon else repeat("")
-            writer.writerows(
-                zip(repeat(n), labels, _reprs(self.table.stage(n).stop_loss), cont,
-                    _reprs(self.value[n]))
-            )
+            stop = self.table.stage(n).stop_loss
+            stop_s = list(_reprs(stop))
+            sources = [(stop, stop_s)]
+            cont_s = repeat("")
+            if n < self.horizon:
+                cont_s = list(_reprs(self.cont[n]))
+                sources.append((self.cont[n], cont_s))
+            value_s = _reprs_reusing(self.value[n], sources)
+            _write_rows(fh, f"{n},", self.table.space.labels(n), stop_s, cont_s, value_s)
 
 
 def _reprs(arr: np.ndarray):
     """repr(float(v)) for each entry of arr, converted to Python floats in one tolist()."""
     return map(repr, np.asarray(arr, dtype=float).tolist())
+
+
+def _reprs_reusing(arr: np.ndarray, sources: list[tuple[np.ndarray, list[str]]]) -> list[str]:
+    """_reprs(arr), each entry's string taken from the first source array with its bits.
+
+    value[n] is min(stop_loss, cont), so only NaN payloads are formatted here.
+    """
+    bits = np.asarray(arr, dtype=float).view(np.uint64)
+    hits = [bits == np.asarray(src, dtype=float).view(np.uint64) for src, _ in sources]
+    out = np.select(hits, [np.array(strings, dtype=object) for _, strings in sources], None)
+    for i in np.flatnonzero(~np.logical_or.reduce(hits)).tolist():
+        out[i] = repr(float(arr[i]))
+    return out.tolist()
+
+
+def _write_rows(fh: IO[str], prefix: str, labels: list[str], *columns) -> None:
+    """One stage's rows in one write, as csv.writer writes them: prefix, label, columns.
+
+    prefix is the constant leading fields with their comma. Labels holding a
+    comma are quoted; no field holds a quote or a line break.
+    """
+    labels = [f'"{s}"' if "," in s else s for s in labels]
+    fh.write(prefix + ("\r\n" + prefix).join(map(",".join, zip(labels, *columns))) + "\r\n")
 
 
 def solve_truncated(

@@ -201,9 +201,10 @@ class CountStateSpace:
         return "|".join(str(c) for c in self.states(n)[idx].tolist())
 
     def labels(self, n: int) -> list[str]:
-        """label(n, i) for every stage-n state, in index order."""
-        fmt = "|".join(["{}"] * self.k)
-        return [fmt.format(*counts) for counts in self.states(n).tolist()]
+        """label(n, i) for every stage-n state, in index order, from one str.format."""
+        states = self.states(n)
+        fmt = "\n".join(["|".join(["{}"] * self.k)] * len(states))
+        return fmt.format(*states.ravel().tolist()).split("\n")
 
     def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
         """Index of each (stage, label) pair; -1 where the label is no state of its stage.

@@ -434,23 +434,33 @@ class TruncatabilityDiagnostic:
 def truncatability_diagnostic(
     p: Problem, rule: StoppingRule, horizons: list[int]
 ) -> TruncatabilityDiagnostic:
-    """Tail and stage risks at each horizon, from the rule's and every history's forward mass."""
-    space = density_layer(p, rule.engine).space
+    """Tail and stage risks at each horizon, from the rule's and every history's forward mass.
+
+    The result's horizons are the requested ones sorted, repeats kept, and
+    entry i of every list belongs to horizons[i]. Horizon 0 reads the stage-0
+    mass: nothing has stopped, so its tail and stage risks are both l0.
+    """
     hs = sorted(horizons)
+    if not hs or hs[0] < 0:
+        raise SeqOptError(f"horizons must be a non-empty list of stages >= 0, got {horizons!r}")
+    space = density_layer(p, rule.engine).space
     top = hs[-1]
     w_max = float(np.max(p.loss.w))
     tail_risk, stage_risk, reach_pi1, bound = [], [], [], []
-    mass = every = push_forward(space, 0, np.ones((1, p.n_params)))
-    for n in range(1, top + 1):
-        if n in hs:
+    mass = every = np.ones((1, p.n_params))
+    for n in range(top + 1):
+        repeats = hs.count(n)
+        if repeats:
             reach = float((mass @ p.priors.pi1).sum())
-            tail_risk.append(_bayes_loss(p, mass))
-            stage_risk.append(_bayes_loss(p, every))
-            reach_pi1.append(reach)
-            bound.append(w_max * reach)
+            tail_risk += [_bayes_loss(p, mass)] * repeats
+            stage_risk += [_bayes_loss(p, every)] * repeats
+            reach_pi1 += [reach] * repeats
+            bound += [w_max * reach] * repeats
         if n == top:
             break
-        if n <= rule.horizon:
+        if n == 0:  # a rule's stages start at 1
+            probs = np.zeros(1)
+        elif n <= rule.horizon:
             probs = rule.at(n)
         elif rule.truncated:
             probs = np.ones(space.n_states(n))

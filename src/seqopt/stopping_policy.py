@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import repeat
 from typing import IO
 
 import numpy as np
 
-from .backward_induction import ValueTables, _reprs
+from .backward_induction import ValueTables, _reprs, _write_rows
 from .errors import SeqOptError
 from .bayes_decision import density_layer
 from .histories import StateSpace, check_state_budget, push_forward
@@ -78,18 +77,15 @@ def write_rule_csv(
 
     With decision_probs (per stage an (S, D) array), each row also carries
     the state's decision probabilities, one column decision_prob_<d> per
-    decision index.
+    decision index. The bytes are those of csv.writer (CRLF line ends,
+    comma-bearing labels quoted); each stage is written as one block of text.
     """
     d_count = 0 if decision_probs is None else decision_probs[0].shape[1]
-    writer = csv.writer(fh)
-    writer.writerow(
-        ["engine", "stage", "state", "stop_prob"] + [f"{DECISION_PROB}{d}" for d in range(d_count)]
-    )
+    header = ["engine", "stage", "state", "stop_prob"]
+    fh.write(",".join(header + [f"{DECISION_PROB}{d}" for d in range(d_count)]) + "\r\n")
     for n in range(1, rule.horizon + 1):
         extra = [_reprs(decision_probs[n - 1][:, d]) for d in range(d_count)]
-        writer.writerows(
-            zip(repeat(rule.engine), repeat(n), space.labels(n), _reprs(rule.at(n)), *extra)
-        )
+        _write_rows(fh, f"{rule.engine},{n},", space.labels(n), _reprs(rule.at(n)), *extra)
 
 
 def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:

@@ -5,8 +5,9 @@ at a time, with no shared code or arrays from the package under test. The
 point is an arithmetic path different enough that agreement is evidence, not
 tautology. Conventions match the package where a convention is needed:
 decisions break ties toward the lowest index, observations and parameters are
-0-based indices, histories are tuples of symbols. The two mask walks and the
-forward pass at the end are the exception: see the notes above them.
+0-based indices, histories are tuples of symbols. The two mask walks, the
+forward pass and the CSV writers at the end are the exception: see the notes
+above them.
 """
 
 from itertools import product
@@ -377,3 +378,47 @@ def reference_forward(p, rule, decision=None, multipliers=None):
         decision_labels=p.loss.decisions,
     )
     return report, mass
+
+
+# The CSV writers below are the ones `ValueTables.to_csv` and `write_rule_csv`
+# ran before each stage became one block of text: csv.writer, one row and one
+# `space.label` at a time. They read the package's arrays and state spaces.
+
+
+def reference_values_csv(tables) -> str:
+    """ValueTables.to_csv as it was written, one row and one label at a time."""
+    import csv
+    import io
+
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(["stage", "state", "stop_loss", "continue_value", "value"])
+    space = tables.table.space
+    for n in range(tables.horizon + 1):
+        st = tables.table.stage(n)
+        for i in range(len(st.stop_loss)):
+            cont = "" if n == tables.horizon else repr(float(tables.cont[n][i]))
+            writer.writerow(
+                [n, space.label(n, i), repr(float(st.stop_loss[i])), cont,
+                 repr(float(tables.value[n][i]))]
+            )
+    return fh.getvalue()
+
+
+def reference_rule_csv(rule, space, decision_probs=None) -> str:
+    """write_rule_csv as it was written, one row and one label at a time."""
+    import csv
+    import io
+
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    d_count = 0 if decision_probs is None else decision_probs[0].shape[1]
+    writer.writerow(
+        ["engine", "stage", "state", "stop_prob"] + [f"decision_prob_{d}" for d in range(d_count)]
+    )
+    for n in range(1, rule.horizon + 1):
+        arr = rule.at(n)
+        for i in range(len(arr)):
+            extra = [repr(float(decision_probs[n - 1][i, d])) for d in range(d_count)]
+            writer.writerow([rule.engine, n, space.label(n, i), repr(float(arr[i]))] + extra)
+    return fh.getvalue()

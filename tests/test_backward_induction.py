@@ -1,4 +1,3 @@
-import csv
 import io
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 import seqopt as so
 
 from conftest import random_instance
-from oracle import backward_values
+from oracle import backward_values, reference_values_csv
 
 
 def test_two_stage_hand_values(instance_b):
@@ -154,23 +153,6 @@ def test_zero_cost_values_monotone_and_nonnegative():
         q0 = so.solve_truncated(p, n).q0
         assert 0.0 <= q0 <= q_prev + 1e-15
         q_prev = q0
-
-
-def reference_values_csv(tables) -> str:
-    """ValueTables.to_csv as it was written, one row and one label at a time."""
-    fh = io.StringIO()
-    writer = csv.writer(fh)
-    writer.writerow(["stage", "state", "stop_loss", "continue_value", "value"])
-    space = tables.table.space
-    for n in range(tables.horizon + 1):
-        st = tables.table.stage(n)
-        for i in range(len(st.stop_loss)):
-            cont = "" if n == tables.horizon else repr(float(tables.cont[n][i]))
-            writer.writerow(
-                [n, space.label(n, i), repr(float(st.stop_loss[i])), cont,
-                 repr(float(tables.value[n][i]))]
-            )
-    return fh.getvalue()
 
 
 @pytest.mark.parametrize("engine, k, horizon", [("counts", 3, 6), ("tree", 3, 4), ("tree", 11, 2)])

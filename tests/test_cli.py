@@ -5,7 +5,11 @@ from pathlib import Path
 
 import pytest
 
+import seqopt as so
+from seqopt.bayes_decision import density_layer
 from seqopt.cli import main
+
+from oracle import reference_rule_csv, reference_values_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TWO_CHANNEL = str(CONFIGS / "two_channel.json")
@@ -53,6 +57,40 @@ def test_manifest_and_determinism(tmp_path, capsys):
     assert manifest["command"] == "solve"
     assert manifest["outputs"] == sorted(manifest["outputs"])
     assert len(manifest["config_sha256"]) == 64
+
+
+@pytest.mark.parametrize("name, horizon", [("two_channel", 30), ("markov_burst", 3)])
+def test_solve_files_match_row_by_row_writers(tmp_path, capsys, name, horizon):
+    # counts labels at H=30; tree labels such as "0,1,0", which csv quotes, at H=3
+    config = str(CONFIGS / f"{name}.json")
+    code, out_dir = run(
+        capsys, "--out-root", str(tmp_path), "solve", config, "--horizon", str(horizon)
+    )
+    assert code == 0
+    tables = so.solve_truncated(so.load_problem(config), horizon)
+    rule = so.extract_rule(tables)
+    assert (out_dir / "values.csv").read_bytes() == reference_values_csv(tables).encode()
+    assert (out_dir / "rule.csv").read_bytes() == (
+        reference_rule_csv(rule, tables.table.space).encode()
+    )
+
+
+def test_search_rule_file_matches_row_by_row_writer(tmp_path, capsys):
+    code, out_dir = run(
+        capsys,
+        "--out-root", str(tmp_path),
+        "search", TWO_CHANNEL,
+        "--targets", "0.18,0.045",
+        "--horizon", "4",
+    )
+    assert code == 0
+    p = so.load_problem(TWO_CHANNEL)
+    res = so.match_constraints(p, [0.18, 0.045], so.SearchConfig(horizon=4))
+    probs = [res.decision.stage_probs(n, p.n_decisions) for n in range(1, res.rule.horizon + 1)]
+    space = density_layer(p, res.rule.engine).space
+    text = reference_rule_csv(res.rule, space, probs)
+    assert text.splitlines()[0].endswith(",decision_prob_0,decision_prob_1")
+    assert (out_dir / "rule.csv").read_bytes() == text.encode()
 
 
 def test_solve_limit_mode(tmp_path, capsys):

@@ -152,6 +152,23 @@ def test_truncatability_tail_vanishes(symmetric):
     assert all(b >= t - 1e-15 for b, t in zip(diag.bound, diag.tail_risk))
 
 
+def test_truncatability_entries_match_one_horizon_calls(symmetric):
+    rule = so.extract_rule(so.solve_truncated(symmetric, 8))
+    diag = so.truncatability_diagnostic(symmetric, rule, horizons=[4, 0, 2, 2, 8])
+    assert diag.horizons == [0, 2, 2, 4, 8]
+    for i, h in enumerate(diag.horizons):
+        one = so.truncatability_diagnostic(symmetric, rule, horizons=[h])
+        assert one.horizons == [h]
+        for field in ("tail_risk", "stage_risk", "reach_pi1", "bound"):
+            assert getattr(diag, field)[i] == getattr(one, field)[0]
+    l0 = so.solve_truncated(symmetric, 1).l0
+    assert diag.tail_risk[0] == diag.stage_risk[0] == l0
+    assert diag.reach_pi1[0] == 1.0
+    for bad in ([], [2, -1]):
+        with pytest.raises(so.SeqOptError, match="horizons"):
+            so.truncatability_diagnostic(symmetric, rule, horizons=bad)
+
+
 def test_never_stop_tail_is_the_stage_risk_at_depth(symmetric):
     # A rule that never stops lets every history through, so its tail risk is
     # the fixed-sample Bayes risk at each horizon, and both stay finite.

@@ -1,10 +1,14 @@
 import csv
 import io
+import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqopt as so
 from seqopt.bayes_decision import density_layer
@@ -12,6 +16,7 @@ from seqopt.histories import state_space
 from seqopt.stopping_policy import read_rule_csv, write_rule_csv
 
 from conftest import random_instance
+from oracle import reference_rule_csv, reference_values_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -252,14 +257,63 @@ def test_rule_csv_matches_row_by_row_writer(engine, k, horizon):
     rule = so.StoppingRule(engine, probs, truncated=False)
     buf = io.StringIO()
     rule.to_csv(buf, space)
-    ref = io.StringIO()
-    writer = csv.writer(ref)
-    writer.writerow(["engine", "stage", "state", "stop_prob"])
-    for n in range(1, horizon + 1):
-        arr = rule.at(n)
-        for i in range(len(arr)):
-            writer.writerow([engine, n, space.label(n, i), repr(float(arr[i]))])
-    assert buf.getvalue() == ref.getvalue()
+    assert buf.getvalue() == reference_rule_csv(rule, space)
+
+
+# Floats the writers must spell exactly as repr does: signed zeros, infinities,
+# NaN, subnormals and both ends of the exponent range.
+_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e300, 1e-300]
+# A NaN whose bits match no other array's entry: the value column's repr fallback.
+_NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0])
+
+
+def _stage_floats(rng, palette, size):
+    """Special floats and the palette's, or random magnitudes across the exponent range."""
+    out = rng.choice(np.array(_SPECIAL_FLOATS + palette + [_NAN_PAYLOAD]), size)
+    fresh = rng.random(size) < 0.5
+    out[fresh] = rng.standard_normal(fresh.sum()) * 10.0 ** rng.integers(-300, 300, fresh.sum())
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    engine_k_horizon=st.one_of(
+        st.tuples(st.just("counts"), st.integers(2, 4), st.integers(1, 7)),
+        st.tuples(st.just("tree"), st.integers(2, 11), st.integers(1, 3)),
+    ),
+    palette=st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6),
+    d_count=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count, seed):
+    engine, k, horizon = engine_k_horizon
+    rng = np.random.default_rng(seed)
+    p = so.iid_problem(np.full((2, k), 1.0 / k), so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    space = state_space(p, engine)
+    sizes = [space.n_states(n) for n in range(horizon + 1)]
+    stops = [_stage_floats(rng, palette, s) for s in sizes]
+    conts = [_stage_floats(rng, palette, s) for s in sizes[:-1]]
+    values = []
+    for n, s in enumerate(sizes):
+        # Each entry has stop_loss's bits, cont's bits, or (mostly) neither's:
+        # a negated stop_loss turns 0.0 into -0.0 and NaN into -NaN.
+        other = np.where(rng.random(s) < 0.5, -stops[n], _stage_floats(rng, palette, s))
+        pick = rng.integers(0, 3 if n < horizon else 2, s)
+        cont = conts[n] if n < horizon else other
+        values.append(np.where(pick == 0, stops[n], np.where(pick == 1, other, cont)))
+    table = SimpleNamespace(space=space, stage=lambda n: SimpleNamespace(stop_loss=stops[n]))
+    tables = so.ValueTables(p, table, horizon, values, conts)
+    buf = io.StringIO()
+    tables.to_csv(buf)
+    assert buf.getvalue() == reference_values_csv(tables)
+
+    rule = so.StoppingRule(engine, [_stage_floats(rng, palette, s) for s in sizes[1:]], True)
+    probs = None
+    if d_count:
+        probs = [_stage_floats(rng, palette, s * d_count).reshape(s, d_count) for s in sizes[1:]]
+    buf = io.StringIO()
+    write_rule_csv(buf, rule, space, probs)
+    assert buf.getvalue() == reference_rule_csv(rule, space, probs)
 
 
 def test_only_extracted_rules_keep_their_table(instance_b):
