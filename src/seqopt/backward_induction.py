@@ -147,24 +147,21 @@ def solve_truncated(
 def solve_limit(
     p: Problem,
     tol: float = 1e-10,
-    n_start: int = 1,
     n_cap: int = 256,
     engine: str = "auto",
     state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> ValueTables:
     """Approach the unbounded-horizon optimum by horizon doubling.
 
-    Solves at n_start, 2*n_start, 4*n_start, ... and stops when consecutive
+    Solves at horizons 1, 2, 4, ... and stops when consecutive
     cont[0] values differ by less than `tol`, or when doubling again would
     pass `n_cap`. A run that exhausts the cap without meeting the tolerance
     returns the last tables with converged=False; that is a flagged result,
     not a failure, since cont[0] decreases monotonically and the trace shows
     how far it got. Each doubling reuses the stages of the one before.
     """
-    if n_start < 1:
-        raise SeqOptError("n_start must be >= 1")
-    tables = solve_truncated(p, n_start, engine, state_budget)
-    trace = [(n_start, tables.q0)]
+    tables = solve_truncated(p, 1, engine, state_budget)
+    trace = [(1, tables.q0)]
     converged = False
     while not converged and 2 * tables.horizon <= n_cap:
         # `tables` is rebound only after the solve, so it keeps the stages alive for it

@@ -176,32 +176,15 @@ class HistoryTable:
         return float(self.stage(0).stop_loss[0])
 
 
-def _weighted_loss(p: Problem, lam: Sequence[float] | None) -> np.ndarray:
-    """Loss matrix scaled per constraint group; zero outside all groups."""
-    if lam is None:
-        return p.loss.w
-    if p.constraints is None:
-        raise SeqOptError("multiplier weights need a problem with constraint groups")
-    w = np.zeros_like(p.loss.w)
-    for gi, group in enumerate(p.constraints.groups):
-        for t in group:
-            w[t, :] = lam[gi] * p.loss.w[t, :]
-    return w
-
-
-def bayes_decide(
-    p: Problem, history: Sequence[int], lam: Sequence[float] | None = None
-) -> tuple[int, float, tuple[int, ...]]:
+def bayes_decide(p: Problem, history: Sequence[int]) -> tuple[int, float, tuple[int, ...]]:
     """Best terminal decision after a history.
 
     Returns (decision index, stage loss, tie set). The decision is the lowest
     index among minimizers; the tie set lists every decision within TIE_ATOL
-    of the minimum. With `lam`, the loss is first scaled per constraint group
-    (zero outside all groups).
+    of the minimum.
     """
-    w = _weighted_loss(p, lam)
     f = np.array([joint_density(p, t, history) for t in range(p.n_params)])
-    costs = (f * p.priors.pi1) @ w
+    costs = (f * p.priors.pi1) @ p.loss.w
     best = float(costs.min())
     decision = int(costs.argmin())
     ties = tuple(int(d) for d in np.flatnonzero(costs <= best + TIE_ATOL))

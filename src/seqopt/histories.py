@@ -13,16 +13,16 @@ Two engines share one interface:
   the first count raised by one. Adding a symbol keeps that order, so a
   symbol's children are the next stage's states that count it, ascending.
   A state's rank, a closed-form sum of binomial coefficients, serves only the
-  lookups from count vectors and labels to indices.
+  lookup from a count vector to its index.
 
 Per stage n every engine provides the state count `n_states(n)` (a closed
 form, so sizing a stage builds nothing), the child table `children(n)`
 ((S_n, K) indices at stage n+1; arange(S_n*K) on the tree), the conditional
 step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K) for
 kernels; iid rows do not depend on the state and come as one (1, m, K)
-block), each state's symbol counts `states(n)`, printable labels (`label`,
-`labels`) and their inverse `label_indices`. No other module asks which
-engine it holds.
+block), each state's symbol counts `states(n)` and printable labels
+(`label`, `labels`); a rule file's reader inverts labels by looking them up
+in `labels(n)`. No other module asks which engine it holds.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
 mixture flows or reachability to stage n+1 with one `np.bincount` over the
@@ -37,8 +37,6 @@ there).
 
 from __future__ import annotations
 
-import re
-from collections.abc import Sequence
 from math import comb
 
 import numpy as np
@@ -47,8 +45,6 @@ from .errors import BudgetExceededError, SeqOptError
 from .model import Problem
 
 DEFAULT_STATE_BUDGET = 4_000_000
-
-_NUMBER = "(?:0|[1-9][0-9]*)"  # a label's numbers, as str(int) writes them
 
 
 class TreeStateSpace:
@@ -64,13 +60,6 @@ class TreeStateSpace:
 
     def children(self, n: int) -> np.ndarray:
         return np.arange(self.n_states(n) * self.k, dtype=np.int64).reshape(-1, self.k)
-
-    def history(self, n: int, idx: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(n):
-            digits.append(idx % self.k)
-            idx //= self.k
-        return tuple(reversed(digits))
 
     def states(self, n: int) -> np.ndarray:
         """Symbol counts of the stage-n histories, shape (S_n, K): base-K digits tallied."""
@@ -92,7 +81,12 @@ class TreeStateSpace:
         return self._step_cache[n]
 
     def label(self, n: int, idx: int) -> str:
-        return ",".join(str(x) for x in self.history(n, idx))
+        """The history's symbols, comma-separated: the base-K digits of idx."""
+        digits = []
+        for _ in range(n):
+            idx, x = divmod(idx, self.k)
+            digits.append(str(x))
+        return ",".join(reversed(digits))
 
     def labels(self, n: int) -> list[str]:
         """label(n, i) for every stage-n state, in index order."""
@@ -101,24 +95,6 @@ class TreeStateSpace:
         for depth in range(n):
             sep = "," if depth else ""
             out = [f"{prefix}{sep}{x}" for prefix in out for x in symbols]
-        return out
-
-    def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
-        """Index of each (stage, label) pair; -1 where the label is no state of its stage.
-
-        A label's symbols are the base-K digits of its index.
-        """
-        pattern = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
-        out = np.full(len(labels), -1, dtype=np.int64)
-        for i, (n, lab) in enumerate(zip(stages, labels)):
-            if not pattern.fullmatch(lab):
-                continue
-            digits = [int(t) for t in lab.split(",")]
-            if len(digits) == n and max(digits) < self.k:
-                idx = 0
-                for x in digits:
-                    idx = idx * self.k + x
-                out[i] = idx
         return out
 
 
@@ -205,26 +181,6 @@ class CountStateSpace:
         states = self.states(n)
         fmt = "\n".join(["|".join(["{}"] * self.k)] * len(states))
         return fmt.format(*states.ravel().tolist()).split("\n")
-
-    def label_indices(self, stages: Sequence[int], labels: Sequence[str]) -> np.ndarray:
-        """Index of each (stage, label) pair; -1 where the label is no state of its stage.
-
-        Well-formed labels are parsed to count vectors and ranked in one array
-        operation. Ranking needs no stage built.
-        """
-        top = max(stages, default=0)
-        # No part has more digits than the top stage, so int64 cannot overflow.
-        number = f"(?:0|[1-9][0-9]{{0,{len(str(top)) - 1}}})"
-        pattern = re.compile(f"{number}(?:\\|{number}){{{self.k - 1}}}")
-        rows = [i for i, lab in enumerate(labels) if pattern.fullmatch(lab)]
-        out = np.full(len(labels), -1, dtype=np.int64)
-        if rows:
-            parts = "|".join([labels[i] for i in rows]).split("|")
-            counts = np.array(parts, dtype=np.int64).reshape(-1, self.k)
-            rows = np.array(rows)
-            ok = counts.sum(axis=1) == np.asarray(stages)[rows]
-            out[rows[ok]] = self._rank(counts[ok])
-        return out
 
 
 def _composition_counts(k: int, r_max: int) -> np.ndarray:

@@ -58,7 +58,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .backward_induction import solve_limit, solve_truncated
-from .bayes_decision import HistoryTable, _weighted_loss
+from .bayes_decision import HistoryTable
 from .errors import InfeasibleTargetsError, SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem, with_loss
@@ -72,6 +72,15 @@ _GROWTH_STEPS = 80  # phase-I rounds before the targets count as infeasible
 _MAX_ROUNDS = 500  # pricing rounds of the master before giving up on the gap
 _GAP_TOL = 1e-12  # certified gap, relative to max(1, master value)
 _LP_EPS = 1e-12  # the LP's pivot, reduced-cost and phase-I feasibility tolerance
+
+
+def _weighted_loss(p: Problem, lam: Sequence[float]) -> np.ndarray:
+    """Loss matrix scaled per constraint group; zero outside all groups."""
+    w = np.zeros_like(p.loss.w)
+    for gi, group in enumerate(p.constraints.groups):
+        for t in group:
+            w[t, :] = lam[gi] * p.loss.w[t, :]
+    return w
 
 
 def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:

@@ -137,7 +137,7 @@ class Priors:
 
 @dataclass(frozen=True)
 class CostSpec:
-    """Cost per observation, strictly positive."""
+    """Cost per observation, nonnegative."""
 
     c: float
 

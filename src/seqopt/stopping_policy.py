@@ -99,10 +99,14 @@ def read_rule_csv(
     """A rule file's rule and, if it has decision columns, its decision probabilities.
 
     The decision probabilities (per stage an (S, D) array, as write_rule_csv
-    takes them) are None for a file without decision_prob_<d> columns. Rows
-    are checked in file order; the first offending one raises. A file naming
-    a stage past the state budget raises BudgetExceededError before any
-    stage is built.
+    takes them) are None for a file without decision_prob_<d> columns. Each
+    row's label is looked up among its stage's labels(n), so rows may come
+    in any order.
+
+    Errors come in this order. A stage past the state budget raises
+    BudgetExceededError. Then the first stage with fewer rows than states
+    raises, whatever rows come before it. Neither builds a stage. Then rows
+    are checked in file order, and the first offending one raises.
     """
     reader = csv.reader(fh)
     header = next(reader, [])
@@ -110,7 +114,7 @@ def read_rule_csv(
     if not rows:
         raise SeqOptError("empty rule file")
     fields = ("engine", "stage", "state", "stop_prob")
-    if not set(fields) <= set(header) or any(len(r) != len(header) for r in rows):
+    if not set(fields) <= set(header) or set(map(len, rows)) != {len(header)}:
         raise SeqOptError(f"rule file needs the columns {fields} in every row")
     columns = list(zip(*rows))
 
@@ -124,10 +128,22 @@ def read_rule_csv(
     space = density_layer(problem, engine).space
     stages = np.array(column("stage"), dtype=np.int64)  # raises as int() would
     labels = column("state")
-    horizon = int(stages.max())
-    check_state_budget(space, max(horizon, 0))  # before any stage is built or sized
-    indices = space.label_indices(stages.tolist(), labels)
-    unknown = (stages < 1) | (indices < 0)
+    horizon = max(int(stages.max()), 0)
+    check_state_budget(space, horizon)  # before any stage is built or sized
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    short = np.bincount(stages[stages >= 1], minlength=horizon + 1)[1:] < sizes
+    if short.any():
+        raise SeqOptError(f"rule file leaves stage {int(np.argmax(short)) + 1} states undefined")
+    # Each stage's rows look their labels up in the engine's own labels(n);
+    # unknown labels and stages below 1 keep index -1.
+    indices = np.full(len(rows), -1, dtype=np.int64)
+    by_stage = np.argsort(stages)
+    starts = np.searchsorted(stages[by_stage], np.arange(1, horizon + 2))
+    for n in range(1, horizon + 1):
+        at_n = by_stage[starts[n - 1] : starts[n]]
+        index = dict(zip(space.labels(n), range(sizes[n - 1])))
+        indices[at_n] = [index.get(labels[i], -1) for i in at_n.tolist()]
+    unknown = indices < 0
     first = int(np.argmax(unknown)) if unknown.any() else len(rows)
     # Only rows above the first unknown state are parsed, so errors keep file order.
     values = np.array(column("stop_prob")[:first], dtype=float)  # raises as float() would
@@ -138,14 +154,13 @@ def read_rule_csv(
         raise SeqOptError(
             f"rule references unknown state {labels[first]!r} at stage {stages[first]}"
         )
-    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
     offsets = np.cumsum([0] + sizes)
     at = offsets[stages - 1] + indices  # each row's position in all stages, concatenated
     flat = np.full(offsets[-1], np.nan)
     flat[at] = values
     probs = np.split(flat, offsets[1:-1])
     for n, arr in enumerate(probs, start=1):
-        if np.isnan(arr).any():
+        if np.isnan(arr).any():  # a stage with rows enough, some of them repeated
             raise SeqOptError(f"rule file leaves stage {n} states undefined")
     truncated = bool(np.all(probs[-1] == 1.0))
     rule = StoppingRule(engine, probs, truncated)

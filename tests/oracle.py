@@ -13,6 +13,15 @@ above them.
 from itertools import product
 
 
+def tree_history(k, n, idx):
+    """The stage-n history with tree index idx: its n base-k digits, first symbol first."""
+    digits = []
+    for _ in range(n):
+        idx, x = divmod(idx, k)
+        digits.append(x)
+    return tuple(reversed(digits))
+
+
 def joint_prob(pmf, theta, hist):
     out = 1.0
     for x in hist:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import seqopt as so
-from oracle import rule_risk
+from oracle import rule_risk, tree_history
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -126,7 +126,7 @@ def test_criterion_04_risk_decomposition(make_random_instance):
                 worst_identity, abs(rep.r - (p.cost.c * rep.n_psi + rep.w_total))
             )
             stop_prob = {
-                space.history(n, i): float(rule.at(n)[i])
+                tree_history(space.k, n, i): float(rule.at(n)[i])
                 for n in range(1, horizon)
                 for i in range(space.n_states(n))
             }
@@ -166,7 +166,7 @@ def test_criterion_06_engine_agreement(make_random_instance):
             idx = np.array(
                 [
                     c_space.index_of(n, tuple(
-                        t_space.history(n, i).count(x) for x in range(p.alphabet_size)
+                        tree_history(t_space.k, n, i).count(x) for x in range(p.alphabet_size)
                     ))
                     for i in range(t_space.n_states(n))
                 ],

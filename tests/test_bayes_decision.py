@@ -114,7 +114,7 @@ def test_stagewise_risk_flat_when_uninformative(uninformative):
 
 
 def test_multiplier_scaling_scales_losses(instance_b):
-    d, loss, _ = so.bayes_decide(instance_b, (1,), lam=None)
+    d, loss, _ = so.bayes_decide(instance_b, (1,))
     wp = so.weighted_problem(instance_b, [2.0, 2.0])
     d2, loss2, _ = so.bayes_decide(wp, (1,))
     assert d2 == d

@@ -10,7 +10,7 @@ from seqopt.histories import push_forward, state_space
 from seqopt.risk_evaluation import _forward
 
 from conftest import random_instance
-from oracle import rule_risk, best_truncated_risk
+from oracle import rule_risk, best_truncated_risk, tree_history
 
 
 def test_reference_rule_operating_characteristics(instance_b):
@@ -47,7 +47,7 @@ def test_evaluation_matches_reference_on_randomized_rules():
         stop_prob = {}
         for n in range(1, horizon):
             for idx in range(space.n_states(n)):
-                stop_prob[tuple(space.history(n, idx))] = float(rule.at(n)[idx])
+                stop_prob[tree_history(space.k, n, idx)] = float(rule.at(n)[idx])
         ref = rule_risk(raw["pmf"], raw["pi1"], raw["pi2"], raw["w"], raw["c"], stop_prob, horizon)
         rep = so.evaluate(p, rule)
         assert rep.n_psi == pytest.approx(ref["n_avg"], abs=1e-11)

@@ -13,6 +13,8 @@ from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 from seqopt.risk_evaluation import _forward
 
+from oracle import tree_history
+
 
 @pytest.fixture
 def channel():
@@ -166,7 +168,7 @@ def reference_llr_by_state_tree(p, space, n, hypotheses=(0, 1)):
     inc = so.llr_increments(p, hypotheses)
     counts = np.zeros((space.n_states(n), space.k))
     for idx in range(space.n_states(n)):
-        for x in space.history(n, idx):
+        for x in tree_history(space.k, n, idx):
             counts[idx, x] += 1
     terms = np.where(counts > 0, counts * inc[None, :], 0.0)
     return terms.sum(axis=1)

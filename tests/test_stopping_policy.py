@@ -410,11 +410,83 @@ def test_rule_csv_past_the_state_budget_raises_before_building(row):
 
 
 def test_incomplete_rule_csv_raises_before_building():
-    # One row naming stage 2800 (3.9M states, inside the budget): ranking and
-    # the stage sizes are closed forms, so the file is found incomplete with
-    # no count stage built.
+    # Rows are counted per stage against closed-form stage sizes before any
+    # label is looked up, so an incomplete file raises with no count stage
+    # built, ahead of any row error.
     p = so.load_problem(CONFIGS / "symmetric.json")
     layer = density_layer(p, "counts")  # held, to look at its space after
-    with pytest.raises(so.SeqOptError, match="rule file leaves stage 1 states undefined"):
-        so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\ncounts,2800,2800|0,1.0\n"), p)
-    assert layer.space._top == 0
+    short_stage_2 = "counts,2,2|0,1.0\ncounts,2,1|1,1.0\n"
+    cases = [
+        # One row naming stage 2800 (3.9M states, inside the budget).
+        ("counts,2800,2800|0,1.0\n", 1),
+        # Complete at stage 1, one row short at stage 2, and naming stage 2800.
+        ("counts,1,1|0,0.5\ncounts,1,0|1,0.5\n" + short_stage_2 + "counts,2800,2800|0,1.0\n", 2),
+        # An out-of-range row at stage 1, then a short stage 2: the stage is named.
+        ("counts,1,1|0,1.5\ncounts,1,0|1,0.5\n" + short_stage_2, 2),
+    ]
+    for rows, stage in cases:
+        message = f"rule file leaves stage {stage} states undefined"
+        with pytest.raises(so.SeqOptError, match=message):
+            so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + rows), p)
+        assert layer.space._top == 0
+
+
+def _corrupt(label: str, sep: str, k: int, pick: int) -> str:
+    """A label that names no state of its stage: too long, padded, zero-led or out of range."""
+    if pick == 0:
+        return f"{label}{sep}0"
+    if pick == 1:
+        return f" {label}"
+    if pick == 2:
+        return f"0{label}"
+    # One symbol out of range on the tree; one count raised, so the sum is off.
+    parts = label.split(sep)
+    parts[0] = str(k) if sep == "," else str(int(parts[0]) + 1)
+    return sep.join(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    engine_k_horizon=st.one_of(
+        st.tuples(st.just("counts"), st.integers(2, 4), st.integers(1, 8)),
+        st.tuples(st.just("tree"), st.integers(2, 3), st.integers(1, 4)),
+    ),
+    decisions=st.booleans(),
+    pick=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rule_csv_reads_shuffled_rows_and_names_a_corrupt_label(
+    engine_k_horizon, decisions, pick, seed
+):
+    engine, k, horizon = engine_k_horizon
+    rng = np.random.default_rng(seed)
+    p = so.iid_problem(np.full((2, k), 1.0 / k), so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    space = state_space(p, engine)
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    rule = so.StoppingRule(engine, [rng.random(s) for s in sizes], truncated=False)
+    probs = None
+    if decisions:
+        probs = [rng.random((s, p.n_decisions)) for s in sizes]
+        probs = [q / q.sum(axis=1, keepdims=True) for q in probs]
+    buf = io.StringIO()
+    write_rule_csv(buf, rule, space, probs)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+
+    def read(body):
+        out = io.StringIO()
+        csv.writer(out).writerows([header] + body)
+        out.seek(0)
+        return read_rule_csv(out, p)
+
+    back, back_probs = read(rows)
+    assert [a.tobytes() for a in back.stop_probs] == [a.tobytes() for a in rule.stop_probs]
+    if decisions:
+        assert [q.tobytes() for q in back_probs] == [q.tobytes() for q in probs]
+    else:
+        assert back_probs is None
+    row = rows[rng.integers(len(rows))]
+    row[2] = _corrupt(row[2], "|" if engine == "counts" else ",", k, pick)
+    message = f"unknown state '{row[2]}' at stage {row[1]}"
+    with pytest.raises(so.SeqOptError, match=re.escape(message)):
+        read(rows)
