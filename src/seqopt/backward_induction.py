@@ -149,7 +149,6 @@ def solve_limit(
     tol: float = 1e-10,
     n_cap: int = 256,
     engine: str = "auto",
-    state_budget: int = DEFAULT_STATE_BUDGET,
 ) -> ValueTables:
     """Approach the unbounded-horizon optimum by horizon doubling.
 
@@ -160,12 +159,12 @@ def solve_limit(
     not a failure, since cont[0] decreases monotonically and the trace shows
     how far it got. Each doubling reuses the stages of the one before.
     """
-    tables = solve_truncated(p, 1, engine, state_budget)
+    tables = solve_truncated(p, 1, engine)
     trace = [(1, tables.q0)]
     converged = False
     while not converged and 2 * tables.horizon <= n_cap:
         # `tables` is rebound only after the solve, so it keeps the stages alive for it
-        tables = solve_truncated(p, 2 * tables.horizon, engine, state_budget)
+        tables = solve_truncated(p, 2 * tables.horizon, engine)
         trace.append((tables.horizon, tables.q0))
         converged = abs(trace[-2][1] - trace[-1][1]) < tol
     tables.q0_trace = trace

@@ -126,14 +126,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     p = load_problem(args.config)
     params = {
         "horizon": args.horizon,
-        "limit": args.limit,
         "tol": args.tol,
         "cap": args.cap,
         "engine": args.engine,
     }
     out_dir, config_sha = _run_dir(args, config_bytes, params)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.limit or args.horizon is None:
+    if args.horizon is None:
         tables = solve_limit(p, tol=args.tol, n_cap=args.cap, engine=args.engine)
     else:
         tables = solve_truncated(p, args.horizon, engine=args.engine)
@@ -320,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="backward induction values and the optimal rule")
     solve.add_argument("config")
-    solve.add_argument("--horizon", type=int, default=None, help="truncation horizon")
-    solve.add_argument("--limit", action="store_true", help="grow the horizon to convergence")
+    solve.add_argument("--horizon", type=int, help="truncation horizon; default: limit mode")
     solve.add_argument("--tol", type=float, default=1e-10, help="limit mode tolerance")
     solve.add_argument("--cap", type=int, default=256, help="limit mode horizon cap")
     solve.add_argument("--engine", default="auto", choices=["auto", "tree", "counts"])

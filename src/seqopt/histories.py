@@ -7,22 +7,20 @@ Two engines share one interface:
 - "counts": states are symbol-count vectors, iid models only. Exchangeability
   makes every per-history quantity a function of the counts, so the stage size
   is C(n+K-1, K-1), polynomial in n. States are in lexicographic order, and
-  each stage is built from the one before it in two blocks, with no ranking:
-  the states whose first count is 0 (the (K-1)-part compositions of n, built
-  the same way and kept per space), then the previous stage's states with
-  the first count raised by one. Adding a symbol keeps that order, so a
-  symbol's children are the next stage's states that count it, ascending.
-  A state's rank, a closed-form sum of binomial coefficients, serves only the
-  lookup from a count vector to its index.
+  each stage is built from the one before it in two blocks: the states whose
+  first count is 0 (the (K-1)-part compositions of n, built the same way and
+  kept per space), then the previous stage's states with the first count
+  raised by one. Adding a symbol keeps that order, so a symbol's children are
+  the next stage's states that count it, ascending.
 
 Per stage n every engine provides the state count `n_states(n)` (a closed
 form, so sizing a stage builds nothing), the child table `children(n)`
 ((S_n, K) indices at stage n+1; arange(S_n*K) on the tree), the conditional
 step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K) for
 kernels; iid rows do not depend on the state and come as one (1, m, K)
-block), each state's symbol counts `states(n)` and printable labels
-(`label`, `labels`); a rule file's reader inverts labels by looking them up
-in `labels(n)`. No other module asks which engine it holds.
+block), each state's symbol counts `states(n)` and printable `labels(n)`;
+a rule file's reader inverts labels by looking them up in `labels(n)`. No
+other module asks which engine it holds.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
 mixture flows or reachability to stage n+1 with one `np.bincount` over the
@@ -80,16 +78,8 @@ class TreeStateSpace:
             self._step_cache[n] = p.obs.kernel_rows(p.n_params, n)
         return self._step_cache[n]
 
-    def label(self, n: int, idx: int) -> str:
-        """The history's symbols, comma-separated: the base-K digits of idx."""
-        digits = []
-        for _ in range(n):
-            idx, x = divmod(idx, self.k)
-            digits.append(str(x))
-        return ",".join(reversed(digits))
-
     def labels(self, n: int) -> list[str]:
-        """label(n, i) for every stage-n state, in index order."""
+        """Each stage-n history's symbols, comma-separated, in index order."""
         symbols = [str(x) for x in range(self.k)]
         out = [""]
         for depth in range(n):
@@ -106,47 +96,28 @@ class CountStateSpace:
             raise SeqOptError("count-vector engine requires an iid model")
         self.problem = problem
         self.k = problem.alphabet_size
-        # Per built stage n: the (S_n, K) states in lexicographic order and
-        # (below the top stage) the (S_n, K) child table.
+        # Per built stage n = 0..top: the (S_n, K) states in lexicographic
+        # order and (below the top stage) the (S_n, K) child table.
         self._states: dict[int, np.ndarray] = {0: np.zeros((1, self.k), dtype=np.int64)}
         self._children: dict[int, np.ndarray] = {}
-        self._top = 0
         self._heads: dict[int, list[np.ndarray]] = {}  # (K-1)-part stages, see _compositions
-        self._parts_after = np.arange(self.k - 1, 0, -1)
-        self._sizes = _composition_counts(self.k, 0)
-
-    def _rank(self, counts: np.ndarray) -> np.ndarray:
-        """Lexicographic index of each count vector (last axis) within its stage.
-
-        With rest_i = counts[i:].sum() and p = K-1-i parts after part i, the
-        vectors that agree on parts 0..i-1 and are smaller at part i number
-        C(rest_i + p, p) - C(rest_{i+1} + p, p) (hockey-stick identity).
-        """
-        rest = np.cumsum(counts[..., ::-1], axis=-1)[..., ::-1]
-        r_max = int(rest[..., 0].max(initial=0))
-        if r_max >= self._sizes.shape[1]:
-            self._sizes = _composition_counts(self.k, 2 * r_max)
-        p = self._parts_after
-        return (self._sizes[p, rest[..., :-1]] - self._sizes[p, rest[..., 1:]]).sum(axis=-1)
 
     def _build_to(self, n: int) -> None:
-        """Build stages top+1..n, each from its predecessor, without ranking.
+        """Build stages top+1..n, each from its predecessor.
 
         Adding e_x keeps lexicographic order, and its image of stage n is the
         set of stage-(n+1) states with c_x >= 1, so children[:, x] lists those
         states' indices in ascending order.
         """
-        if n <= self._top:
-            return
-        states = self._states[self._top]
-        for stage in range(self._top, n):
+        top = len(self._states) - 1
+        states = self._states[top]
+        for stage in range(top, n):
             ch = np.empty((len(states), self.k), dtype=np.int64)
             states = _next_stage(states, _compositions(self.k - 1, stage + 1, self._heads))
             for x in range(self.k):
                 ch[:, x] = np.flatnonzero(states[:, x])
             self._children[stage] = ch
             self._states[stage + 1] = states
-        self._top = n
 
     def n_states(self, n: int) -> int:
         """C(n+K-1, K-1), in closed form: sizing a stage does not build it."""
@@ -163,8 +134,7 @@ class CountStateSpace:
             raise SeqOptError(
                 f"{counts!r} is not a count vector of {n} observations over {self.k} symbols"
             )
-        self._build_to(n)
-        return int(self._rank(c))
+        return int(np.flatnonzero((self.states(n) == c).all(axis=1))[0])
 
     def children(self, n: int) -> np.ndarray:
         self._build_to(n + 1)
@@ -173,22 +143,11 @@ class CountStateSpace:
     def step_probs(self, n: int) -> np.ndarray:
         return self.problem.obs.iid_pmf[None]
 
-    def label(self, n: int, idx: int) -> str:
-        return "|".join(str(c) for c in self.states(n)[idx].tolist())
-
     def labels(self, n: int) -> list[str]:
-        """label(n, i) for every stage-n state, in index order, from one str.format."""
+        """Each stage-n state's counts joined by "|", in index order, from one str.format."""
         states = self.states(n)
         fmt = "\n".join(["|".join(["{}"] * self.k)] * len(states))
         return fmt.format(*states.ravel().tolist()).split("\n")
-
-
-def _composition_counts(k: int, r_max: int) -> np.ndarray:
-    """table[p, r] = C(r + p, p): compositions of r into p + 1 parts, r <= r_max."""
-    table = np.ones((k, r_max + 1), dtype=np.int64)
-    for p in range(1, k):
-        table[p] = np.cumsum(table[p - 1])
-    return table
 
 
 def _next_stage(prev: np.ndarray, head: np.ndarray) -> np.ndarray:

@@ -72,6 +72,8 @@ _GROWTH_STEPS = 80  # phase-I rounds before the targets count as infeasible
 _MAX_ROUNDS = 500  # pricing rounds of the master before giving up on the gap
 _GAP_TOL = 1e-12  # certified gap, relative to max(1, master value)
 _LP_EPS = 1e-12  # the LP's pivot, reduced-cost and phase-I feasibility tolerance
+_N_TOL = 1e-9  # verify_conditional_optimality: a sample size this much smaller beats the match
+_W_TOL = 1e-12  # verify_conditional_optimality: group losses this far above still count as met
 
 
 def _weighted_loss(p: Problem, lam: Sequence[float]) -> np.ndarray:
@@ -439,8 +441,6 @@ def verify_conditional_optimality(
     result: MultiplierSearchResult,
     horizon: int,
     rule_budget: int = 2**20,
-    n_tol: float = 1e-9,
-    w_tol: float = 1e-12,
 ) -> OptimalityCheck:
     """Look among all deterministic truncated rules for one that beats the matched rule.
 
@@ -470,11 +470,11 @@ def verify_conditional_optimality(
     frontiers = stopping_frontiers(table.space, horizon, node, rule_budget)
     for n_rules, (frontier, totals) in enumerate(frontiers, 1):
         n_rule, w_rule = float(totals[0]), totals[1:]
-        if np.all(w_rule <= result.achieved + w_tol):
+        if np.all(w_rule <= result.achieved + _W_TOL):
             entry = {"frontier": sorted(frontier), "n_psi": n_rule, "w_groups": w_rule.tolist()}
-            if n_rule < result.n_psi - n_tol:
+            if n_rule < result.n_psi - _N_TOL:
                 violations.append(entry)
-            elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + w_tol:
+            elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + _W_TOL:
                 strict.append(entry)
     return OptimalityCheck(
         n_rules=n_rules,

@@ -55,6 +55,7 @@ from .stopping_policy import StoppingRule
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 13  # replications walked together; memory is O(_CHUNK * K)
+_CAP_HIT_THRESHOLD = 0.01  # a run is flagged when more replications than this hit the cap
 
 # Philox4x64-10: round multipliers, Weyl key increments, uint64 helpers.
 _PHILOX_ROUNDS = 10
@@ -71,7 +72,6 @@ class SimConfig:
     seed: int
     cap: int
     theta_mode: str | int = "pi2"  # "pi1", "pi2", or a fixed parameter index
-    cap_hit_threshold: float = 0.01
     keep_trace: bool = False
 
 
@@ -322,7 +322,7 @@ def simulate(
         decision_freq=dec_freq,
         decision_freq_se=dec_se,
         cap_hit_fraction=cap_fraction,
-        flagged=cap_fraction > cfg.cap_hit_threshold,
+        flagged=cap_fraction > _CAP_HIT_THRESHOLD,
         theta_freq=theta_freq,
         trace=trace,
         stats={

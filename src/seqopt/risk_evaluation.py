@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -154,10 +153,6 @@ class RiskReport:
             "stop_dist_pi1": self.stop_dist_pi1.tolist(),
             "stop_dist_theta": self.stop_dist_theta.tolist(),
         }
-
-    def to_json(self, fh: IO[str]) -> None:
-        json.dump(self.to_dict(), fh, indent=2, allow_nan=True)
-        fh.write("\n")
 
     def to_csv(self, fh: IO[str]) -> None:
         writer = csv.writer(fh)

@@ -30,6 +30,8 @@ from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
 log = logging.getLogger(__name__)
 
 _LlrTable = tuple[np.ndarray, list[slice]]  # stages' log-LRs concatenated, each stage's slice
+_MATCH_TOL = 1e-4  # match_sprt_errors: |achieved - target| allowed per error
+_THRESHOLD_LIMIT = 60.0  # match_sprt_errors: largest threshold magnitude searched
 
 
 @dataclass(frozen=True)
@@ -219,11 +221,9 @@ def match_sprt_errors(
     alpha: float,
     beta: float,
     cap: int = 200,
-    tol: float = 1e-4,
     hypotheses: tuple[int, int] = (0, 1),
     conservative: bool = False,
     max_sweeps: int = 8,
-    threshold_limit: float = 60.0,
 ) -> SprtSpec:
     """Thresholds whose exact error probabilities match the targets.
 
@@ -234,14 +234,14 @@ def match_sprt_errors(
     value of some count state of stages 1..cap (the stopping sets), or where
     the thresholds' midpoint passes one of stage cap (the decisions of the
     states the cap force-stops). So each search bisects over one candidate
-    per such piece of [1e-6, threshold_limit] (see _threshold_candidates)
+    per such piece of [1e-6, _THRESHOLD_LIMIT] (see _threshold_candidates)
     rather than over the reals: about log2 of the number of breakpoints in OC
     calls instead of 62, with the threshold values a real-valued bisection
     finds wherever the error crosses its target once. Since the operating
     characteristics are step functions of the thresholds, exact equality is
     generally unattainable:
 
-    - conservative=False: require |achieved - target| <= tol for both errors,
+    - conservative=False: require |achieved - target| <= _MATCH_TOL for both errors,
       else raise UnreachableTargetsError carrying the best spec found.
     - conservative=True: return the tightest thresholds found with achieved
       alpha <= alpha and achieved beta <= beta (never over target), however
@@ -249,8 +249,8 @@ def match_sprt_errors(
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise SeqOptError("targets must be in (0, 1)")
-    a = min(max(math.log((1 - beta) / alpha), 1e-6), threshold_limit)
-    b = max(min(math.log(beta / (1 - alpha)), -1e-6), -threshold_limit)
+    a = min(max(math.log((1 - beta) / alpha), 1e-6), _THRESHOLD_LIMIT)
+    b = max(min(math.log(beta / (1 - alpha)), -1e-6), -_THRESHOLD_LIMIT)
     spec = SprtSpec(a, b, hypotheses, cap)
     _check_sprt_inputs(p, spec)
     # Every threshold probe evaluates p on the count engine: hold its layer.
@@ -273,7 +273,7 @@ def match_sprt_errors(
                 (levels < t[:n_levels], cap_levels < 0.5 * (t[n_levels:] + b_now))
             )
 
-        a_candidates = _threshold_candidates(a_passed, count, 1e-6, threshold_limit)
+        a_candidates = _threshold_candidates(a_passed, count, 1e-6, _THRESHOLD_LIMIT)
 
         def alpha_of(av: float) -> float:
             oc = _oc(p, replace(spec, a_upper=av), table)
@@ -290,7 +290,7 @@ def match_sprt_errors(
                 (levels > -t[:n_levels], cap_levels >= 0.5 * (a_now + -t[n_levels:]))
             )
 
-        b_candidates = _threshold_candidates(b_passed, count, 1e-6, threshold_limit)
+        b_candidates = _threshold_candidates(b_passed, count, 1e-6, _THRESHOLD_LIMIT)
 
         def beta_of(bv: float) -> float:
             # bv is the magnitude of the lower threshold.
@@ -305,12 +305,12 @@ def match_sprt_errors(
         if conservative:
             if achieved[0] <= alpha and achieved[1] <= beta:
                 return spec
-        elif abs(achieved[0] - alpha) <= tol and abs(achieved[1] - beta) <= tol:
+        elif abs(achieved[0] - alpha) <= _MATCH_TOL and abs(achieved[1] - beta) <= _MATCH_TOL:
             return spec
     if conservative and achieved[0] <= alpha and achieved[1] <= beta:
         return spec
     raise UnreachableTargetsError(
-        f"no thresholds reach alpha={alpha}, beta={beta} within tol={tol} at cap={cap}; "
+        f"no thresholds reach alpha={alpha}, beta={beta} within tol={_MATCH_TOL} at cap={cap}; "
         f"best achieved {achieved}",
         best=spec,
         achieved=achieved,

@@ -3,7 +3,7 @@
 A stopping rule assigns each stage-n state a stop probability in [0, 1].
 Optimal rules come out of the value tables by the sandwich rule: stop where
 stopping is strictly cheaper than continuing, continue where it is strictly
-dearer, and do anything where the two are tied (within the shared tolerance).
+dearer, and do anything where the two are tied (within a relative margin).
 The final stage of a truncated rule always stops.
 
 `sandwich_check` verifies that property on the reachable set only: states a
@@ -105,8 +105,10 @@ def read_rule_csv(
 
     Errors come in this order. A stage past the state budget raises
     BudgetExceededError. Then the first stage with fewer rows than states
-    raises, whatever rows come before it. Neither builds a stage. Then rows
-    are checked in file order, and the first offending one raises.
+    raises, whatever rows come before it, and then the first row that repeats
+    an earlier row's stage and label. None of these builds a stage. Then rows
+    are checked in file order, and the first offending one raises. A stage
+    with more rows than states thus raises as a repeat or an unknown state.
     """
     reader = csv.reader(fh)
     header = next(reader, [])
@@ -134,6 +136,11 @@ def read_rule_csv(
     short = np.bincount(stages[stages >= 1], minlength=horizon + 1)[1:] < sizes
     if short.any():
         raise SeqOptError(f"rule file leaves stage {int(np.argmax(short)) + 1} states undefined")
+    keys = list(zip(stages.tolist(), labels))
+    if len(set(keys)) < len(keys):
+        first_seen = {}
+        i = next(i for i, key in enumerate(keys) if first_seen.setdefault(key, i) != i)
+        raise SeqOptError(f"rule file repeats state {labels[i]!r} at stage {stages[i]}")
     # Each stage's rows look their labels up in the engine's own labels(n);
     # unknown labels and stages below 1 keep index -1.
     indices = np.full(len(rows), -1, dtype=np.int64)
@@ -158,10 +165,7 @@ def read_rule_csv(
     at = offsets[stages - 1] + indices  # each row's position in all stages, concatenated
     flat = np.full(offsets[-1], np.nan)
     flat[at] = values
-    probs = np.split(flat, offsets[1:-1])
-    for n, arr in enumerate(probs, start=1):
-        if np.isnan(arr).any():  # a stage with rows enough, some of them repeated
-            raise SeqOptError(f"rule file leaves stage {n} states undefined")
+    probs = np.split(flat, offsets[1:-1])  # rows enough, none repeated or unknown: all set
     truncated = bool(np.all(probs[-1] == 1.0))
     rule = StoppingRule(engine, probs, truncated)
     d_names = [h for h in header if h.startswith(DECISION_PROB)]
@@ -185,19 +189,24 @@ def read_rule_csv(
     return rule, np.split(table, offsets[1:-1])
 
 
-def _strict_sides(stop_loss: np.ndarray, cont: np.ndarray, eps: float = TIE_ATOL) -> tuple:
-    """Masks where stopping beats, and where it trails, continuing by more than eps; else a tie."""
+def _strict_sides(stop_loss: np.ndarray, cont: np.ndarray) -> tuple:
+    """Masks where stopping beats, and where it trails, continuing; else a tie.
+
+    Sides are strict beyond TIE_ATOL times the larger magnitude: the values are
+    density-scale, so an absolute margin would tie every state of low density.
+    """
     diff = stop_loss - cont
+    eps = TIE_ATOL * np.maximum(np.abs(stop_loss), np.abs(cont))
     return diff < -eps, diff > eps
 
 
 def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> StoppingRule:
     """Optimal stopping rule from solved tables.
 
-    Stop where stop_loss < cont - TIE_ATOL, continue where
-    stop_loss > cont + TIE_ATOL, and on ties apply `tie_policy`: "stop",
-    "continue", or a float in [0, 1] used as the stop probability there.
-    The final stage always stops.
+    Stop where stop_loss < cont - eps, continue where stop_loss > cont + eps,
+    with eps = TIE_ATOL * max(|stop_loss|, |cont|), and on ties apply
+    `tie_policy`: "stop", "continue", or a float in [0, 1] used as the stop
+    probability there. The final stage always stops.
 
     The rule keeps the tables' HistoryTable. While it lives, so do the shared
     density layer and loss view (see bayes_decision), so `evaluate` and
@@ -283,15 +292,14 @@ class SandwichViolation:
     stop_prob: float
 
 
-def sandwich_check(
-    rule: StoppingRule, tables: ValueTables, eps: float = TIE_ATOL
-) -> list[SandwichViolation]:
+def sandwich_check(rule: StoppingRule, tables: ValueTables) -> list[SandwichViolation]:
     """Violations of the optimal stop/continue pattern on the reachable set.
 
     A reachable state must stop (prob 1) where stopping is strictly cheaper,
     must continue (prob 0) where it is strictly dearer, and may do anything on
-    a tie. Only stages with a continuation value are checked; the forced final
-    stop of a truncated rule is structural.
+    a tie, with extract_rule's relative tie margin. Only stages with a
+    continuation value are checked; the forced final stop of a truncated rule
+    is structural.
     """
     if rule.horizon != tables.horizon:
         raise SeqOptError(
@@ -304,13 +312,14 @@ def sandwich_check(
         st = tables.table.stage(n)
         cont = tables.cont[n]
         probs = rule.at(n)
-        must_stop, must_cont = _strict_sides(st.stop_loss, cont, eps)
+        must_stop, must_cont = _strict_sides(st.stop_loss, cont)
         bad = masks[n - 1] & ((must_stop & (probs < 1.0)) | (must_cont & (probs > 0.0)))
-        for i in np.flatnonzero(bad):
-            out.append(
-                SandwichViolation(
-                    n, int(i), space.label(n, int(i)),
-                    float(st.stop_loss[i]), float(cont[i]), float(probs[i]),
-                )
+        bad_states = np.flatnonzero(bad).tolist()
+        labels = space.labels(n) if bad_states else []
+        out += [
+            SandwichViolation(
+                n, i, labels[i], float(st.stop_loss[i]), float(cont[i]), float(probs[i])
             )
+            for i in bad_states
+        ]
     return out

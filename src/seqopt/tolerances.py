@@ -1,17 +1,19 @@
 """Numerical tolerances shared by every module.
 
-One place, one value each. These are absolute tolerances: the package works
-with probability-scale quantities, and the test surface pins instances where
-the relevant magnitudes are O(1) down to O(1e-6). States whose joint density
-has decayed below TIE_ATOL may classify as ties spuriously; their contribution
-to any risk functional is bounded by TIE_ATOL per state, which the stop/continue
-tie-policy equivalence tolerance (1e-9) absorbs on desk-scale instances.
+One place, one value each. All are absolute but one: the stop/continue
+comparison of stopping_policy scales TIE_ATOL by the larger of the stop loss
+and the continuation value. Those are density-scale and shrink with the
+stage, so an absolute margin would call a state a tie, and let a tie policy
+move the rule's risk off the optimum, once its density fell below TIE_ATOL.
+bayes_decision's decision tie set stays absolute: it only names the
+minimizing decisions and changes no rule.
 """
 
 # Probability vectors (pmf rows, priors) must sum to 1 within this.
 NORM_ATOL = 1e-9
 
-# Two stage losses / values closer than this are a tie.
+# Stop loss and continuation value closer than this, relative to the larger,
+# are a tie; Bayes decision costs closer than this, absolutely.
 TIE_ATOL = 1e-12
 
 # A rule's stopping mass under pi2 must be within this of 1 for the combined

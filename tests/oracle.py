@@ -11,6 +11,7 @@ above them.
 """
 
 from itertools import product
+from math import prod
 
 
 def tree_history(k, n, idx):
@@ -140,6 +141,82 @@ def best_truncated_risk(pmf, pi1, pi2, w, c, horizon):
         if best is None or risk < best:
             best = risk
     return best
+
+
+# The exact referee below redoes backward induction and rule evaluation in
+# rational arithmetic (Fraction inputs give Fraction results), on count states
+# of an iid model: the count tuples of n observations, in sorted order, which
+# is the counts engine's index order. No comparison in it needs a tolerance.
+
+
+def _bump(counts, x):
+    return counts[:x] + (counts[x] + 1,) + counts[x + 1 :]
+
+
+def exact_count_stages(k, horizon):
+    """Stages 0..horizon of count tuples, each stage sorted."""
+    stages = [[(0,) * k]]
+    for _ in range(horizon):
+        stages.append(sorted({_bump(s, x) for s in stages[-1] for x in range(k)}))
+    return stages
+
+
+def exact_stage_terms(pmf, pi1, pi2, w, horizon):
+    """(stages, stop_loss, f_pi2): count stages 0..horizon and, per count tuple,
+    its per-history stop loss and pi2-mixture density."""
+    m, k = len(pmf), len(pmf[0])
+    stages = exact_count_stages(k, horizon)
+    powers = [[[p**j for j in range(horizon + 1)] for p in row] for row in pmf]
+    stop_loss, f_pi2 = {}, {}
+    for states in stages:
+        for s in states:
+            f = [prod(powers[t][x][s[x]] for x in range(k)) for t in range(m)]
+            stop_loss[s] = min(
+                sum(w[t][d] * pi1[t] * f[t] for t in range(m)) for d in range(len(w[0]))
+            )
+            f_pi2[s] = sum(pi2[t] * f[t] for t in range(m))
+    return stages, stop_loss, f_pi2
+
+
+def exact_backward(terms, c):
+    """Exact continuation values of every count tuple below the horizon.
+
+    terms is exact_stage_terms' result; the optimum q0 is cont[(0,) * k].
+    """
+    stages, stop_loss, f_pi2 = terms
+    k = len(stages[0][0])
+    value = {s: stop_loss[s] for s in stages[-1]}
+    cont = {}
+    for n in range(len(stages) - 2, -1, -1):
+        for s in stages[n]:
+            cont[s] = c * f_pi2[s] + sum(value[_bump(s, x)] for x in range(k))
+            value[s] = min(stop_loss[s], cont[s])
+    return cont
+
+
+def exact_rule_risk(terms, c, stop_probs):
+    """Exact combined risk of a count-state rule truncated at the terms' horizon.
+
+    stop_probs[n - 1] lists stage n's stop probabilities in sorted tuple
+    order; stage 0 always observes. alive[s] sums, over the histories with
+    counts s, the probability that the rule has not stopped before them, so
+    each stage adds alive * stop * (stop loss + c * n * f_pi2). A forward
+    pass, where exact_backward is a backward one.
+    """
+    stages, stop_loss, f_pi2 = terms
+    k = len(stages[0][0])
+    alive = {stages[0][0]: 1}
+    risk = 0
+    for n, probs in enumerate(stop_probs, start=1):
+        arriving = dict.fromkeys(stages[n], 0)
+        for s, a in alive.items():
+            for x in range(k):
+                arriving[_bump(s, x)] += a
+        alive = {}
+        for s, q in zip(stages[n], probs):
+            risk += arriving[s] * q * (stop_loss[s] + c * n * f_pi2[s])
+            alive[s] = arriving[s] * (1 - q)
+    return risk
 
 
 # The two enumerations below count through all 2^H stop/continue assignments
@@ -391,7 +468,15 @@ def reference_forward(p, rule, decision=None, multipliers=None):
 
 # The CSV writers below are the ones `ValueTables.to_csv` and `write_rule_csv`
 # ran before each stage became one block of text: csv.writer, one row and one
-# `space.label` at a time. They read the package's arrays and state spaces.
+# label at a time. They read the package's arrays and state spaces, and spell
+# each label out themselves.
+
+
+def reference_label(space, n, i):
+    """Stage-n state i's label: tree symbols joined by ",", count rows by "|"."""
+    if space.engine == "tree":
+        return ",".join(map(str, tree_history(space.k, n, i)))
+    return "|".join(map(str, space.states(n)[i].tolist()))
 
 
 def reference_values_csv(tables) -> str:
@@ -408,7 +493,7 @@ def reference_values_csv(tables) -> str:
         for i in range(len(st.stop_loss)):
             cont = "" if n == tables.horizon else repr(float(tables.cont[n][i]))
             writer.writerow(
-                [n, space.label(n, i), repr(float(st.stop_loss[i])), cont,
+                [n, reference_label(space, n, i), repr(float(st.stop_loss[i])), cont,
                  repr(float(tables.value[n][i]))]
             )
     return fh.getvalue()
@@ -429,5 +514,7 @@ def reference_rule_csv(rule, space, decision_probs=None) -> str:
         arr = rule.at(n)
         for i in range(len(arr)):
             extra = [repr(float(decision_probs[n - 1][i, d])) for d in range(d_count)]
-            writer.writerow([rule.engine, n, space.label(n, i), repr(float(arr[i]))] + extra)
+            writer.writerow(
+                [rule.engine, n, reference_label(space, n, i), repr(float(arr[i]))] + extra
+            )
     return fh.getvalue()

@@ -94,9 +94,7 @@ def test_search_rule_file_matches_row_by_row_writer(tmp_path, capsys):
 
 
 def test_solve_limit_mode(tmp_path, capsys):
-    code, out_dir = run(
-        capsys, "--out-root", str(tmp_path), "solve", UNINFORMATIVE, "--limit"
-    )
+    code, out_dir = run(capsys, "--out-root", str(tmp_path), "solve", UNINFORMATIVE)
     assert code == 0
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["converged"] is True

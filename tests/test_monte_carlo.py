@@ -129,7 +129,7 @@ def reference_simulate(p, rule, cfg, decision=None):
         decision_freq=dec_freq,
         decision_freq_se=dec_se,
         cap_hit_fraction=cap_fraction,
-        flagged=cap_fraction > cfg.cap_hit_threshold,
+        flagged=cap_fraction > mc._CAP_HIT_THRESHOLD,
         theta_freq=theta_freq,
         trace=trace,
     )

@@ -34,7 +34,7 @@ def test_llr_increments_hand_value(channel):
 def test_llr_by_state_counts(channel):
     space = state_space(channel, "counts")
     llr = so.llr_by_state(channel, space, 2)
-    values = {space.label(2, i): llr[i] for i in range(space.n_states(2))}
+    values = dict(zip(space.labels(2), llr))
     assert values["0|2"] == pytest.approx(2 * DELTA, abs=1e-13)
     assert values["1|1"] == pytest.approx(0.0, abs=1e-13)
     assert values["2|0"] == pytest.approx(-2 * DELTA, abs=1e-13)

@@ -2,12 +2,13 @@ import csv
 import io
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
@@ -16,7 +17,13 @@ from seqopt.histories import state_space
 from seqopt.stopping_policy import read_rule_csv, write_rule_csv
 
 from conftest import random_instance
-from oracle import reference_rule_csv, reference_values_csv
+from oracle import (
+    exact_backward,
+    exact_rule_risk,
+    exact_stage_terms,
+    reference_rule_csv,
+    reference_values_csv,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -109,6 +116,7 @@ def test_sandwich_flags_wrong_rule(instance_b):
     assert len(violations) == 1
     v = violations[0]
     assert (v.stage, v.state) == (1, i1)
+    assert v.label == "0|1"
     assert v.stop_loss < v.continue_value
 
 
@@ -172,6 +180,57 @@ def test_tie_policies_give_equal_risk():
     ]
     assert max(risks) - min(risks) <= 1e-9
     assert risks[0] == pytest.approx(tables.q0, abs=1e-12)
+
+
+@st.composite
+def _rational_iid(draw):
+    """An iid problem with small-integer-ratio pmfs, priors and losses, and a horizon."""
+    k, m, d = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(2, 3))
+
+    def pmf_row(size):
+        weights = draw(st.lists(st.integers(0, 9), min_size=size, max_size=size).filter(any))
+        return [float(Fraction(v, sum(weights))) for v in weights]
+
+    pmf = [pmf_row(k) for _ in range(m)]
+    loss = [draw(st.lists(st.integers(0, 4), min_size=d, max_size=d)) for _ in range(m)]
+    cost = float(Fraction(draw(st.integers(1, 60)), 1000))
+    horizon = draw(st.integers(1, 60 if k == 2 else 16))
+    return so.iid_problem(pmf, loss, pmf_row(m), pmf_row(m), cost), horizon
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rational_iid())
+# With an absolute tie margin, 868 stage states of this example read as ties,
+# and the "stop" and "continue" rules missed q0 by 5e-4 and 2e-3.
+@example((so.load_problem(CONFIGS / "symmetric.json"), 60))
+def test_float_solve_and_extraction_match_exact_rationals(problem_horizon):
+    """q0, the extracted rules' risks and every strict side against exact rationals.
+
+    The referee takes the problem's float inputs as exact Fractions, so both
+    solve the same problem and differ only by rounding.
+    """
+    p, horizon = problem_horizon
+    frac = lambda a: [[Fraction(v) for v in row] for row in np.atleast_2d(a).tolist()]
+    terms = exact_stage_terms(
+        frac(p.obs.iid_pmf), frac(p.priors.pi1)[0], frac(p.priors.pi2)[0], frac(p.loss.w), horizon
+    )
+    stages, stop_loss, _ = terms
+    c = Fraction(p.cost.c)
+    cont = exact_backward(terms, c)
+    q0 = cont[stages[0][0]]
+    tol = Fraction(1e-12) * max(1, q0)
+    tables = so.solve_truncated(p, horizon, engine="counts")
+    assert abs(Fraction(tables.q0) - q0) <= tol
+    for policy in ("stop", "continue"):
+        rule = so.extract_rule(tables, policy)
+        stop_probs = [frac(rule.at(n))[0] for n in range(1, horizon + 1)]
+        assert abs(exact_rule_risk(terms, c, stop_probs) - q0) <= tol, policy
+    # With ties at 0.5, a float stop reads 1 and a float continue 0.
+    half = so.extract_rule(tables, 0.5)
+    for n in range(1, horizon):
+        for s, q in zip(stages[n], half.at(n).tolist()):
+            diff = stop_loss[s] - cont[s]
+            assert not (diff < 0 and q == 0.0 or diff > 0 and q == 1.0), (n, s)
 
 
 def _k3_problem() -> so.Problem:
@@ -406,29 +465,37 @@ def test_rule_csv_past_the_state_budget_raises_before_building(row):
     with pytest.raises(so.BudgetExceededError):
         so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + row + "\n"), p)
     if layer.space.engine == "counts":
-        assert layer.space._top == 0
+        assert len(layer.space._states) == 1
 
 
 def test_incomplete_rule_csv_raises_before_building():
-    # Rows are counted per stage against closed-form stage sizes before any
-    # label is looked up, so an incomplete file raises with no count stage
-    # built, ahead of any row error.
+    # Rows are counted per stage against closed-form stage sizes, and rows
+    # naming one state twice are found by their text, before any label is
+    # looked up. So an incomplete file, or one that repeats a state, raises
+    # with no count stage built, ahead of any row error.
     p = so.load_problem(CONFIGS / "symmetric.json")
     layer = density_layer(p, "counts")  # held, to look at its space after
     short_stage_2 = "counts,2,2|0,1.0\ncounts,2,1|1,1.0\n"
+    repeats_1_0 = "rule file repeats state '1|0' at stage 1"
     cases = [
         # One row naming stage 2800 (3.9M states, inside the budget).
-        ("counts,2800,2800|0,1.0\n", 1),
+        ("counts,2800,2800|0,1.0\n", "rule file leaves stage 1 states undefined"),
         # Complete at stage 1, one row short at stage 2, and naming stage 2800.
-        ("counts,1,1|0,0.5\ncounts,1,0|1,0.5\n" + short_stage_2 + "counts,2800,2800|0,1.0\n", 2),
+        ("counts,1,1|0,0.5\ncounts,1,0|1,0.5\n" + short_stage_2 + "counts,2800,2800|0,1.0\n",
+         "rule file leaves stage 2 states undefined"),
         # An out-of-range row at stage 1, then a short stage 2: the stage is named.
-        ("counts,1,1|0,1.5\ncounts,1,0|1,0.5\n" + short_stage_2, 2),
+        ("counts,1,1|0,1.5\ncounts,1,0|1,0.5\n" + short_stage_2,
+         "rule file leaves stage 2 states undefined"),
+        # Three rows for stage 1's two states, '1|0' twice: this read as
+        # [1.0, 1.0], the later row winning.
+        ("counts,1,1|0,0.0\ncounts,1,0|1,1.0\ncounts,1,1|0,1.0\n", repeats_1_0),
+        # As many rows as states, one of them named twice and one not at all.
+        ("counts,1,1|0,0.0\ncounts,1,1|0,1.0\n", repeats_1_0),
     ]
-    for rows, stage in cases:
-        message = f"rule file leaves stage {stage} states undefined"
-        with pytest.raises(so.SeqOptError, match=message):
+    for rows, message in cases:
+        with pytest.raises(so.SeqOptError, match=re.escape(message)):
             so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + rows), p)
-        assert layer.space._top == 0
+        assert len(layer.space._states) == 1
 
 
 def _corrupt(label: str, sep: str, k: int, pick: int) -> str:
