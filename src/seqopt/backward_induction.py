@@ -19,6 +19,7 @@ is a convergence diagnostic, not a heuristic.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO
@@ -39,6 +40,10 @@ class ValueTables:
     value[n] and cont[n] are per-state arrays aligned with the table's state
     enumeration; cont has entries for stages 0..N-1, value for 0..N. The
     `q0_trace` / `converged` fields are filled by limit mode.
+
+    `stats` describes the solve, not its result: "solve_s", "stages" (0..N),
+    "states" (over them) and "peak_states" (the largest stage's). It stays
+    out of to_csv, so written outputs are reproducible.
     """
 
     problem: Problem
@@ -49,6 +54,7 @@ class ValueTables:
     q0_trace: list[tuple[int, float]] = field(default_factory=list)
     converged: bool | None = None
     tol: float | None = None
+    stats: dict = field(default_factory=dict, repr=False)
 
     @property
     def engine(self) -> str:
@@ -129,6 +135,7 @@ def solve_truncated(
     """
     if horizon < 1:
         raise SeqOptError("horizon must be >= 1")
+    start = time.perf_counter()
     table = HistoryTable(p, engine)
     check_state_budget(table.space, horizon, state_budget)
     c = p.cost.c
@@ -137,11 +144,17 @@ def solve_truncated(
     value[horizon] = table.stage(horizon).stop_loss.copy()
     for n in range(horizon - 1, -1, -1):
         st = table.stage(n)
-        children = table.space.children(n)
-        cont_n = c * st.f_pi2 + value[n + 1][children].sum(axis=1)
+        kids = value[n + 1][table.space.children(n).T]  # (K, S): row x, the children by x
+        # numpy adds 8 or more terms along a contiguous axis pairwise and fewer
+        # (or a leading axis) one by one: either way the (S, K) row sums' bits.
+        sums = kids.sum(axis=0) if len(kids) < 8 else np.ascontiguousarray(kids.T).sum(axis=1)
+        cont_n = c * st.f_pi2 + sums
         value[n] = np.minimum(st.stop_loss, cont_n)
         cont[n] = cont_n
-    return ValueTables(p, table, horizon, value, cont)
+    sizes = [len(v) for v in value]
+    stats = {"solve_s": time.perf_counter() - start, "stages": horizon + 1,
+             "states": sum(sizes), "peak_states": max(sizes)}
+    return ValueTables(p, table, horizon, value, cont, stats=stats)
 
 
 def solve_limit(

@@ -13,6 +13,12 @@ f_theta and the pi2 mixture. A HistoryTable is a view of one loss matrix over
 a layer: per stage it adds only the stage loss and the minimizing decision
 (lowest index on ties).
 
+Both walk the state axis innermost: f_theta is built parameter-major, one
+scatter per (parameter, symbol) along a child-table row, and the view takes
+its minimum and argmin one decision column at a time. The arrays stay C-ordered
+(S, m) and (S, D), as BLAS may round a product of an F-ordered operand
+differently, so every stored array is the state-by-state form's, bit for bit.
+
 `density_layer` shares layers through a weak memo keyed by (engine,
 observation model, pi1, pi2). Problems that differ only in their loss, such as
 the weighted problems of a multiplier search, get the same layer while any
@@ -96,13 +102,15 @@ class DensityLayer:
             f_theta = np.ones((1, m))
         else:
             prev = self._stages[n - 1].f_theta
-            children = self.space.children(n - 1)
+            table = self.space.children(n - 1).T
             step = self.space.step_probs(n - 1)
             f_theta = np.empty((self.space.n_states(n), m))
-            for x in range(p.alphabet_size):
-                # Same value lands on a count state from every predecessor: the
-                # joint density of a history depends only on its state.
-                f_theta[children[:, x]] = prev * step[:, :, x]
+            for j in range(m):
+                column = f_theta[:, j]
+                for x in range(p.alphabet_size):
+                    # Same value lands on a count state from every predecessor: the
+                    # joint density of a history depends only on its state.
+                    column[table[x]] = prev[:, j] * step[:, j, x]
         out = StageDensities(f_theta, f_theta @ p.priors.pi2)
         for arr in vars(out).values():
             arr.flags.writeable = False
@@ -164,7 +172,7 @@ class HistoryTable:
         p = self.problem
         d = self.layer.stage(n)
         costs = (d.f_theta * p.priors.pi1[None, :]) @ p.loss.w
-        stop_loss, decision = costs.min(axis=1), costs.argmin(axis=1)
+        stop_loss, decision = _column_min(costs)
         # setflags costs about half of `.flags.writeable =`; every search probe builds stages.
         stop_loss.setflags(write=False)
         decision.setflags(write=False)
@@ -174,6 +182,21 @@ class HistoryTable:
     def l0(self) -> float:
         """Stage-0 loss: best decision with no data, min_d sum w(theta,d) pi1."""
         return float(self.stage(0).stop_loss[0])
+
+
+def _column_min(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """min(axis=1) and argmin(axis=1) of finite (S, D) costs, bit for bit, by columns.
+
+    A later column replaces the running best only when strictly lower, so ties
+    keep the lowest index.
+    """
+    stop_loss = costs[:, 0].copy()
+    decision = np.zeros(len(costs), dtype=np.intp)
+    for d in range(1, costs.shape[1]):
+        column = costs[:, d]
+        decision[column < stop_loss] = d
+        np.minimum(stop_loss, column, out=stop_loss)
+    return stop_loss, decision
 
 
 def bayes_decide(p: Problem, history: Sequence[int]) -> tuple[int, float, tuple[int, ...]]:

@@ -15,22 +15,23 @@ Two engines share one interface:
 
 Per stage n every engine provides the state count `n_states(n)` (a closed
 form, so sizing a stage builds nothing), the child table `children(n)`
-((S_n, K) indices at stage n+1; arange(S_n*K) on the tree), the conditional
-step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K) for
-kernels; iid rows do not depend on the state and come as one (1, m, K)
+((S_n, K) indices at stage n+1, the transposed view of a contiguous (K, S_n)
+array: row x of `children(n).T` lists every state's child by symbol x, so the
+stage kernels walk the state axis innermost; on the tree child s*K + x), the
+conditional step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K)
+for kernels; iid rows do not depend on the state and come as one (1, m, K)
 block), each state's symbol counts `states(n)` and printable `labels(n)`;
 a rule file's reader inverts labels by looking them up in `labels(n)`. No
 other module asks which engine it holds.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
 mixture flows or reachability to stage n+1 with one `np.bincount` over the
-flattened child table per trailing column. bincount adds in input order,
-state by state and within a state symbol by symbol, so each child receives
-the sum, in symbol order from 0, of what its parents send: the float sums of
-a scatter-add per symbol, bit for bit. A tree child has the single parent s;
-a count state c's parents c - e_x have increasing indices as x increases
-(two of them first differ at the smaller symbol, whose count is one lower
-there).
+symbol-major flattened child table per trailing column. bincount adds in
+input order, symbol by symbol and within a symbol state by state. A child
+has at most one parent per symbol (a tree child the single parent s, a count
+state c the parent c - e_x), so each child receives the sum, in symbol order
+from 0, of what its parents send: the float sums of a scatter-add per symbol,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class TreeStateSpace:
         return self.k**n
 
     def children(self, n: int) -> np.ndarray:
-        return np.arange(self.n_states(n) * self.k, dtype=np.int64).reshape(-1, self.k)
+        return np.add.outer(np.arange(self.k), self.k * np.arange(self.n_states(n))).T
 
     def states(self, n: int) -> np.ndarray:
         """Symbol counts of the stage-n histories, shape (S_n, K): base-K digits tallied."""
@@ -97,7 +98,7 @@ class CountStateSpace:
         self.problem = problem
         self.k = problem.alphabet_size
         # Per built stage n = 0..top: the (S_n, K) states in lexicographic
-        # order and (below the top stage) the (S_n, K) child table.
+        # order and (below the top stage) the symbol-major (K, S_n) child table.
         self._states: dict[int, np.ndarray] = {0: np.zeros((1, self.k), dtype=np.int64)}
         self._children: dict[int, np.ndarray] = {}
         self._heads: dict[int, list[np.ndarray]] = {}  # (K-1)-part stages, see _compositions
@@ -106,16 +107,16 @@ class CountStateSpace:
         """Build stages top+1..n, each from its predecessor.
 
         Adding e_x keeps lexicographic order, and its image of stage n is the
-        set of stage-(n+1) states with c_x >= 1, so children[:, x] lists those
-        states' indices in ascending order.
+        set of stage-(n+1) states with c_x >= 1, so row x of the child table
+        lists those states' indices in ascending order.
         """
         top = len(self._states) - 1
         states = self._states[top]
         for stage in range(top, n):
-            ch = np.empty((len(states), self.k), dtype=np.int64)
+            ch = np.empty((self.k, len(states)), dtype=np.int64)
             states = _next_stage(states, _compositions(self.k - 1, stage + 1, self._heads))
             for x in range(self.k):
-                ch[:, x] = np.flatnonzero(states[:, x])
+                ch[x] = np.flatnonzero(states[:, x])
             self._children[stage] = ch
             self._states[stage + 1] = states
 
@@ -138,7 +139,7 @@ class CountStateSpace:
 
     def children(self, n: int) -> np.ndarray:
         self._build_to(n + 1)
-        return self._children[n]
+        return self._children[n].T
 
     def step_probs(self, n: int) -> np.ndarray:
         return self.problem.obs.iid_pmf[None]
@@ -213,17 +214,17 @@ def push_forward(
     docstring).
     """
     size = space.n_states(n + 1)
-    children = space.children(n)
+    table = space.children(n).T  # (K, S_n), contiguous
     cols = values.reshape(len(values), -1)
     out = np.empty((size, cols.shape[1]), dtype=values.dtype)
     if values.dtype == bool:
         for j in range(cols.shape[1]):
-            out[:, j] = np.bincount(children[cols[:, j]].ravel(), minlength=size) > 0
+            out[:, j] = np.bincount(table[:, cols[:, j]].ravel(), minlength=size) > 0
     else:
-        flat = children.ravel()
+        flat = table.ravel()
         step = space.step_probs(n) if weighted else None
         for j in range(cols.shape[1]):
-            sent = cols[:, j, None] * step[:, j] if weighted else np.repeat(cols[:, j], space.k)
+            sent = step[:, j].T * cols[:, j] if weighted else np.tile(cols[:, j], space.k)
             out[:, j] = np.bincount(flat, weights=sent.ravel(), minlength=size)
     return out.reshape((size,) + values.shape[1:])
 

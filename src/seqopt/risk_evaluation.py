@@ -31,7 +31,6 @@ no code with the recursion it checks.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -47,14 +46,6 @@ from .histories import StateSpace, push_forward
 from .model import Problem
 from .stopping_policy import StoppingRule
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
-
-
-@functools.cache
-def _one_hot(d_count: int) -> np.ndarray:
-    """Read-only identity matrix: row d is decision d's one-hot row (built once per size)."""
-    eye = np.eye(d_count)
-    eye.setflags(write=False)
-    return eye
 
 
 @dataclass(eq=False)
@@ -83,10 +74,13 @@ class DecisionStrategy:
         return self.decisions[n - 1]
 
     def stage_probs(self, n: int, d_count: int) -> np.ndarray:
-        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions."""
+        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions.
+
+        The one-hot rows are booleans, the transposed view of a (D, S) array.
+        """
         if self.probs is not None:
             return self.probs[n - 1]
-        return _one_hot(d_count)[self.at(n)]
+        return (self.at(n) == np.arange(d_count)[:, None]).T
 
     def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
         if self.probs is not None:
@@ -269,14 +263,20 @@ def _forward(
         probs = rule.at(n)
         states += len(probs)
         stop_dist[n - 1] = probs @ mass
-        blocks += (decision.stage_probs(n, d_count) * probs[:, None]).T @ mass
+        # q * p[:, None], written through its (D, S) transpose: the state axis
+        # innermost, and the (S, D) C-ordered operand BLAS always got.
+        booked = np.empty((len(probs), d_count))
+        np.multiply(decision.stage_probs(n, d_count).T, probs, out=booked.T)
+        blocks += booked.T @ mass
         if n < horizon:
             mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
             mass[mass < PRUNE_EPS] = 0.0
         else:
             leftover = (mass * (1.0 - probs)[:, None]).sum(axis=0)
-    decision_probs = np.ascontiguousarray(blocks.T)
-    loss_theta = (decision_probs * p.loss.w).sum(axis=1)
+    by_theta = np.ascontiguousarray(blocks.T)
+    loss_theta = (by_theta * p.loss.w).sum(axis=1)
+    # A pmf row may sum to 1 + 2^-52, and a decision's probability with it.
+    decision_probs = by_theta.clip(0.0, 1.0)
     stats = {"forward_s": time.perf_counter() - start, "stages": horizon, "states": states}
 
     stages = np.arange(1, horizon + 1, dtype=float)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -162,3 +163,31 @@ def test_values_csv_matches_row_by_row_writer(engine, k, horizon):
     buf = io.StringIO()
     tables.to_csv(buf)
     assert buf.getvalue() == reference_values_csv(tables)
+
+
+@pytest.mark.parametrize(
+    "engine, k, horizon",
+    [("counts", 2, 40), ("counts", 3, 12), ("counts", 8, 5), ("tree", 3, 4), ("tree", 9, 2)],
+)
+def test_child_sums_are_the_row_sums_bit_for_bit(engine, k, horizon):
+    # Each state's children are summed from the symbol-major table; that must
+    # be the row sum of the state-by-state gather, also where numpy adds a
+    # row of 8 or more terms pairwise.
+    p, _ = random_instance(np.random.default_rng(k * horizon), m=3, k=k)
+    tables = so.solve_truncated(p, horizon, engine=engine)
+    space = tables.table.space
+    for n in range(horizon):
+        rows = tables.value[n + 1][np.ascontiguousarray(space.children(n))]  # (S, K)
+        want = p.cost.c * tables.table.stage(n).f_pi2 + rows.sum(axis=1)
+        assert tables.cont[n].tobytes() == want.tobytes()
+
+
+def test_stats_describe_the_solve_and_stay_out_of_values_csv(instance_b):
+    tables = so.solve_truncated(instance_b, 6)
+    sizes = [tables.table.space.n_states(n) for n in range(7)]
+    assert tables.stats["stages"] == 7 and tables.stats["solve_s"] >= 0.0
+    assert tables.stats["states"] == sum(sizes) and tables.stats["peak_states"] == max(sizes)
+    with_stats, without = io.StringIO(), io.StringIO()
+    tables.to_csv(with_stats)
+    dataclasses.replace(tables, stats={}).to_csv(without)
+    assert with_stats.getvalue() == without.getvalue() == reference_values_csv(tables)

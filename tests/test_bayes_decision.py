@@ -224,18 +224,21 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
     else:
         p, n = instance_b, 8
     first = HistoryTable(p, engine)
-    first.stage(n // 2)  # the second view extends stages the first one built
-    shared = HistoryTable(with_loss(p, 1.5 * p.loss.w), engine)
-    assert shared.layer is first.layer
+    first.stage(n // 2)  # the other views extend stages the first one built
     unshared = DensityLayer(p, so.state_space(p, engine))
-    ref = reference_stages(shared.problem, so.state_space(p, engine), n)
-    for stage in range(n + 1):
-        st, d = shared.stage(stage), unshared.stage(stage)
-        arrays = (st.f_theta, st.f_pi2, st.stop_loss, st.decision)
-        for got, want in zip(arrays, ref[stage]):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        for got, want in zip(arrays, (d.f_theta, d.f_pi2)):
-            assert got.tobytes() == want.tobytes()
+    # A scaled loss, and one with two equal columns: there every state ties,
+    # which pins the lowest-index decision.
+    for w in (1.5 * p.loss.w, p.loss.w[:, [0, 0]]):
+        shared = HistoryTable(with_loss(p, w), engine)
+        assert shared.layer is first.layer
+        ref = reference_stages(shared.problem, so.state_space(p, engine), n)
+        for stage in range(n + 1):
+            st, d = shared.stage(stage), unshared.stage(stage)
+            arrays = (st.f_theta, st.f_pi2, st.stop_loss, st.decision)
+            for got, want in zip(arrays, ref[stage]):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for got, want in zip(arrays, (d.f_theta, d.f_pi2)):
+                assert got.tobytes() == want.tobytes()
 
 
 def test_shared_arrays_are_read_only(instance_b):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
@@ -73,6 +73,7 @@ def _bits(a):
     n=st.integers(0, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(kind="counts", k=8, m=3, n=5, seed=8)  # 792 states, 8 parents each
 def test_push_forward_is_the_scatter_bit_for_bit(kind, k, m, n, seed):
     rng = np.random.default_rng(seed)
     if kind != "counts":

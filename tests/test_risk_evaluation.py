@@ -127,6 +127,20 @@ def test_stop_distribution_sums_to_mass(instance_b):
     assert rep.decision_probs.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
+@pytest.mark.parametrize("engine", ["counts", "tree"])
+def test_decision_probabilities_stay_in_the_unit_interval(engine):
+    # The first pmf row sums to 1 + 2^-52, and a rule that stops every
+    # history at stage 1 on one decision books all of it there.
+    row = [float.fromhex(h) for h in ("0x1.23a9ffe1af567p-1", "0x1.a4cc12cb239efp-4",
+                                      "0x1.4f78fb89d86b9p-2")]
+    assert row[0] + row[1] + row[2] == 1.0 + 2.0**-52
+    p = so.iid_problem(pmf=[row, [0.2, 0.3, 0.5]], loss=[[0.0, 1.0], [0.0, 1.0]],
+                       pi1=[0.5, 0.5], pi2=[0.5, 0.5], cost=0.1)
+    rep = so.evaluate(p, so.StoppingRule(engine, [np.ones(3)], truncated=True))
+    assert rep.decision_probs.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    assert rep.error_probs == (0.0, 1.0)
+
+
 def test_report_serialization_round_trip(instance_b):
     rule = so.extract_rule(so.solve_truncated(instance_b, 2))
     rep = so.evaluate(instance_b, rule)
