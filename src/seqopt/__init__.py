@@ -34,11 +34,9 @@ from .errors import (
 from .histories import CountStateSpace, TreeStateSpace, state_space
 from .lagrange import (
     MultiplierSearchResult,
-    OptimalityCheck,
     SearchConfig,
     lagrangian,
     match_constraints,
-    verify_conditional_optimality,
     weighted_problem,
 )
 from .model import (
@@ -57,11 +55,9 @@ from .model import (
 )
 from .monte_carlo import SimConfig, SimResult, simulate
 from .risk_evaluation import (
-    BruteForceResult,
     DecisionStrategy,
     RiskReport,
     TruncatabilityDiagnostic,
-    brute_force_optimum,
     evaluate,
     truncatability_diagnostic,
 )
@@ -89,7 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "BruteForceResult",
     "BudgetExceededError",
     "ConfigError",
     "ConstraintSpec",
@@ -103,7 +98,6 @@ __all__ = [
     "LossSpec",
     "MultiplierSearchResult",
     "ObservationModel",
-    "OptimalityCheck",
     "ParameterSpace",
     "Priors",
     "Problem",
@@ -121,7 +115,6 @@ __all__ = [
     "UnreachableTargetsError",
     "ValueTables",
     "bayes_decide",
-    "brute_force_optimum",
     "continuation_is_interval",
     "evaluate",
     "extract_rule",

@@ -83,31 +83,27 @@ class ValueTables:
         for n in range(self.horizon + 1):
             stop = self.table.stage(n).stop_loss
             stop_s = list(_reprs(stop))
-            sources = [(stop, stop_s)]
-            cont_s = repeat("")
+            cont_s, value_s = repeat(""), np.array(stop_s, dtype=object)
+            bits = _bits(self.value[n])
+            known = bits == _bits(stop)
             if n < self.horizon:
                 cont_s = list(_reprs(self.cont[n]))
-                sources.append((self.cont[n], cont_s))
-            value_s = _reprs_reusing(self.value[n], sources)
-            _write_rows(fh, f"{n},", self.table.space.labels(n), stop_s, cont_s, value_s)
+                value_s = np.where(known, value_s, np.array(cont_s, dtype=object))
+                known |= bits == _bits(self.cont[n])
+            # A solve's value is min(stop_loss, cont), so it has one side's bits
+            # and string; only tables built from other arrays reach this loop.
+            for i in np.flatnonzero(~known).tolist():
+                value_s[i] = repr(float(self.value[n][i]))
+            _write_rows(fh, f"{n},", self.table.space.labels(n), stop_s, cont_s, value_s.tolist())
+
+
+def _bits(arr: np.ndarray) -> np.ndarray:
+    return np.asarray(arr, dtype=float).view(np.uint64)
 
 
 def _reprs(arr: np.ndarray):
     """repr(float(v)) for each entry of arr, converted to Python floats in one tolist()."""
     return map(repr, np.asarray(arr, dtype=float).tolist())
-
-
-def _reprs_reusing(arr: np.ndarray, sources: list[tuple[np.ndarray, list[str]]]) -> list[str]:
-    """_reprs(arr), each entry's string taken from the first source array with its bits.
-
-    value[n] is min(stop_loss, cont), so only NaN payloads are formatted here.
-    """
-    bits = np.asarray(arr, dtype=float).view(np.uint64)
-    hits = [bits == np.asarray(src, dtype=float).view(np.uint64) for src, _ in sources]
-    out = np.select(hits, [np.array(strings, dtype=object) for _, strings in sources], None)
-    for i in np.flatnonzero(~np.logical_or.reduce(hits)).tolist():
-        out[i] = repr(float(arr[i]))
-    return out.tolist()
 
 
 def _write_rows(fh: IO[str], prefix: str, labels: list[str], *columns) -> None:

@@ -15,7 +15,9 @@ manifest.json lists what was written; it carries no timestamps.
 
 Exit codes: 0 success, 2 invalid config or problem, 3 infeasible or
 unreachable targets, 4 budget exceeded, 5 finished but flagged (simulation
-cap hits above threshold, or a search that did not converge).
+cap hits above threshold, a search or limit-mode solve that did not converge,
+or a solve whose extracted rule evaluates off its q0: summary.json's
+self_check).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .stopping_policy import (
 )
 
 FLAGGED = 5
+SELF_CHECK_RTOL = 1e-9  # a solve's rule risk this far from q0, relative to max(1, |q0|), flags
 
 
 def _json_default(obj):
@@ -153,10 +156,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "take_observations": take,
         "stop_immediately_margin": margin,
         "report": report.to_dict(),
+        "self_check": _self_check(tables.q0, report.r),
     }
     _dump_json(out_dir / "summary.json", summary)
     _finish(out_dir, "solve", config_sha, params, ["values.csv", "rule.csv", "summary.json"])
-    return FLAGGED if tables.converged is False else 0
+    return FLAGGED if tables.converged is False or summary["self_check"]["flagged"] else 0
+
+
+def _self_check(q0: float, r: float) -> dict:
+    """|r - q0| of a solve's extracted rule, which attains q0 when the solve is sound."""
+    gap = abs(r - q0)
+    return {"gap": gap, "flagged": bool(gap > SELF_CHECK_RTOL * max(1.0, abs(q0)))}
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

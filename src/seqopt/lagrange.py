@@ -62,7 +62,7 @@ from .bayes_decision import HistoryTable
 from .errors import InfeasibleTargetsError, SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem, with_loss
-from .risk_evaluation import DecisionStrategy, evaluate, stopping_frontiers
+from .risk_evaluation import DecisionStrategy, evaluate
 from .stopping_policy import StoppingRule, extract_rule, truncate_rule
 
 log = logging.getLogger(__name__)
@@ -72,8 +72,6 @@ _GROWTH_STEPS = 80  # phase-I rounds before the targets count as infeasible
 _MAX_ROUNDS = 500  # pricing rounds of the master before giving up on the gap
 _GAP_TOL = 1e-12  # certified gap, relative to max(1, master value)
 _LP_EPS = 1e-12  # the LP's pivot, reduced-cost and phase-I feasibility tolerance
-_N_TOL = 1e-9  # verify_conditional_optimality: a sample size this much smaller beats the match
-_W_TOL = 1e-12  # verify_conditional_optimality: group losses this far above still count as met
 
 
 def _weighted_loss(p: Problem, lam: Sequence[float]) -> np.ndarray:
@@ -420,66 +418,4 @@ def match_constraints(
         frontier_trace=search.trace,
         weighted=weighted_problem(p, lam),
         stats=dict(search.stats),
-    )
-
-
-@dataclass(eq=False)
-class OptimalityCheck:
-    n_rules: int
-    n_star: float
-    achieved: np.ndarray
-    violations: list[dict]
-    strict_violations: list[dict]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.strict_violations
-
-
-def verify_conditional_optimality(
-    p: Problem,
-    result: MultiplierSearchResult,
-    horizon: int,
-    rule_budget: int = 2**20,
-) -> OptimalityCheck:
-    """Look among all deterministic truncated rules for one that beats the matched rule.
-
-    Rules are walked once per distinct stopping frontier, in the order of
-    `stopping_frontiers`, and `n_rules` counts them; `rule_budget` caps the
-    2^H stop/continue assignments over the interior histories.
-
-    A violation is a deterministic rule truncated at `horizon` whose every
-    group loss (under the weighted problem's own decision strategy) is at most
-    the matched rule's achieved value, yet whose expected sample size is
-    smaller. A strict violation additionally has some group loss strictly
-    below the achieved value with a sample size merely equal: the optimality
-    chain promises a strictly smaller sample size then.
-    """
-    table = HistoryTable(p, engine="tree")
-    weighted = HistoryTable(result.weighted, engine="tree")  # the weighted problem's decisions
-
-    def node(n: int) -> np.ndarray:
-        """Per state: sample-size weight under pi2, then per-group pi1-weighted loss."""
-        st = table.stage(n)
-        per_theta = p.loss.w.T[weighted.stage(n).decision] * st.f_theta * p.priors.pi1[None, :]
-        groups = [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups]
-        return np.column_stack([n * st.f_pi2] + groups)  # (S, 1 + g)
-
-    violations: list[dict] = []
-    strict: list[dict] = []
-    frontiers = stopping_frontiers(table.space, horizon, node, rule_budget)
-    for n_rules, (frontier, totals) in enumerate(frontiers, 1):
-        n_rule, w_rule = float(totals[0]), totals[1:]
-        if np.all(w_rule <= result.achieved + _W_TOL):
-            entry = {"frontier": sorted(frontier), "n_psi": n_rule, "w_groups": w_rule.tolist()}
-            if n_rule < result.n_psi - _N_TOL:
-                violations.append(entry)
-            elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + _W_TOL:
-                strict.append(entry)
-    return OptimalityCheck(
-        n_rules=n_rules,
-        n_star=result.n_psi,
-        achieved=result.achieved.copy(),
-        violations=violations,
-        strict_violations=strict,
     )

@@ -21,11 +21,6 @@ after the pass:
 
 The stopping mass reads only p, so decision probabilities whose rows sum to 1
 within rounding leave it unchanged.
-
-`brute_force_optimum` is the independent check on the backward induction: it
-evaluates every deterministic truncated rule on the raw history tree, one per
-distinct stopping frontier, directly from the definition of the risk, sharing
-no code with the recursion it checks.
 """
 
 from __future__ import annotations
@@ -33,15 +28,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, product
 from typing import IO
 
 import numpy as np
 
 from .bayes_decision import HistoryTable, _bayes_loss, density_layer
-from .errors import BudgetExceededError, SeqOptError
+from .errors import SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem
 from .stopping_policy import StoppingRule
@@ -330,77 +323,6 @@ def _forward(
         stats=stats,
     )
     return report, mass
-
-
-@dataclass(eq=False)
-class BruteForceResult:
-    min_risk: float
-    rules: list[StoppingRule]
-    n_enumerated: int
-    n_distinct: int
-    distinct_risks: list[float]  # sorted, one per distinct on-path behavior
-
-
-def stopping_frontiers(
-    space: StateSpace, horizon: int, stage_value: Callable[[int], Sequence], rule_budget: int
-) -> Iterator[tuple]:
-    """Each deterministic tree rule truncated at `horizon`, once per on-path behavior.
-
-    A rule is known by its frontier: the histories (n, s) where it stops with
-    no stopped ancestor (stage `horizon` always stops). Yields (frontier,
-    total), depth-first and stopping before continuing; total adds
-    stage_value(n)[s] over the frontier, children in symbol order, each sum
-    starting from 0. Raises BudgetExceededError, before asking for any stage's
-    values, when the 2^H stop/continue assignments over the H histories of
-    stages 1..horizon-1 exceed `rule_budget`.
-    """
-    h_count = sum(space.n_states(n) for n in range(1, horizon))
-    if 2**h_count > rule_budget:
-        raise BudgetExceededError(f"2^{h_count} truncated rules exceed the budget of {rule_budget}")
-    value = [None] + [stage_value(n) for n in range(1, horizon + 1)]
-
-    def joined(parts):
-        for combo in product(*parts):
-            yield tuple(chain.from_iterable(f for f, _ in combo)), sum(v for _, v in combo)
-
-    def below(n: int, s: int):
-        yield ((n, s),), value[n][s]
-        if n < horizon:
-            yield from joined([list(below(n + 1, s * space.k + x)) for x in range(space.k)])
-
-    return joined([list(below(1, s)) for s in range(space.k)])
-
-
-def brute_force_optimum(
-    p: Problem, horizon: int, rule_budget: int = 2**20
-) -> BruteForceResult:
-    """Minimal combined risk over every deterministic rule truncated at `horizon`.
-
-    Walks the distinct stopping frontiers (`stopping_frontiers`) and evaluates
-    each rule's risk directly: a path contributes c*n*f_pi2 + stop_loss at its
-    first stopped history. `n_enumerated` counts, and `rule_budget` caps, the
-    2^H stop/continue assignments over the H interior histories.
-    """
-    table = HistoryTable(p, engine="tree")
-    space = table.space
-
-    def stop_value(n: int) -> list[float]:
-        return (p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss).tolist()
-
-    found = list(stopping_frontiers(space, horizon, stop_value, rule_budget))
-    min_risk = min(risk for _, risk in found)
-    rules = []
-    for frontier, risk in found:
-        if risk <= min_risk + 1e-15:
-            probs = [np.zeros(space.n_states(n)) for n in range(1, horizon + 1)]
-            for n, s in frontier:
-                probs[n - 1][s] = 1.0
-            probs[horizon - 1][:] = 1.0
-            rules.append(StoppingRule("tree", probs, truncated=True))
-    n_rules = 2 ** sum(space.n_states(n) for n in range(1, horizon))
-    return BruteForceResult(
-        min_risk, rules, n_rules, len(found), sorted(risk for _, risk in found)
-    )
 
 
 @dataclass(eq=False)

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -114,7 +115,14 @@ def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, Deci
 
 @dataclass(eq=False)
 class SprtOC:
-    """Exact operating characteristics of a capped ratio test."""
+    """Exact operating characteristics of a capped ratio test.
+
+    `stats` describes the computation, not its result: "rule_s" (seconds
+    building the capped rule and decisions from the log-LR table),
+    "forward_s" (seconds in its forward pass), "stages" and "states" (walked
+    by that pass). It stays out of to_dict, so written outputs are
+    reproducible.
+    """
 
     spec: SprtSpec
     alpha: float
@@ -122,6 +130,7 @@ class SprtOC:
     e_tau: np.ndarray  # per parameter, cap stops included
     tail_theta: np.ndarray  # per-parameter mass force-stopped by the cap
     report: RiskReport
+    stats: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -149,13 +158,18 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
 
 def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     """sprt_operating_characteristics over a log-LR table from _llr_table."""
+    start = time.perf_counter()
     rule, decision = _rule_from_llr(spec, table)
-    report, arrived = _forward(p, truncate_rule(rule, spec.cap), decision)
+    capped = truncate_rule(rule, spec.cap)
+    built = time.perf_counter()
+    report, arrived = _forward(p, capped, decision)
+    stats = {"rule_s": built - start, "forward_s": time.perf_counter() - built,
+             "stages": report.stats["stages"], "states": report.stats["states"]}
     tail = (arrived * (1.0 - rule.at(spec.cap))[:, None]).sum(axis=0)
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
     beta = float(report.decision_probs[j, 0])
-    return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report)
+    return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, stats)
 
 
 def _llr_levels(llr: np.ndarray) -> np.ndarray:

@@ -5,13 +5,20 @@ at a time, with no shared code or arrays from the package under test. The
 point is an arithmetic path different enough that agreement is evidence, not
 tautology. Conventions match the package where a convention is needed:
 decisions break ties toward the lowest index, observations and parameters are
-0-based indices, histories are tuples of symbols. The two mask walks, the
-forward pass and the CSV writers at the end are the exception: see the notes
-above them.
+0-based indices, histories are tuples of symbols. The frontier and mask
+walks, the forward pass and the CSV writers at the end are the exception: see
+the notes above them.
 """
 
-from itertools import product
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass
+from itertools import chain, product
 from math import prod
+
+import numpy as np
+
+from seqopt import BudgetExceededError, HistoryTable, MultiplierSearchResult, Problem, StoppingRule
+from seqopt.histories import StateSpace
 
 
 def tree_history(k, n, idx):
@@ -219,14 +226,157 @@ def exact_rule_risk(terms, c, stop_probs):
     return risk
 
 
+# The two walks below are the package's brute-force referees: every
+# deterministic rule truncated at a horizon, walked once per distinct stopping
+# frontier of the raw tree. They cost 2^H at H interior histories, so they run
+# at toy horizons only. They read the package's stage tables and share no code
+# with the backward induction and the multiplier search they referee.
+
+_N_TOL = 1e-9  # verify_conditional_optimality: a sample size this much smaller beats the match
+_W_TOL = 1e-12  # verify_conditional_optimality: group losses this far above still count as met
+
+
+@dataclass(eq=False)
+class BruteForceResult:
+    min_risk: float
+    rules: list[StoppingRule]
+    n_enumerated: int
+    n_distinct: int
+    distinct_risks: list[float]  # sorted, one per distinct on-path behavior
+
+
+def stopping_frontiers(
+    space: StateSpace, horizon: int, stage_value: Callable[[int], Sequence], rule_budget: int
+) -> Iterator[tuple]:
+    """Each deterministic tree rule truncated at `horizon`, once per on-path behavior.
+
+    A rule is known by its frontier: the histories (n, s) where it stops with
+    no stopped ancestor (stage `horizon` always stops). Yields (frontier,
+    total), depth-first and stopping before continuing; total adds
+    stage_value(n)[s] over the frontier, children in symbol order, each sum
+    starting from 0. Raises BudgetExceededError, before asking for any stage's
+    values, when the 2^H stop/continue assignments over the H histories of
+    stages 1..horizon-1 exceed `rule_budget`.
+    """
+    h_count = sum(space.n_states(n) for n in range(1, horizon))
+    if 2**h_count > rule_budget:
+        raise BudgetExceededError(f"2^{h_count} truncated rules exceed the budget of {rule_budget}")
+    value = [None] + [stage_value(n) for n in range(1, horizon + 1)]
+
+    def joined(parts):
+        for combo in product(*parts):
+            yield tuple(chain.from_iterable(f for f, _ in combo)), sum(v for _, v in combo)
+
+    def below(n: int, s: int):
+        yield ((n, s),), value[n][s]
+        if n < horizon:
+            yield from joined([list(below(n + 1, s * space.k + x)) for x in range(space.k)])
+
+    return joined([list(below(1, s)) for s in range(space.k)])
+
+
+def brute_force_optimum(
+    p: Problem, horizon: int, rule_budget: int = 2**20
+) -> BruteForceResult:
+    """Minimal combined risk over every deterministic rule truncated at `horizon`.
+
+    Walks the distinct stopping frontiers (`stopping_frontiers`) and evaluates
+    each rule's risk directly: a path contributes c*n*f_pi2 + stop_loss at its
+    first stopped history. `n_enumerated` counts, and `rule_budget` caps, the
+    2^H stop/continue assignments over the H interior histories.
+    """
+    table = HistoryTable(p, engine="tree")
+    space = table.space
+
+    def stop_value(n: int) -> list[float]:
+        return (p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss).tolist()
+
+    found = list(stopping_frontiers(space, horizon, stop_value, rule_budget))
+    min_risk = min(risk for _, risk in found)
+    rules = []
+    for frontier, risk in found:
+        if risk <= min_risk + 1e-15:
+            probs = [np.zeros(space.n_states(n)) for n in range(1, horizon + 1)]
+            for n, s in frontier:
+                probs[n - 1][s] = 1.0
+            probs[horizon - 1][:] = 1.0
+            rules.append(StoppingRule("tree", probs, truncated=True))
+    n_rules = 2 ** sum(space.n_states(n) for n in range(1, horizon))
+    return BruteForceResult(
+        min_risk, rules, n_rules, len(found), sorted(risk for _, risk in found)
+    )
+
+
+@dataclass(eq=False)
+class OptimalityCheck:
+    n_rules: int
+    n_star: float
+    achieved: np.ndarray
+    violations: list[dict]
+    strict_violations: list[dict]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and not self.strict_violations
+
+
+def verify_conditional_optimality(
+    p: Problem,
+    result: MultiplierSearchResult,
+    horizon: int,
+    rule_budget: int = 2**20,
+) -> OptimalityCheck:
+    """Look among all deterministic truncated rules for one that beats the matched rule.
+
+    Rules are walked once per distinct stopping frontier, in the order of
+    `stopping_frontiers`, and `n_rules` counts them; `rule_budget` caps the
+    2^H stop/continue assignments over the interior histories.
+
+    A violation is a deterministic rule truncated at `horizon` whose every
+    group loss (under the weighted problem's own decision strategy) is at most
+    the matched rule's achieved value, yet whose expected sample size is
+    smaller. A strict violation additionally has some group loss strictly
+    below the achieved value with a sample size merely equal: the optimality
+    chain promises a strictly smaller sample size then.
+    """
+    table = HistoryTable(p, engine="tree")
+    weighted = HistoryTable(result.weighted, engine="tree")  # the weighted problem's decisions
+
+    def node(n: int) -> np.ndarray:
+        """Per state: sample-size weight under pi2, then per-group pi1-weighted loss."""
+        st = table.stage(n)
+        per_theta = p.loss.w.T[weighted.stage(n).decision] * st.f_theta * p.priors.pi1[None, :]
+        groups = [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups]
+        return np.column_stack([n * st.f_pi2] + groups)  # (S, 1 + g)
+
+    violations: list[dict] = []
+    strict: list[dict] = []
+    frontiers = stopping_frontiers(table.space, horizon, node, rule_budget)
+    for n_rules, (frontier, totals) in enumerate(frontiers, 1):
+        n_rule, w_rule = float(totals[0]), totals[1:]
+        if np.all(w_rule <= result.achieved + _W_TOL):
+            entry = {"frontier": sorted(frontier), "n_psi": n_rule, "w_groups": w_rule.tolist()}
+            if n_rule < result.n_psi - _N_TOL:
+                violations.append(entry)
+            elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + _W_TOL:
+                strict.append(entry)
+    return OptimalityCheck(
+        n_rules=n_rules,
+        n_star=result.n_psi,
+        achieved=result.achieved.copy(),
+        violations=violations,
+        strict_violations=strict,
+    )
+
+
 # The two enumerations below count through all 2^H stop/continue assignments
 # over the H interior histories of the raw tree, one mask at a time. They read
 # the package's stage tables (checked against the references above elsewhere)
-# but share no enumeration code with the frontier walk they referee.
+# but share no enumeration code with the frontier walks they referee.
 
 
 def mask_walk_brute_force(p, horizon, rule_budget=2**20):
-    """brute_force_optimum as a walk of every mask; returns a BruteForceResult."""
+    """brute_force_optimum as a walk of every mask."""
     import numpy as np
 
     import seqopt as so
@@ -272,13 +422,13 @@ def mask_walk_brute_force(p, horizon, rule_budget=2**20):
             probs[n - 1][s] = 1.0
         probs[horizon - 1][:] = 1.0
         rules.append(so.StoppingRule("tree", probs, truncated=True))
-    return so.BruteForceResult(min_risk, rules, 2**h_count, len(best), sorted(best.values()))
+    return BruteForceResult(min_risk, rules, 2**h_count, len(best), sorted(best.values()))
 
 
 def mask_walk_conditional_optimality(
     p, result, horizon, rule_budget=2**20, n_tol=1e-9, w_tol=1e-12
 ):
-    """verify_conditional_optimality as a walk of every mask; returns an OptimalityCheck."""
+    """verify_conditional_optimality as a walk of every mask."""
     import numpy as np
 
     import seqopt as so
@@ -333,7 +483,7 @@ def mask_walk_conditional_optimality(
                 violations.append(entry)
             elif np.any(w_rule < result.achieved - 1e-9) and n_rule <= result.n_psi + w_tol:
                 strict.append(entry)
-    return so.OptimalityCheck(
+    return OptimalityCheck(
         n_rules=len(seen),
         n_star=result.n_psi,
         achieved=result.achieved.copy(),

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 import seqopt as so
 from oracle import rule_risk, tree_history
 
@@ -60,7 +61,7 @@ def test_criterion_01_oracle_equivalence(make_random_instance):
     worst_q0 = worst_risk = 0.0
     for p, _, horizon in suite_instances(make_random_instance):
         tables = so.solve_truncated(p, horizon)
-        brute = so.brute_force_optimum(p, horizon)
+        brute = oracle.brute_force_optimum(p, horizon)
         worst_q0 = max(worst_q0, abs(tables.q0 - brute.min_risk))
         report = so.evaluate(p, so.extract_rule(tables))
         worst_risk = max(worst_risk, abs(report.r - tables.q0))
@@ -348,7 +349,7 @@ def test_criterion_11_conditional_optimality(make_random_instance, instance_b):
                 horizon=horizon,
                 weighted=so.weighted_problem(p, lam),
             )
-            check = so.verify_conditional_optimality(p, result, horizon=horizon)
+            check = oracle.verify_conditional_optimality(p, result, horizon=horizon)
             assert check.n_rules <= 64
             assert check.ok
 
@@ -369,7 +370,7 @@ def test_criterion_11_conditional_optimality(make_random_instance, instance_b):
         horizon=2,
         weighted=so.weighted_problem(instance_b, [1.0, 1.0]),
     )
-    assert not so.verify_conditional_optimality(instance_b, fake, horizon=2).ok
+    assert not oracle.verify_conditional_optimality(instance_b, fake, horizon=2).ok
 
 
 @criterion(12, "truncatability diagnostics")

@@ -7,7 +7,7 @@ import pytest
 
 import seqopt as so
 from seqopt.bayes_decision import density_layer
-from seqopt.cli import main
+from seqopt.cli import _self_check, main
 
 from oracle import reference_rule_csv, reference_values_csv
 
@@ -15,6 +15,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TWO_CHANNEL = str(CONFIGS / "two_channel.json")
 SYMMETRIC = str(CONFIGS / "symmetric.json")
 UNINFORMATIVE = str(CONFIGS / "uninformative.json")
+# Two nearly equal coins. Past stage ~1074 the per-history densities underflow
+# to 0, and a solve reports a q0 below what its extracted rule attains.
+NEAR_COINS = dict(
+    pmf=[[0.48, 0.52], [0.52, 0.48]], loss=so.zero_one_loss(2), pi1=[0.5, 0.5],
+    pi2=[0.5, 0.5], cost=2e-5,
+)
 
 
 def run(capsys, *argv: str) -> tuple[int, Path]:
@@ -100,6 +106,27 @@ def test_solve_limit_mode(tmp_path, capsys):
     assert summary["converged"] is True
     assert summary["q0"] == pytest.approx(0.55, abs=1e-12)
     assert summary["take_observations"] is False
+
+
+@pytest.mark.parametrize("horizon, flagged", [(1024, False), (1075, True)])
+def test_self_check_flags_only_a_rule_off_its_optimum(horizon, flagged):
+    p = so.iid_problem(**NEAR_COINS)
+    tables = so.solve_truncated(p, horizon)
+    check = _self_check(tables.q0, so.evaluate(p, so.extract_rule(tables)).r)
+    assert check["flagged"] is flagged
+
+
+def test_solve_exits_flagged_when_its_rule_misses_q0(tmp_path, capsys):
+    config = tmp_path / "near_coins.json"
+    config.write_text(json.dumps(so.problem_to_dict(so.iid_problem(**NEAR_COINS))))
+    code, out_dir = run(
+        capsys, "--out-root", str(tmp_path), "solve", str(config), "--horizon", "1075"
+    )
+    assert code == 5
+    summary = json.loads((out_dir / "summary.json").read_text())
+    gap = abs(summary["report"]["r"] - summary["q0"])
+    assert summary["self_check"] == {"gap": gap, "flagged": True}
+    assert gap > 0.1
 
 
 def test_evaluate_round_trip(tmp_path, capsys):
@@ -196,6 +223,26 @@ def test_search_sprt(tmp_path, capsys):
     assert result["sprt"]["alpha"] <= 0.3 + 1e-12
     assert result["sprt"]["beta"] <= 0.3 + 1e-12
     assert (out_dir / "rule.csv").exists()
+
+
+def test_search_sprt_result_leaves_stats_out(tmp_path, capsys):
+    code, out_dir = run(
+        capsys,
+        "--out-root", str(tmp_path),
+        "search", TWO_CHANNEL,
+        "--targets", "0.3,0.3",
+        "--mode", "sprt",
+        "--cap", "40",
+        "--conservative",
+    )
+    assert code == 0
+    p = so.load_problem(TWO_CHANNEL)
+    spec = so.match_sprt_errors(p, 0.3, 0.3, cap=40, conservative=True)
+    oc = so.sprt_operating_characteristics(p, spec)
+    assert oc.stats
+    payload = {"mode": "sprt", "targets": [0.3, 0.3], "sprt": oc.to_dict()}
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (out_dir / "result.json").read_text() == text
 
 
 def test_search_compare(tmp_path, capsys):

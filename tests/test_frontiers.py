@@ -1,7 +1,7 @@
 """The stopping-frontier walk of both oracles, and the one kernel-row walk.
 
-`brute_force_optimum` and `verify_conditional_optimality` walk the distinct
-stopping frontiers of the raw history tree; the references in oracle.py count
+oracle.py's `brute_force_optimum` and `verify_conditional_optimality` walk
+the distinct stopping frontiers of the raw history tree; its mask walks count
 through every stop/continue mask instead. Both must give the same numbers,
 bit for bit, and the same rules.
 """
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import seqopt as so
 from seqopt.model import ObservationModel
 
+import oracle
 from oracle import mask_walk_brute_force, mask_walk_conditional_optimality
 
 
@@ -78,7 +79,7 @@ def _by_frontier(entry):
 @given(tree_problems())
 def test_brute_force_matches_mask_walk(case):
     p, horizon = case
-    got = so.brute_force_optimum(p, horizon)
+    got = oracle.brute_force_optimum(p, horizon)
     ref = mask_walk_brute_force(p, horizon)
     assert got.min_risk == ref.min_risk
     assert got.n_enumerated == ref.n_enumerated
@@ -116,7 +117,7 @@ def test_conditional_optimality_matches_mask_walk(case, data):
         horizon=horizon,
         weighted=weighted,
     )
-    got = so.verify_conditional_optimality(p, result, horizon)
+    got = oracle.verify_conditional_optimality(p, result, horizon)
     ref = mask_walk_conditional_optimality(p, result, horizon)
     assert got.n_rules == ref.n_rules
     # One entry per frontier; the walks list them in different orders.
@@ -128,13 +129,13 @@ def test_conditional_optimality_matches_mask_walk(case, data):
 
 def test_oracles_keep_the_rule_budget(instance_b):
     # Horizon 4 on a binary alphabet has 2 + 4 + 8 = 14 interior histories.
-    assert so.brute_force_optimum(instance_b, 4, rule_budget=2**14).n_enumerated == 2**14
+    assert oracle.brute_force_optimum(instance_b, 4, rule_budget=2**14).n_enumerated == 2**14
     res = so.match_constraints(instance_b, [0.18, 0.045], so.SearchConfig(horizon=4))
-    assert so.verify_conditional_optimality(instance_b, res, 4, rule_budget=2**14).n_rules
+    assert oracle.verify_conditional_optimality(instance_b, res, 4, rule_budget=2**14).n_rules
     with pytest.raises(so.BudgetExceededError, match="2\\^14 truncated rules"):
-        so.brute_force_optimum(instance_b, 4, rule_budget=2**14 - 1)
+        oracle.brute_force_optimum(instance_b, 4, rule_budget=2**14 - 1)
     with pytest.raises(so.BudgetExceededError, match="2\\^14 truncated rules"):
-        so.verify_conditional_optimality(instance_b, res, 4, rule_budget=2**14 - 1)
+        oracle.verify_conditional_optimality(instance_b, res, 4, rule_budget=2**14 - 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lagrange_reference
+import oracle
 import seqopt as so
 from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
@@ -200,7 +201,7 @@ def test_conditional_optimality_of_matched_rule():
         groups=((0, 1),), bounds=(0.24,),
     )
     res = so.match_constraints(p, [0.24], so.SearchConfig(horizon=2))
-    check = so.verify_conditional_optimality(p, res, horizon=2)
+    check = oracle.verify_conditional_optimality(p, res, horizon=2)
     assert check.ok
     assert check.n_rules <= 4
 
@@ -229,7 +230,7 @@ def test_conditional_optimality_flags_wasteful_rule(instance_b):
         horizon=2,
         weighted=so.weighted_problem(instance_b, [1.0, 1.0]),
     )
-    check = so.verify_conditional_optimality(instance_b, fake, horizon=2)
+    check = oracle.verify_conditional_optimality(instance_b, fake, horizon=2)
     assert not check.ok
     assert any(v["n_psi"] == pytest.approx(1.55, abs=1e-9) for v in check.violations)
 
@@ -454,7 +455,7 @@ def test_match_converges_on_feasible_targets(k, m, horizon, n_groups, seed):
     rep = so.evaluate(p, res.rule, res.decision)
     assert np.max(np.abs(rep.w_groups - res.achieved)) <= 1e-12
     if sum(k**n for n in range(1, horizon)) <= 20:
-        assert so.verify_conditional_optimality(p, res, horizon).ok
+        assert oracle.verify_conditional_optimality(p, res, horizon).ok
     if n_groups <= 2:
         try:
             ref = lagrange_reference.match_constraints(

@@ -9,6 +9,7 @@ import seqopt as so
 from seqopt.histories import push_forward, state_space
 from seqopt.risk_evaluation import _forward
 
+import oracle
 from conftest import random_instance
 from oracle import rule_risk, best_truncated_risk, tree_history
 
@@ -57,7 +58,7 @@ def test_evaluation_matches_reference_on_randomized_rules():
 
 
 def test_brute_force_hand_values(instance_b):
-    res = so.brute_force_optimum(instance_b, 2)
+    res = oracle.brute_force_optimum(instance_b, 2)
     assert res.min_risk == pytest.approx(0.256, abs=1e-12)
     assert res.distinct_risks == pytest.approx([0.256, 0.265, 0.27, 0.279], abs=1e-12)
     assert len(res.rules) == 1  # unique optimum
@@ -71,7 +72,7 @@ def test_brute_force_agrees_with_solver_and_reference():
     rng = np.random.default_rng(29)
     for _ in range(5):
         p, raw = random_instance(rng, m=2)
-        res = so.brute_force_optimum(p, 3)
+        res = oracle.brute_force_optimum(p, 3)
         q0 = so.solve_truncated(p, 3).q0
         assert res.min_risk == pytest.approx(q0, abs=1e-11)
         ref = best_truncated_risk(raw["pmf"], raw["pi1"], raw["pi2"], raw["w"], raw["c"], 3)

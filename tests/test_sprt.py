@@ -247,6 +247,17 @@ def test_one_pass_oc_matches_two_pass_random(k, weights, cap, a, b, hypotheses):
     assert np.array_equal(oc.tail_theta, (arrived * (1.0 - rule.at(cap))[:, None]).sum(axis=0))
 
 
+def test_oc_stats_describe_the_pass_and_stay_out_of_outputs(channel):
+    spec = so.SprtSpec(2.0, -2.0, cap=12)
+    oc = so.sprt_operating_characteristics(channel, spec)
+    assert set(oc.stats) == {"rule_s", "forward_s", "stages", "states"}
+    assert oc.stats["rule_s"] >= 0 and oc.stats["forward_s"] >= 0
+    assert oc.stats["stages"] == 12
+    space = state_space(channel, "counts")
+    assert oc.stats["states"] == sum(space.n_states(n) for n in range(1, 13))
+    assert "stats" not in oc.to_dict() and "stats" not in repr(oc)
+
+
 def test_threshold_candidates_pick_one_threshold_per_piece():
     levels = np.array([3.0, -1.0, 1e-7, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, 70.0])
 
