@@ -7,10 +7,11 @@ stage loss
 
 the pi1-weighted loss density of the best terminal decision available now.
 
-The work splits into two layers. A DensityLayer holds what does not depend on
-the loss: the state space and, per stage, the per-parameter joint densities
-f_theta and the pi2 mixture. A HistoryTable is a view of one loss matrix over
-a layer: per stage it adds only the stage loss and the minimizing decision
+The work splits into two layers. The state space (see histories) owns what
+depends on the observation model alone: the states and, per stage, the
+per-parameter joint densities f_theta; it is shared per model. A
+HistoryTable is a view of one (pi1, pi2, loss) over a space: per stage it
+adds the pi2 mixture f_pi2, the stage loss and the minimizing decision
 (lowest index on ties).
 
 Both walk the state axis innermost: f_theta is built parameter-major, one
@@ -19,15 +20,12 @@ its minimum and argmin one decision column at a time. The arrays stay C-ordered
 (S, m) and (S, D), as BLAS may round a product of an F-ordered operand
 differently, so every stored array is the state-by-state form's, bit for bit.
 
-`density_layer` shares layers through a weak memo keyed by (engine,
-observation model, pi1, pi2). Problems that differ only in their loss, such as
-the weighted problems of a multiplier search, get the same layer while any
-table, result or caller still holds it; once nothing does, it is freed. In
-the same way each layer shares one view per loss matrix, keyed by its shape,
-dtype and bytes: every live table of that loss, such as a solve's, the one
-`evaluate` builds for its default decisions and the one an extracted rule
-keeps, reads and extends the same stages, so each is built once. The
-layer's and the tables' arrays are read-only, so no caller can change
+Views are shared through a weak memo keyed by (space, pi1, pi2, loss
+matrix), each array by its shape, dtype and bytes: every live table of that
+problem, such as a solve's, the one `evaluate` builds for its default
+decisions and the one an extracted rule keeps, reads and extends the same
+stages, so each is built once; once no table holds a view, it is freed. The
+space's and the views' arrays are read-only, so no caller can change
 another's.
 
 The fixed-sample-size Bayes risk at n, non-increasing in n, sums the same
@@ -45,118 +43,44 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .histories import StateSpace, push_forward, resolve_engine, state_space
+from .histories import _array_key, check_state_budget, push_forward, state_space
 from .errors import SeqOptError
 from .model import Problem, joint_density, mixture_density
 from .tolerances import TIE_ATOL
 
 
 @dataclass(eq=False)
-class StageDensities:
-    """Loss-independent per-state quantities for one stage (read-only arrays)."""
+class StageData:
+    """One stage of a HistoryTable: the space's densities plus the loss view (read-only)."""
 
-    f_theta: np.ndarray  # (S, m) joint density per parameter
+    f_theta: np.ndarray  # (S, m) joint density per parameter, the space's own
     f_pi2: np.ndarray  # (S,) mixture under pi2
-
-
-@dataclass(eq=False)
-class StageData(StageDensities):
-    """One stage of a HistoryTable: the layer's densities plus the loss view (read-only)."""
-
     stop_loss: np.ndarray  # (S,) minimal pi1-weighted loss density
     decision: np.ndarray  # (S,) argmin decision index (lowest on ties)
 
 
 class _LossView(dict):
-    """Stage n -> StageData of one loss matrix over a layer; weakly referenceable."""
+    """Stage n -> StageData of one (pi1, pi2, loss) over a space; weakly referenceable."""
 
 
-class DensityLayer:
-    """Lazy per-stage cache of the state space's loss-independent densities."""
-
-    def __init__(self, problem: Problem, space: StateSpace):
-        self.problem = problem
-        self.space = space
-        self._stages: list[StageDensities] = []
-        self._views: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-    def view(self, w: np.ndarray) -> _LossView:
-        """The stage cache shared by every live table of loss matrix w."""
-        key = _array_key(w)
-        view = self._views.get(key)
-        if view is None:
-            view = self._views[key] = _LossView()
-        return view
-
-    def stage(self, n: int) -> StageDensities:
-        if n < 0:
-            raise IndexError(f"no stage {n}")
-        for stage in range(len(self._stages), n + 1):
-            self._stages.append(self._build_stage(stage))
-        return self._stages[n]
-
-    def _build_stage(self, n: int) -> StageDensities:
-        p = self.problem
-        m = p.n_params
-        if n == 0:
-            f_theta = np.ones((1, m))
-        else:
-            prev = self._stages[n - 1].f_theta
-            table = self.space.children(n - 1).T
-            step = self.space.step_probs(n - 1)
-            f_theta = np.empty((self.space.n_states(n), m))
-            for j in range(m):
-                column = f_theta[:, j]
-                for x in range(p.alphabet_size):
-                    # Same value lands on a count state from every predecessor: the
-                    # joint density of a history depends only on its state.
-                    column[table[x]] = prev[:, j] * step[:, j, x]
-        out = StageDensities(f_theta, f_theta @ p.priors.pi2)
-        for arr in vars(out).values():
-            arr.flags.writeable = False
-        return out
-
-
-_LAYERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _array_key(a: np.ndarray) -> tuple:
-    return (a.shape, a.dtype.str, a.tobytes())
-
-
-def density_layer(problem: Problem, engine: str = "auto") -> DensityLayer:
-    """The shared density layer of a problem's observation model and priors.
-
-    iid models are keyed by their pmf's contents, kernels by the identity of
-    the ObservationModel object (the layer holds it, so the identity cannot be
-    reused while the entry lives).
-    """
-    engine = resolve_engine(problem, engine)
-    obs = problem.obs
-    model = _array_key(obs.iid_pmf) if obs.kind == "iid" else (id(obs), problem.n_params)
-    key = (engine, model, _array_key(problem.priors.pi1), _array_key(problem.priors.pi2))
-    layer = _LAYERS.get(key)
-    if layer is None:
-        layer = DensityLayer(problem, state_space(problem, engine))
-        _LAYERS[key] = layer
-    return layer
+_VIEWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class HistoryTable:
-    """Per-loss view of a shared density layer: stage losses and Bayes decisions.
+    """One problem's priors and loss over a shared state space: stage losses and decisions.
 
-    Tables of the same layer and loss matrix share their stages (see the
-    module docstring).
+    Tables of the same space, priors and loss matrix share their stages (see
+    the module docstring).
     """
 
     def __init__(self, problem: Problem, engine: str = "auto"):
         self.problem = problem
-        self.layer = density_layer(problem, engine)
-        self._stages = self.layer.view(problem.loss.w)
-
-    @property
-    def space(self) -> StateSpace:
-        return self.layer.space
+        self.space = state_space(problem, engine)
+        pr = problem.priors
+        key = (self.space, _array_key(pr.pi1), _array_key(pr.pi2), _array_key(problem.loss.w))
+        self._stages = _VIEWS.get(key)
+        if self._stages is None:
+            self._stages = _VIEWS[key] = _LossView()
 
     @property
     def engine(self) -> str:
@@ -170,13 +94,14 @@ class HistoryTable:
 
     def _build_stage(self, n: int) -> StageData:
         p = self.problem
-        d = self.layer.stage(n)
-        costs = (d.f_theta * p.priors.pi1[None, :]) @ p.loss.w
+        f_theta = self.space.densities(n)
+        f_pi2 = f_theta @ p.priors.pi2
+        costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
         stop_loss, decision = _column_min(costs)
         # setflags costs about half of `.flags.writeable =`; every search probe builds stages.
-        stop_loss.setflags(write=False)
-        decision.setflags(write=False)
-        return StageData(d.f_theta, d.f_pi2, stop_loss, decision)
+        for arr in (f_pi2, stop_loss, decision):
+            arr.setflags(write=False)
+        return StageData(f_theta, f_pi2, stop_loss, decision)
 
     @property
     def l0(self) -> float:
@@ -226,7 +151,8 @@ def stagewise_bayes_risk(p: Problem, n: int, engine: str = "auto") -> float:
     """
     if n < 0:
         raise IndexError(f"no stage {n}")
-    space = density_layer(p, engine).space
+    space = state_space(p, engine)
+    check_state_budget(space, n)
     mass = np.ones((1, p.n_params))
     for stage in range(n):
         mass = push_forward(space, stage, mass)

@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .backward_induction import should_take_observations, solve_limit, solve_truncated
-from .bayes_decision import density_layer
 from .config import load_problem
 from .errors import (
     BudgetExceededError,
@@ -42,7 +41,7 @@ from .errors import (
     SeqOptError,
     UnreachableTargetsError,
 )
-from .histories import StateSpace
+from .histories import StateSpace, state_space
 from .lagrange import SearchConfig, match_constraints
 from .model import Problem
 from .monte_carlo import SimConfig, simulate
@@ -220,7 +219,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 lam = ",".join(f"{v:.17g}" for v in row["lam"])
                 ach = ",".join(f"{v:.17g}" for v in row["achieved"])
                 fh.write(f"{lam},{ach},{row['n_psi']:.17g}\n")
-        space = density_layer(p, lag_result.rule.engine).space
+        space = state_space(p, lag_result.rule.engine)
         _write_rule(out_dir / "rule.csv", p, lag_result.rule, lag_result.decision, space)
         outputs += ["trace.csv", "rule.csv"]
 
@@ -240,7 +239,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         sprt_result = sprt_operating_characteristics(p, spec)
         name = "sprt_rule.csv" if args.compare else "rule.csv"
         rule, decision = sprt_rule(p, spec)
-        space = density_layer(p, "counts").space
+        space = state_space(p, "counts")
         _write_rule(out_dir / name, p, truncate_rule(rule, spec.cap, space), decision, space)
         outputs.append(name)
 

@@ -21,8 +21,14 @@ stage kernels walk the state axis innermost; on the tree child s*K + x), the
 conditional step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K)
 for kernels; iid rows do not depend on the state and come as one (1, m, K)
 block), each state's symbol counts `states(n)` and printable `labels(n)`;
-a rule file's reader inverts labels by looking them up in `labels(n)`. No
-other module asks which engine it holds.
+a rule file's reader inverts labels by looking them up in `labels(n)`, and
+the joint densities `densities(n)` ((S_n, m) f_theta, read-only, built once).
+No other module asks which engine it holds.
+
+Nothing of a space depends on the priors or the loss, so `state_space`
+shares one space per engine and observation model through a weak memo: the
+weighted problems of a multiplier search, say, reuse its built stages while
+any table, result or caller holds it; once nothing does, it is freed.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
 mixture flows or reachability to stage n+1 with one `np.bincount` over the
@@ -36,6 +42,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import weakref
 from math import comb
 
 import numpy as np
@@ -46,13 +53,44 @@ from .model import Problem
 DEFAULT_STATE_BUDGET = 4_000_000
 
 
-class TreeStateSpace:
+class _Densities:
+    """Per-stage joint densities f_theta, written once for both engines."""
+
+    def densities(self, n: int) -> np.ndarray:
+        """(S_n, m) f_theta of stage n, read-only; stages below n are built first."""
+        if n < 0:
+            raise IndexError(f"no stage {n}")
+        for stage in range(len(self._densities), n + 1):
+            self._densities.append(self._density_stage(stage))
+        return self._densities[n]
+
+    def _density_stage(self, n: int) -> np.ndarray:
+        m = self.problem.n_params
+        if n == 0:
+            f_theta = np.ones((1, m))
+        else:
+            prev = self._densities[n - 1]
+            table = self.children(n - 1).T
+            step = self.step_probs(n - 1)
+            f_theta = np.empty((self.n_states(n), m))
+            for j in range(m):
+                column = f_theta[:, j]
+                for x in range(self.k):
+                    # Same value lands on a count state from every predecessor: the
+                    # joint density of a history depends only on its state.
+                    column[table[x]] = prev[:, j] * step[:, j, x]
+        f_theta.setflags(write=False)
+        return f_theta
+
+
+class TreeStateSpace(_Densities):
     engine = "tree"
 
     def __init__(self, problem: Problem):
         self.problem = problem
         self.k = problem.alphabet_size
         self._step_cache: dict[int, np.ndarray] = {}
+        self._densities: list[np.ndarray] = []
 
     def n_states(self, n: int) -> int:
         return self.k**n
@@ -89,7 +127,7 @@ class TreeStateSpace:
         return out
 
 
-class CountStateSpace:
+class CountStateSpace(_Densities):
     engine = "counts"
 
     def __init__(self, problem: Problem):
@@ -101,6 +139,7 @@ class CountStateSpace:
         # order and (below the top stage) the symbol-major (K, S_n) child table.
         self._states: dict[int, np.ndarray] = {0: np.zeros((1, self.k), dtype=np.int64)}
         self._children: dict[int, np.ndarray] = {}
+        self._densities: list[np.ndarray] = []
         self._heads: dict[int, list[np.ndarray]] = {}  # (K-1)-part stages, see _compositions
 
     def _build_to(self, n: int) -> None:
@@ -190,14 +229,31 @@ def resolve_engine(problem: Problem, engine: str = "auto") -> str:
     return engine
 
 
+_SPACES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _array_key(a: np.ndarray) -> tuple:
+    return (a.shape, a.dtype.str, a.tobytes())
+
+
 def state_space(problem: Problem, engine: str = "auto") -> StateSpace:
-    """Pick an engine: counts for iid models, tree otherwise (or on request)."""
+    """The shared space of a problem's observation model under an engine.
+
+    "auto" is counts for iid models, tree otherwise. iid models are keyed by
+    their pmf's contents, kernels by the identity of the ObservationModel
+    object (the space holds it, so the identity cannot be reused while the
+    entry lives). Priors and loss are not in the key.
+    """
     engine = resolve_engine(problem, engine)
-    if engine == "counts":
-        return CountStateSpace(problem)
-    if engine == "tree":
-        return TreeStateSpace(problem)
-    raise SeqOptError(f"unknown engine {engine!r}")
+    obs = problem.obs
+    model = _array_key(obs.iid_pmf) if obs.kind == "iid" else (id(obs), problem.n_params)
+    space = _SPACES.get((engine, model))
+    if space is None:
+        engines = {"counts": CountStateSpace, "tree": TreeStateSpace}
+        if engine not in engines:
+            raise SeqOptError(f"unknown engine {engine!r}")
+        space = _SPACES[engine, model] = engines[engine](problem)
+    return space
 
 
 def push_forward(

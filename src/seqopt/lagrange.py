@@ -350,8 +350,8 @@ def match_constraints(
         raise SeqOptError(f"targets must be finite, got {t.tolist()}")
     if np.any(t <= 0):
         raise InfeasibleTargetsError("targets must be > 0 (nonnegative losses cannot go below)")
-    # Every probe's weighted problem shares p's observation model and priors,
-    # so all of them read one density layer, kept alive by the columns' tables.
+    # Every probe's weighted problem shares p's observation model, so all of
+    # them read one state space, kept alive by the columns' tables.
     search = _Search(p, cfg)
     c = p.cost.c
 

@@ -50,7 +50,8 @@ from .errors import SeqOptError
 from .model import Problem
 from .risk_evaluation import DecisionStrategy, _check_coverage
 from .backward_induction import _reprs
-from .bayes_decision import HistoryTable, density_layer
+from .bayes_decision import HistoryTable
+from .histories import state_space
 from .stopping_policy import StoppingRule
 
 _MASK64 = (1 << 64) - 1
@@ -203,8 +204,7 @@ def simulate(
     _check_config(p, rule, cfg)
     reps, cap = int(cfg.replications), int(cfg.cap)
     mode = cfg.theta_mode if isinstance(cfg.theta_mode, str) else int(cfg.theta_mode)
-    layer = density_layer(p, rule.engine)  # held so the table below shares it
-    space = layer.space
+    space = state_space(p, rule.engine)  # held so the table below shares it
     _check_coverage(space, rule, decision, cap, p.n_decisions)
     if decision is None:
         decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cap)

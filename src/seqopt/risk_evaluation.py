@@ -33,9 +33,9 @@ from typing import IO
 
 import numpy as np
 
-from .bayes_decision import HistoryTable, _bayes_loss, density_layer
+from .bayes_decision import HistoryTable, _bayes_loss
 from .errors import SeqOptError
-from .histories import StateSpace, push_forward
+from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
 from .stopping_policy import StoppingRule
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
@@ -237,8 +237,7 @@ def _forward(
     multipliers: np.ndarray | None = None,
 ) -> tuple[RiskReport, np.ndarray]:
     """evaluate's pass, also returning the (S, m) mass that arrives at the last stage."""
-    layer = density_layer(p, rule.engine)
-    space = layer.space
+    space = state_space(p, rule.engine)
     horizon = rule.horizon
     d_count = p.n_decisions
     _check_coverage(space, rule, decision, horizon, d_count)
@@ -249,7 +248,7 @@ def _forward(
     m = p.n_params
     stop_dist = np.zeros((horizon, m))
     blocks = np.zeros((d_count, m))  # mass stopped per (decision, parameter)
-    mass = layer.stage(1).f_theta.copy()
+    mass = space.densities(1).copy()
     leftover = np.zeros(m)
     states = 0
     for n in range(1, horizon + 1):
@@ -360,8 +359,9 @@ def truncatability_diagnostic(
     hs = sorted(horizons)
     if not hs or hs[0] < 0:
         raise SeqOptError(f"horizons must be a non-empty list of stages >= 0, got {horizons!r}")
-    space = density_layer(p, rule.engine).space
+    space = state_space(p, rule.engine)
     top = hs[-1]
+    check_state_budget(space, top)
     w_max = float(np.max(p.loss.w))
     tail_risk, stage_risk, reach_pi1, bound = [], [], [], []
     mass = every = np.ones((1, p.n_params))

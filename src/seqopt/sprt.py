@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import SeqOptError, UnreachableTargetsError
-from .bayes_decision import density_layer
-from .histories import CountStateSpace
+from .histories import CountStateSpace, check_state_budget, state_space
 from .model import Problem
 from .risk_evaluation import DecisionStrategy, RiskReport, _forward
 from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
@@ -48,9 +48,12 @@ class SprtSpec:
     cap: int = 200
 
 
-def _check_sprt_inputs(p: Problem, spec: SprtSpec) -> None:
+def _check_sprt_inputs(p: Problem, spec: SprtSpec) -> CountStateSpace:
+    """Raise on a bad model, spec or cap; else the count space, its cap within budget."""
     if p.obs.kind != "iid":
         raise SeqOptError("the ratio test needs an iid model")
+    if isinstance(spec.cap, bool) or not isinstance(spec.cap, numbers.Integral) or spec.cap < 1:
+        raise SeqOptError(f"cap must be an integer >= 1, got {spec.cap!r}")
     if not spec.b_lower < spec.a_upper:
         raise SeqOptError(
             f"need b_lower < a_upper, got ({spec.b_lower}, {spec.a_upper})"
@@ -60,6 +63,9 @@ def _check_sprt_inputs(p: Problem, spec: SprtSpec) -> None:
         raise SeqOptError(f"bad hypothesis pair {spec.hypotheses}")
     if p.n_decisions != 2:
         raise SeqOptError("ratio-test decisions need a two-decision loss")
+    space = state_space(p, "counts")
+    check_state_budget(space, spec.cap)
+    return space
 
 
 def llr_increments(p: Problem, hypotheses: tuple[int, int] = (0, 1)) -> np.ndarray:
@@ -85,8 +91,7 @@ def sprt_rule(p: Problem, spec: SprtSpec) -> tuple[StoppingRule, DecisionStrateg
     Stage `cap` keeps the threshold stop probabilities (the rule is not
     truncated); cap it with truncate_rule for exact capped evaluation.
     """
-    _check_sprt_inputs(p, spec)
-    return _rule_from_llr(spec, _llr_table(p, density_layer(p, "counts").space, spec))
+    return _rule_from_llr(spec, _llr_table(p, _check_sprt_inputs(p, spec), spec))
 
 
 def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> _LlrTable:
@@ -151,9 +156,8 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
     The cap force-stops the mass that reaches stage cap inside the thresholds;
     its sum per parameter is tail_theta.
     """
-    _check_sprt_inputs(p, spec)
-    layer = density_layer(p, "counts")  # held so the calls below share it
-    return _oc(p, spec, _llr_table(p, layer.space, spec))
+    space = _check_sprt_inputs(p, spec)  # held so the calls below share it
+    return _oc(p, spec, _llr_table(p, space, spec))
 
 
 def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
@@ -266,13 +270,12 @@ def match_sprt_errors(
     a = min(max(math.log((1 - beta) / alpha), 1e-6), _THRESHOLD_LIMIT)
     b = max(min(math.log(beta / (1 - alpha)), -1e-6), -_THRESHOLD_LIMIT)
     spec = SprtSpec(a, b, hypotheses, cap)
-    _check_sprt_inputs(p, spec)
-    # Every threshold probe evaluates p on the count engine: hold its layer.
-    layer = density_layer(p, "counts")
+    # Every threshold probe evaluates p on the count engine: hold its space.
+    space = _check_sprt_inputs(p, spec)
     # One log-LR table serves every probe. Breakpoints: its levels, where a
     # threshold changes which states stop, then those of stage cap, where the
     # midpoint changes what the states the cap force-stops decide.
-    table = _llr_table(p, layer.space, spec)
+    table = _llr_table(p, space, spec)
     llr, stages = table
     levels = _llr_levels(llr)
     cap_levels = _llr_levels(llr[stages[-1]])
@@ -340,7 +343,7 @@ def continuation_is_interval(
     is below 1. States with log-LR nan (density zero under both hypotheses)
     are ignored.
     """
-    space = density_layer(p, rule.engine).space
+    space = state_space(p, rule.engine)
     masks = reachable_sets(rule, space)
     for n in range(1, rule.horizon):
         llr = llr_by_state(p, space, n, hypotheses)

@@ -21,8 +21,7 @@ import numpy as np
 
 from .backward_induction import ValueTables, _reprs, _write_rows
 from .errors import SeqOptError
-from .bayes_decision import density_layer
-from .histories import StateSpace, check_state_budget, push_forward
+from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
 from .tolerances import TIE_ATOL
 
@@ -40,7 +39,7 @@ class StoppingRule:
     stop_probs: list[np.ndarray]
     truncated: bool
     tie_states: list[np.ndarray] | None = None
-    # extract_rule's solve table, kept so its density layer and Bayes stages
+    # extract_rule's solve table, kept so its state space and Bayes stages
     # outlive the ValueTables. Not a field: neither CSV nor equality sees it.
     _table = None
 
@@ -127,7 +126,7 @@ def read_rule_csv(
     if len(engines) != 1:
         raise SeqOptError(f"rule file mixes engines: {sorted(engines)}")
     engine = engines.pop()
-    space = density_layer(problem, engine).space
+    space = state_space(problem, engine)
     stages = np.array(column("stage"), dtype=np.int64)  # raises as int() would
     labels = column("state")
     horizon = max(int(stages.max()), 0)
@@ -209,9 +208,10 @@ def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> Stopp
     probability there. The final stage always stops.
 
     The rule keeps the tables' HistoryTable. While it lives, so do the shared
-    density layer and loss view (see bayes_decision), so `evaluate` and
-    `simulate` of the rule under a problem of the same model, priors and loss
-    reuse the solve's stages instead of building them again.
+    state space and loss view (see bayes_decision), so `evaluate` and
+    `simulate` of the rule under a problem of the same model reuse the
+    space's densities, and under the same priors and loss the solve's stages,
+    instead of building them again.
     """
     if isinstance(tie_policy, str):
         if tie_policy == "stop":
@@ -257,6 +257,7 @@ def truncate_rule(rule: StoppingRule, horizon: int, space: StateSpace | None = N
             )
         if space is None:
             raise SeqOptError("extending a truncated rule needs the state space for stage sizes")
+        check_state_budget(space, horizon)
         for n in range(len(probs) + 1, horizon):
             probs.append(np.ones(space.n_states(n)))
     if space is not None:

@@ -19,8 +19,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from seqopt.backward_induction import solve_limit, solve_truncated
-from seqopt.bayes_decision import HistoryTable, density_layer
+from seqopt.bayes_decision import HistoryTable
 from seqopt.errors import InfeasibleTargetsError, SeqOptError
+from seqopt.histories import state_space
 from seqopt.lagrange import MultiplierSearchResult, weighted_problem
 from seqopt.model import Problem
 from seqopt.risk_evaluation import DecisionStrategy, evaluate
@@ -132,7 +133,7 @@ class _Search:
                 out.append(pk)
                 continue
             t0 = time.perf_counter()
-            rule = truncate_rule(pk.rule, top, density_layer(self.p, pk.rule.engine).space)
+            rule = truncate_rule(pk.rule, top, state_space(self.p, pk.rule.engine))
             wp = weighted_problem(self.p, pk.lam)
             decision = DecisionStrategy.bayes(HistoryTable(wp, engine=pk.rule.engine), top)
             self.stats["extract_s"] += time.perf_counter() - t0
@@ -265,8 +266,8 @@ def match_constraints(
     if np.any(targets_arr <= 0):
         raise InfeasibleTargetsError("targets must be > 0 (nonnegative losses cannot go below)")
     # Every probe's weighted problem shares p's observation model and priors,
-    # so holding the layer here lets all of them reuse its stages.
-    layer = density_layer(p, cfg.engine)
+    # so holding the space here lets all of them reuse its densities.
+    space = state_space(p, cfg.engine)
     search = _Search(p, cfg)
     trace = search.trace
 

@@ -496,7 +496,7 @@ def mask_walk_conditional_optimality(
 # bincount push per parameter and one stopped-mass product per stage: a
 # scatter-add per symbol, and per stage one boolean mask per decision or a
 # separate product for randomized decisions. It reads the package's state
-# spaces, density layer and report type, and shares no pass code with it.
+# spaces, their densities and the report type, and shares no pass code with it.
 
 
 def scatter_push(space, n, values, weighted=True):
@@ -524,12 +524,10 @@ def reference_forward(p, rule, decision=None, multipliers=None):
     import numpy as np
 
     import seqopt as so
-    from seqopt.bayes_decision import density_layer
     from seqopt.risk_evaluation import _hypothesis_indices
     from seqopt.tolerances import PRUNE_EPS, STOP_MASS_ATOL
 
-    layer = density_layer(p, rule.engine)
-    space = layer.space
+    space = so.state_space(p, rule.engine)
     horizon = rule.horizon
     if decision is None:
         decision = so.DecisionStrategy.bayes(so.HistoryTable(p, rule.engine), horizon)
@@ -540,7 +538,7 @@ def reference_forward(p, rule, decision=None, multipliers=None):
     stop_dist = np.zeros((horizon, m))
     loss_theta = np.zeros(m)
     decision_probs = np.zeros((m, d_count))
-    mass = layer.stage(1).f_theta.copy()
+    mass = space.densities(1).copy()
     leftover = np.zeros(m)
     for n in range(1, horizon + 1):
         probs = rule.at(n)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
-from seqopt.bayes_decision import DensityLayer, HistoryTable, density_layer
+from seqopt.bayes_decision import HistoryTable
 from seqopt.model import with_loss
 
 from conftest import random_instance
@@ -166,7 +166,7 @@ def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...
     """Stages 0..n as one table computed densities and losses together.
 
     Per stage: (f_theta, f_pi2, stop_loss, decision). This is the
-    arithmetic the density layer and the loss view split between them.
+    arithmetic the state space and the loss view split between them.
     """
     out = []
     f_theta = np.ones((1, p.n_params))
@@ -186,29 +186,26 @@ def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...
 
 
 def test_loss_changes_share_one_layer(instance_b):
+    # Loss and prior changes alike share the space: its densities need neither.
     table = HistoryTable(instance_b)
+    pi = np.array([0.3, 0.7])
     for other in (
         so.weighted_problem(instance_b, [3.0, 0.5]),
         with_loss(instance_b, 2.0 * instance_b.loss.w),
+        replace(instance_b, priors=so.Priors(pi, instance_b.priors.pi2)),
+        replace(instance_b, priors=so.Priors(instance_b.priors.pi1, pi)),
     ):
         view = HistoryTable(other)
-        assert view.layer is table.layer and view.space is table.space
-        assert density_layer(other, "counts") is table.layer
-    pi = np.array([0.3, 0.7])
-    for other, engine in (
-        (replace(instance_b, priors=so.Priors(pi, instance_b.priors.pi2)), "auto"),
-        (replace(instance_b, priors=so.Priors(instance_b.priors.pi1, pi)), "auto"),
-        (instance_b, "tree"),
-    ):
-        layer = density_layer(other, engine)
-        assert layer is not table.layer and layer.space is not table.space
+        assert view.space is table.space
+        assert so.state_space(other, "counts") is table.space
+    assert so.state_space(instance_b, "tree") is not table.space
 
 
 def test_layer_is_freed_with_its_last_holder(instance_b):
     tables = so.solve_truncated(instance_b, 6)
-    ref = weakref.ref(tables.table.layer)
+    ref = weakref.ref(tables.table.space)
     view = HistoryTable(so.weighted_problem(instance_b, [2.0, 1.0]))
-    assert view.layer is ref()
+    assert view.space is ref()
     del tables
     gc.collect()
     assert ref() is not None  # the loss view still holds it
@@ -225,20 +222,39 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
         p, n = instance_b, 8
     first = HistoryTable(p, engine)
     first.stage(n // 2)  # the other views extend stages the first one built
-    unshared = DensityLayer(p, so.state_space(p, engine))
+    unshared = type(first.space)(p)
     # A scaled loss, and one with two equal columns: there every state ties,
-    # which pins the lowest-index decision.
-    for w in (1.5 * p.loss.w, p.loss.w[:, [0, 0]]):
-        shared = HistoryTable(with_loss(p, w), engine)
-        assert shared.layer is first.layer
-        ref = reference_stages(shared.problem, so.state_space(p, engine), n)
+    # which pins the lowest-index decision. Then a pi1-only and a pi2-only change.
+    pi = np.array([0.3, 0.7])
+    for other in (
+        with_loss(p, 1.5 * p.loss.w),
+        with_loss(p, p.loss.w[:, [0, 0]]),
+        replace(p, priors=so.Priors(pi, p.priors.pi2)),
+        replace(p, priors=so.Priors(p.priors.pi1, pi)),
+    ):
+        shared = HistoryTable(other, engine)
+        assert shared.space is first.space
+        ref = reference_stages(other, so.state_space(p, engine), n)
         for stage in range(n + 1):
-            st, d = shared.stage(stage), unshared.stage(stage)
+            st = shared.stage(stage)
             arrays = (st.f_theta, st.f_pi2, st.stop_loss, st.decision)
             for got, want in zip(arrays, ref[stage]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            for got, want in zip(arrays, (d.f_theta, d.f_pi2)):
-                assert got.tobytes() == want.tobytes()
+            assert st.f_theta.tobytes() == unshared.densities(stage).tobytes()
+
+
+def test_pi2_change_shares_the_densities_but_not_the_view(instance_b):
+    table = HistoryTable(instance_b)
+    table.stage(6)
+    built = len(table.space._densities)
+    pi2 = np.array([0.3, 0.7])
+    other = HistoryTable(replace(instance_b, priors=so.Priors(instance_b.priors.pi1, pi2)))
+    assert other.space is table.space and other._stages is not table._stages
+    for n in range(7):
+        st, mine = other.stage(n), table.stage(n)
+        assert st.f_theta is mine.f_theta  # the space's own array: no density stage built
+        assert st.f_pi2.tobytes() == (mine.f_theta @ pi2).tobytes()
+    assert len(table.space._densities) == built
 
 
 def test_shared_arrays_are_read_only(instance_b):
@@ -279,20 +295,20 @@ def test_one_view_serves_solve_evaluate_and_bayes(monkeypatch):
 def test_other_loss_or_pi1_gets_its_own_view(instance_b):
     table = HistoryTable(instance_b)
     other_loss = HistoryTable(with_loss(instance_b, 2.0 * instance_b.loss.w))
-    assert other_loss.layer is table.layer and other_loss._stages is not table._stages
+    assert other_loss.space is table.space and other_loss._stages is not table._stages
     pi = np.array([0.3, 0.7])
     other_pi1 = HistoryTable(replace(instance_b, priors=so.Priors(pi, instance_b.priors.pi2)))
-    assert other_pi1.layer is not table.layer and other_pi1._stages is not table._stages
+    assert other_pi1.space is table.space and other_pi1._stages is not table._stages
     assert other_loss.stage(2).stop_loss.tobytes() == (2.0 * table.stage(2).stop_loss).tobytes()
 
 
 def test_views_and_layers_die_with_the_last_table_and_rule(instance_b):
     tables = so.solve_truncated(instance_b, 6)
     rule = so.extract_rule(tables)
-    layer, view = weakref.ref(tables.table.layer), weakref.ref(tables.table._stages)
+    space, view = weakref.ref(tables.table.space), weakref.ref(tables.table._stages)
     del tables
     gc.collect()
-    assert layer() is not None and view() is not None  # the rule keeps its table
+    assert space() is not None and view() is not None  # the rule keeps its table
     del rule
     gc.collect()
-    assert layer() is None and view() is None
+    assert space() is None and view() is None

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 import seqopt as so
-from seqopt.bayes_decision import density_layer
 from seqopt.cli import _self_check, main
+from seqopt.histories import state_space
 
 from oracle import reference_rule_csv, reference_values_csv
 
@@ -93,7 +93,7 @@ def test_search_rule_file_matches_row_by_row_writer(tmp_path, capsys):
     p = so.load_problem(TWO_CHANNEL)
     res = so.match_constraints(p, [0.18, 0.045], so.SearchConfig(horizon=4))
     probs = [res.decision.stage_probs(n, p.n_decisions) for n in range(1, res.rule.horizon + 1)]
-    space = density_layer(p, res.rule.engine).space
+    space = state_space(p, res.rule.engine)
     text = reference_rule_csv(res.rule, space, probs)
     assert text.splitlines()[0].endswith(",decision_prob_0,decision_prob_1")
     assert (out_dir / "rule.csv").read_bytes() == text.encode()
@@ -370,6 +370,19 @@ def test_exit_code_unreachable_sprt(tmp_path, capsys):
         "--conservative",
     )
     assert code == 3
+
+
+def test_exit_code_bad_sprt_cap(tmp_path, capsys):
+    code, _ = run(
+        capsys,
+        "--out-root", str(tmp_path),
+        "search", SYMMETRIC,
+        "--targets", "0.05,0.05",
+        "--mode", "sprt",
+        "--cap", "0",
+    )
+    assert code == 2
+    assert "cap must be an integer >= 1, got 0" in run.err
 
 
 def test_exit_code_budget(tmp_path, capsys):

@@ -15,8 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
-from seqopt.bayes_decision import density_layer
-from seqopt.histories import push_forward
+from seqopt.histories import push_forward, state_space
 from seqopt.lagrange import _mixture, _Pack
 from seqopt.model import ObservationModel
 from seqopt.risk_evaluation import _forward
@@ -78,7 +77,7 @@ def test_push_forward_is_the_scatter_bit_for_bit(kind, k, m, n, seed):
     rng = np.random.default_rng(seed)
     if kind != "counts":
         n = min(n, {1: 6, 2: 5, 3: 3}.get(k, 2))  # K^n states at most
-    space = density_layer(_problem(rng, kind, k, m), _engine(kind)).space
+    space = state_space(_problem(rng, kind, k, m), _engine(kind))
     s = space.n_states(n)
     alive = rng.uniform(size=(s, 1)) < 0.7  # rows of zeros among the live ones
     cases = [
@@ -153,7 +152,7 @@ def test_evaluate_matches_the_mask_loop(kind, k, m, d, horizon, strategy, trunca
         horizon = min(horizon, 4 if k <= 2 else 3)
     p = _problem(rng, kind, k, m, d, groups=True)
     engine = _engine(kind)
-    space = density_layer(p, engine).space
+    space = state_space(p, engine)
     rule = _random_rule(rng, space, engine, horizon, truncated)
     sizes = [space.n_states(n) for n in range(1, horizon + 1)]
     decision = None
@@ -192,7 +191,7 @@ def test_capped_sprt_matches_the_mask_loop(k, cap, a, b, seed):
                        [0.5, 0.5], [0.5, 0.5], 0.01)
     spec = so.SprtSpec(a_upper=a, b_lower=-b, cap=cap)
     rule, decision = so.sprt_rule(p, spec)
-    capped = so.truncate_rule(rule, cap, density_layer(p, "counts").space)
+    capped = so.truncate_rule(rule, cap, state_space(p, "counts"))
     got, got_mass = _forward(p, capped, decision)
     want, want_mass = reference_forward(p, capped, decision)
     _assert_same_report(got, want)

@@ -125,6 +125,32 @@ def test_state_budget_matches_stagewise_totals(engine, k, horizon, offset):
         check_state_budget(space, horizon, budget)
 
 
+DEEP = 2828  # stages 0..2828 of a binary count space: 4,003,035 states, past the budget
+DEEP_SPRT = so.SprtSpec(2.0, -2.0, cap=DEEP)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda p, rule, space: so.stagewise_bayes_risk(p, DEEP),
+        lambda p, rule, space: so.truncatability_diagnostic(p, rule, [2, DEEP]),
+        lambda p, rule, space: so.truncate_rule(rule, DEEP, space),
+        lambda p, rule, space: so.sprt_rule(p, DEEP_SPRT),
+        lambda p, rule, space: so.sprt_operating_characteristics(p, DEEP_SPRT),
+        lambda p, rule, space: so.match_sprt_errors(p, 0.05, 0.05, cap=DEEP),
+    ],
+    ids=["stagewise", "truncatability", "truncate", "sprt_rule", "sprt_oc", "sprt_match"],
+)
+def test_deep_walks_past_the_budget_raise_before_building(walk):
+    p = so.load_problem(Path(__file__).parent.parent / "configs" / "symmetric.json")
+    rule = so.extract_rule(so.solve_truncated(p, 4))
+    space = so.state_space(p, "counts")  # held, to look at it after
+    built = (len(space._states), len(space._densities))
+    with pytest.raises(so.BudgetExceededError):
+        walk(p, rule, space)
+    assert (len(space._states), len(space._densities)) == built
+
+
 @pytest.mark.parametrize(
     "engine, k, top", [("counts", 2, 7), ("counts", 4, 5), ("tree", 2, 6), ("tree", 12, 2)]
 )

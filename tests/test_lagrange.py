@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import lagrange_reference
 import oracle
 import seqopt as so
-from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -302,7 +301,7 @@ def test_mixture_is_exact(engine):
     # one-rule mixture must have the mu-weighted operating characteristics.
     p = so.load_problem(CONFIGS / "two_channel.json")
     lg = so.lagrange
-    layer = density_layer(p, engine)
+    space = state_space(p, engine)
     packs, reports = [], []
     for lam, horizon in (([0.2, 2.0], 5), ([3.0, 0.3], 3)):
         tables = so.solve_truncated(so.weighted_problem(p, lam), horizon, engine=engine)
@@ -313,7 +312,7 @@ def test_mixture_is_exact(engine):
         reports.append(rep)
     search = lg._Search(p, so.SearchConfig(engine=engine))
     mu = np.array([0.3, 0.7])
-    rule, decision = lg._mixture(layer.space, search.common_horizon(packs), mu)
+    rule, decision = lg._mixture(space, search.common_horizon(packs), mu)
     assert rule.horizon == decision.horizon == 5
     mixed = so.evaluate(p, rule, decision)
     for key in ("n_psi", "w_groups", "decision_probs", "n_theta"):

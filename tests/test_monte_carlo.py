@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import seqopt as so
 import seqopt.monte_carlo as mc
-from seqopt.bayes_decision import HistoryTable, density_layer
+from seqopt.bayes_decision import HistoryTable
 from seqopt.histories import CountStateSpace, state_space
 from seqopt.model import ObservationModel
 
@@ -27,8 +27,7 @@ def reference_simulate(p, rule, cfg, decision=None):
     One Philox generator per replication, walked in a Python loop; the batch
     walk must reproduce its estimates and trace arrays bit for bit.
     """
-    layer = density_layer(p, rule.engine)  # held so the table below shares it
-    space = layer.space
+    space = state_space(p, rule.engine)  # held so the table below shares it
     if decision is None:
         decision = so.DecisionStrategy.bayes(HistoryTable(p, rule.engine), cfg.cap)
     mode = cfg.theta_mode

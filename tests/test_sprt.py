@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 import seqopt as so
 from seqopt import sprt
-from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 from seqopt.risk_evaluation import _forward
 
@@ -161,6 +161,20 @@ def test_sprt_requires_iid():
 def test_bad_thresholds_rejected(channel):
     with pytest.raises(so.SeqOptError):
         so.sprt_rule(channel, so.SprtSpec(a_upper=-1.0, b_lower=1.0, cap=5))
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True], ids=["zero", "negative", "float", "bool"])
+def test_bad_cap_rejected(channel, cap):
+    # A typed error, not numpy's ValueError or TypeError; True is not the cap 1.
+    spec = so.SprtSpec(a_upper=1.0, b_lower=-1.0, cap=cap)
+    message = f"cap must be an integer >= 1, got {cap!r}"
+    for call in (
+        lambda: so.sprt_rule(channel, spec),
+        lambda: so.sprt_operating_characteristics(channel, spec),
+        lambda: so.match_sprt_errors(channel, 0.05, 0.05, cap=cap),
+    ):
+        with pytest.raises(so.SeqOptError, match=re.escape(message)):
+            call()
 
 
 def reference_llr_by_state_tree(p, space, n, hypotheses=(0, 1)):
@@ -408,7 +422,7 @@ def test_lattice_match_agrees_with_real_bisection(k, weights, cap, a, b, slack, 
     pmf = np.array(weights[: 2 * k], dtype=float).reshape(2, k)
     pmf /= pmf.sum(axis=1, keepdims=True)
     p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
-    layer = density_layer(p, "counts")  # shared by every OC call below
+    space = state_space(p, "counts")  # shared by every OC call below
     drawn = so.sprt_operating_characteristics(p, so.SprtSpec(a, -b, cap=cap))
     alpha, beta = drawn.alpha * (1 + slack), drawn.beta * (1 + slack)
     if not (0 < alpha < 1 and 0 < beta < 1):

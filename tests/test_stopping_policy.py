@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
-from seqopt.bayes_decision import density_layer
 from seqopt.histories import state_space
 from seqopt.stopping_policy import read_rule_csv, write_rule_csv
 
@@ -461,9 +460,9 @@ def test_rule_csv_past_the_state_budget_raises_before_building(row):
     # One row naming a far stage: the budget check comes before any stage is
     # built or any per-stage array is sized.
     p = so.load_problem(CONFIGS / "symmetric.json")
-    layer = density_layer(p, row.split(",")[0])  # held, to look at its space after
-    # Another test may still hold the layer, with stages built.
-    states = getattr(layer.space, "_states", {})  # the count engine's built stages
+    space = state_space(p, row.split(",")[0])  # held, to look at it after
+    # Another test may still hold the space, with stages built.
+    states = getattr(space, "_states", {})  # the count engine's built stages
     built = len(states)
     with pytest.raises(so.BudgetExceededError):
         so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + row + "\n"), p)
@@ -476,8 +475,8 @@ def test_incomplete_rule_csv_raises_before_building():
     # looked up. So an incomplete file, or one that repeats a state, raises
     # with no count stage built, ahead of any row error.
     p = so.load_problem(CONFIGS / "symmetric.json")
-    layer = density_layer(p, "counts")  # held, to look at its space after
-    built = len(layer.space._states)  # another test may still hold the layer
+    space = state_space(p, "counts")  # held, to look at it after
+    built = len(space._states)  # another test may still hold the space
     short_stage_2 = "counts,2,2|0,1.0\ncounts,2,1|1,1.0\n"
     repeats_1_0 = "rule file repeats state '1|0' at stage 1"
     cases = [
@@ -498,7 +497,7 @@ def test_incomplete_rule_csv_raises_before_building():
     for rows, message in cases:
         with pytest.raises(so.SeqOptError, match=re.escape(message)):
             so.rule_from_csv(io.StringIO("engine,stage,state,stop_prob\n" + rows), p)
-        assert len(layer.space._states) == built
+        assert len(space._states) == built
 
 
 def _corrupt(label: str, sep: str, k: int, pick: int) -> str:
