@@ -7,6 +7,9 @@ scale quantities:
     cont[n][h]     = c * f_pi2(h) + sum_x value[n+1][h + (x,)]
     value[n][h]    = min(stop_loss(h), cont[n][h])
 
+Only the solve prices observations, with f_pi2 = f_theta @ pi2 from the
+space's densities per stage. It stores cont alone; value is derived on read.
+
 The stage-0 continuation value cont[0] (a scalar: f_pi2 of the empty history
 is 1) is the minimal combined risk, observation cost plus terminal loss, over
 every procedure that stops by N. Comparing it with the stage-0 loss says
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import IO
 
@@ -35,10 +39,10 @@ from .model import Problem
 
 @dataclass(eq=False)
 class ValueTables:
-    """Solved value and continuation arrays for one horizon.
+    """Solved continuation arrays for one horizon, and the values they give.
 
-    value[n] and cont[n] are per-state arrays aligned with the table's state
-    enumeration; cont has entries for stages 0..N-1, value for 0..N. The
+    cont[n] is a per-state array aligned with the table's state enumeration,
+    for stages 0..N-1; value (stages 0..N) is derived from it. The
     `q0_trace` / `converged` fields are filled by limit mode.
 
     `stats` describes the solve, not its result: "solve_s", "stages" (0..N),
@@ -46,10 +50,8 @@ class ValueTables:
     out of to_csv, so written outputs are reproducible.
     """
 
-    problem: Problem
     table: HistoryTable
     horizon: int
-    value: list[np.ndarray]
     cont: list[np.ndarray]
     q0_trace: list[tuple[int, float]] = field(default_factory=list)
     converged: bool | None = None
@@ -68,11 +70,17 @@ class ValueTables:
     @property
     def v0(self) -> float:
         """Minimum of q0 and the no-observation stage loss."""
-        return float(self.value[0][0])
+        return float(np.minimum(self.l0, self.q0))
 
     @property
     def l0(self) -> float:
         return self.table.l0
+
+    @cached_property
+    def value(self) -> list[np.ndarray]:
+        """Per stage 0..N: min(stop_loss, cont) (one side's bits), stop_loss at N."""
+        stop = [self.table.stage(n).stop_loss for n in range(self.horizon + 1)]
+        return [np.minimum(sl, c) for sl, c in zip(stop, self.cont)] + [stop[-1]]
 
     def to_csv(self, fh: IO[str]) -> None:
         """One row per state; floats as repr, the last stage's continue_value empty.
@@ -83,22 +91,12 @@ class ValueTables:
         for n in range(self.horizon + 1):
             stop = self.table.stage(n).stop_loss
             stop_s = list(_reprs(stop))
-            cont_s, value_s = repeat(""), np.array(stop_s, dtype=object)
-            bits = _bits(self.value[n])
-            known = bits == _bits(stop)
+            cont_s, value_s = repeat(""), stop_s
             if n < self.horizon:
                 cont_s = list(_reprs(self.cont[n]))
-                value_s = np.where(known, value_s, np.array(cont_s, dtype=object))
-                known |= bits == _bits(self.cont[n])
-            # A solve's value is min(stop_loss, cont), so it has one side's bits
-            # and string; only tables built from other arrays reach this loop.
-            for i in np.flatnonzero(~known).tolist():
-                value_s[i] = repr(float(self.value[n][i]))
-            _write_rows(fh, f"{n},", self.table.space.labels(n), stop_s, cont_s, value_s.tolist())
-
-
-def _bits(arr: np.ndarray) -> np.ndarray:
-    return np.asarray(arr, dtype=float).view(np.uint64)
+                stops = (self.value[n].view(np.uint64) == stop.view(np.uint64)).tolist()
+                value_s = [s if k else c for s, c, k in zip(stop_s, cont_s, stops)]
+            _write_rows(fh, f"{n},", self.table.space.labels(n), stop_s, cont_s, value_s)
 
 
 def _reprs(arr: np.ndarray):
@@ -133,24 +131,21 @@ def solve_truncated(
         raise SeqOptError("horizon must be >= 1")
     start = time.perf_counter()
     table = HistoryTable(p, engine)
-    check_state_budget(table.space, horizon, state_budget)
-    c = p.cost.c
-    value: list[np.ndarray | None] = [None] * (horizon + 1)
+    space = table.space
+    check_state_budget(space, horizon, state_budget)
     cont: list[np.ndarray | None] = [None] * horizon
-    value[horizon] = table.stage(horizon).stop_loss.copy()
+    value = table.stage(horizon).stop_loss
     for n in range(horizon - 1, -1, -1):
-        st = table.stage(n)
-        kids = value[n + 1][table.space.children(n).T]  # (K, S): row x, the children by x
+        kids = value[space.children(n).T]  # (K, S): row x, the children by x
         # numpy adds 8 or more terms along a contiguous axis pairwise and fewer
         # (or a leading axis) one by one: either way the (S, K) row sums' bits.
         sums = kids.sum(axis=0) if len(kids) < 8 else np.ascontiguousarray(kids.T).sum(axis=1)
-        cont_n = c * st.f_pi2 + sums
-        value[n] = np.minimum(st.stop_loss, cont_n)
-        cont[n] = cont_n
-    sizes = [len(v) for v in value]
+        cont[n] = p.cost.c * (space.densities(n) @ p.priors.pi2) + sums
+        value = np.minimum(table.stage(n).stop_loss, cont[n])
+    sizes = [space.n_states(n) for n in range(horizon + 1)]
     stats = {"solve_s": time.perf_counter() - start, "stages": horizon + 1,
              "states": sum(sizes), "peak_states": max(sizes)}
-    return ValueTables(p, table, horizon, value, cont, stats=stats)
+    return ValueTables(table, horizon, cont, stats=stats)
 
 
 def solve_limit(

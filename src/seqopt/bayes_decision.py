@@ -10,9 +10,9 @@ the pi1-weighted loss density of the best terminal decision available now.
 The work splits into two layers. The state space (see histories) owns what
 depends on the observation model alone: the states and, per stage, the
 per-parameter joint densities f_theta; it is shared per model. A
-HistoryTable is a view of one (pi1, pi2, loss) over a space: per stage it
-adds the pi2 mixture f_pi2, the stage loss and the minimizing decision
-(lowest index on ties).
+HistoryTable is a view of pi1 and the loss over a space: per stage it adds
+the stage loss and the minimizing decision (lowest index on ties); pi2 and
+c price observations, in the solve alone (see backward_induction).
 
 Both walk the state axis innermost: f_theta is built parameter-major, one
 scatter per (parameter, symbol) along a child-table row, and the view takes
@@ -20,13 +20,13 @@ its minimum and argmin one decision column at a time. The arrays stay C-ordered
 (S, m) and (S, D), as BLAS may round a product of an F-ordered operand
 differently, so every stored array is the state-by-state form's, bit for bit.
 
-Views are shared through a weak memo keyed by (space, pi1, pi2, loss
-matrix), each array by its shape, dtype and bytes: every live table of that
-problem, such as a solve's, the one `evaluate` builds for its default
-decisions and the one an extracted rule keeps, reads and extends the same
-stages, so each is built once; once no table holds a view, it is freed. The
-space's and the views' arrays are read-only, so no caller can change
-another's.
+Views are shared through a weak memo keyed by (space, pi1, loss matrix),
+each array by its shape, dtype and bytes: every live table of those, such as
+a solve's, the one `evaluate` builds for its default decisions, the one an
+extracted rule keeps and any of a problem differing only in pi2 or c, reads
+and extends the same stages, so each is built once; once no table holds a
+view, it is freed. The space's and the views' arrays are read-only, so no
+caller can change another's.
 
 The fixed-sample-size Bayes risk at n, non-increasing in n, sums the same
 minimum over stage-n states with f_theta replaced by the forward mass, the
@@ -51,33 +51,30 @@ from .tolerances import TIE_ATOL
 
 @dataclass(eq=False)
 class StageData:
-    """One stage of a HistoryTable: the space's densities plus the loss view (read-only)."""
+    """One stage of a HistoryTable's loss view (read-only)."""
 
-    f_theta: np.ndarray  # (S, m) joint density per parameter, the space's own
-    f_pi2: np.ndarray  # (S,) mixture under pi2
     stop_loss: np.ndarray  # (S,) minimal pi1-weighted loss density
     decision: np.ndarray  # (S,) argmin decision index (lowest on ties)
 
 
 class _LossView(dict):
-    """Stage n -> StageData of one (pi1, pi2, loss) over a space; weakly referenceable."""
+    """Stage n -> StageData of one (pi1, loss) over a space; weakly referenceable."""
 
 
 _VIEWS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class HistoryTable:
-    """One problem's priors and loss over a shared state space: stage losses and decisions.
+    """One problem's pi1 and loss over a shared state space: stage losses and decisions.
 
-    Tables of the same space, priors and loss matrix share their stages (see
-    the module docstring).
+    Tables of the same space, pi1 and loss matrix share their stages (see the
+    module docstring).
     """
 
     def __init__(self, problem: Problem, engine: str = "auto"):
         self.problem = problem
         self.space = state_space(problem, engine)
-        pr = problem.priors
-        key = (self.space, _array_key(pr.pi1), _array_key(pr.pi2), _array_key(problem.loss.w))
+        key = (self.space, _array_key(problem.priors.pi1), _array_key(problem.loss.w))
         self._stages = _VIEWS.get(key)
         if self._stages is None:
             self._stages = _VIEWS[key] = _LossView()
@@ -94,14 +91,12 @@ class HistoryTable:
 
     def _build_stage(self, n: int) -> StageData:
         p = self.problem
-        f_theta = self.space.densities(n)
-        f_pi2 = f_theta @ p.priors.pi2
-        costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
+        costs = (self.space.densities(n) * p.priors.pi1[None, :]) @ p.loss.w
         stop_loss, decision = _column_min(costs)
         # setflags costs about half of `.flags.writeable =`; every search probe builds stages.
-        for arr in (f_pi2, stop_loss, decision):
+        for arr in (stop_loss, decision):
             arr.setflags(write=False)
-        return StageData(f_theta, f_pi2, stop_loss, decision)
+        return StageData(stop_loss, decision)
 
     @property
     def l0(self) -> float:

@@ -31,13 +31,13 @@ weighted problems of a multiplier search, say, reuse its built stages while
 any table, result or caller holds it; once nothing does, it is freed.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
-mixture flows or reachability to stage n+1 with one `np.bincount` over the
-symbol-major flattened child table per trailing column. bincount adds in
-input order, symbol by symbol and within a symbol state by state. A child
-has at most one parent per symbol (a tree child the single parent s, a count
-state c the parent c - e_x), so each child receives the sum, in symbol order
-from 0, of what its parents send: the float sums of a scatter-add per symbol,
-bit for bit.
+mixture flows or reachability to stage n+1 with one weighted `np.bincount`
+over the symbol-major flattened child table per trailing column, whatever
+the dtype. bincount adds in input order, symbol by symbol and within a
+symbol state by state. A child has at most one parent per symbol (a tree
+child the single parent s, a count state c the parent c - e_x), so each
+child receives the sum, in symbol order from 0, of what its parents send:
+the float sums of a scatter-add per symbol, bit for bit.
 """
 
 from __future__ import annotations
@@ -263,25 +263,21 @@ def push_forward(
 
     values is (S_n,) or (S_n, C), float64 or bool. With `weighted` it is
     (S_n, m) per-parameter mass, and the edge of symbol x multiplies column j
-    by P_j(x | state) from step_probs. Without, values travel unchanged;
-    boolean values then sum as a logical or, so reachability never underflows.
+    by P_j(x | state) from step_probs. Without, values travel unchanged; a
+    boolean column comes back True where some parent sent True, as its float
+    sum is then positive, so reachability never underflows.
 
     The sums are the per-symbol scatter's, bit for bit (see the module
     docstring).
     """
     size = space.n_states(n + 1)
-    table = space.children(n).T  # (K, S_n), contiguous
+    flat = space.children(n).T.ravel()  # the contiguous (K, S_n) table, symbol by symbol
+    step = space.step_probs(n) if weighted else None
     cols = values.reshape(len(values), -1)
     out = np.empty((size, cols.shape[1]), dtype=values.dtype)
-    if values.dtype == bool:
-        for j in range(cols.shape[1]):
-            out[:, j] = np.bincount(table[:, cols[:, j]].ravel(), minlength=size) > 0
-    else:
-        flat = table.ravel()
-        step = space.step_probs(n) if weighted else None
-        for j in range(cols.shape[1]):
-            sent = step[:, j].T * cols[:, j] if weighted else np.tile(cols[:, j], space.k)
-            out[:, j] = np.bincount(flat, weights=sent.ravel(), minlength=size)
+    for j in range(cols.shape[1]):
+        sent = step[:, j].T * cols[:, j] if weighted else np.tile(cols[:, j], space.k)
+        out[:, j] = np.bincount(flat, weights=sent.ravel(), minlength=size)
     return out.reshape((size,) + values.shape[1:])
 
 

@@ -304,7 +304,8 @@ def _mixture(
     a_i(s) counts the histories of state s that pair i's rule lets through
     (push_forward without weights); the model's density of s is common to
     every pair and cancels. Where no pair arrives (or none stops) the plain
-    mu-average stands in; it is never used.
+    mu-average stands in, clipped at 1 (mu may sum to 1 + 2^-52) so the rule
+    file reads back; it is never used.
     """
     horizon = packs[0].horizon
     arrive = np.ones((space.n_states(1), len(packs)))
@@ -317,9 +318,9 @@ def _mixture(
         flow = arrive * mu
         stopped = flow * p_n
         flow_s, stopped_s = flow.sum(axis=1), stopped.sum(axis=1)
-        probs.append(np.divide(stopped_s, flow_s, out=p_n @ mu, where=flow_s > 0))
+        probs.append(np.divide(stopped_s, flow_s, out=np.minimum(p_n @ mu, 1.0), where=flow_s > 0))
         q = np.divide((stopped[:, :, None] * onehot).sum(axis=1), stopped_s[:, None],
-                      out=mu @ onehot, where=stopped_s[:, None] > 0)
+                      out=np.minimum(mu @ onehot, 1.0), where=stopped_s[:, None] > 0)
         weights.append(q)
         decisions.append(q.argmax(axis=1))
         if n < horizon:

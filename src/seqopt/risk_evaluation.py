@@ -37,7 +37,7 @@ from .bayes_decision import HistoryTable, _bayes_loss
 from .errors import SeqOptError
 from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
-from .stopping_policy import StoppingRule
+from .stopping_policy import StoppingRule, _bad_probs
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
 
 
@@ -199,14 +199,17 @@ def _check_coverage(
 ) -> None:
     """Raise SeqOptError unless the rule and the decisions fit stages 1..horizon.
 
-    Each decision stage must give an integer index in [0, d_count) per state
-    of the space, and a randomized strategy's probs must be (S_n, d_count).
-    Shape tests per stage, and one min and one max over all the stages.
+    Each decision stage must give an integer index in [0, d_count) per state;
+    stop probabilities and a randomized strategy's (S_n, d_count) probs must
+    be what a rule file may hold. Shape tests per stage, then one pass per bound.
     """
     sizes = [space.n_states(n) for n in range(1, horizon + 1)]
     for n, size in enumerate(sizes, start=1):
         if size != len(rule.at(n)):
             raise SeqOptError(f"rule stage {n} covers {len(rule.at(n))} states, problem has {size}")
+    if _bad_probs(np.concatenate(rule.stop_probs[:horizon])).any():
+        n = next(n for n in range(1, horizon + 1) if _bad_probs(rule.at(n)).any())
+        raise SeqOptError(f"rule stage {n} has stop probabilities outside [0, 1]")
     if decision is None:
         return
     decs = decision.decisions[:horizon]
@@ -222,6 +225,9 @@ def _check_coverage(
                 f"decision probabilities of stage {n} have shape {np.shape(q)}, "
                 f"expected {(size, d_count)}"
             )
+    if probs and _bad_probs(np.concatenate(probs)).any():
+        n = next(n for n, q in enumerate(probs, start=1) if _bad_probs(q).any())
+        raise SeqOptError(f"decision probabilities of stage {n} must lie in [0, 1] and sum to 1")
     flat = np.concatenate(decs)
     if flat.dtype.kind not in "iu":
         raise SeqOptError(f"decision indices must be integers, got {flat.dtype}")

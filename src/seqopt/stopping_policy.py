@@ -153,7 +153,7 @@ def read_rule_csv(
     first = int(np.argmax(unknown)) if unknown.any() else len(rows)
     # Only rows above the first unknown state are parsed, so errors keep file order.
     values = np.array(column("stop_prob")[:first], dtype=float)  # raises as float() would
-    outside = ~((values >= 0.0) & (values <= 1.0))
+    outside = _bad_probs(values)
     if outside.any():
         raise SeqOptError(f"stop probability {float(values[np.argmax(outside)])} outside [0, 1]")
     if first < len(rows):
@@ -176,7 +176,7 @@ def read_rule_csv(
             f"rule file's decision columns must be {DECISION_PROB}0..{DECISION_PROB}{d_count - 1}"
         )
     q = np.array([column(h) for h in d_names], dtype=float).T  # (rows, D)
-    bad = ~np.all((q >= 0.0) & (q <= 1.0), axis=1) | (np.abs(q.sum(axis=1) - 1.0) > 1e-9)
+    bad = _bad_probs(q)
     if bad.any():
         i = int(np.argmax(bad))
         raise SeqOptError(
@@ -186,6 +186,13 @@ def read_rule_csv(
     table = np.empty((offsets[-1], d_count))
     table[at] = q
     return rule, np.split(table, offsets[1:-1])
+
+
+def _bad_probs(probs: np.ndarray) -> np.ndarray:
+    """Mask of what a rule file may not hold: stop probabilities outside [0, 1] (NaN
+    too), or (rows, D) decision rows outside [0, 1] or not summing to 1 within 1e-9."""
+    bad = ~((probs >= 0.0) & (probs <= 1.0))
+    return bad if probs.ndim == 1 else bad.any(axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-9)
 
 
 def _strict_sides(stop_loss: np.ndarray, cont: np.ndarray) -> tuple:

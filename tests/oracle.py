@@ -289,7 +289,8 @@ def brute_force_optimum(
     space = table.space
 
     def stop_value(n: int) -> list[float]:
-        return (p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss).tolist()
+        f_pi2 = space.densities(n) @ p.priors.pi2
+        return (p.cost.c * n * f_pi2 + table.stage(n).stop_loss).tolist()
 
     found = list(stopping_frontiers(space, horizon, stop_value, rule_budget))
     min_risk = min(risk for _, risk in found)
@@ -344,10 +345,10 @@ def verify_conditional_optimality(
 
     def node(n: int) -> np.ndarray:
         """Per state: sample-size weight under pi2, then per-group pi1-weighted loss."""
-        st = table.stage(n)
-        per_theta = p.loss.w.T[weighted.stage(n).decision] * st.f_theta * p.priors.pi1[None, :]
+        f_theta = table.space.densities(n)
+        per_theta = p.loss.w.T[weighted.stage(n).decision] * f_theta * p.priors.pi1[None, :]
         groups = [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups]
-        return np.column_stack([n * st.f_pi2] + groups)  # (S, 1 + g)
+        return np.column_stack([n * (f_theta @ p.priors.pi2)] + groups)  # (S, 1 + g)
 
     violations: list[dict] = []
     strict: list[dict] = []
@@ -392,7 +393,7 @@ def mask_walk_brute_force(p, horizon, rule_budget=2**20):
         )
     bit_of = {ns: i for i, ns in enumerate(interior)}
     stop_value = {
-        n: p.cost.c * n * table.stage(n).f_pi2 + table.stage(n).stop_loss
+        n: p.cost.c * n * (space.densities(n) @ p.priors.pi2) + table.stage(n).stop_loss
         for n in range(1, horizon + 1)
     }
 
@@ -447,10 +448,10 @@ def mask_walk_conditional_optimality(
     n_node = {}
     w_node = {}
     for n in range(1, horizon + 1):
-        st = table.stage(n)
-        n_node[n] = n * st.f_pi2
+        f_theta = table.space.densities(n)
+        n_node[n] = n * (f_theta @ p.priors.pi2)
         picked = p.loss.w.T[decision.at(n)]
-        per_theta = picked * st.f_theta * p.priors.pi1[None, :]
+        per_theta = picked * f_theta * p.priors.pi1[None, :]
         w_node[n] = np.stack(
             [per_theta[:, list(group)].sum(axis=1) for group in p.constraints.groups], axis=1
         )

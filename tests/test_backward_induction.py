@@ -1,5 +1,6 @@
 import dataclasses
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import seqopt as so
 
 from conftest import random_instance
 from oracle import backward_values, reference_values_csv
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_two_stage_hand_values(instance_b):
@@ -178,8 +181,25 @@ def test_child_sums_are_the_row_sums_bit_for_bit(engine, k, horizon):
     space = tables.table.space
     for n in range(horizon):
         rows = tables.value[n + 1][np.ascontiguousarray(space.children(n))]  # (S, K)
-        want = p.cost.c * tables.table.stage(n).f_pi2 + rows.sum(axis=1)
+        want = p.cost.c * (space.densities(n) @ p.priors.pi2) + rows.sum(axis=1)
         assert tables.cont[n].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("engine", ["counts", "tree", "kernel"])
+def test_value_is_derived_from_cont_bit_for_bit(instance_b, engine):
+    # A solve stores cont alone; value and v0 come from it and the loss view.
+    p, horizon = instance_b, 6
+    if engine == "kernel":  # its kernel covers histories up to length 3
+        p, engine, horizon = so.load_problem(CONFIGS / "markov_burst.json"), "tree", 3
+    tables = so.solve_truncated(p, horizon, engine=engine)
+    names = [f.name for f in dataclasses.fields(tables)]
+    assert "value" not in names and "problem" not in names
+    assert len(tables.value) == horizon + 1 and tables.value is tables.value
+    for n in range(horizon):
+        want = np.minimum(tables.table.stage(n).stop_loss, tables.cont[n])
+        assert tables.value[n].tobytes() == want.tobytes()
+    assert tables.value[horizon].tobytes() == tables.table.stage(horizon).stop_loss.tobytes()
+    assert np.float64(tables.v0).tobytes() == tables.value[0].tobytes()
 
 
 def test_stats_describe_the_solve_and_stay_out_of_values_csv(instance_b):

@@ -1,7 +1,7 @@
 import gc
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -165,8 +165,8 @@ def _markov_problem() -> so.Problem:
 def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...]]:
     """Stages 0..n as one table computed densities and losses together.
 
-    Per stage: (f_theta, f_pi2, stop_loss, decision). This is the
-    arithmetic the state space and the loss view split between them.
+    Per stage: (f_theta, stop_loss, decision). This is the arithmetic the
+    state space and the loss view split between them.
     """
     out = []
     f_theta = np.ones((1, p.n_params))
@@ -179,9 +179,7 @@ def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...
                 nxt[children[:, x], :] = f_theta * step[:, :, x]
             f_theta = nxt
         costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
-        out.append(
-            (f_theta, f_theta @ p.priors.pi2, costs.min(axis=1), costs.argmin(axis=1))
-        )
+        out.append((f_theta, costs.min(axis=1), costs.argmin(axis=1)))
     return out
 
 
@@ -236,30 +234,30 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
         assert shared.space is first.space
         ref = reference_stages(other, so.state_space(p, engine), n)
         for stage in range(n + 1):
-            st = shared.stage(stage)
-            arrays = (st.f_theta, st.f_pi2, st.stop_loss, st.decision)
-            for got, want in zip(arrays, ref[stage]):
+            st, f_theta = shared.stage(stage), shared.space.densities(stage)
+            for got, want in zip((f_theta, st.stop_loss, st.decision), ref[stage]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-            assert st.f_theta.tobytes() == unshared.densities(stage).tobytes()
+            assert f_theta.tobytes() == unshared.densities(stage).tobytes()
 
 
-def test_pi2_change_shares_the_densities_but_not_the_view(instance_b):
+def test_pi2_change_shares_the_densities_and_the_view(instance_b, monkeypatch):
+    # pi2 and c price observations in the solve; the loss view needs neither.
     table = HistoryTable(instance_b)
-    table.stage(6)
+    mine = [table.stage(n) for n in range(7)]
     built = len(table.space._densities)
+    calls = _count_stage_builds(monkeypatch)
     pi2 = np.array([0.3, 0.7])
     other = HistoryTable(replace(instance_b, priors=so.Priors(instance_b.priors.pi1, pi2)))
-    assert other.space is table.space and other._stages is not table._stages
-    for n in range(7):
-        st, mine = other.stage(n), table.stage(n)
-        assert st.f_theta is mine.f_theta  # the space's own array: no density stage built
-        assert st.f_pi2.tobytes() == (mine.f_theta @ pi2).tobytes()
-    assert len(table.space._densities) == built
+    assert other.space is table.space and other._stages is table._stages
+    assert [other.stage(n) for n in range(7)] == mine
+    assert calls == [] and len(table.space._densities) == built
 
 
 def test_shared_arrays_are_read_only(instance_b):
-    st = HistoryTable(instance_b).stage(3)
-    for arr in (st.f_theta, st.f_pi2, st.stop_loss, st.decision):
+    table = HistoryTable(instance_b)
+    st = table.stage(3)
+    assert [f.name for f in fields(st)] == ["stop_loss", "decision"]
+    for arr in (table.space.densities(3), st.stop_loss, st.decision):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 

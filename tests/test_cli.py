@@ -192,6 +192,20 @@ def test_search_rule_keeps_its_decisions(tmp_path, capsys):
     assert report["n_psi"] == pytest.approx(lag["n_psi"], abs=1e-12)
 
 
+def test_lagrange_mixture_rule_file_reads_back(tmp_path, capsys):
+    # This mixture leaves states unreached, where mu summing to 1 + 2^-52
+    # once wrote stop probabilities of 1.0000000000000002 that evaluate refused.
+    code, out_dir = run(
+        capsys,
+        "--out-root", str(tmp_path),
+        "search", TWO_CHANNEL,
+        "--targets", "0.3,0.03",
+        "--horizon", "5",
+    )
+    assert code == 0
+    _evaluate_rule(capsys, tmp_path, TWO_CHANNEL, out_dir / "rule.csv")
+
+
 def test_sprt_rule_keeps_its_decisions(tmp_path, capsys):
     code, out_dir = run(
         capsys,

@@ -215,12 +215,12 @@ def test_decision_probabilities_leave_the_stopping_mass_alone(symmetric):
     rule = so.extract_rule(so.solve_truncated(symmetric, 6))
     base = so.evaluate(symmetric, rule)
     bayes = so.DecisionStrategy.bayes(so.HistoryTable(symmetric), 6)
-    probs = [np.eye(2)[dec] * (1.0 + 1e-9) for dec in bayes.decisions]
+    probs = [np.eye(2)[dec] * (1.0 - 5e-10) for dec in bayes.decisions]
     rep = so.evaluate(symmetric, rule, so.DecisionStrategy(bayes.decisions, probs))
     assert np.array_equal(rep.stop_dist_theta, base.stop_dist_theta)
     assert np.array_equal(rep.mass_stopped_theta, base.mass_stopped_theta)
     assert rep.n_psi == base.n_psi
-    assert rep.decision_probs == pytest.approx(base.decision_probs * (1.0 + 1e-9), rel=1e-12)
+    assert rep.decision_probs == pytest.approx(base.decision_probs * (1.0 - 5e-10), rel=1e-12)
 
 
 def _malformed(case, sizes):
@@ -237,15 +237,29 @@ def _malformed(case, sizes):
     if case == "float":
         decisions = [d.astype(float) for d in decisions]
         return so.DecisionStrategy(decisions), "decision indices must be integers, got float64"
-    probs = [np.full((s, 3), 1.0 / 3.0) for s in sizes]
+    if case == "probs_shape":
+        probs = [np.full((s, 3), 1.0 / 3.0) for s in sizes]
+        return (
+            so.DecisionStrategy(decisions, probs),
+            r"decision probabilities of stage 1 have shape \(2, 3\), expected \(2, 2\)",
+        )
+    # Rows a rule file could not hold; rows of [0.9, 0.9] once evaluated to
+    # decision_probs rows [0.9, 0.9].
+    row = {"probs_sum": [0.9, 0.9], "probs_negative": [1.5, -0.5], "probs_nan": [np.nan, 1.0]}
+    probs = [np.full((s, 2), 0.5) for s in sizes]
+    probs[2][1] = row[case]
     return (
         so.DecisionStrategy(decisions, probs),
-        r"decision probabilities of stage 1 have shape \(2, 3\), expected \(2, 2\)",
+        r"decision probabilities of stage 3 must lie in \[0, 1\] and sum to 1",
     )
 
 
 @pytest.mark.parametrize("call", ["evaluate", "simulate"])
-@pytest.mark.parametrize("case", ["short_stage", "negative", "past_last", "float", "probs_shape"])
+@pytest.mark.parametrize(
+    "case",
+    ["short_stage", "negative", "past_last", "float", "probs_shape", "probs_sum",
+     "probs_negative", "probs_nan"],
+)
 def test_malformed_decision_strategies_raise(case, call):
     # All -1 decisions once evaluated to r=0.538946 with decision_probs rows
     # summing to 0, and a 3-column probs simulated without error.
@@ -257,3 +271,17 @@ def test_malformed_decision_strategies_raise(case, call):
             so.evaluate(p, rule, decision)
         else:
             so.simulate(p, rule, so.SimConfig(replications=10, seed=1, cap=6), decision)
+
+
+@pytest.mark.parametrize("call", ["evaluate", "simulate"])
+@pytest.mark.parametrize("value", [1.5, -0.25, np.nan])
+def test_stop_probabilities_outside_the_unit_interval_raise(value, call):
+    # These once evaluated without error: 1.5 across stage 1 gave r = 0.405,
+    # with mass_stopped_theta [1.5, 1.5] and r_finite True.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    rule = so.extract_rule(so.solve_truncated(p, 6)).with_prob(2, 1, value)
+    with pytest.raises(so.SeqOptError, match=r"rule stage 2 has stop probabilities outside \["):
+        if call == "evaluate":
+            so.evaluate(p, rule)
+        else:
+            so.simulate(p, rule, so.SimConfig(replications=10, seed=1, cap=6))

@@ -323,6 +323,19 @@ def test_mixture_is_exact(engine):
     assert np.allclose(mixed.stop_dist_theta, stop_dist, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "targets, horizon", [((0.3, 0.03), 5), ((0.2, 0.12), 5), ((0.1, 0.1), 8), ((0.15, 0.02), 8)]
+)
+def test_mixture_probabilities_lie_in_the_unit_interval(targets, horizon):
+    # At (0.3, 0.03) the unreached states' mu-average fallback once gave
+    # 1.0000000000000002, as the normalised mu sums to 1 + 2^-52.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    res = so.match_constraints(p, targets, so.SearchConfig(horizon=horizon))
+    assert res.decision.probs is not None  # a mixture of pairs
+    for probs in (np.concatenate(res.rule.stop_probs), np.concatenate(res.decision.probs)):
+        assert ((probs >= 0.0) & (probs <= 1.0)).all()
+
+
 def test_uncertified_gap_reports_unconverged(monkeypatch):
     # Cut the pricing rounds short: the best mixture so far comes back with
     # its open gap and converged=False, its losses still its own.

@@ -321,7 +321,7 @@ def test_rule_csv_matches_row_by_row_writer(engine, k, horizon):
 # Floats the writers must spell exactly as repr does: signed zeros, infinities,
 # NaN, subnormals and both ends of the exponent range.
 _SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e300, 1e-300]
-# A NaN whose bits match no other array's entry: the value column's repr fallback.
+# A NaN of another payload: the value column must still pick its side by bits.
 _NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0])
 
 
@@ -351,16 +351,8 @@ def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count
     sizes = [space.n_states(n) for n in range(horizon + 1)]
     stops = [_stage_floats(rng, palette, s) for s in sizes]
     conts = [_stage_floats(rng, palette, s) for s in sizes[:-1]]
-    values = []
-    for n, s in enumerate(sizes):
-        # Each entry has stop_loss's bits, cont's bits, or (mostly) neither's:
-        # a negated stop_loss turns 0.0 into -0.0 and NaN into -NaN.
-        other = np.where(rng.random(s) < 0.5, -stops[n], _stage_floats(rng, palette, s))
-        pick = rng.integers(0, 3 if n < horizon else 2, s)
-        cont = conts[n] if n < horizon else other
-        values.append(np.where(pick == 0, stops[n], np.where(pick == 1, other, cont)))
     table = SimpleNamespace(space=space, stage=lambda n: SimpleNamespace(stop_loss=stops[n]))
-    tables = so.ValueTables(p, table, horizon, values, conts)
+    tables = so.ValueTables(table, horizon, conts)
     buf = io.StringIO()
     tables.to_csv(buf)
     assert buf.getvalue() == reference_values_csv(tables)
