@@ -14,13 +14,7 @@ from .backward_induction import (
     solve_limit,
     solve_truncated,
 )
-from .bayes_decision import (
-    HistoryTable,
-    bayes_decide,
-    posterior,
-    posterior_risk,
-    stagewise_bayes_risk,
-)
+from .bayes_decision import HistoryTable, stagewise_bayes_risk
 from .config import load_problem, problem_to_dict
 from .errors import (
     BudgetExceededError,
@@ -48,8 +42,6 @@ from .model import (
     Priors,
     Problem,
     iid_problem,
-    joint_density,
-    mixture_density,
     validate_problem,
     zero_one_loss,
 )
@@ -114,21 +106,16 @@ __all__ = [
     "TruncatabilityDiagnostic",
     "UnreachableTargetsError",
     "ValueTables",
-    "bayes_decide",
     "continuation_is_interval",
     "evaluate",
     "extract_rule",
     "iid_problem",
-    "joint_density",
     "lagrangian",
     "llr_by_state",
     "llr_increments",
     "load_problem",
     "match_constraints",
     "match_sprt_errors",
-    "mixture_density",
-    "posterior",
-    "posterior_risk",
     "problem_to_dict",
     "reachable_sets",
     "rule_from_csv",

@@ -39,14 +39,11 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 import numpy as np
 
 from .histories import _array_key, check_state_budget, push_forward, state_space
-from .errors import SeqOptError
-from .model import Problem, joint_density, mixture_density
-from .tolerances import TIE_ATOL
+from .model import Problem
 
 
 @dataclass(eq=False)
@@ -119,21 +116,6 @@ def _column_min(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stop_loss, decision
 
 
-def bayes_decide(p: Problem, history: Sequence[int]) -> tuple[int, float, tuple[int, ...]]:
-    """Best terminal decision after a history.
-
-    Returns (decision index, stage loss, tie set). The decision is the lowest
-    index among minimizers; the tie set lists every decision within TIE_ATOL
-    of the minimum.
-    """
-    f = np.array([joint_density(p, t, history) for t in range(p.n_params)])
-    costs = (f * p.priors.pi1) @ p.loss.w
-    best = float(costs.min())
-    decision = int(costs.argmin())
-    ties = tuple(int(d) for d in np.flatnonzero(costs <= best + TIE_ATOL))
-    return decision, best, ties
-
-
 def _bayes_loss(p: Problem, mass: np.ndarray) -> float:
     """Sum over states of min_d sum_theta w(theta, d) pi1(theta) mass[s, theta]."""
     return float(((mass * p.priors.pi1) @ p.loss.w).min(axis=1).sum())
@@ -152,26 +134,3 @@ def stagewise_bayes_risk(p: Problem, n: int, engine: str = "auto") -> float:
     for stage in range(n):
         mass = push_forward(space, stage, mass)
     return _bayes_loss(p, mass)
-
-
-def posterior(p: Problem, history: Sequence[int]) -> np.ndarray:
-    """pi1-posterior over parameters given a history."""
-    f = np.array([joint_density(p, t, history) for t in range(p.n_params)])
-    weighted = f * p.priors.pi1
-    total = weighted.sum()
-    if total <= 0:
-        raise SeqOptError(f"history {tuple(history)} has zero probability under pi1")
-    return weighted / total
-
-
-def posterior_risk(p: Problem, history: Sequence[int]) -> float:
-    """Stage loss normalized by the pi2 mixture density.
-
-    In the Bayes setting (pi1 == pi2) this is the posterior expected loss of
-    the best terminal decision given the history.
-    """
-    f2 = mixture_density(p, history, prior="pi2")
-    if f2 <= 0:
-        raise SeqOptError(f"history {tuple(history)} has zero probability under pi2")
-    _, stop_loss, _ = bayes_decide(p, history)
-    return stop_loss / f2

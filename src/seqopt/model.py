@@ -19,7 +19,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .errors import InvalidProblemError, KernelDomainError, SeqOptError
+from .errors import InvalidProblemError, KernelDomainError
 from .tolerances import NORM_ATOL
 
 # A kernel maps (parameter index, history tuple) to a pmf over the next symbol.
@@ -304,36 +304,6 @@ def validate_problem(p: Problem, kernel_state_budget: int = _VALIDATION_STATE_BU
     return p
 
 
-def joint_density(p: Problem, theta: int, history: Sequence[int]) -> float:
-    """Joint probability of an observation sequence under one parameter.
-
-    The empty history returns 1.0 (the stage-0 convention).
-    """
-    h = tuple(int(x) for x in history)
-    k = p.obs.alphabet_size
-    for x in h:
-        if not (0 <= x < k):
-            raise SeqOptError(f"symbol {x} out of alphabet range 0..{k - 1}")
-    out = 1.0
-    for n, x in enumerate(h):
-        out *= float(p.obs.conditional_pmf(theta, h[:n])[x])
-    return out
-
-
-def mixture_density(p: Problem, history: Sequence[int], prior: str = "pi2") -> float:
-    """Prior-weighted joint probability of a sequence, under pi1 or pi2."""
-    if prior not in ("pi1", "pi2"):
-        raise SeqOptError(f"prior must be 'pi1' or 'pi2', got {prior!r}")
-    weights = p.priors.pi1 if prior == "pi1" else p.priors.pi2
-    return float(
-        sum(
-            float(weights[t]) * joint_density(p, t, history)
-            for t in range(p.n_params)
-            if weights[t] > 0
-        )
-    )
-
-
 def zero_one_loss(m: int) -> np.ndarray:
     """m-parameter identification loss: 1 for a wrong pick, 0 for the right one."""
     return 1.0 - np.eye(m)
@@ -352,8 +322,17 @@ def iid_problem(
 ) -> Problem:
     """Convenience constructor for iid problems; validates before returning."""
     pmf = np.asarray(pmf, dtype=float)
-    m, k = pmf.shape
     w = np.asarray(loss, dtype=float)
+    errors = [
+        f"dimension mismatch: {name} must be 2-D, got shape {a.shape}"
+        for name, a in (("pmf", pmf), ("loss", w))
+        if a.ndim != 2
+    ]
+    if (groups is None) != (bounds is None):
+        errors.append("constraint groups and bounds must be given together")
+    if errors:
+        raise InvalidProblemError(errors)
+    m, k = pmf.shape
     if labels is None:
         labels = tuple(f"theta{i + 1}" for i in range(m))
     if decisions is None:

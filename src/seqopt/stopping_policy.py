@@ -23,7 +23,7 @@ from .backward_induction import ValueTables, _reprs, _write_rows
 from .errors import SeqOptError
 from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
-from .tolerances import TIE_ATOL
+from .tolerances import TIE_RTOL
 
 
 @dataclass(eq=False)
@@ -198,11 +198,11 @@ def _bad_probs(probs: np.ndarray) -> np.ndarray:
 def _strict_sides(stop_loss: np.ndarray, cont: np.ndarray) -> tuple:
     """Masks where stopping beats, and where it trails, continuing; else a tie.
 
-    Sides are strict beyond TIE_ATOL times the larger magnitude: the values are
+    Sides are strict beyond TIE_RTOL times the larger magnitude: the values are
     density-scale, so an absolute margin would tie every state of low density.
     """
     diff = stop_loss - cont
-    eps = TIE_ATOL * np.maximum(np.abs(stop_loss), np.abs(cont))
+    eps = TIE_RTOL * np.maximum(np.abs(stop_loss), np.abs(cont))
     return diff < -eps, diff > eps
 
 
@@ -210,7 +210,7 @@ def extract_rule(tables: ValueTables, tie_policy: str | float = "stop") -> Stopp
     """Optimal stopping rule from solved tables.
 
     Stop where stop_loss < cont - eps, continue where stop_loss > cont + eps,
-    with eps = TIE_ATOL * max(|stop_loss|, |cont|), and on ties apply
+    with eps = TIE_RTOL * max(|stop_loss|, |cont|), and on ties apply
     `tie_policy`: "stop", "continue", or a float in [0, 1] used as the stop
     probability there. The final stage always stops.
 

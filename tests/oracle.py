@@ -30,6 +30,14 @@ def tree_history(k, n, idx):
     return tuple(reversed(digits))
 
 
+def tree_index(k, hist):
+    """The tree index of a history: its symbols read as base-k digits, first symbol first."""
+    idx = 0
+    for x in hist:
+        idx = idx * k + x
+    return idx
+
+
 def joint_prob(pmf, theta, hist):
     out = 1.0
     for x in hist:

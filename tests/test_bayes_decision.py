@@ -14,15 +14,22 @@ from seqopt.bayes_decision import HistoryTable
 from seqopt.model import with_loss
 
 from conftest import random_instance
-from oracle import stage_loss
+from oracle import stage_loss, tree_history, tree_index
+
+
+def _stop(p: so.Problem, hist: tuple[int, ...]) -> tuple[int, float]:
+    """(decision, stop loss) the tree engine's loss view holds at a history."""
+    st = HistoryTable(p, "tree").stage(len(hist))
+    idx = tree_index(p.alphabet_size, hist)
+    return int(st.decision[idx]), float(st.stop_loss[idx])
 
 
 def test_stage_loss_hand_values(instance_b):
     # one observation: symbol 1 favors the second parameter
-    d, loss, _ = so.bayes_decide(instance_b, (1,))
+    d, loss = _stop(instance_b, (1,))
     assert d == 1
     assert loss == pytest.approx(0.10, abs=1e-12)
-    d0, loss0, _ = so.bayes_decide(instance_b, (0,))
+    d0, loss0 = _stop(instance_b, (0,))
     assert d0 == 0
     assert loss0 == pytest.approx(0.15, abs=1e-12)
 
@@ -35,7 +42,7 @@ def test_stage_loss_two_observations(instance_b):
         (0, 0): (0, 0.045),
     }
     for hist, (exp_d, exp_loss) in cases.items():
-        d, loss, _ = so.bayes_decide(instance_b, hist)
+        d, loss = _stop(instance_b, hist)
         assert d == exp_d, hist
         assert loss == pytest.approx(exp_loss, abs=1e-12), hist
 
@@ -49,52 +56,37 @@ def test_tie_reported_on_symmetric_history():
     p = so.iid_problem(
         [[0.3, 0.7], [0.7, 0.3]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01
     )
-    d, loss, ties = so.bayes_decide(p, (0, 1))
+    f = so.state_space(p, "tree").densities(2)[tree_index(2, (0, 1))]
+    costs = (f * p.priors.pi1) @ p.loss.w
+    assert costs[0] == costs[1]  # both decisions cost the same
+    d, loss = _stop(p, (0, 1))
     assert d == 0  # lowest index wins ties
-    assert ties == (0, 1)
     assert loss == pytest.approx(0.5 * 0.21, abs=1e-15)
 
 
 def test_stage_loss_matches_reference_on_random_instances():
     rng = np.random.default_rng(21)
-    from itertools import product
-
     for _ in range(10):
         p, raw = random_instance(rng)
+        table = HistoryTable(p, "tree")
         for n in range(3):
-            for hist in product(range(2), repeat=n):
+            stage = table.stage(n)
+            for idx in range(2**n):
+                hist = tree_history(2, n, idx)
                 exp_loss, exp_d = stage_loss(raw["pmf"], raw["pi1"], raw["w"], hist)
-                d, loss, _ = so.bayes_decide(p, hist)
-                assert loss == pytest.approx(exp_loss, abs=1e-13)
-                assert d == exp_d
+                assert stage.stop_loss[idx] == pytest.approx(exp_loss, abs=1e-13)
+                assert stage.decision[idx] == exp_d
 
 
 def test_posterior_hand_value(instance_b):
-    post = so.posterior(instance_b, (1,))
-    assert post == pytest.approx([2 / 9, 7 / 9], abs=1e-14)
-    assert so.posterior_risk(instance_b, (1,)) == pytest.approx(2 / 9, abs=1e-14)
-
-
-def test_posterior_normalizes(instance_b):
-    for hist in [(0,), (1, 0), (1, 1, 0)]:
-        assert so.posterior(instance_b, hist).sum() == pytest.approx(1.0, abs=1e-14)
-
-
-def test_posterior_zero_mass_raises():
-    def kernel(theta, hist):
-        return (1.0, 0.0) if theta == 0 else (0.0, 1.0)
-
-    from seqopt.model import ObservationModel
-
-    p = so.Problem(
-        params=so.ParameterSpace(("a", "b")),
-        obs=ObservationModel(alphabet_size=2, kind="dependent", kernel=kernel, horizon=3),
-        loss=so.LossSpec(("d1", "d2"), so.zero_one_loss(2)),
-        priors=so.Priors(np.array([1.0, 0.0]), np.array([1.0, 0.0])),
-        cost=so.CostSpec(0.02),
-    )
-    with pytest.raises(so.SeqOptError):
-        so.posterior(p, (1,))
+    # The stop loss per unit of pi2 mixture density: in the Bayes setting
+    # (pi1 == pi2) the posterior expected loss of the best decision.
+    idx = tree_index(2, (1,))
+    f = so.state_space(instance_b, "tree").densities(1)[idx]
+    weighted = f * instance_b.priors.pi1
+    assert weighted / weighted.sum() == pytest.approx([2 / 9, 7 / 9], abs=1e-14)
+    _, loss = _stop(instance_b, (1,))
+    assert loss / (f @ instance_b.priors.pi2) == pytest.approx(2 / 9, abs=1e-14)
 
 
 def test_stagewise_risk_hand_values(instance_b):
@@ -114,9 +106,9 @@ def test_stagewise_risk_flat_when_uninformative(uninformative):
 
 
 def test_multiplier_scaling_scales_losses(instance_b):
-    d, loss, _ = so.bayes_decide(instance_b, (1,))
+    d, loss = _stop(instance_b, (1,))
     wp = so.weighted_problem(instance_b, [2.0, 2.0])
-    d2, loss2, _ = so.bayes_decide(wp, (1,))
+    d2, loss2 = _stop(wp, (1,))
     assert d2 == d
     assert loss2 == pytest.approx(2 * loss, abs=1e-14)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import seqopt as so
 from seqopt.model import ObservationModel
 
 from conftest import random_instance
-from oracle import joint_prob, mixture
+from oracle import joint_prob, mixture, tree_index
 
 
 def test_valid_instance_passes(instance_b):
@@ -33,54 +35,45 @@ def test_validation_rejects_overlapping_groups():
     p = so.iid_problem(
         [[0.8, 0.2], [0.3, 0.7]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.02
     )
-    from dataclasses import replace
-
     bad = replace(p, constraints=so.ConstraintSpec(((0,), (0, 1)), (0.1, 0.1)))
     with pytest.raises(so.InvalidProblemError, match="overlap"):
         so.validate_problem(bad)
 
 
 def test_joint_density_empty_history_is_one(instance_b):
-    assert so.joint_density(instance_b, 0, ()) == 1.0
-    assert so.joint_density(instance_b, 1, ()) == 1.0
+    for engine in ("tree", "counts"):
+        f = so.state_space(instance_b, engine).densities(0)
+        assert f.shape == (1, 2) and (f == 1.0).all()
 
 
 def test_joint_density_matches_reference(instance_b):
     pmf = [[0.8, 0.2], [0.3, 0.7]]
+    space = so.state_space(instance_b, "tree")
     for hist in [(0,), (1,), (0, 1), (1, 1, 0), (0, 0, 0, 1)]:
+        f = space.densities(len(hist))[tree_index(2, hist)]
         for t in range(2):
-            assert so.joint_density(instance_b, t, hist) == pytest.approx(
-                joint_prob(pmf, t, hist), abs=1e-15
-            )
-
-
-def test_joint_density_rejects_bad_symbol(instance_b):
-    with pytest.raises(so.SeqOptError):
-        so.joint_density(instance_b, 0, (2,))
+            assert f[t] == pytest.approx(joint_prob(pmf, t, hist), abs=1e-15)
 
 
 def test_densities_sum_to_one_over_histories():
     rng = np.random.default_rng(7)
     p, raw = random_instance(rng, m=3)
-    from itertools import product
-
+    space = so.state_space(p, "tree")
     for n in range(1, 5):
-        for t in range(3):
-            total = sum(
-                so.joint_density(p, t, h) for h in product(range(2), repeat=n)
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
+        # each column is one parameter's law over the 2^n histories
+        assert space.densities(n).sum(axis=0) == pytest.approx([1.0] * 3, abs=1e-12)
 
 
 def test_mixture_density_is_prior_average(instance_b):
-    pmf = [[0.8, 0.2], [0.3, 0.7]]
+    # pi2 differs from pi1, so each mixture is pinned to its own prior.
+    pmf, pi1, pi2 = [[0.8, 0.2], [0.3, 0.7]], [0.5, 0.5], [0.3, 0.7]
+    p = replace(instance_b, priors=so.Priors(np.array(pi1), np.array(pi2)))
+    space = so.state_space(p, "tree")
+    assert space.densities(1)[tree_index(2, (1,))] @ p.priors.pi1 == pytest.approx(0.45)
     for hist in [(1,), (0, 1), (1, 1, 1)]:
-        assert so.mixture_density(instance_b, hist) == pytest.approx(
-            mixture(pmf, [0.5, 0.5], hist), abs=1e-15
-        )
-        assert so.mixture_density(instance_b, hist, prior="pi1") == pytest.approx(
-            mixture(pmf, [0.5, 0.5], hist), abs=1e-15
-        )
+        f = space.densities(len(hist))[tree_index(2, hist)]
+        assert f @ p.priors.pi2 == pytest.approx(mixture(pmf, pi2, hist), abs=1e-15)
+        assert f @ p.priors.pi1 == pytest.approx(mixture(pmf, pi1, hist), abs=1e-15)
 
 
 def test_dependent_model_chain_rule():
@@ -102,9 +95,10 @@ def test_dependent_model_chain_rule():
         cost=so.CostSpec(0.02),
     )
     so.validate_problem(p)
-    assert so.joint_density(p, 1, (1, 1)) == pytest.approx(0.2, abs=1e-15)
-    assert so.joint_density(p, 1, (1, 0)) == 0.0
-    assert so.joint_density(p, 0, (1, 1)) == pytest.approx(0.04, abs=1e-15)
+    f = so.state_space(p, "tree").densities(2)
+    assert f[tree_index(2, (1, 1)), 1] == pytest.approx(0.2, abs=1e-15)
+    assert f[tree_index(2, (1, 0)), 1] == 0.0
+    assert f[tree_index(2, (1, 1)), 0] == pytest.approx(0.04, abs=1e-15)
 
 
 def test_dependent_model_domain_error_past_horizon():
@@ -135,9 +129,31 @@ def test_iid_problem_rejects_bad_pmf():
 
 
 def test_exchangeability_of_joint_density(instance_b):
-    a = so.joint_density(instance_b, 1, (1, 0, 1, 1))
-    b = so.joint_density(instance_b, 1, (1, 1, 1, 0))
-    assert a == pytest.approx(b, abs=1e-15)
+    tree, counts = so.state_space(instance_b, "tree"), so.state_space(instance_b, "counts")
+    a, b = tree_index(2, (1, 0, 1, 1)), tree_index(2, (1, 1, 1, 0))
+    f = tree.densities(4)
+    assert f[a, 1] == pytest.approx(f[b, 1], abs=1e-15)
+    # the count engine keeps one state for both histories, with their density
+    state = {counts.index_of(4, tree.states(4)[i]) for i in (a, b)}
+    assert len(state) == 1
+    assert counts.densities(4)[state.pop()] == pytest.approx(f[a], abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"groups": ((0,), (1,))}, {"bounds": (0.1, 0.1)}, {"pmf": [0.8, 0.2]}, {"loss": [1.0, 0.0]}],
+    ids=["groups-without-bounds", "bounds-without-groups", "one-dim-pmf", "one-dim-loss"],
+)
+def test_iid_problem_raises_typed_errors(kwargs):
+    args = {
+        "pmf": [[0.8, 0.2], [0.3, 0.7]],
+        "loss": so.zero_one_loss(2),
+        "pi1": [0.5, 0.5],
+        "pi2": [0.5, 0.5],
+        "cost": 0.02,
+    }
+    with pytest.raises(so.InvalidProblemError):
+        so.iid_problem(**(args | kwargs))
 
 
 def _kernel_problem(kernel, horizon, k=2, w=None, labels=("a", "b")):
