@@ -187,6 +187,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     config_bytes = Path(args.config).read_bytes()
     p = load_problem(args.config)
     targets = _parse_floats(args.targets, "--targets")
+    if args.compare and p.n_decisions != 2:
+        raise ConfigError("--compare needs a two-decision loss for the ratio test")
     params = {
         "targets": targets,
         "mode": args.mode,

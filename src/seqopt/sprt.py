@@ -8,7 +8,7 @@ every reachable ratio value exactly and the operating characteristics come out
 of one pass of the exact forward evaluator over the capped rule, no
 approximation beyond the reported cap tail. The same enumeration makes the
 operating characteristics step functions of the thresholds, so threshold
-matching searches one candidate per step instead of the reals.
+matching computes them once per step however many probes land on it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import logging
 import math
 import numbers
 import time
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -48,12 +49,17 @@ class SprtSpec:
     cap: int = 200
 
 
+def _check_count(name: str, value) -> None:
+    """Raise SeqOptError unless value is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise SeqOptError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _check_sprt_inputs(p: Problem, spec: SprtSpec) -> CountStateSpace:
     """Raise on a bad model, spec or cap; else the count space, its cap within budget."""
     if p.obs.kind != "iid":
         raise SeqOptError("the ratio test needs an iid model")
-    if isinstance(spec.cap, bool) or not isinstance(spec.cap, numbers.Integral) or spec.cap < 1:
-        raise SeqOptError(f"cap must be an integer >= 1, got {spec.cap!r}")
+    _check_count("cap", spec.cap)
     if not spec.b_lower < spec.a_upper:
         raise SeqOptError(
             f"need b_lower < a_upper, got ({spec.b_lower}, {spec.a_upper})"
@@ -176,62 +182,31 @@ def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, stats)
 
 
-def _llr_levels(llr: np.ndarray) -> np.ndarray:
+def _llr_levels(llr: np.ndarray) -> list[float]:
     """Sorted distinct finite values of a log-LR array."""
     # Sorted in Python: a first numpy sort maps ~0.3 MB of SIMD sort code.
-    return np.array(sorted(set(llr[np.isfinite(llr)].tolist())))
+    return sorted(set(llr[np.isfinite(llr)].tolist()))
 
 
-def _threshold_candidates(
-    passed: Callable[[np.ndarray], np.ndarray], count: int, lo: float, hi: float
-) -> np.ndarray:
-    """One threshold in [lo, hi] per piece on which the searched rule is constant.
+def _bisect_threshold(error_of: Callable[[float], float], target: float) -> float:
+    """Threshold magnitude from 60 halvings of [1e-6, _THRESHOLD_LIMIT].
 
-    The rule only changes where the threshold passes one of `count`
-    breakpoints: passed(t) tells, for each i, whether threshold t[i] has
-    passed breakpoint i, and is monotone in t. The piece below every
-    breakpoint is represented by lo. Each other piece starts at a breakpoint
-    and is represented by the point that halving [lo, hi] 60 times converges
-    to when the error switches there: the threshold a search over the reals
-    returns. Keeping that exact point, not just its piece, keeps the
-    thresholds' midpoint, which sets what the states the cap force-stops
-    decide.
+    The smallest threshold found whose error is <= target, assuming `error_of`
+    is non-increasing; the limit when even its error exceeds the target.
     """
-    low, high = np.full(count, lo), np.full(count, hi)
-    inside = ~passed(low) & passed(high)
-    for _ in range(60):
-        mid = 0.5 * (low + high)
-        over = passed(mid)
-        high = np.where(over, mid, high)
-        low = np.where(over, low, mid)
-    return np.array(sorted({lo, hi, *high[inside].tolist()}))
-
-
-def _bisect_threshold(
-    oc_of: Callable[[float], float], candidates: np.ndarray, target: float
-) -> tuple[float, float]:
-    """Smallest candidate threshold magnitude whose achieved error is <= target.
-
-    Bisects over the sorted candidates, one per distinct capped rule, so it
-    needs about log2(len(candidates)) + 2 OC calls. `oc_of` must be
-    non-increasing over the candidates. Returns (threshold, achieved); when
-    even the largest candidate's error exceeds the target, returns that
-    candidate and its error.
-    """
-    lo, hi = 0, len(candidates) - 1
-    f_lo, f_hi = oc_of(float(candidates[lo])), oc_of(float(candidates[hi]))
+    lo, hi = 1e-6, _THRESHOLD_LIMIT
+    f_lo, f_hi = error_of(lo), error_of(hi)
     if f_hi > target:
-        return float(candidates[hi]), f_hi
+        return hi
     if f_lo <= target:
-        return float(candidates[lo]), f_lo
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        f_mid = oc_of(float(candidates[mid]))
-        if f_mid <= target:
-            hi, f_hi = mid, f_mid
+        return lo
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if error_of(mid) <= target:
+            hi = mid
         else:
             lo = mid
-    return float(candidates[hi]), f_hi
+    return hi
 
 
 def match_sprt_errors(
@@ -245,19 +220,18 @@ def match_sprt_errors(
 ) -> SprtSpec:
     """Thresholds whose exact error probabilities match the targets.
 
-    Alternates one-dimensional searches on a_upper (driving alpha) and
-    b_lower (driving beta), starting from the classical approximations
-    a = log((1-beta)/alpha), b = log(beta/(1-alpha)). On a finite alphabet the
-    capped rule only changes where the searched threshold passes a log-LR
-    value of some count state of stages 1..cap (the stopping sets), or where
-    the thresholds' midpoint passes one of stage cap (the decisions of the
-    states the cap force-stops). So each search bisects over one candidate
-    per such piece of [1e-6, _THRESHOLD_LIMIT] (see _threshold_candidates)
-    rather than over the reals: about log2 of the number of breakpoints in OC
-    calls instead of 62, with the threshold values a real-valued bisection
-    finds wherever the error crosses its target once. Since the operating
-    characteristics are step functions of the thresholds, exact equality is
-    generally unattainable:
+    Alternates, for up to max_sweeps (an integer >= 1) rounds, one-dimensional
+    searches on a_upper (driving alpha) and b_lower (driving beta), starting
+    from the classical approximations a = log((1-beta)/alpha),
+    b = log(beta/(1-alpha)). Each search bisects over the reals, halving
+    [1e-6, _THRESHOLD_LIMIT] 60 times. On a finite alphabet the capped rule
+    only changes where a threshold passes a log-LR value of some count state
+    of stages 1..cap (the stopping sets), or where the thresholds' midpoint
+    passes one of stage cap (the decisions of the states the cap
+    force-stops), so each distinct capped rule's operating characteristics
+    are computed once per match, however many probes land on it. They are
+    step functions of the thresholds, so exact equality is generally
+    unattainable:
 
     - conservative=False: require |achieved - target| <= _MATCH_TOL for both errors,
       else raise UnreachableTargetsError carrying the best spec found.
@@ -267,58 +241,36 @@ def match_sprt_errors(
     """
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise SeqOptError("targets must be in (0, 1)")
+    _check_count("max_sweeps", max_sweeps)
     a = min(max(math.log((1 - beta) / alpha), 1e-6), _THRESHOLD_LIMIT)
     b = max(min(math.log(beta / (1 - alpha)), -1e-6), -_THRESHOLD_LIMIT)
     spec = SprtSpec(a, b, hypotheses, cap)
-    # Every threshold probe evaluates p on the count engine: hold its space.
+    # Every OC call evaluates p on the count engine: hold its space, or each
+    # call rebuilds it.
     space = _check_sprt_inputs(p, spec)
-    # One log-LR table serves every probe. Breakpoints: its levels, where a
-    # threshold changes which states stop, then those of stage cap, where the
-    # midpoint changes what the states the cap force-stops decide.
-    table = _llr_table(p, space, spec)
-    llr, stages = table
-    levels = _llr_levels(llr)
-    cap_levels = _llr_levels(llr[stages[-1]])
-    n_levels, count = len(levels), len(levels) + len(cap_levels)
+    llr, stages = table = _llr_table(p, space, spec)
+    levels, cap_levels = _llr_levels(llr), _llr_levels(llr[stages[-1]])
+    # The capped rule depends on the thresholds only through which levels
+    # stop at each threshold and which cap levels the midpoint puts on the
+    # upper side (nan and infinite log-LRs stop and decide alike everywhere).
+    memo: dict[tuple[int, int, int], tuple[float, float]] = {}
+
+    def errors(s: SprtSpec) -> tuple[float, float]:
+        key = (bisect_left(levels, s.a_upper), bisect_right(levels, s.b_lower),
+               bisect_left(cap_levels, 0.5 * (s.a_upper + s.b_lower)))
+        if key not in memo:
+            oc = _oc(p, s, table)
+            memo[key] = (oc.alpha, oc.beta)
+        log.debug("a_upper=%r b_lower=%r errors=%r", s.a_upper, s.b_lower, memo[key])
+        return memo[key]
+
     achieved = (math.inf, math.inf)
-    for sweep in range(max_sweeps):
-        b_now = spec.b_lower
-
-        def a_passed(t: np.ndarray) -> np.ndarray:
-            # The level no longer stops / the cap level now decides 0.
-            return np.concatenate(
-                (levels < t[:n_levels], cap_levels < 0.5 * (t[n_levels:] + b_now))
-            )
-
-        a_candidates = _threshold_candidates(a_passed, count, 1e-6, _THRESHOLD_LIMIT)
-
-        def alpha_of(av: float) -> float:
-            oc = _oc(p, replace(spec, a_upper=av), table)
-            log.debug("sweep %d a_upper=%r b_lower=%r alpha=%r", sweep, av, spec.b_lower, oc.alpha)
-            return oc.alpha
-
-        a, alpha_hat = _bisect_threshold(alpha_of, a_candidates, alpha)
+    for _ in range(max_sweeps):
+        a = _bisect_threshold(lambda t: errors(replace(spec, a_upper=t))[0], alpha)
         spec = replace(spec, a_upper=a)
-        a_now = spec.a_upper
-
-        def b_passed(t: np.ndarray) -> np.ndarray:
-            # t is -b_lower. The level no longer stops / the cap level now decides 1.
-            return np.concatenate(
-                (levels > -t[:n_levels], cap_levels >= 0.5 * (a_now + -t[n_levels:]))
-            )
-
-        b_candidates = _threshold_candidates(b_passed, count, 1e-6, _THRESHOLD_LIMIT)
-
-        def beta_of(bv: float) -> float:
-            # bv is the magnitude of the lower threshold.
-            oc = _oc(p, replace(spec, b_lower=-bv), table)
-            log.debug("sweep %d a_upper=%r b_lower=%r beta=%r", sweep, spec.a_upper, -bv, oc.beta)
-            return oc.beta
-
-        b_mag, beta_hat = _bisect_threshold(beta_of, b_candidates, beta)
-        spec = replace(spec, b_lower=-b_mag)
-        oc = _oc(p, spec, table)
-        achieved = (oc.alpha, oc.beta)
+        b = _bisect_threshold(lambda t: errors(replace(spec, b_lower=-t))[1], beta)
+        spec = replace(spec, b_lower=-b)
+        achieved = errors(spec)
         if conservative:
             if achieved[0] <= alpha and achieved[1] <= beta:
                 return spec

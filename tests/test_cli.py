@@ -399,6 +399,28 @@ def test_exit_code_bad_sprt_cap(tmp_path, capsys):
     assert "cap must be an integer >= 1, got 0" in run.err
 
 
+def test_exit_code_compare_needs_two_decisions(tmp_path, capsys):
+    # Three decisions have no error pair to hold the ratio test to: a typed
+    # error before the Lagrange search runs, not a TypeError after it.
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "parameters": ["a", "b", "c"], "alphabet_size": 2,
+        "model": {"kind": "iid", "pmf": [[0.8, 0.2], [0.5, 0.5], [0.2, 0.8]]},
+        "loss": [[0, 1, 1], [1, 0, 1], [1, 1, 0]], "pi1": [0.3, 0.4, 0.3],
+        "pi2": [0.3, 0.4, 0.3], "cost": 0.02,
+        "constraints": {"groups": [["a"], ["c"]], "bounds": [0.3, 0.3]},
+    }))
+    argv = ("--out-root", str(tmp_path / "out"), "search", str(config), "--targets", "0.3,0.3",
+            "--horizon", "4")
+    code, _ = run(capsys, *argv, "--compare")
+    assert code == 2
+    assert "--compare needs a two-decision loss" in run.err
+    assert "lagrange:" not in run.err and not (tmp_path / "out").exists()
+    code, _ = run(capsys, *argv, "--mode", "sprt")
+    assert code == 2
+    assert "ratio-test decisions need a two-decision loss" in run.err
+
+
 def test_exit_code_budget(tmp_path, capsys):
     code, _ = run(
         capsys,

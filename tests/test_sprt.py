@@ -272,67 +272,60 @@ def test_oc_stats_describe_the_pass_and_stay_out_of_outputs(channel):
     assert "stats" not in oc.to_dict() and "stats" not in repr(oc)
 
 
-def test_threshold_candidates_pick_one_threshold_per_piece():
-    levels = np.array([3.0, -1.0, 1e-7, 0.5, 1.0, np.nextafter(1.0, 2.0), 3.0, 70.0])
+def count_oc_calls(monkeypatch):
+    """Record the spec of every _oc call the threshold search makes."""
+    calls = []
+    real = sprt._oc
 
-    def passed(t):
-        return levels < t
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
 
-    cands = sprt._threshold_candidates(passed, len(levels), 1e-6, 60.0)
-    inner = np.array([0.5, 1.0, np.nextafter(1.0, 2.0), 3.0])
-    assert cands[0] == 1e-6 and cands[-1] == 60.0 and len(cands) == len(inner) + 2
-    # each piece's candidate lies just above the breakpoint it starts at
-    assert np.all(cands[1:-1] > inner)
-    assert np.all(cands[1:-1] - inner <= np.maximum(60.0 * 2.0**-60, np.spacing(inner)))
-    # every set {level >= t} for t in [1e-6, 60] is hit by a candidate
-    grid = np.concatenate((np.linspace(1e-6, 60.0, 2001), inner))
-    assert {tuple(levels >= t) for t in grid} == {tuple(levels >= t) for t in cands}
-    none = sprt._threshold_candidates(lambda t: t > 100.0, 3, 1e-6, 60.0)
-    assert none.tolist() == [1e-6, 60.0]
-
-
-def test_threshold_candidates_are_where_real_bisection_converges():
-    rng = np.random.default_rng(8)
-    breaks = np.concatenate((rng.uniform(0, 5, 50), [2e-6, 0.1, 0.25, 1 / 3]))
-    cands = sprt._threshold_candidates(lambda t: breaks < t, len(breaks), 1e-6, 60.0)
-    for b in breaks.tolist():
-        limit = reference_bisect(lambda t: float(t <= b), 1e-6, 60.0, 0.5)[0]
-        assert limit in cands
+    monkeypatch.setattr(sprt, "_oc", counted)
+    return calls
 
 
 def test_symmetric_match_needs_few_oc_calls(monkeypatch):
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
-    calls = []
-    real = sprt.sprt_operating_characteristics
-
-    def counted(p_, spec):
-        calls.append(spec)
-        return real(p_, spec)
-
-    monkeypatch.setattr(sprt, "sprt_operating_characteristics", counted)
+    calls = count_oc_calls(monkeypatch)
     spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
-    assert len(calls) <= 30
-    oc = real(p, spec)
+    assert 0 < len(calls) <= 25
+    oc = so.sprt_operating_characteristics(p, spec)
     assert oc.alpha <= 0.05 and oc.beta <= 0.05
+
+
+def test_unreachable_match_computes_each_capped_rule_once(monkeypatch):
+    # Eight sweeps of two 62-probe searches land on few distinct capped rules;
+    # each one's operating characteristics are computed once.
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
+    calls = count_oc_calls(monkeypatch)
+    with pytest.raises(so.UnreachableTargetsError):
+        so.match_sprt_errors(p, 0.05, 0.05, cap=200)
+    assert 0 < len(calls) <= 60
+
+
+@pytest.mark.parametrize("sweeps", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
+def test_bad_max_sweeps_rejected(channel, sweeps):
+    # A typed error, not a TypeError or an "unreachable" that searched nothing.
+    message = f"max_sweeps must be an integer >= 1, got {sweeps!r}"
+    with pytest.raises(so.SeqOptError, match=re.escape(message)) as exc:
+        so.match_sprt_errors(channel, 0.05, 0.05, cap=20, max_sweeps=sweeps)
+    assert not isinstance(exc.value, so.UnreachableTargetsError)
 
 
 def test_match_reads_one_llr_table(monkeypatch):
     # The threshold search reads one log-LR table of stages 1..cap for its
     # breakpoints and every OC it computes.
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
-    stages, ocs = [], []
-    real_llr, real_oc = sprt.llr_by_state, sprt._oc
+    stages = []
+    real_llr = sprt.llr_by_state
 
     def llr_counted(p_, space, n, hypotheses=(0, 1)):
         stages.append(n)
         return real_llr(p_, space, n, hypotheses)
 
-    def oc_counted(*args):
-        ocs.append(args[1])
-        return real_oc(*args)
-
     monkeypatch.setattr(sprt, "llr_by_state", llr_counted)
-    monkeypatch.setattr(sprt, "_oc", oc_counted)
+    ocs = count_oc_calls(monkeypatch)
     spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
     assert stages == list(range(1, 51))
     assert 0 < len(ocs) <= 30
@@ -411,13 +404,12 @@ def match_outcome(match, p, alpha, beta, cap, conservative):
     conservative=st.booleans(),
 )
 def test_lattice_match_agrees_with_real_bisection(k, weights, cap, a, b, slack, conservative):
-    """Candidate bisection against 60 real halvings on random two-hypothesis tests.
+    """The match against reference_match on random two-hypothesis tests.
 
     Targets are operating characteristics some thresholds achieve, raised by
-    `slack`. Both searches agree whenever each threshold search's test
-    "error <= target" switches once over the candidates, as it does wherever
-    the error is monotone over them; the match contract holds on every
-    instance.
+    `slack`. Each threshold search is reference_bisect's, and two thresholds
+    with the same capped rule have the same errors, so the outcomes are equal
+    even where an error is not monotone in its threshold.
     """
     pmf = np.array(weights[: 2 * k], dtype=float).reshape(2, k)
     pmf /= pmf.sum(axis=1, keepdims=True)
@@ -429,6 +421,7 @@ def test_lattice_match_agrees_with_real_bisection(k, weights, cap, a, b, slack, 
         return
     got = match_outcome(so.match_sprt_errors, p, alpha, beta, cap, conservative)
     want = match_outcome(reference_match, p, alpha, beta, cap, conservative)
+    assert got == want
 
     if got[0] == "matched":
         a_hat, b_hat = got[1]
@@ -436,18 +429,3 @@ def test_lattice_match_agrees_with_real_bisection(k, weights, cap, a, b, slack, 
             assert a_hat <= alpha and b_hat <= beta
         else:
             assert abs(a_hat - alpha) <= 1e-4 and abs(b_hat - beta) <= 1e-4
-
-    if got != want:
-        # Rerun, recording at every candidate whether its error is within target.
-        switches_once = []
-        real = sprt._bisect_threshold
-
-        def watched(oc_of, candidates, target):
-            within = [oc_of(float(c)) <= target for c in candidates]
-            switches_once.append(all(x <= y for x, y in zip(within, within[1:])))
-            return real(oc_of, candidates, target)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sprt, "_bisect_threshold", watched)
-            assert match_outcome(so.match_sprt_errors, p, alpha, beta, cap, conservative) == got
-        assert not all(switches_once), (got, want)
