@@ -51,7 +51,7 @@ class StageData:
     """One stage of a HistoryTable's loss view (read-only)."""
 
     stop_loss: np.ndarray  # (S,) minimal pi1-weighted loss density
-    decision: np.ndarray  # (S,) argmin decision index (lowest on ties)
+    decision: np.ndarray  # (S,) argmin decision index (lowest on ties), decision_dtype
 
 
 class _LossView(dict):
@@ -101,6 +101,11 @@ class HistoryTable:
         return float(self.stage(0).stop_loss[0])
 
 
+def decision_dtype(d_count: int) -> np.dtype:
+    """The smallest unsigned type holding every decision index: uint8 up to 256 decisions."""
+    return np.min_scalar_type(d_count - 1)
+
+
 def _column_min(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """min(axis=1) and argmin(axis=1) of finite (S, D) costs, bit for bit, by columns.
 
@@ -108,7 +113,7 @@ def _column_min(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep the lowest index.
     """
     stop_loss = costs[:, 0].copy()
-    decision = np.zeros(len(costs), dtype=np.intp)
+    decision = np.zeros(len(costs), dtype=decision_dtype(costs.shape[1]))
     for d in range(1, costs.shape[1]):
         column = costs[:, d]
         decision[column < stop_loss] = d

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .backward_induction import should_take_observations, solve_limit, solve_truncated
+from .bayes_decision import decision_dtype
 from .config import load_problem
 from .errors import (
     BudgetExceededError,
@@ -120,7 +121,8 @@ def _read_rule(path: str, p: Problem) -> tuple[StoppingRule, DecisionStrategy | 
         rule, probs = read_rule_csv(fh, p)
     if probs is None:
         return rule, None
-    return rule, DecisionStrategy([q.argmax(axis=1) for q in probs], probs)
+    dtype = decision_dtype(p.n_decisions)
+    return rule, DecisionStrategy([q.argmax(axis=1).astype(dtype) for q in probs], probs)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

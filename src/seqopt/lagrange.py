@@ -39,7 +39,12 @@ decision probabilities are the mixed stopped flow per decision; `achieved`
 is its evaluation. converged=True only when the gap is certified, every
 achieved loss is at most target + residual_tol, and every group with
 lam_g > 0 is within residual_tol of its target. A target looser than every
-rule needs gets lam_g = 0 and a positive slack.
+rule needs gets lam_g = 0 and a positive slack: multipliers below the LP
+tolerance are reported as 0. The mixture is the master's unless a second LP
+over the same columns finds one of lower total group loss at the master's
+optimal cost (run only when some dual of the master is 0); at the
+sample-size floor every column can cost the same, and the master's basis may
+then mix columns that another column dominates.
 
 Each probe evaluates its own pair, and a mixture is evaluated once more.
 `MultiplierSearchResult.stats` reports probes, LP solves (lp_rounds), the
@@ -58,7 +63,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .backward_induction import solve_limit, solve_truncated
-from .bayes_decision import HistoryTable
+from .bayes_decision import HistoryTable, decision_dtype
 from .errors import InfeasibleTargetsError, SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem, with_loss
@@ -233,6 +238,35 @@ class _Search:
         value, mu, marginals = res
         return value, mu, np.maximum(-marginals, 0.0)
 
+    def least_loss(self, cols: list[_Pack], targets: np.ndarray, value: float,
+                   mu: np.ndarray, duals: np.ndarray) -> np.ndarray:
+        """Among the master's optimal mixtures, one of least total group loss: its mu.
+
+        At the sample-size floor every column can cost the same, so the
+        master's basis may rest on the targets while a column below them
+        costs no more. This LP minimises sum_g sum_i mu_i W_gi subject to
+        sum_i mu_i W_i <= t, sum_i mu_i c n_i <= value and sum_i mu_i = 1;
+        no sample size is traded for loss. The master's mu stays unless the
+        LP's mixture meets those bounds and its total is lower by more than
+        _LP_EPS, so a unique optimum keeps its bits. The bounds are checked
+        on the mixture itself, to within _LP_EPS: at a nearly singular final
+        basis, `_simplex` can return a mu with negative entries.
+
+        When every master dual is positive, complementary slackness puts
+        every optimal mixture on every target, so all have the same total
+        and the LP is skipped.
+        """
+        if duals.min() >= _LP_EPS:
+            return mu
+        w = np.array([pk.achieved for pk in cols]).T
+        a_ub = np.vstack([w, self.p.cost.c * np.array([pk.n_psi for pk in cols])])
+        b_ub = np.r_[targets, value]
+        total = w.sum(axis=0)
+        res = self._lp(total, a_ub, b_ub, len(cols))
+        mix = mu if res is None else res[1]
+        fits = mix.min() >= -_LP_EPS and np.all(a_ub @ mix <= b_ub + _LP_EPS)
+        return mix if fits and total @ mix < total @ mu - _LP_EPS else mu
+
     def excess_direction(self, cols: list[_Pack], targets: np.ndarray) -> np.ndarray:
         """Duals of the phase-I LP, scaled to max 1: the groups whose excess to cut.
 
@@ -249,7 +283,7 @@ class _Search:
 
 
 def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
-    """min cost @ x s.t. a_ub x <= b_ub, sum(x[:n_mix]) == 1 and x >= 0, for b_ub > 0.
+    """min cost @ x s.t. a_ub x <= b_ub, sum(x[:n_mix]) == 1 and x >= 0, for b_ub >= 0.
 
     A dense two-phase tableau simplex under Bland's rule (Bland, Math. Oper.
     Res. 2, 1977), which cannot cycle: the lowest improving column enters and,
@@ -310,6 +344,7 @@ def _mixture(
     horizon = packs[0].horizon
     arrive = np.ones((space.n_states(1), len(packs)))
     probs, decisions, weights = [], [], []
+    dtype = decision_dtype(space.problem.n_decisions)
     for n in range(1, horizon + 1):
         p_n = np.column_stack([pk.rule.at(n) for pk in packs])  # (S, I)
         onehot = np.column_stack([pk.decision.at(n) for pk in packs])[:, :, None] == np.arange(
@@ -322,7 +357,7 @@ def _mixture(
         q = np.divide((stopped[:, :, None] * onehot).sum(axis=1), stopped_s[:, None],
                       out=np.minimum(mu @ onehot, 1.0), where=stopped_s[:, None] > 0)
         weights.append(q)
-        decisions.append(q.argmax(axis=1))
+        decisions.append(q.argmax(axis=1).astype(dtype))
         if n < horizon:
             arrive = push_forward(space, n, arrive * (1.0 - p_n), weighted=False)
             arrive /= arrive.max(initial=1.0)  # one scale per stage: the ratios keep
@@ -392,6 +427,10 @@ def match_constraints(
             break
         master = search.master(cols, t)
     search.stats["gap"] = gap
+    mu = search.least_loss(cols, t, value, mu, duals)
+    # Roundoff duals are reported as 0 (the target is slack); the weighted
+    # problem keeps the raw ones, whose ratios still order the decisions.
+    reported = np.where(lam < _LP_EPS, 0.0, lam)
     keep = mu > 1e-12 * mu.max()
     active = search.common_horizon([pk for pk, on in zip(cols, keep) if on])
     pk = active[0]
@@ -404,10 +443,10 @@ def match_constraints(
     converged = bool(
         abs(gap) <= gap_tol
         and np.all(achieved <= t + tol)
-        and np.all(np.abs(achieved - t)[lam > 0] <= tol)
+        and np.all(np.abs(achieved - t)[reported > 0] <= tol)
     )
     return MultiplierSearchResult(
-        lam=lam.copy(),
+        lam=reported,
         targets=t.copy(),
         achieved=achieved,
         slack=t - achieved,

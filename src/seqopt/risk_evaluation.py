@@ -52,10 +52,14 @@ class DecisionStrategy:
 
     decisions: list[np.ndarray]
     probs: list[np.ndarray] | None = None
+    # The decision count D where the builder knows it (the Bayes and ratio-test
+    # strategies), so with_decision can refuse an index outside [0, D).
+    d_count: int | None = field(default=None, repr=False)
 
     @classmethod
     def bayes(cls, table: HistoryTable, horizon: int) -> "DecisionStrategy":
-        return cls([table.stage(n).decision for n in range(1, horizon + 1)])
+        decisions = [table.stage(n).decision for n in range(1, horizon + 1)]
+        return cls(decisions, d_count=table.problem.n_decisions)
 
     @property
     def horizon(self) -> int:
@@ -70,17 +74,27 @@ class DecisionStrategy:
         """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions.
 
         The one-hot rows are booleans, the transposed view of a (D, S) array.
+        Up to 128 decisions, which every integer type holds, the indices are
+        compared in their own type: a comparison across types casts per call.
         """
         if self.probs is not None:
             return self.probs[n - 1]
-        return (self.at(n) == np.arange(d_count)[:, None]).T
+        dec = self.at(n)
+        kinds = np.arange(d_count, dtype=dec.dtype if d_count <= 128 else None)
+        return (dec == kinds[:, None]).T
 
     def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
+        """Copy with one decision index replaced; SeqOptError outside [0, D) where D is known."""
         if self.probs is not None:
             raise SeqOptError("with_decision needs a deterministic strategy")
+        d_count = self.d_count
+        if d_count is not None and not (
+            isinstance(decision, (int, np.integer)) and 0 <= decision < d_count
+        ):
+            raise SeqOptError(f"decision {decision!r} is not an index in [0, {d_count})")
         arrs = [a.copy() for a in self.decisions]
         arrs[n - 1][state] = decision
-        return DecisionStrategy(arrs)
+        return DecisionStrategy(arrs, d_count=d_count)
 
 
 @dataclass(eq=False)
@@ -207,7 +221,9 @@ def _check_coverage(
     for n, size in enumerate(sizes, start=1):
         if size != len(rule.at(n)):
             raise SeqOptError(f"rule stage {n} covers {len(rule.at(n))} states, problem has {size}")
-    if _bad_probs(np.concatenate(rule.stop_probs[:horizon])).any():
+    # min and max take no per-state temporary, and a NaN fails them both.
+    stop = np.concatenate(rule.stop_probs[:horizon])
+    if not (stop.min() >= 0.0 and stop.max() <= 1.0):
         n = next(n for n in range(1, horizon + 1) if _bad_probs(rule.at(n)).any())
         raise SeqOptError(f"rule stage {n} has stop probabilities outside [0, 1]")
     if decision is None:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .bayes_decision import decision_dtype
 from .errors import SeqOptError, UnreachableTargetsError
 from .histories import CountStateSpace, check_state_budget, state_space
 from .model import Problem
@@ -119,9 +120,9 @@ def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, Deci
     llr, stages = table
     mid = 0.5 * (spec.a_upper + spec.b_lower)
     stop = np.where((llr > spec.b_lower) & (llr < spec.a_upper), 0.0, 1.0)
-    decide = (llr >= mid).astype(np.int64)
+    decide = (llr >= mid).astype(decision_dtype(2))
     rule = StoppingRule("counts", [stop[s] for s in stages], truncated=False)
-    return rule, DecisionStrategy([decide[s] for s in stages])
+    return rule, DecisionStrategy([decide[s] for s in stages], d_count=2)
 
 
 @dataclass(eq=False)

@@ -54,7 +54,9 @@ class StoppingRule:
         return self.stop_probs[n - 1]
 
     def with_prob(self, n: int, state: int, value: float) -> "StoppingRule":
-        """Copy with one stop probability replaced."""
+        """Copy with one stop probability replaced; SeqOptError outside [0, 1] or NaN."""
+        if not 0.0 <= value <= 1.0:
+            raise SeqOptError(f"stop probability {value!r} outside [0, 1]")
         probs = [a.copy() for a in self.stop_probs]
         probs[n - 1][state] = value
         return StoppingRule(self.engine, probs, self.truncated, self.tie_states)

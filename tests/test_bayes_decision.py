@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
-from seqopt.bayes_decision import HistoryTable
+from seqopt.bayes_decision import HistoryTable, decision_dtype
 from seqopt.model import with_loss
 
 from conftest import random_instance
@@ -171,7 +171,8 @@ def reference_stages(p: so.Problem, space, n: int) -> list[tuple[np.ndarray, ...
                 nxt[children[:, x], :] = f_theta * step[:, :, x]
             f_theta = nxt
         costs = (f_theta * p.priors.pi1[None, :]) @ p.loss.w
-        out.append((f_theta, costs.min(axis=1), costs.argmin(axis=1)))
+        decision = costs.argmin(axis=1).astype(decision_dtype(p.n_decisions))
+        out.append((f_theta, costs.min(axis=1), decision))
     return out
 
 
@@ -230,6 +231,27 @@ def test_shared_stage_arrays_are_bit_identical(instance_b, engine):
             for got, want in zip((f_theta, st.stop_loss, st.decision), ref[stage]):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert f_theta.tobytes() == unshared.densities(stage).tobytes()
+
+
+@pytest.mark.parametrize("k, m, horizon", [(2, 3, 200), (3, 2, 60)])
+def test_stored_bytes_per_state(k, m, horizon):
+    # What a solve holds per state: int32 counts, intp child tables (numpy
+    # casts every index array to intp for a gather), float64 densities and
+    # stage losses, and one byte per decision index. A widened dtype fails here.
+    p, _ = random_instance(np.random.default_rng(k), m=m, k=k)
+    assert p.n_decisions == m
+    table = HistoryTable(p, "counts")
+    space = table.space
+    index_bytes = np.dtype(np.intp).itemsize
+    for n in range(horizon + 1):
+        st, size = table.stage(n), space.n_states(n)
+        per_state = [
+            a.nbytes / size
+            for a in (space.states(n), space.densities(n), st.stop_loss, st.decision)
+        ]
+        assert per_state == [4 * k, 8 * m, 8, 1], n
+        if n < horizon:
+            assert space.children(n).nbytes == index_bytes * k * size
 
 
 def test_pi2_change_shares_the_densities_and_the_view(instance_b, monkeypatch):

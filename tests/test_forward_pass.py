@@ -279,7 +279,11 @@ def test_stop_probabilities_outside_the_unit_interval_raise(value, call):
     # These once evaluated without error: 1.5 across stage 1 gave r = 0.405,
     # with mass_stopped_theta [1.5, 1.5] and r_finite True.
     p = so.load_problem(CONFIGS / "two_channel.json")
-    rule = so.extract_rule(so.solve_truncated(p, 6)).with_prob(2, 1, value)
+    # with_prob refuses such a value, so the stage is edited in a copy.
+    rule = so.extract_rule(so.solve_truncated(p, 6))
+    probs = [a.copy() for a in rule.stop_probs]
+    probs[1][1] = value
+    rule = so.StoppingRule(rule.engine, probs, rule.truncated)
     with pytest.raises(so.SeqOptError, match=r"rule stage 2 has stop probabilities outside \["):
         if call == "evaluate":
             so.evaluate(p, rule)

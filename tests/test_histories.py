@@ -69,7 +69,7 @@ def test_count_space_matches_reference_enumeration(data):
     space.n_states(first)  # build in two steps to exercise the incremental path
     for stage in range(n + 1):
         states = space.states(stage)
-        assert states.dtype == np.int64 and states.shape == (len(ref_states[stage]), k)
+        assert states.dtype == np.int32 and states.shape == (len(ref_states[stage]), k)
         assert [tuple(row) for row in states.tolist()] == ref_states[stage]
         assert space.n_states(stage) == len(ref_states[stage]) == comb(stage + k - 1, k - 1)
         for i, counts in enumerate(ref_states[stage]):

@@ -438,13 +438,8 @@ def _lagrange_losses(p, horizon, lam):
     return so.evaluate(p, so.extract_rule(tables), decision).w_groups
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(2, 3), st.integers(2, 4), st.integers(1, 7), st.integers(1, 3),
-    st.integers(0, 2**32 - 1),
-)
-def test_match_converges_on_feasible_targets(k, m, horizon, n_groups, seed):
-    assume(n_groups <= m)
+def _feasible_instance(k, m, horizon, n_groups, seed):
+    """A seeded iid problem and targets between two Lagrange rules' losses."""
     rng = np.random.default_rng(seed)
     pmf = rng.uniform(0.05, 1.0, size=(m, k))
     pi1, pi2 = rng.uniform(0.2, 1.0, size=(2, m))
@@ -459,6 +454,39 @@ def test_match_converges_on_feasible_targets(k, m, horizon, n_groups, seed):
         mix * _lagrange_losses(p, horizon, rng.uniform(0.05, 5.0, n_groups))
         + (1 - mix) * _lagrange_losses(p, horizon, rng.uniform(0.05, 5.0, n_groups))
     )
+    return p, targets
+
+
+@pytest.mark.parametrize("k, m, n_groups, seed", [(2, 4, 3, 355), (3, 4, 2, 1569555356)])
+def test_match_at_the_sample_size_floor_is_not_dominated(k, m, n_groups, seed):
+    # Every column of one observation costs the same here, so the master LP is
+    # degenerate. Its basis once mixed some of them to land on the targets,
+    # with roundoff multipliers (about 1e-17), while another such column had
+    # every group loss at most theirs and one strictly lower: converged, yet
+    # the oracle found a strict violation. Among the optimal mixtures the
+    # match now takes one of least total loss, and roundoff multipliers are
+    # reported as 0. In the second input that mixture is a single column,
+    # which the LP returns with a -1e-16 entry beside it.
+    p, targets = _feasible_instance(k, m, 3, n_groups, seed)
+    res = so.match_constraints(p, targets, so.SearchConfig(horizon=3))
+    assert res.converged and res.stats["gap"] <= 1e-12
+    assert res.n_psi == pytest.approx(1.0, abs=1e-9)
+    assert np.all(res.lam == 0.0) and np.all(res.slack >= -1e-6)
+    for probe in res.frontier_trace:
+        below = np.array(probe["achieved"]) <= res.achieved + 1e-12
+        strictly = np.array(probe["achieved"]) < res.achieved - 1e-9
+        assert not (probe["n_psi"] <= res.n_psi and below.all() and strictly.any()), probe
+    assert oracle.verify_conditional_optimality(p, res, 3).ok
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 3), st.integers(2, 4), st.integers(1, 7), st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_match_converges_on_feasible_targets(k, m, horizon, n_groups, seed):
+    assume(n_groups <= m)
+    p, targets = _feasible_instance(k, m, horizon, n_groups, seed)
     assume(np.all(targets > 0))
     cfg = so.SearchConfig(horizon=horizon)
     res = so.match_constraints(p, targets, cfg)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -105,6 +106,22 @@ def test_forced_bad_decision_increases_loss(instance_b):
     rep = so.evaluate(instance_b, rule, flipped)
     # stopping mass at (1) is 0.45; flipping its decision trades 0.35 vs 0.10
     assert rep.w_total == pytest.approx(0.225 + (0.35 - 0.10), abs=1e-12)
+
+
+@pytest.mark.parametrize("decision", [-1, 2, 5, 256, 1.0])
+@pytest.mark.parametrize("builder", ["bayes", "sprt"])
+def test_with_decision_refuses_an_index_outside_the_decisions(instance_b, builder, decision):
+    # Decision indices are stored as uint8: unchecked, -1 and 256 raised
+    # numpy's OverflowError, and 5 was stored until evaluate refused it.
+    if builder == "bayes":
+        strategy = so.DecisionStrategy.bayes(so.HistoryTable(instance_b), 2)
+    else:
+        strategy = so.sprt_rule(instance_b, so.SprtSpec(2.0, -2.0, cap=2))[1]
+    edited = strategy.with_decision(1, 0, 1)  # copies keep the check
+    assert edited.at(1)[0] == 1 and edited.at(1).dtype == strategy.at(1).dtype
+    for s in (strategy, edited, dataclasses.replace(strategy)):
+        with pytest.raises(so.SeqOptError, match=r"is not an index in \[0, 2\)"):
+            s.with_decision(1, 0, decision)
 
 
 def test_never_stopping_rule_has_infinite_risk(instance_b):

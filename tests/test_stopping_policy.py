@@ -42,6 +42,14 @@ def test_extracted_rule_hand_values(instance_b):
     assert rule.truncated
 
 
+@pytest.mark.parametrize("value", [-0.25, 1.5, math.nan, math.inf])
+def test_with_prob_refuses_a_value_outside_the_unit_interval(instance_b, value):
+    rule = _optimal_rule(instance_b)
+    with pytest.raises(so.SeqOptError, match=r"stop probability .* outside \[0, 1\]"):
+        rule.with_prob(1, 0, value)
+    assert rule.with_prob(1, 0, 0.25).at(1)[0] == 0.25
+
+
 def test_exact_tie_gets_requested_probability():
     # with zero sampling cost, one observation after a 1 is exactly worthless
     p = so.iid_problem(
