@@ -250,7 +250,8 @@ class _Search:
         LP's mixture meets those bounds and its total is lower by more than
         _LP_EPS, so a unique optimum keeps its bits. The bounds are checked
         on the mixture itself, to within _LP_EPS: at a nearly singular final
-        basis, `_simplex` can return a mu with negative entries.
+        basis, `_simplex` can return a mu with negative entries, and at a
+        singular one it raises, which also keeps the master's mu.
 
         When every master dual is positive, complementary slackness puts
         every optimal mixture on every target, so all have the same total
@@ -262,7 +263,10 @@ class _Search:
         a_ub = np.vstack([w, self.p.cost.c * np.array([pk.n_psi for pk in cols])])
         b_ub = np.r_[targets, value]
         total = w.sum(axis=0)
-        res = self._lp(total, a_ub, b_ub, len(cols))
+        try:
+            res = self._lp(total, a_ub, b_ub, len(cols))
+        except SeqOptError:  # a singular final basis: no usable mixture either
+            res = None
         mix = mu if res is None else res[1]
         fits = mix.min() >= -_LP_EPS and np.all(a_ub @ mix <= b_ub + _LP_EPS)
         return mix if fits and total @ mix < total @ mu - _LP_EPS else mu
@@ -292,7 +296,7 @@ def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
     equality row. Returns None when infeasible, else (value, x, marginals):
     the inequality duals d value / d b_ub, <= 0 as in scipy's `linprog`. x and
     the duals are solved afresh at the final basis, so pivoting error does not
-    build up in them.
+    build up in them; a final basis that is singular raises SeqOptError.
     """
     g, n = a_ub.shape
     art = n + g  # the artificial variable's column
@@ -314,7 +318,7 @@ def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
             j = entering[0]
             rows = np.flatnonzero(tab[:, j] > _LP_EPS)
             if not rows.size:
-                raise SeqOptError("master LP is unbounded")
+                raise SeqOptError("LP is unbounded")
             ratio = tab[rows, -1] / tab[rows, j]
             ties = rows[ratio <= ratio.min() + _LP_EPS]
             pivot(ties[np.argmin(basis[ties])], j)
@@ -325,8 +329,13 @@ def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
                 tab[r, -1] = 0.0
                 pivot(r, int(np.argmax(np.abs(tab[r, :art]))))
     x = np.zeros(art + 1)
-    x[basis] = np.linalg.solve(a[:, basis], rhs)
-    duals = np.linalg.solve(a[:, basis].T, c[basis])
+    try:
+        x[basis] = np.linalg.solve(a[:, basis], rhs)
+        duals = np.linalg.solve(a[:, basis].T, c[basis])
+    except np.linalg.LinAlgError as err:
+        raise SeqOptError(
+            f"LP ended at a singular basis (columns {basis.tolist()})"
+        ) from err
     return float(cost @ x[:n]), x[:n], duals[:g]
 
 

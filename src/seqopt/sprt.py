@@ -6,9 +6,13 @@ ratio is at or above a_upper. On an iid finite alphabet the ratio is a linear
 function of the symbol counts, so the count-vector state space enumerates
 every reachable ratio value exactly and the operating characteristics come out
 of one pass of the exact forward evaluator over the capped rule, no
-approximation beyond the reported cap tail. The same enumeration makes the
+approximation beyond the reported cap tail. The test reads the ratio by
+level: log-LRs no further apart than the rounding bound of their float
+sums are one level, with one value, so a threshold inside a level's rounding
+range decides the whole level one way. The same enumeration makes the
 operating characteristics step functions of the thresholds, so threshold
-matching computes them once per step however many probes land on it.
+matching computes them once per step however many probes land on it, and
+returns thresholds clear of the rounding ranges of the levels next to them.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +37,18 @@ from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
 
 log = logging.getLogger(__name__)
 
-_LlrTable = tuple[np.ndarray, list[slice]]  # stages' log-LRs concatenated, each stage's slice
 _MATCH_TOL = 1e-4  # match_sprt_errors: |achieved - target| allowed per error
 _THRESHOLD_LIMIT = 60.0  # match_sprt_errors: largest threshold magnitude searched
+
+
+class _LlrTable(NamedTuple):
+    """The log-LR levels of stages 1..cap: all a ratio test reads (see _llr_table)."""
+
+    llr: np.ndarray  # every state's level, the stages concatenated
+    stages: list[slice]  # each stage's slice of llr
+    levels: np.ndarray  # the sorted finite levels, each its smallest copy
+    tops: np.ndarray  # each level's largest copy
+    bound: float  # the merge bound; neighbouring levels' copies lie further apart
 
 
 @dataclass(frozen=True)
@@ -102,13 +116,37 @@ def sprt_rule(p: Problem, spec: SprtSpec) -> tuple[StoppingRule, DecisionStrateg
 
 
 def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> _LlrTable:
-    """llr_by_state of stages 1..cap: all a ratio test with these hypotheses reads.
+    """llr_by_state of stages 1..cap, one value per level, in one array.
 
-    The stages come concatenated in one array, with the slice of each.
+    The float sum of c_x * inc_x can give one likelihood ratio several copies
+    a few ulps apart, so sorted finite values no further apart than that
+    sum's rounding bound merge into one level, which takes its smallest copy.
+    A state of stage n <= cap is off its exact sum by at most
+    gamma_K * cap * max|inc_x| over the finite increments (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3-4), so two copies
+    differ by at most about K * eps * cap * max|inc_x|; twice that is the
+    merge bound. Infinite and nan log-LRs are kept as they are.
     """
     llrs = [llr_by_state(p, space, n, spec.hypotheses) for n in range(1, spec.cap + 1)]
     ends = np.cumsum([len(a) for a in llrs]).tolist()
-    return np.concatenate(llrs), [slice(a, b) for a, b in zip([0] + ends, ends)]
+    llr = np.concatenate(llrs)
+    inc = llr_increments(p, spec.hypotheses)
+    scale = np.abs(inc[np.isfinite(inc)]).max(initial=0.0)
+    bound = float(2 * len(inc) * np.finfo(float).eps * spec.cap * scale)
+    copies = np.sort(llr)  # -inf first, then the finite values, +inf and nan
+    copies = copies[np.searchsorted(copies, -np.inf, "right"):np.searchsorted(copies, np.inf)]
+    near = np.diff(copies) <= bound
+    levels = tops = copies
+    if near.any():  # group the values into levels, each from its smallest to largest copy
+        starts = np.flatnonzero(np.r_[True, ~near])
+        levels, tops = copies[starts], copies[np.r_[starts[1:], len(copies)] - 1]
+        if np.any(levels != tops):  # some level has several values: each takes its smallest
+            finite = np.isfinite(llr)
+            values = llr[finite]
+            values[np.argsort(values)] = np.repeat(levels, np.diff(starts, append=len(copies)))
+            llr[finite] = values
+    stages = [slice(a, b) for a, b in zip([0] + ends, ends)]
+    return _LlrTable(llr, stages, levels, tops, bound)
 
 
 def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, DecisionStrategy]:
@@ -117,7 +155,7 @@ def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, Deci
     One stop mask and one decision array cover every stage; the rule and the
     strategy hold per-stage views of them.
     """
-    llr, stages = table
+    llr, stages = table.llr, table.stages
     mid = 0.5 * (spec.a_upper + spec.b_lower)
     stop = np.where((llr > spec.b_lower) & (llr < spec.a_upper), 0.0, 1.0)
     decide = (llr >= mid).astype(decision_dtype(2))
@@ -183,10 +221,22 @@ def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, stats)
 
 
-def _llr_levels(llr: np.ndarray) -> list[float]:
-    """Sorted distinct finite values of a log-LR array."""
-    # Sorted in Python: a first numpy sort maps ~0.3 MB of SIMD sort code.
-    return sorted(set(llr[np.isfinite(llr)].tolist()))
+def _clear_gap(levels: np.ndarray, tops: np.ndarray, k: int, half: float) -> tuple[float, float]:
+    """The part of the gap between levels k - 1 and k at least `half` from each
+    of the two that has several copies; `tops` holds each level's largest copy.
+
+    A cut there puts every copy of such a level, and with half = bound / 2
+    its exact log-LR (within a quarter bound of each copy), on one side.
+    Neighbouring levels' copies lie more than a bound apart, so the part is
+    never empty. A level of one copy does not narrow it: llr_by_state gives
+    that level one value, already on one side of any cut in the gap.
+    """
+    lo, hi = -math.inf, math.inf
+    if k > 0 and tops[k - 1] > levels[k - 1]:
+        lo = float(tops[k - 1]) + half
+    if k < len(levels) and tops[k] > levels[k]:
+        hi = float(levels[k]) - half
+    return lo, hi
 
 
 def _bisect_threshold(error_of: Callable[[float], float], target: float) -> float:
@@ -226,13 +276,22 @@ def match_sprt_errors(
     from the classical approximations a = log((1-beta)/alpha),
     b = log(beta/(1-alpha)). Each search bisects over the reals, halving
     [1e-6, _THRESHOLD_LIMIT] 60 times. On a finite alphabet the capped rule
-    only changes where a threshold passes a log-LR value of some count state
+    only changes where a threshold passes a log-LR level of some count state
     of stages 1..cap (the stopping sets), or where the thresholds' midpoint
     passes one of stage cap (the decisions of the states the cap
     force-stops), so each distinct capped rule's operating characteristics
-    are computed once per match, however many probes land on it. They are
-    step functions of the thresholds, so exact equality is generally
-    unattainable:
+    are computed once per match, however many probes land on it. A level is
+    a log-LR with its float copies merged within their rounding bound (see
+    _llr_table), so a threshold inside a level's rounding range decides the
+    whole level one way, and probes that differ only there are one rule. The
+    returned thresholds (and an error's best spec) are then moved half a
+    merge bound clear of the levels with several copies next to them, and
+    their midpoint clear of such levels of stage cap, where that leaves the
+    capped rule unchanged, so llr_by_state's copies of such a level and its
+    exact log-LR are stopped and decided one way by them too; models with no
+    such level keep the bisection's thresholds bit for bit. The
+    operating characteristics are step functions of the thresholds, so exact
+    equality is generally unattainable:
 
     - conservative=False: require |achieved - target| <= _MATCH_TOL for both errors,
       else raise UnreachableTargetsError carrying the best spec found.
@@ -249,21 +308,47 @@ def match_sprt_errors(
     # Every OC call evaluates p on the count engine: hold its space, or each
     # call rebuilds it.
     space = _check_sprt_inputs(p, spec)
-    llr, stages = table = _llr_table(p, space, spec)
-    levels, cap_levels = _llr_levels(llr), _llr_levels(llr[stages[-1]])
-    # The capped rule depends on the thresholds only through which levels
-    # stop at each threshold and which cap levels the midpoint puts on the
-    # upper side (nan and infinite log-LRs stop and decide alike everywhere).
+    table = _llr_table(p, space, spec)
+    levels = table.levels.tolist()
+    cap_llr = table.llr[table.stages[-1]]
+    on_cap = np.zeros(len(levels), dtype=bool)
+    on_cap[np.searchsorted(table.levels, cap_llr[np.isfinite(cap_llr)])] = True
+    cap_levels = table.levels[on_cap].tolist()
+    half = 0.5 * table.bound
+
+    def rule_key(s: SprtSpec) -> tuple[int, int, int]:
+        # The capped rule depends on the thresholds only through which levels
+        # stop at each threshold and which cap levels the midpoint puts on the
+        # upper side (nan and infinite log-LRs stop and decide alike everywhere).
+        return (bisect_left(levels, s.a_upper), bisect_right(levels, s.b_lower),
+                bisect_left(cap_levels, 0.5 * (s.a_upper + s.b_lower)))
+
     memo: dict[tuple[int, int, int], tuple[float, float]] = {}
 
     def errors(s: SprtSpec) -> tuple[float, float]:
-        key = (bisect_left(levels, s.a_upper), bisect_right(levels, s.b_lower),
-               bisect_left(cap_levels, 0.5 * (s.a_upper + s.b_lower)))
+        key = rule_key(s)
         if key not in memo:
             oc = _oc(p, s, table)
             memo[key] = (oc.alpha, oc.beta)
         log.debug("a_upper=%r b_lower=%r errors=%r", s.a_upper, s.b_lower, memo[key])
         return memo[key]
+
+    def cleared(s: SprtSpec) -> SprtSpec:
+        # s with each threshold, then their midpoint, moved into the clear
+        # part of its gap (_clear_gap); s itself where that changes the rule.
+        ka, kb, km = rule_key(s)
+        a_lo, a_hi = _clear_gap(table.levels, table.tops, ka, half)
+        b_lo, b_hi = _clear_gap(table.levels, table.tops, kb, half)
+        m_lo, m_hi = _clear_gap(table.levels[on_cap], table.tops[on_cap], km, half)
+        a, b = min(max(s.a_upper, a_lo), a_hi), min(max(s.b_lower, b_lo), b_hi)
+        if (short := 2 * m_lo - (a + b)) > 0:  # raise the midpoint: a first, then b
+            step = min(short, a_hi - a)
+            a, b = a + step, min(b + (short - step), b_hi)
+        elif (excess := a + b - 2 * m_hi) > 0:  # lower it: a first, then b
+            step = min(excess, a - a_lo)
+            a, b = a - step, max(b - (excess - step), b_lo)
+        out = replace(s, a_upper=a, b_lower=b)
+        return out if out.b_lower < out.a_upper and rule_key(out) == rule_key(s) else s
 
     achieved = (math.inf, math.inf)
     for _ in range(max_sweeps):
@@ -274,15 +359,15 @@ def match_sprt_errors(
         achieved = errors(spec)
         if conservative:
             if achieved[0] <= alpha and achieved[1] <= beta:
-                return spec
+                return cleared(spec)
         elif abs(achieved[0] - alpha) <= _MATCH_TOL and abs(achieved[1] - beta) <= _MATCH_TOL:
-            return spec
+            return cleared(spec)
     if conservative and achieved[0] <= alpha and achieved[1] <= beta:
-        return spec
+        return cleared(spec)
     raise UnreachableTargetsError(
         f"no thresholds reach alpha={alpha}, beta={beta} within tol={_MATCH_TOL} at cap={cap}; "
         f"best achieved {achieved}",
-        best=spec,
+        best=cleared(spec),
         achieved=achieved,
     )
 

@@ -479,6 +479,39 @@ def test_match_at_the_sample_size_floor_is_not_dominated(k, m, n_groups, seed):
     assert oracle.verify_conditional_optimality(p, res, 3).ok
 
 
+def test_singular_master_basis_is_a_typed_error():
+    # Pivoting roundoff leaves this match's master LP at a basis that numpy
+    # finds singular; its final solve raised numpy's LinAlgError.
+    p, targets = _feasible_instance(3, 3, 3, 3, 1657646452)
+    with pytest.raises(so.SeqOptError, match="LP ended at a singular basis") as exc:
+        so.match_constraints(p, targets, so.SearchConfig(horizon=3))
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_singular_least_loss_lp_keeps_the_master_mixture(monkeypatch):
+    # At the sample-size floor the match runs a second LP for a mixture of
+    # least total loss. A singular final basis there leaves the master's
+    # mixture, as an unusable mixture does, instead of failing the match.
+    p, targets = _feasible_instance(2, 4, 3, 3, 355)
+    real = so.lagrange._simplex
+    raised = []
+
+    def singular_second_lp(cost, a_ub, b_ub, n_mix):
+        if a_ub.shape[0] > len(targets):  # the least-loss LP's extra cost row
+            raised.append(True)
+            raise so.SeqOptError("LP ended at a singular basis (columns [0])")
+        return real(cost, a_ub, b_ub, n_mix)
+
+    monkeypatch.setattr(so.lagrange, "_simplex", singular_second_lp)
+    res = so.match_constraints(p, targets, so.SearchConfig(horizon=3))
+    assert raised
+    monkeypatch.setattr(so.lagrange._Search, "least_loss", lambda self, *args: args[3])
+    master_only = so.match_constraints(p, targets, so.SearchConfig(horizon=3))
+    assert res.converged == master_only.converged
+    assert np.array_equal(res.achieved, master_only.achieved)
+    assert res.n_psi == master_only.n_psi
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.integers(2, 3), st.integers(2, 4), st.integers(1, 7), st.integers(1, 3),

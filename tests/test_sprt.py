@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -289,19 +290,20 @@ def test_symmetric_match_needs_few_oc_calls(monkeypatch):
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
     calls = count_oc_calls(monkeypatch)
     spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
-    assert 0 < len(calls) <= 25
+    assert 0 < len(calls) <= 16
     oc = so.sprt_operating_characteristics(p, spec)
     assert oc.alpha <= 0.05 and oc.beta <= 0.05
 
 
 def test_unreachable_match_computes_each_capped_rule_once(monkeypatch):
     # Eight sweeps of two 62-probe searches land on few distinct capped rules;
-    # each one's operating characteristics are computed once.
+    # each one's operating characteristics are computed once, and probes that
+    # differ only in where they cut a level's rounding copies are one rule.
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
     calls = count_oc_calls(monkeypatch)
     with pytest.raises(so.UnreachableTargetsError):
         so.match_sprt_errors(p, 0.05, 0.05, cap=200)
-    assert 0 < len(calls) <= 60
+    assert 0 < len(calls) <= 18
 
 
 @pytest.mark.parametrize("sweeps", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
@@ -332,6 +334,141 @@ def test_match_reads_one_llr_table(monkeypatch):
     monkeypatch.undo()
     oc = so.sprt_operating_characteristics(p, spec)
     assert oc.alpha <= 0.05 and oc.beta <= 0.05
+
+
+def test_matched_rule_decides_each_level_one_way():
+    # On symmetric.json the log-LR of a count state is (c1 - c0) * log(7/3),
+    # but its float sum gives one level a copy per stage, a few ulps apart.
+    # The matched conservative threshold once fell among the copies of
+    # c1 - c0 = 3 and stopped 4 states of that level while 20 continued.
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
+    spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
+    rule, decision = so.sprt_rule(p, spec)
+    space = state_space(p, "counts")
+    stages = range(1, spec.cap + 1)
+    level = np.concatenate([space.states(n)[:, 1] - space.states(n)[:, 0] for n in stages])
+    stop = np.concatenate([rule.at(n) for n in stages])
+    decide = np.concatenate([decision.at(n) for n in stages])
+    for d in np.unique(level):
+        assert len(np.unique(stop[level == d])) == 1, d
+        assert len(np.unique(decide[level == d])) == 1, d
+
+
+def assert_thresholds_clear_of_levels(p, spec):
+    """Read against spec's thresholds and midpoint, llr_by_state's copies of
+    each level and its exact log-LR, (c1 - c0) * inc_1 for rows that are each
+    other's reverse, stop alike at every stage and decide alike at the cap."""
+    inc = so.llr_increments(p, spec.hypotheses)
+    assert inc[0] == -inc[1]
+    space = state_space(p, "counts")
+    a, b = Fraction(spec.a_upper), Fraction(spec.b_lower)
+    mid = 0.5 * (spec.a_upper + spec.b_lower)
+    for n in range(1, spec.cap + 1):
+        llr = so.llr_by_state(p, space, n, spec.hypotheses)
+        level = space.states(n)[:, 1] - space.states(n)[:, 0]
+        for d, x in zip(level.tolist(), llr.tolist()):
+            exact = d * Fraction(inc[1])
+            assert (x <= spec.b_lower or x >= spec.a_upper) == (exact <= b or exact >= a), (n, d)
+            if n == spec.cap:
+                assert (x >= mid) == (exact >= Fraction(mid)), (n, d)
+
+
+def test_matched_thresholds_clear_every_copy_of_a_level():
+    # The merged table alone is not enough: the returned thresholds, read
+    # against llr_by_state's own copies of a level or its exact log-LR, must
+    # stop or continue the whole level. A threshold one ulp above a level's
+    # smallest copy did not.
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
+    spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
+    assert_thresholds_clear_of_levels(p, spec)
+    oc = so.sprt_operating_characteristics(p, spec)
+    assert oc.alpha <= 0.05 and oc.beta <= 0.05
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    q=st.floats(0.55, 0.95),
+    cap=st.integers(3, 40),
+    targets=st.tuples(st.floats(0.01, 0.2), st.floats(0.01, 0.2)),
+    conservative=st.booleans(),
+)
+def test_matched_thresholds_clear_reversed_row_levels(q, cap, targets, conservative):
+    # Thresholds that land at a level can put the midpoint at a cap level
+    # too; both are moved clear, and an unreachable match's best spec is.
+    p = so.iid_problem([[q, 1 - q], [1 - q, q]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    try:
+        spec = so.match_sprt_errors(p, *targets, cap=cap, conservative=conservative)
+    except so.UnreachableTargetsError as err:
+        spec = err.best
+    assert_thresholds_clear_of_levels(p, spec)
+
+
+def llr_table_and_levels(p, cap, hypotheses):
+    """_llr_table of stages 1..cap, llr_by_state's values and c1 - c0 per entry."""
+    space = state_space(p, "counts")
+    table = sprt._llr_table(p, space, so.SprtSpec(1.0, -1.0, hypotheses, cap))
+    sizes = [s.stop - s.start for s in table.stages]
+    assert sizes == [space.n_states(n) for n in range(1, cap + 1)]
+    raw = np.concatenate([so.llr_by_state(p, space, n, hypotheses) for n in range(1, cap + 1)])
+    level = np.concatenate([space.states(n)[:, 1] - space.states(n)[:, 0]
+                            for n in range(1, cap + 1)])
+    finite = np.isfinite(table.llr)
+    assert np.array_equal(table.levels, np.unique(table.llr[finite]))
+    assert np.all(table.levels[1:] - table.tops[:-1] > table.bound)
+    return table.llr, raw, level
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.one_of(st.floats(0.02, 0.45), st.floats(0.55, 0.98)),
+    cap=st.integers(1, 60),
+    hypotheses=st.sampled_from([(0, 1), (1, 0)]),
+)
+def test_llr_table_gives_one_value_per_level(q, cap, hypotheses):
+    # Rows that are each other's reverse give inc_0 = -inc_1 exactly, so the
+    # log-LR is (c1 - c0) * inc_1 in exact arithmetic: one table value per
+    # distinct c1 - c0, taken from among its float copies.
+    p = so.iid_problem([[q, 1 - q], [1 - q, q]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    table, raw, level = llr_table_and_levels(p, cap, hypotheses)
+    for d in np.unique(level):
+        assert len(np.unique(table[level == d])) == 1
+        assert table[level == d][0] in raw[level == d]
+    assert len(np.unique(table)) == len(np.unique(level))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    cap=st.integers(1, 12),
+    hypotheses=st.sampled_from([(0, 1), (1, 0)]),
+)
+def test_llr_table_keeps_distinct_log_lrs(k, seed, cap, hypotheses):
+    # Generic pmfs put distinct count vectors far more than a rounding bound
+    # apart, so nothing merges and the table is llr_by_state's, bit for bit.
+    pmf = np.random.default_rng(seed).uniform(0.05, 1.0, size=(2, k))
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    table, raw, _ = llr_table_and_levels(p, cap, hypotheses)
+    assert np.array_equal(table, raw)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cap=st.integers(1, 12),
+    hypotheses=st.sampled_from([(0, 1), (1, 0)]),
+)
+def test_llr_table_keeps_infinite_and_nan_log_lrs(seed, cap, hypotheses):
+    pmf = np.random.default_rng(seed).uniform(0.05, 1.0, size=(2, 3))
+    pmf[0, 0] = pmf[1, 0] = 0.0  # symbol 0: log-LR nan
+    pmf[0, 1] = 0.0  # symbol 1: log-LR +inf or -inf
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    with np.errstate(invalid="ignore"):  # llr_by_state's 0 * inf for unseen symbols
+        table, raw, _ = llr_table_and_levels(p, cap, hypotheses)
+    assert np.isinf(table).any() and np.isnan(table).any()
+    assert np.array_equal(table, raw, equal_nan=True)
 
 
 def reference_bisect(oc_of, lo, hi, target, iters=60):
