@@ -22,8 +22,8 @@ Lagrangian's minimiser. While no mixture of the pairs meets them, lam
 grows fourfold per round along the duals of a phase-I LP (least total
 excess); after 80 rounds the targets count as below the achievable frontier.
 
-Both LPs are solved by `_simplex`, a dense two-phase tableau simplex in numpy
-with Bland's rule. The certificate does not depend on its accuracy. By weak
+Both LPs are solved by `_simplex`, a dense tableau simplex in numpy with
+Bland's rule. The certificate does not depend on its accuracy. By weak
 duality, c n + lam (W - t) of an exact weighted solve at lam is a lower bound
 on the cost of every procedure meeting the targets, for any lam >= 0,
 whatever LP produced lam; and every "converged" check runs on the mixture as
@@ -40,11 +40,11 @@ is its evaluation. converged=True only when the gap is certified, every
 achieved loss is at most target + residual_tol, and every group with
 lam_g > 0 is within residual_tol of its target. A target looser than every
 rule needs gets lam_g = 0 and a positive slack: multipliers below the LP
-tolerance are reported as 0. The mixture is the master's unless a second LP
-over the same columns finds one of lower total group loss at the master's
-optimal cost (run only when some dual of the master is 0); at the
-sample-size floor every column can cost the same, and the master's basis may
-then mix columns that another column dominates.
+tolerance are reported as 0. Among the master's optimal mixtures the result
+is one of least total group loss, found by a tie-break phase of the master's
+own simplex over its optimal face; at the sample-size floor every column can
+cost the same, and a basis of least cost may then mix columns that another
+column dominates.
 
 Each probe evaluates its own pair, and a mixture is evaluated once more.
 `MultiplierSearchResult.stats` reports probes, LP solves (lp_rounds), the
@@ -218,10 +218,10 @@ class _Search:
         self.stats["extract_s"] += time.perf_counter() - t0
         return out
 
-    def _lp(self, cost: np.ndarray, a_ub: np.ndarray, targets: np.ndarray, n_mix: int):
-        """One `_simplex` solve, counted in lp_rounds and timed into lp_s."""
+    def _lp(self, *lp):
+        """One `_simplex(*lp)` solve, counted in lp_rounds and timed into lp_s."""
         t0 = time.perf_counter()
-        res = _simplex(cost, a_ub, targets, n_mix)
+        res = _simplex(*lp)
         self.stats["lp_rounds"] += 1
         self.stats["lp_s"] += time.perf_counter() - t0
         return res
@@ -229,47 +229,15 @@ class _Search:
     def master(self, cols: list[_Pack], targets: np.ndarray):
         """Cheapest mixture of the columns meeting the targets: (value, mu, lam).
 
-        None when no mixture meets them.
+        None when no mixture meets them. Among the cheapest mixtures, mu is one
+        of least total group loss, from `_simplex`'s tie-break phase.
         """
         w = np.array([pk.achieved for pk in cols]).T
-        res = self._lp(self.p.cost.c * np.array([pk.n_psi for pk in cols]), w, targets, len(cols))
-        if res is None:
+        cost = self.p.cost.c * np.array([pk.n_psi for pk in cols])
+        if (res := self._lp(cost, w, targets, len(cols), w.sum(axis=0))) is None:
             return None
         value, mu, marginals = res
         return value, mu, np.maximum(-marginals, 0.0)
-
-    def least_loss(self, cols: list[_Pack], targets: np.ndarray, value: float,
-                   mu: np.ndarray, duals: np.ndarray) -> np.ndarray:
-        """Among the master's optimal mixtures, one of least total group loss: its mu.
-
-        At the sample-size floor every column can cost the same, so the
-        master's basis may rest on the targets while a column below them
-        costs no more. This LP minimises sum_g sum_i mu_i W_gi subject to
-        sum_i mu_i W_i <= t, sum_i mu_i c n_i <= value and sum_i mu_i = 1;
-        no sample size is traded for loss. The master's mu stays unless the
-        LP's mixture meets those bounds and its total is lower by more than
-        _LP_EPS, so a unique optimum keeps its bits. The bounds are checked
-        on the mixture itself, to within _LP_EPS: at a nearly singular final
-        basis, `_simplex` can return a mu with negative entries, and at a
-        singular one it raises, which also keeps the master's mu.
-
-        When every master dual is positive, complementary slackness puts
-        every optimal mixture on every target, so all have the same total
-        and the LP is skipped.
-        """
-        if duals.min() >= _LP_EPS:
-            return mu
-        w = np.array([pk.achieved for pk in cols]).T
-        a_ub = np.vstack([w, self.p.cost.c * np.array([pk.n_psi for pk in cols])])
-        b_ub = np.r_[targets, value]
-        total = w.sum(axis=0)
-        try:
-            res = self._lp(total, a_ub, b_ub, len(cols))
-        except SeqOptError:  # a singular final basis: no usable mixture either
-            res = None
-        mix = mu if res is None else res[1]
-        fits = mix.min() >= -_LP_EPS and np.all(a_ub @ mix <= b_ub + _LP_EPS)
-        return mix if fits and total @ mix < total @ mu - _LP_EPS else mu
 
     def excess_direction(self, cols: list[_Pack], targets: np.ndarray) -> np.ndarray:
         """Duals of the phase-I LP, scaled to max 1: the groups whose excess to cut.
@@ -286,17 +254,24 @@ class _Search:
         return y / y.max()
 
 
-def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
+def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int,
+             secondary: np.ndarray | None = None):
     """min cost @ x s.t. a_ub x <= b_ub, sum(x[:n_mix]) == 1 and x >= 0, for b_ub >= 0.
 
-    A dense two-phase tableau simplex under Bland's rule (Bland, Math. Oper.
-    Res. 2, 1977), which cannot cycle: the lowest improving column enters and,
-    among tied rows, the lowest basic column leaves. The slacks start as the
-    basis of the inequality rows, one artificial variable as that of the
-    equality row. Returns None when infeasible, else (value, x, marginals):
-    the inequality duals d value / d b_ub, <= 0 as in scipy's `linprog`. x and
-    the duals are solved afresh at the final basis, so pivoting error does not
-    build up in them; a final basis that is singular raises SeqOptError.
+    A dense tableau simplex under Bland's rule (Bland, Math. Oper. Res. 2,
+    1977), which cannot cycle: the lowest improving column enters and, among
+    tied rows, the lowest basic column leaves. The slacks start as the basis
+    of the inequality rows, one artificial variable as that of the equality
+    row. Returns None when infeasible, else (value, x, marginals): the
+    inequality duals d value / d b_ub, <= 0 as in scipy's `linprog`. They and
+    x are solved afresh at the phase-II basis, so pivoting error does not
+    build up in them; a singular one raises SeqOptError.
+
+    A secondary cost adds a third phase that minimises it over the optimal
+    face: only columns of zero phase-II reduced cost enter, so value and
+    duals stay. Its x is taken at a regular basis where x >= 0, every row and
+    cost @ x <= value hold (all to within _LP_EPS) and the secondary cost is
+    lower by more than _LP_EPS; else x stays phase II's, bit for bit.
     """
     g, n = a_ub.shape
     art = n + g  # the artificial variable's column
@@ -313,8 +288,18 @@ def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
         tab[:] -= np.outer(col, tab[r])
         basis[r] = j
 
-    for c, free in ((np.eye(art + 1)[art], art + 1), (np.r_[cost, np.zeros(g + 1)], art)):
+    def solution() -> np.ndarray:
+        x = np.zeros(art + 1)
+        x[basis] = np.linalg.solve(a[:, basis], rhs)
+        return x[:n]
+
+    pad = np.zeros(g + 1)
+    costs = [np.eye(art + 1)[art]] + [np.r_[c, pad] for c in (cost, secondary) if c is not None]
+    for phase, c in enumerate(costs):
+        free = art + 1 if phase == 0 else art
         while (entering := np.flatnonzero(c[:free] - c[basis] @ tab[:, :free] < -_LP_EPS)).size:
+            if phase == 2 and not (entering := entering[face[entering]]).size:
+                break  # every improving column is off the optimal face
             j = entering[0]
             rows = np.flatnonzero(tab[:, j] > _LP_EPS)
             if not rows.size:
@@ -322,25 +307,35 @@ def _simplex(cost: np.ndarray, a_ub: np.ndarray, b_ub: np.ndarray, n_mix: int):
             ratio = tab[rows, -1] / tab[rows, j]
             ties = rows[ratio <= ratio.min() + _LP_EPS]
             pivot(ties[np.argmin(basis[ties])], j)
-        if free > art:  # end of phase I
+        if phase == 0:
             if c[basis] @ tab[:, -1] > _LP_EPS:
                 return None
             for r in np.flatnonzero(basis == art):  # basic at level 0: pivot it out
                 tab[r, -1] = 0.0
                 pivot(r, int(np.argmax(np.abs(tab[r, :art]))))
-    x = np.zeros(art + 1)
-    try:
-        x[basis] = np.linalg.solve(a[:, basis], rhs)
-        duals = np.linalg.solve(a[:, basis].T, c[basis])
-    except np.linalg.LinAlgError as err:
-        raise SeqOptError(
-            f"LP ended at a singular basis (columns {basis.tolist()})"
-        ) from err
-    return float(cost @ x[:n]), x[:n], duals[:g]
+        elif phase == 1:
+            try:
+                x = solution()
+                duals = np.linalg.solve(a[:, basis].T, c[basis])
+            except np.linalg.LinAlgError as err:
+                msg = f"LP ended at a singular basis (columns {basis.tolist()})"
+                raise SeqOptError(msg) from err
+            value, optimal = float(cost @ x), basis.copy()
+            face = c[:art] - c[basis] @ tab[:, :art] <= _LP_EPS  # zero reduced cost
+    if secondary is not None and not np.array_equal(basis, optimal):
+        try:
+            tied = solution()
+        except np.linalg.LinAlgError:
+            tied = x
+        if (tied.min() >= -_LP_EPS and np.all(a_ub @ tied <= b_ub + _LP_EPS)
+                and cost @ tied <= value + _LP_EPS
+                and secondary @ tied < secondary @ x - _LP_EPS):
+            x = tied
+    return value, x, duals[:g]
 
 
 def _mixture(
-    space: StateSpace, packs: list[_Pack], mu: np.ndarray
+    space: StateSpace, packs: list[_Pack], mu: np.ndarray, n_decisions: int
 ) -> tuple[StoppingRule, DecisionStrategy]:
     """The mu-mixture of pairs over a common horizon as one (rule, decision) pair.
 
@@ -348,17 +343,17 @@ def _mixture(
     (push_forward without weights); the model's density of s is common to
     every pair and cancels. Where no pair arrives (or none stops) the plain
     mu-average stands in, clipped at 1 (mu may sum to 1 + 2^-52) so the rule
-    file reads back; it is never used.
+    file reads back; it is never used. n_decisions is the match problem's:
+    the shared space may have been built by a problem with another loss.
     """
     horizon = packs[0].horizon
     arrive = np.ones((space.n_states(1), len(packs)))
     probs, decisions, weights = [], [], []
-    dtype = decision_dtype(space.problem.n_decisions)
+    dtype = decision_dtype(n_decisions)
     for n in range(1, horizon + 1):
         p_n = np.column_stack([pk.rule.at(n) for pk in packs])  # (S, I)
-        onehot = np.column_stack([pk.decision.at(n) for pk in packs])[:, :, None] == np.arange(
-            space.problem.n_decisions
-        )  # (S, I, D)
+        decided = np.column_stack([pk.decision.at(n) for pk in packs])
+        onehot = decided[:, :, None] == np.arange(n_decisions)  # (S, I, D)
         flow = arrive * mu
         stopped = flow * p_n
         flow_s, stopped_s = flow.sum(axis=1), stopped.sum(axis=1)
@@ -436,7 +431,6 @@ def match_constraints(
             break
         master = search.master(cols, t)
     search.stats["gap"] = gap
-    mu = search.least_loss(cols, t, value, mu, duals)
     # Roundoff duals are reported as 0 (the target is slack); the weighted
     # problem keeps the raw ones, whose ratios still order the decisions.
     reported = np.where(lam < _LP_EPS, 0.0, lam)
@@ -446,7 +440,7 @@ def match_constraints(
     if len(active) == 1:
         rule, decision, achieved, n_psi = pk.rule, pk.decision, pk.achieved, pk.n_psi
     else:
-        rule, decision = _mixture(pk.table.space, active, mu[keep] / mu[keep].sum())
+        rule, decision = _mixture(pk.table.space, active, mu[keep] / mu[keep].sum(), p.n_decisions)
         achieved, n_psi = search.outcome(rule, decision)
     tol = cfg.residual_tol
     converged = bool(

@@ -90,10 +90,11 @@ def _check_sprt_inputs(p: Problem, spec: SprtSpec) -> CountStateSpace:
 
 
 def llr_increments(p: Problem, hypotheses: tuple[int, int] = (0, 1)) -> np.ndarray:
-    """Per-symbol log likelihood-ratio increments log pmf[j]/pmf[i]."""
+    """Per-symbol log likelihood-ratio increments log pmf[j]/pmf[i]; nan where both are 0."""
     i, j = hypotheses
-    with np.errstate(divide="ignore"):
-        return np.log(p.obs.iid_pmf[j]) - np.log(p.obs.iid_pmf[i])
+    pmf = p.obs.iid_pmf
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and -inf - nan is nan, quietly
+        return np.log(pmf[j]) - np.log(np.where(pmf[i] + pmf[j] > 0, pmf[i], np.nan))
 
 
 def llr_by_state(
@@ -102,7 +103,9 @@ def llr_by_state(
     """Log-LR of every stage-n state; nan where both hypotheses have density 0."""
     inc = llr_increments(p, hypotheses)
     counts = np.asarray(space.states(n), dtype=float)
-    terms = np.where(counts > 0, counts * inc[None, :], 0.0)
+    terms = np.multiply(counts, inc, out=np.zeros(counts.shape), where=counts > 0)
+    if np.isposinf(inc).any() and np.isneginf(inc).any():  # inf - inf: both densities 0
+        terms[np.isposinf(terms).any(axis=1) & np.isneginf(terms).any(axis=1)] = np.nan
     return terms.sum(axis=1)
 
 
@@ -362,8 +365,6 @@ def match_sprt_errors(
                 return cleared(spec)
         elif abs(achieved[0] - alpha) <= _MATCH_TOL and abs(achieved[1] - beta) <= _MATCH_TOL:
             return cleared(spec)
-    if conservative and achieved[0] <= alpha and achieved[1] <= beta:
-        return cleared(spec)
     raise UnreachableTargetsError(
         f"no thresholds reach alpha={alpha}, beta={beta} within tol={_MATCH_TOL} at cap={cap}; "
         f"best achieved {achieved}",

@@ -168,7 +168,7 @@ def test_evaluate_matches_the_mask_loop(kind, k, m, d, horizon, strategy, trunca
             pair_decision = so.DecisionStrategy([rng.integers(0, d, size=s) for s in sizes])
             packs.append(_Pack(None, pair_rule, pair_decision, None, 0.0, horizon))
         mu = rng.dirichlet(np.ones(len(packs)))
-        rule, decision = _mixture(space, packs, mu)
+        rule, decision = _mixture(space, packs, mu, d)
     lam = rng.uniform(0.0, 5.0, size=2) if p.constraints is not None else None
     got, got_mass = _forward(p, rule, decision, lam)
     want, want_mass = reference_forward(p, rule, decision, lam)

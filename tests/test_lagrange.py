@@ -312,7 +312,7 @@ def test_mixture_is_exact(engine):
         reports.append(rep)
     search = lg._Search(p, so.SearchConfig(engine=engine))
     mu = np.array([0.3, 0.7])
-    rule, decision = lg._mixture(space, search.common_horizon(packs), mu)
+    rule, decision = lg._mixture(space, search.common_horizon(packs), mu, p.n_decisions)
     assert rule.horizon == decision.horizon == 5
     mixed = so.evaluate(p, rule, decision)
     for key in ("n_psi", "w_groups", "decision_probs", "n_theta"):
@@ -488,28 +488,64 @@ def test_singular_master_basis_is_a_typed_error():
     assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
-def test_singular_least_loss_lp_keeps_the_master_mixture(monkeypatch):
-    # At the sample-size floor the match runs a second LP for a mixture of
-    # least total loss. A singular final basis there leaves the master's
-    # mixture, as an unusable mixture does, instead of failing the match.
+@pytest.mark.parametrize("fault", ["singular", "off-its-rows"])
+def test_failing_tie_break_basis_keeps_the_phase_two_mixture(monkeypatch, fault):
+    # At the sample-size floor the master's simplex runs a tie-break phase
+    # for a mixture of least total loss. When the solve at its final basis is
+    # singular, or returns a mixture off its rows (near a singular basis one
+    # had a -0.27 entry), the phase-II mixture stays instead of failing the
+    # match. Phase II solves the mixture and the duals, so the third solve of
+    # a call with a secondary cost is the tie-break basis's.
     p, targets = _feasible_instance(2, 4, 3, 3, 355)
-    real = so.lagrange._simplex
-    raised = []
+    real_simplex, real_solve = so.lagrange._simplex, np.linalg.solve
+    faults = []
 
-    def singular_second_lp(cost, a_ub, b_ub, n_mix):
-        if a_ub.shape[0] > len(targets):  # the least-loss LP's extra cost row
-            raised.append(True)
-            raise so.SeqOptError("LP ended at a singular basis (columns [0])")
-        return real(cost, a_ub, b_ub, n_mix)
+    def faulty_simplex(cost, a_ub, b_ub, n_mix, secondary=None):
+        calls = []
 
-    monkeypatch.setattr(so.lagrange, "_simplex", singular_second_lp)
-    res = so.match_constraints(p, targets, so.SearchConfig(horizon=3))
-    assert raised
-    monkeypatch.setattr(so.lagrange._Search, "least_loss", lambda self, *args: args[3])
-    master_only = so.match_constraints(p, targets, so.SearchConfig(horizon=3))
-    assert res.converged == master_only.converged
-    assert np.array_equal(res.achieved, master_only.achieved)
-    assert res.n_psi == master_only.n_psi
+        def solve(m, v):
+            calls.append(None)
+            if len(calls) == 3 and secondary is not None:
+                faults.append(None)
+                if fault == "singular":
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return np.full(len(v), -0.27)
+            return real_solve(m, v)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", solve)
+            return real_simplex(cost, a_ub, b_ub, n_mix, secondary)
+
+    cfg = so.SearchConfig(horizon=3)
+    tied = so.match_constraints(p, targets, cfg)
+    monkeypatch.setattr(so.lagrange, "_simplex", faulty_simplex)
+    res = so.match_constraints(p, targets, cfg)
+    assert faults
+    monkeypatch.setattr(
+        so.lagrange, "_simplex", lambda cost, a_ub, b_ub, n_mix, secondary=None:
+        real_simplex(cost, a_ub, b_ub, n_mix)
+    )
+    phase_two = so.match_constraints(p, targets, cfg)
+    assert not np.array_equal(tied.achieved, phase_two.achieved)
+    assert res.converged == phase_two.converged
+    assert np.array_equal(res.achieved, phase_two.achieved)
+    assert res.n_psi == phase_two.n_psi
+    assert np.array_equal(res.lam, tied.lam) and res.stats["lp_rounds"] == tied.stats["lp_rounds"]
+
+
+def test_mixture_reads_the_decision_count_of_the_match_problem():
+    # A live solve of a 3-decision problem with the same pmf builds the
+    # shared state space first; the mixture of a 2-decision match read its
+    # decision count from that space's problem and failed its own evaluation.
+    # The pmf is this test's own, so no other test's space is shared.
+    pmf = [[0.8, 0.2], [0.35, 0.65]]
+    three = so.iid_problem(pmf, [[0, 1, 0.3], [1, 0, 0.3]], [0.5, 0.5], [0.5, 0.5], 0.01)
+    keep = so.extract_rule(so.solve_truncated(three, 4))
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01,
+                       groups=[[0], [1]], bounds=(0.1, 0.1))
+    res = so.match_constraints(p, (0.1, 0.1), so.SearchConfig(horizon=6))
+    assert keep.horizon == 4
+    assert res.converged and np.all(res.decision.at(1) < 2)
 
 
 @settings(max_examples=20, deadline=None)

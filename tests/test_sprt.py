@@ -185,7 +185,7 @@ def reference_llr_by_state_tree(p, space, n, hypotheses=(0, 1)):
     for idx in range(space.n_states(n)):
         for x in tree_history(space.k, n, idx):
             counts[idx, x] += 1
-    terms = np.where(counts > 0, counts * inc[None, :], 0.0)
+    terms = np.multiply(counts, inc, out=np.zeros(counts.shape), where=counts > 0)
     return terms.sum(axis=1)
 
 
@@ -201,10 +201,33 @@ def test_llr_by_state_tree_matches_history_loop(k):
     space = state_space(p, "tree")
     for n in range(1, 6):
         for hyp in ((0, 1), (1, 0)):
-            with np.errstate(invalid="ignore"):  # 0 * inf for unseen symbols
-                got = so.llr_by_state(p, space, n, hyp)
-                want = reference_llr_by_state_tree(p, space, n, hyp)
+            got = so.llr_by_state(p, space, n, hyp)
+            want = reference_llr_by_state_tree(p, space, n, hyp)
             assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("pmf", [
+    [[0, 0.5, 0.5], [0, 0.2, 0.8]], [[0, 1], [0.5, 0.5]], [[0, 0.5, 0.5], [0.5, 0, 0.5]],
+], ids=["nan", "inf", "inf-and-minus-inf"])
+def test_zero_pmf_entries_give_infinite_and_nan_log_lrs_without_warnings(pmf):
+    # A symbol both hypotheses rule out computed -inf - (-inf), and an unseen
+    # symbol 0 * inf, each with numpy's invalid-value warning (an error here).
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    zero = np.asarray(pmf) == 0
+    inc = so.llr_increments(p)
+    assert np.array_equal(np.isnan(inc), zero[0] & zero[1])
+    assert np.array_equal(np.isposinf(inc), zero[0] & ~zero[1])
+    assert np.array_equal(np.isneginf(inc), ~zero[0] & zero[1])
+    space = state_space(p, "counts")
+    counts = space.states(3)
+    seen = counts > 0
+    llr = so.llr_by_state(p, space, 3)
+    # nan exactly at the states of density 0 under both hypotheses
+    assert np.array_equal(np.isnan(llr), (seen & zero[0]).any(1) & (seen & zero[1]).any(1))
+    finite = ~(seen & zero.any(0)).any(1)
+    assert np.array_equal(llr[finite], (counts[finite] * np.where(zero.any(0), 0.0, inc)).sum(1))
+    oc = so.sprt_operating_characteristics(p, so.SprtSpec(2.0, -2.0, cap=6))
+    assert 0.0 <= oc.alpha <= 1.0 and 0.0 <= oc.beta <= 1.0
 
 
 def two_pass_oc(p, spec):
@@ -373,16 +396,24 @@ def assert_thresholds_clear_of_levels(p, spec):
                 assert (x >= mid) == (exact >= Fraction(mid)), (n, d)
 
 
-def test_matched_thresholds_clear_every_copy_of_a_level():
+@pytest.mark.parametrize("case", ["symmetric.json", "midpoint-raised"])
+def test_matched_thresholds_clear_every_copy_of_a_level(case):
     # The merged table alone is not enough: the returned thresholds, read
     # against llr_by_state's own copies of a level or its exact log-LR, must
     # stop or continue the whole level. A threshold one ulp above a level's
-    # smallest copy did not.
-    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
-    spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
+    # smallest copy did not. The second match moves its midpoint up, clear
+    # of the cap levels next to it.
+    if case == "symmetric.json":
+        p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / case)
+        cap, targets = 50, (0.05, 0.05)
+    else:
+        p = so.iid_problem([[0.65, 0.35], [0.35, 0.65]], so.zero_one_loss(2),
+                           [0.5, 0.5], [0.5, 0.5], 0.01)
+        cap, targets = 15, (0.2, 0.1)
+    spec = so.match_sprt_errors(p, *targets, cap=cap, conservative=True)
     assert_thresholds_clear_of_levels(p, spec)
     oc = so.sprt_operating_characteristics(p, spec)
-    assert oc.alpha <= 0.05 and oc.beta <= 0.05
+    assert oc.alpha <= targets[0] and oc.beta <= targets[1]
 
 
 @settings(max_examples=20, deadline=None)
@@ -465,8 +496,7 @@ def test_llr_table_keeps_infinite_and_nan_log_lrs(seed, cap, hypotheses):
     pmf[0, 1] = 0.0  # symbol 1: log-LR +inf or -inf
     pmf /= pmf.sum(axis=1, keepdims=True)
     p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
-    with np.errstate(invalid="ignore"):  # llr_by_state's 0 * inf for unseen symbols
-        table, raw, _ = llr_table_and_levels(p, cap, hypotheses)
+    table, raw, _ = llr_table_and_levels(p, cap, hypotheses)
     assert np.isinf(table).any() and np.isnan(table).any()
     assert np.array_equal(table, raw, equal_nan=True)
 

@@ -90,6 +90,19 @@ def test_truncate_rule_idempotent_and_extends(instance_b):
     assert np.all(longer.at(3) == 1.0) and np.all(longer.at(4) == 1.0)
 
 
+@pytest.mark.parametrize("horizon, truncated, message", [
+    (0, True, "horizon must be >= 1"),
+    (5, False, r"rule only covers stages 1\.\.3, cannot truncate at 5"),
+    (5, True, "extending a truncated rule needs the state space"),  # stages 4 and 5 to fill
+    (4, True, "extending a truncated rule needs the state space"),  # only the last stage
+], ids=["horizon-0", "untruncated", "no-space-stages", "no-space-last"])
+def test_truncate_rule_typed_errors(instance_b, horizon, truncated, message):
+    rule = _optimal_rule(instance_b, 3)
+    rule = so.StoppingRule(rule.engine, rule.stop_probs, truncated=truncated)
+    with pytest.raises(so.SeqOptError, match=message):
+        so.truncate_rule(rule, horizon)
+
+
 def test_reachable_sets_prune_stopped_branches(instance_b):
     # three-stage optimum: continue through stage 1, stop at stage 2 on
     # agreement (two 1s or two 0s), continue on a split sample
