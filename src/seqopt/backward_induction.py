@@ -36,6 +36,8 @@ from .bayes_decision import HistoryTable
 from .histories import DEFAULT_STATE_BUDGET, check_state_budget
 from .model import Problem
 
+VALUES_HEADER = "stage,state,stop_loss,continue_value,value\r\n"  # CRLF, as csv.writer ends rows
+
 
 @dataclass(eq=False)
 class ValueTables:
@@ -87,16 +89,20 @@ class ValueTables:
 
         Each stage is one block of text, byte for byte what csv.writer writes.
         """
-        fh.write("stage,state,stop_loss,continue_value,value\r\n")
+        fh.write(VALUES_HEADER)
         for n in range(self.horizon + 1):
-            stop = self.table.stage(n).stop_loss
-            stop_s = list(_reprs(stop))
-            cont_s, value_s = repeat(""), stop_s
-            if n < self.horizon:
-                cont_s = list(_reprs(self.cont[n]))
-                stops = (self.value[n].view(np.uint64) == stop.view(np.uint64)).tolist()
-                value_s = [s if k else c for s, c, k in zip(stop_s, cont_s, stops)]
-            _write_rows(fh, f"{n},", self.table.space.labels(n), stop_s, cont_s, value_s)
+            self._write_stage(fh, n, self.table.space.labels(n))
+
+    def _write_stage(self, fh: IO[str], n: int, labels: list[str]) -> None:
+        """to_csv's rows of stage n, given the stage's labels(n)."""
+        stop = self.table.stage(n).stop_loss
+        stop_s = list(_reprs(stop))
+        cont_s, value_s = repeat(""), stop_s
+        if n < self.horizon:
+            cont_s = list(_reprs(self.cont[n]))
+            stops = (self.value[n].view(np.uint64) == stop.view(np.uint64)).tolist()
+            value_s = [s if k else c for s, c, k in zip(stop_s, cont_s, stops)]
+        _write_rows(fh, f"{n},", labels, stop_s, cont_s, value_s)
 
 
 def _reprs(arr: np.ndarray):
@@ -108,9 +114,12 @@ def _write_rows(fh: IO[str], prefix: str, labels: list[str], *columns) -> None:
     """One stage's rows in one write, as csv.writer writes them: prefix, label, columns.
 
     prefix is the constant leading fields with their comma. Labels holding a
-    comma are quoted; no field holds a quote or a line break.
+    comma are quoted; no field holds a quote or a line break. Every label of a
+    stage holds a comma or none does (a tree history's symbols are
+    comma-separated, count labels hold none), so the first label decides.
     """
-    labels = [f'"{s}"' if "," in s else s for s in labels]
+    if labels and "," in labels[0]:
+        labels = list(map('"{}"'.format, labels))
     fh.write(prefix + ("\r\n" + prefix).join(map(",".join, zip(labels, *columns))) + "\r\n")
 
 

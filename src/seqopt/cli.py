@@ -50,6 +50,7 @@ from .risk_evaluation import DecisionStrategy, evaluate
 from .sprt import match_sprt_errors, sprt_operating_characteristics, sprt_rule
 from .stopping_policy import (
     StoppingRule,
+    _write_solve_csvs,
     extract_rule,
     read_rule_csv,
     truncate_rule,
@@ -143,10 +144,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     rule = extract_rule(tables)
     take, margin = should_take_observations(tables)
     report = evaluate(p, rule)
-    with open(out_dir / "values.csv", "w") as fh:
-        tables.to_csv(fh)
-    with open(out_dir / "rule.csv", "w") as fh:
-        rule.to_csv(fh, tables.table.space)
+    with open(out_dir / "values.csv", "w") as values_fh, open(out_dir / "rule.csv", "w") as rule_fh:
+        _write_solve_csvs(values_fh, rule_fh, tables, rule)
     summary = {
         "q0": tables.q0,
         "l0": tables.l0,

@@ -190,10 +190,14 @@ class CountStateSpace(_Densities):
         return self.problem.obs.iid_pmf[None]
 
     def labels(self, n: int) -> list[str]:
-        """Each stage-n state's counts joined by "|", in index order, from one str.format."""
-        states = self.states(n)
-        fmt = "\n".join(["|".join(["{}"] * self.k)] * len(states))
-        return fmt.format(*states.ravel().tolist()).split("\n")
+        """Each stage-n state's counts joined by "|", in index order.
+
+        No count exceeds n, so each count's text is looked up in one list of
+        str(0..n), column by column, and the columns are joined row by row.
+        """
+        texts = [str(c) for c in range(n + 1)]
+        columns = [map(texts.__getitem__, col) for col in self.states(n).T.tolist()]
+        return list(map("|".join, zip(*columns)))
 
 
 def _next_stage(prev: np.ndarray, head: np.ndarray) -> np.ndarray:

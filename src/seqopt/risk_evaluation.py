@@ -9,8 +9,12 @@ arriving mass M (S, m) and the strategy's decision probabilities q (S, D)
     stop_dist[n]     = p @ M                      (m,) mass stopped per parameter
     block_n          = (q * p[:, None]).T @ M     (D, m) of it per decision
 
-and sends M * (1 - p) on to stage n+1. Everything else comes from those two
-after the pass:
+and sends M * (1 - p) on to stage n+1. The walk ends with its mass: at the
+first stage whose pushed and pruned mass is all zero, since every later stage
+would book exactly 0, and the mass arriving at the last stage is then zeros.
+Default Bayes decisions are read from the loss view stage by stage as the
+walk reaches them, so a rule that stops every history early builds no later
+stage. Everything else comes from those two after the pass:
 
     decision_probs   = (sum_n block_n).T          (m, D)
     loss_theta[t]    = sum_d decision_probs[t, d] * w[t, d]
@@ -33,7 +37,7 @@ from typing import IO
 
 import numpy as np
 
-from .bayes_decision import HistoryTable, _bayes_loss
+from .bayes_decision import HistoryTable, _bayes_loss, decision_dtype
 from .errors import SeqOptError
 from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
@@ -71,17 +75,10 @@ class DecisionStrategy:
         return self.decisions[n - 1]
 
     def stage_probs(self, n: int, d_count: int) -> np.ndarray:
-        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions.
-
-        The one-hot rows are booleans, the transposed view of a (D, S) array.
-        Up to 128 decisions, which every integer type holds, the indices are
-        compared in their own type: a comparison across types casts per call.
-        """
+        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions."""
         if self.probs is not None:
             return self.probs[n - 1]
-        dec = self.at(n)
-        kinds = np.arange(d_count, dtype=dec.dtype if d_count <= 128 else None)
-        return (dec == kinds[:, None]).T
+        return _one_hot(self.at(n), _kinds(d_count))
 
     def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
         """Copy with one decision index replaced; SeqOptError outside [0, D) where D is known."""
@@ -95,6 +92,20 @@ class DecisionStrategy:
         arrs = [a.copy() for a in self.decisions]
         arrs[n - 1][state] = decision
         return DecisionStrategy(arrs, d_count=d_count)
+
+
+def _kinds(d_count: int) -> np.ndarray:
+    """The decision indices 0..D-1 in the type of the Bayes decisions, for _one_hot."""
+    return np.arange(d_count, dtype=decision_dtype(d_count))
+
+
+def _one_hot(decisions: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+    """(S, D) one-hot booleans of (S,) decision indices: the transposed view of a (D, S) array.
+
+    Every strategy the package builds stores its indices in the kinds' type,
+    so they compare without a cast; a comparison across types casts per call.
+    """
+    return (decisions == kinds[:, None]).T
 
 
 @dataclass(eq=False)
@@ -263,11 +274,11 @@ def _forward(
     horizon = rule.horizon
     d_count = p.n_decisions
     _check_coverage(space, rule, decision, horizon, d_count)
-    if decision is None:
-        decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), horizon)
+    bayes = HistoryTable(p, rule.engine) if decision is None else None
 
     start = time.perf_counter()
     m = p.n_params
+    kinds = _kinds(d_count)
     stop_dist = np.zeros((horizon, m))
     blocks = np.zeros((d_count, m))  # mass stopped per (decision, parameter)
     mass = space.densities(1).copy()
@@ -277,21 +288,30 @@ def _forward(
         probs = rule.at(n)
         states += len(probs)
         stop_dist[n - 1] = probs @ mass
+        if bayes is not None:
+            q = _one_hot(bayes.stage(n).decision, kinds)
+        elif decision.probs is None:
+            q = _one_hot(decision.at(n), kinds)
+        else:
+            q = decision.probs[n - 1]
         # q * p[:, None], written through its (D, S) transpose: the state axis
         # innermost, and the (S, D) C-ordered operand BLAS always got.
         booked = np.empty((len(probs), d_count))
-        np.multiply(decision.stage_probs(n, d_count).T, probs, out=booked.T)
+        np.multiply(q.T, probs, out=booked.T)
         blocks += booked.T @ mass
-        if n < horizon:
-            mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
-            mass[mass < PRUNE_EPS] = 0.0
-        else:
+        if n == horizon:
             leftover = (mass * (1.0 - probs)[:, None]).sum(axis=0)
+            break
+        mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
+        mass[mass < PRUNE_EPS] = 0.0
+        if not np.count_nonzero(mass):  # every later stage would book 0
+            mass = np.zeros((space.n_states(horizon), m))
+            break
     by_theta = np.ascontiguousarray(blocks.T)
     loss_theta = (by_theta * p.loss.w).sum(axis=1)
     # A pmf row may sum to 1 + 2^-52, and a decision's probability with it.
     decision_probs = by_theta.clip(0.0, 1.0)
-    stats = {"forward_s": time.perf_counter() - start, "stages": horizon, "states": states}
+    stats = {"forward_s": time.perf_counter() - start, "stages": n, "states": states}
 
     stages = np.arange(1, horizon + 1, dtype=float)
     n_theta = stages @ stop_dist

@@ -33,7 +33,7 @@ from .errors import SeqOptError, UnreachableTargetsError
 from .histories import CountStateSpace, check_state_budget, state_space
 from .model import Problem
 from .risk_evaluation import DecisionStrategy, RiskReport, _forward
-from .stopping_policy import StoppingRule, reachable_sets, truncate_rule
+from .stopping_policy import StoppingRule, reachable_sets
 
 log = logging.getLogger(__name__)
 
@@ -212,12 +212,17 @@ def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     """sprt_operating_characteristics over a log-LR table from _llr_table."""
     start = time.perf_counter()
     rule, decision = _rule_from_llr(spec, table)
-    capped = truncate_rule(rule, spec.cap)
+    # The rule's stages are views of one fresh stop array: the cap stage's
+    # continuation is read, then the stage is set to stop, capping the rule.
+    last = rule.at(spec.cap)
+    go_on = 1.0 - last
+    last[:] = 1.0
+    capped = StoppingRule(rule.engine, rule.stop_probs, truncated=True)
     built = time.perf_counter()
     report, arrived = _forward(p, capped, decision)
     stats = {"rule_s": built - start, "forward_s": time.perf_counter() - built,
              "stages": report.stats["stages"], "states": report.stats["states"]}
-    tail = (arrived * (1.0 - rule.at(spec.cap))[:, None]).sum(axis=0)
+    tail = (arrived * go_on[:, None]).sum(axis=0)
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
     beta = float(report.decision_probs[j, 0])

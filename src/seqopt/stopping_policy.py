@@ -14,12 +14,15 @@ rule alone, not on the model.
 from __future__ import annotations
 
 import csv
+import io
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import IO
 
 import numpy as np
 
-from .backward_induction import ValueTables, _reprs, _write_rows
+from .backward_induction import VALUES_HEADER, ValueTables, _reprs, _write_rows
 from .errors import SeqOptError
 from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
@@ -80,13 +83,60 @@ def write_rule_csv(
     the state's decision probabilities, one column decision_prob_<d> per
     decision index. The bytes are those of csv.writer (CRLF line ends,
     comma-bearing labels quoted); each stage is written as one block of text.
+    Each distinct probability of a stage's column is formatted once; values
+    are told apart by their bits, so -0.0 keeps its own text.
     """
     d_count = 0 if decision_probs is None else decision_probs[0].shape[1]
-    header = ["engine", "stage", "state", "stop_prob"]
-    fh.write(",".join(header + [f"{DECISION_PROB}{d}" for d in range(d_count)]) + "\r\n")
+    fh.write(_rule_header(d_count))
     for n in range(1, rule.horizon + 1):
-        extra = [_reprs(decision_probs[n - 1][:, d]) for d in range(d_count)]
-        _write_rows(fh, f"{rule.engine},{n},", space.labels(n), _reprs(rule.at(n)), *extra)
+        _write_rule_stage(fh, rule, n, space.labels(n), decision_probs)
+
+
+def _rule_header(d_count: int) -> str:
+    header = ["engine", "stage", "state", "stop_prob"]
+    return ",".join(header + [f"{DECISION_PROB}{d}" for d in range(d_count)]) + "\r\n"
+
+
+def _write_rule_stage(
+    fh: IO[str],
+    rule: StoppingRule,
+    n: int,
+    labels: list[str],
+    decision_probs: list[np.ndarray] | None = None,
+) -> None:
+    """write_rule_csv's rows of stage n, given the stage's labels(n)."""
+    extra = [] if decision_probs is None else list(map(_distinct_reprs, decision_probs[n - 1].T))
+    _write_rows(fh, f"{rule.engine},{n},", labels, _distinct_reprs(rule.at(n)), *extra)
+
+
+def _distinct_reprs(values: np.ndarray) -> list[str]:
+    """repr(float(v)) for each entry of values, each distinct bit pattern formatted once.
+
+    A dict, not np.unique: its sort kernels would add their code to the peak
+    memory of every process that writes a rule.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.uint64).tolist()
+    distinct = list(dict.fromkeys(bits))
+    texts = dict(zip(distinct, _reprs(np.array(distinct, dtype=np.uint64).view(float))))
+    return list(map(texts.__getitem__, bits))
+
+
+def _write_solve_csvs(
+    values_fh: IO[str], rule_fh: IO[str], tables: ValueTables, rule: StoppingRule
+) -> None:
+    """tables.to_csv into values_fh and rule.to_csv into rule_fh, stage by stage.
+
+    Each stage's labels are built once for both files, and dropped before the
+    next stage's; the bytes are those of the two writers. rule is
+    extract_rule(tables), which covers the tables' stages.
+    """
+    values_fh.write(VALUES_HEADER)
+    rule_fh.write(_rule_header(0))
+    for n in range(tables.horizon + 1):
+        labels = tables.table.space.labels(n)
+        tables._write_stage(values_fh, n, labels)
+        if n:
+            _write_rule_stage(rule_fh, rule, n, labels)
 
 
 def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:
@@ -101,27 +151,33 @@ def read_rule_csv(
 
     The decision probabilities (per stage an (S, D) array, as write_rule_csv
     takes them) are None for a file without decision_prob_<d> columns. Each
-    row's label is looked up among its stage's labels(n), so rows may come
-    in any order.
+    stage's rows are matched to its labels(n), so rows may come in any order.
+    Each distinct text of a column is converted once, and rows are handled a
+    column at a time (see _csv_columns), with no Python work per row.
 
-    Errors come in this order. A stage past the state budget raises
+    Errors, all SeqOptError, come in this order. A file that is not CSV text
+    raises first. A stage that does not read as an integer raises, naming
+    its row (counted from 1 below the header, blank lines skipped) and
+    column, as does any cell below. A stage past the state budget raises
     BudgetExceededError. Then the first stage with fewer rows than states
     raises, whatever rows come before it, and then the first row that repeats
     an earlier row's stage and label. None of these builds a stage. Then rows
-    are checked in file order, and the first offending one raises. A stage
-    with more rows than states thus raises as a repeat or an unknown state.
+    are checked in file order, and the first offending one raises: a stop
+    probability that does not read as a number, then one outside [0, 1], or
+    an unknown state. A stage with more rows than states thus raises as a
+    repeat or an unknown state. Decision cells are read last, in file order.
     """
-    reader = csv.reader(fh)
-    header = next(reader, [])
-    rows = [r for r in reader if r]
-    if not rows:
+    try:
+        header, widths, columns = _csv_columns(fh.read())
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise SeqOptError(f"rule file is not CSV text: {e}") from None
+    if not widths:
         raise SeqOptError("empty rule file")
     fields = ("engine", "stage", "state", "stop_prob")
-    if not set(fields) <= set(header) or set(map(len, rows)) != {len(header)}:
+    if not set(fields) <= set(header) or widths != {len(header)}:
         raise SeqOptError(f"rule file needs the columns {fields} in every row")
-    columns = list(zip(*rows))
 
-    def column(name: str) -> tuple[str, ...]:
+    def column(name: str) -> Sequence[str]:
         return columns[header.index(name)]
 
     engines = set(column("engine"))
@@ -129,7 +185,7 @@ def read_rule_csv(
         raise SeqOptError(f"rule file mixes engines: {sorted(engines)}")
     engine = engines.pop()
     space = state_space(problem, engine)
-    stages = np.array(column("stage"), dtype=np.int64)  # raises as int() would
+    stages = _read_cells([column("stage")], ["stage"], np.int64)[0]
     labels = column("state")
     horizon = max(int(stages.max()), 0)
     check_state_budget(space, horizon)  # before any stage is built or sized
@@ -137,28 +193,39 @@ def read_rule_csv(
     short = np.bincount(stages[stages >= 1], minlength=horizon + 1)[1:] < sizes
     if short.any():
         raise SeqOptError(f"rule file leaves stage {int(np.argmax(short)) + 1} states undefined")
-    keys = list(zip(stages.tolist(), labels))
-    if len(set(keys)) < len(keys):
-        first_seen = {}
-        i = next(i for i, key in enumerate(keys) if first_seen.setdefault(key, i) != i)
-        raise SeqOptError(f"rule file repeats state {labels[i]!r} at stage {stages[i]}")
-    # Each stage's rows look their labels up in the engine's own labels(n);
-    # unknown labels and stages below 1 keep index -1.
-    indices = np.full(len(rows), -1, dtype=np.int64)
-    by_stage = np.argsort(stages)
+    # Distinct labels make distinct (stage, label) keys, and no label names
+    # states of two stages, so a written file never builds the key set.
+    if len(set(labels)) < len(labels):
+        first_seen: dict = {}
+        keys = enumerate(zip(stages.tolist(), labels))
+        i = next((i for i, key in keys if first_seen.setdefault(key, i) != i), None)
+        if i is not None:
+            raise SeqOptError(f"rule file repeats state {labels[i]!r} at stage {stages[i]}")
+    # Each stage's rows take their labels' indices in the engine's own
+    # labels(n): at once where they list it in order, as written, else by
+    # lookup. Unknown labels and stages below 1 keep index -1.
+    indices = np.full(len(labels), -1, dtype=np.int64)
+    # A written file lists its stages in order, so its rows need no sort.
+    in_order = not (np.diff(stages) < 0).any()
+    by_stage = np.arange(len(stages)) if in_order else np.argsort(stages)
     starts = np.searchsorted(stages[by_stage], np.arange(1, horizon + 2))
+    in_file = np.array(labels, dtype=object)
     for n in range(1, horizon + 1):
         at_n = by_stage[starts[n - 1] : starts[n]]
-        index = dict(zip(space.labels(n), range(sizes[n - 1])))
-        indices[at_n] = [index.get(labels[i], -1) for i in at_n.tolist()]
+        mine, known = in_file[at_n].tolist(), space.labels(n)
+        if mine == known:
+            indices[at_n] = np.arange(sizes[n - 1])
+        else:
+            index = dict(zip(known, range(sizes[n - 1])))
+            indices[at_n] = list(map(index.get, mine, repeat(-1)))
     unknown = indices < 0
-    first = int(np.argmax(unknown)) if unknown.any() else len(rows)
-    # Only rows above the first unknown state are parsed, so errors keep file order.
-    values = np.array(column("stop_prob")[:first], dtype=float)  # raises as float() would
+    first = int(np.argmax(unknown)) if unknown.any() else len(labels)
+    # Only rows above the first unknown state are read, so errors keep file order.
+    values = _read_cells([column("stop_prob")[:first]], ["stop_prob"], float)[0]
     outside = _bad_probs(values)
     if outside.any():
         raise SeqOptError(f"stop probability {float(values[np.argmax(outside)])} outside [0, 1]")
-    if first < len(rows):
+    if first < len(labels):
         raise SeqOptError(
             f"rule references unknown state {labels[first]!r} at stage {stages[first]}"
         )
@@ -177,7 +244,7 @@ def read_rule_csv(
         raise SeqOptError(
             f"rule file's decision columns must be {DECISION_PROB}0..{DECISION_PROB}{d_count - 1}"
         )
-    q = np.array([column(h) for h in d_names], dtype=float).T  # (rows, D)
+    q = _read_cells([column(h) for h in d_names], d_names, float).T  # (rows, D)
     bad = _bad_probs(q)
     if bad.any():
         i = int(np.argmax(bad))
@@ -188,6 +255,52 @@ def read_rule_csv(
     table = np.empty((offsets[-1], d_count))
     table[at] = q
     return rule, np.split(table, offsets[1:-1])
+
+
+def _csv_columns(text: str) -> tuple[list[str], set[int], list[Sequence[str]]]:
+    """CSV text's header, the widths of its other rows and, if all have the
+    header's width, their columns, as csv.reader reads them; blank lines hold no row.
+
+    Without a quote character, CSV is text split at line ends, then at
+    commas, so such text is split so: its columns are slices of one list of
+    fields, with no list per row. Quoted text goes through csv.reader.
+    """
+    if '"' in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader, [])
+        rows = list(filter(None, reader))
+        return header, set(map(len, rows)), list(zip(*rows))
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    header = lines[0].split(",") if lines[0] else []
+    rows = list(filter(None, lines[1:]))
+    widths = {commas + 1 for commas in set(map(str.count, rows, repeat(",")))}
+    fields = ",".join(rows).split(",") if rows else []
+    return header, widths, [fields[j :: len(header)] for j in range(len(header))]
+
+
+def _read_cells(columns: list[Sequence[str]], names: list[str], dtype: type) -> np.ndarray:
+    """The cells of the named columns as dtype (np.int64 or float), shape (columns, rows).
+
+    Each column's distinct texts are read once each, as int() or float() reads
+    them. The first row holding a cell that does not read raises SeqOptError,
+    naming the row and its leftmost such column.
+    """
+    out, unread = [], []
+    for j, cells in enumerate(columns):
+        read = {}
+        for text in dict.fromkeys(cells):  # distinct texts, in order of first row
+            try:
+                read[text] = dtype(int(text) if dtype is np.int64 else float(text))
+            except (ValueError, OverflowError):
+                unread.append((cells.index(text), j, text))
+                break
+        else:
+            out.append(np.fromiter(map(read.__getitem__, cells), dtype, len(cells)))
+    if unread:
+        row, j, text = min(unread)
+        kind = "an integer" if dtype is np.int64 else "a number"
+        raise SeqOptError(f"rule file row {row + 1}, column {names[j]!r}: {text!r} is not {kind}")
+    return np.array(out)
 
 
 def _bad_probs(probs: np.ndarray) -> np.ndarray:

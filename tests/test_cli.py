@@ -445,3 +445,37 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "seqopt" in capsys.readouterr().out
+
+
+_RULE_HEAD = "engine,stage,state,stop_prob"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (f"{_RULE_HEAD}\ncounts,x,1|0,1.0\ncounts,1,0|1,1.0\n",
+         "rule file row 1, column 'stage': 'x' is not an integer"),
+        (f"{_RULE_HEAD}\ncounts,1,1|0,1.0\ncounts,1,0|1,abc\n",
+         "rule file row 2, column 'stop_prob': 'abc' is not a number"),
+        (f"{_RULE_HEAD},decision_prob_0,decision_prob_1\n"
+         "counts,1,1|0,1.0,1.0,0.0\ncounts,1,0|1,1.0,x,1.0\n",
+         "rule file row 2, column 'decision_prob_0': 'x' is not a number"),
+        (f"{_RULE_HEAD}\ncounts,1,1|0,1.0\n".encode() + b"counts,1,0|1,\xff\n",
+         "rule file is not CSV text"),
+    ],
+    ids=["stage", "stop_prob", "decision", "undecodable"],
+)
+def test_malformed_rule_cells_exit_2(tmp_path, capsys, command, content, message):
+    # Each of these once ended in a ValueError or UnicodeDecodeError traceback, exit 1.
+    rule = tmp_path / "rule.csv"
+    if isinstance(content, bytes):
+        rule.write_bytes(content)
+    else:
+        rule.write_text(content)
+    extra = ["--reps", "10", "--seed", "1"] if command == "simulate" else []
+    code, _ = run(
+        capsys, "--out-root", str(tmp_path), command, SYMMETRIC, "--rule", str(rule), *extra
+    )
+    assert code == 2
+    assert f"error: {message}" in run.err

@@ -8,6 +8,7 @@ order of the stopped mass and the terminal loss differs.
 
 import dataclasses
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
+from seqopt.bayes_decision import HistoryTable
 from seqopt.histories import push_forward, state_space
 from seqopt.lagrange import _mixture, _Pack
 from seqopt.model import ObservationModel
 from seqopt.risk_evaluation import _forward
+from seqopt.stopping_policy import reachable_sets
 
 from oracle import reference_forward, scatter_push
 
@@ -198,13 +201,73 @@ def test_capped_sprt_matches_the_mask_loop(k, cap, a, b, seed):
     assert _bits(got_mass) == _bits(want_mass)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind_k=st.one_of(
+        st.tuples(st.just("counts"), st.integers(2, 4)),
+        st.tuples(st.sampled_from(["tree_iid", "markov"]), st.integers(2, 3)),
+    ),
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    horizon_stop=st.integers(2, 6).flatmap(
+        lambda h: st.tuples(st.just(h), st.integers(1, h - 1))
+    ),
+    strategy=st.sampled_from(["bayes", "deterministic", "randomized"]),
+    truncated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_walk_ends_with_its_mass(kind_k, m, d, horizon_stop, strategy, truncated, seed):
+    # A rule that stops every history by stage k < horizon: the pass walks no
+    # stage past k, yet books what the mask loop books over every stage.
+    kind, k = kind_k
+    horizon, stop_at = horizon_stop
+    rng = np.random.default_rng(seed)
+    if kind != "counts":
+        horizon = min(horizon, 6 if k == 2 else 4)
+        stop_at = min(stop_at, horizon - 1)
+    p = _problem(rng, kind, k, m, d, groups=True)  # fresh pmf and loss: a cold loss view
+    engine = _engine(kind)
+    space = state_space(p, engine)
+    rule = _random_rule(rng, space, engine, horizon, truncated)
+    rule.stop_probs[stop_at - 1] = np.ones(space.n_states(stop_at))
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    decision = None
+    if strategy == "deterministic":
+        decision = so.DecisionStrategy([rng.integers(0, d, size=s) for s in sizes])
+    elif strategy == "randomized":
+        probs = _random_probs(rng, space, horizon, d)
+        decision = so.DecisionStrategy([q.argmax(axis=1) for q in probs], probs)
+    lam = rng.uniform(0.0, 5.0, size=2) if p.constraints is not None else None
+    built = []
+    build = HistoryTable._build_stage
+
+    def counted(self, n):
+        built.append(n)
+        return build(self, n)
+
+    with mock.patch.object(HistoryTable, "_build_stage", counted):
+        got, got_mass = _forward(p, rule, decision, lam)  # evaluate's pass, with its mass
+    assert max(built, default=0) <= stop_at
+    assert built == ([] if decision is not None else list(range(1, len(built) + 1)))
+    assert got.stats["stages"] <= stop_at
+    assert got.stats["states"] == sum(sizes[: got.stats["stages"]])
+    assert got_mass.shape == (sizes[-1], p.n_params) and not got_mass.any()
+    want, want_mass = reference_forward(p, rule, decision, lam)
+    _assert_same_report(got, want)
+    assert _bits(got_mass) == _bits(want_mass)
+
+
 def test_stats_describe_the_pass_and_stay_out_of_outputs(symmetric):
     rule = so.extract_rule(so.solve_truncated(symmetric, 6))
     rep = so.evaluate(symmetric, rule)
     assert set(rep.stats) == {"forward_s", "stages", "states"}
     assert rep.stats["forward_s"] >= 0.0
-    assert rep.stats["stages"] == 6
-    assert rep.stats["states"] == sum(n + 1 for n in range(1, 7))  # K=2 count states
+    # The rule stops every history by stage 5: no stage-6 state is reachable,
+    # so the pass walks stages 1..5 of the 6 it covers.
+    reach = reachable_sets(rule, state_space(symmetric))
+    assert [bool(r.any()) for r in reach] == [True] * 5 + [False]
+    assert rep.stats["stages"] == 5
+    assert rep.stats["states"] == sum(n + 1 for n in range(1, 6))  # K=2 count states
     assert "stats" not in rep.to_dict()
     assert "stats" not in repr(rep)
 

@@ -340,16 +340,19 @@ def test_rule_csv_matches_row_by_row_writer(engine, k, horizon):
 
 
 # Floats the writers must spell exactly as repr does: signed zeros, infinities,
-# NaN, subnormals and both ends of the exponent range.
-_SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e300, 1e-300]
+# NaN, subnormals, both ends of the exponent range and the two ends of repr's
+# positional notation (1e-05 and 1e+16 switch to exponents).
+_SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 1e300, 1e-300, 1e-05, 1e16,
+]
 # A NaN of another payload: the value column must still pick its side by bits.
 _NAN_PAYLOAD = float(np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0])
 
 
-def _stage_floats(rng, palette, size):
+def _stage_floats(rng, palette, size, fresh_frac=0.5):
     """Special floats and the palette's, or random magnitudes across the exponent range."""
     out = rng.choice(np.array(_SPECIAL_FLOATS + palette + [_NAN_PAYLOAD]), size)
-    fresh = rng.random(size) < 0.5
+    fresh = rng.random(size) < fresh_frac
     out[fresh] = rng.standard_normal(fresh.sum()) * 10.0 ** rng.integers(-300, 300, fresh.sum())
     return out
 
@@ -362,9 +365,14 @@ def _stage_floats(rng, palette, size):
     ),
     palette=st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=6),
     d_count=st.integers(0, 3),
+    fresh_frac=st.sampled_from([0.0, 0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count, seed):
+@example(  # every value repeated, -0.0 beside 0.0: the rule writer formats by bits
+    engine_k_horizon=("counts", 3, 7), palette=[-0.0, 5e-324, 1e-05, 1e16, 1e-05, -0.0],
+    d_count=2, fresh_frac=0.0, seed=3,
+)
+def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count, fresh_frac, seed):
     engine, k, horizon = engine_k_horizon
     rng = np.random.default_rng(seed)
     p = so.iid_problem(np.full((2, k), 1.0 / k), so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
@@ -378,10 +386,14 @@ def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count
     tables.to_csv(buf)
     assert buf.getvalue() == reference_values_csv(tables)
 
-    rule = so.StoppingRule(engine, [_stage_floats(rng, palette, s) for s in sizes[1:]], True)
+    stage_probs = [_stage_floats(rng, palette, s, fresh_frac) for s in sizes[1:]]
+    rule = so.StoppingRule(engine, stage_probs, True)
     probs = None
     if d_count:
-        probs = [_stage_floats(rng, palette, s * d_count).reshape(s, d_count) for s in sizes[1:]]
+        probs = [
+            _stage_floats(rng, palette, s * d_count, fresh_frac).reshape(s, d_count)
+            for s in sizes[1:]
+        ]
     buf = io.StringIO()
     write_rule_csv(buf, rule, space, probs)
     assert buf.getvalue() == reference_rule_csv(rule, space, probs)
@@ -465,6 +477,57 @@ def test_rule_csv_reports_the_first_offending_row(instance_b):
         so.rule_from_csv(io.StringIO(text), instance_b)
 
 
+_HEAD = "engine,stage,state,stop_prob"
+_HEAD_D = _HEAD + ",decision_prob_0,decision_prob_1"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # A stage that does not read names its row, ahead of a later short stage.
+        (f"{_HEAD}\ncounts,1,1|0,1.0\ncounts,x,0|1,1.0\ncounts,2,2|0,1.0\n",
+         "rule file row 2, column 'stage': 'x' is not an integer"),
+        (f"{_HEAD}\ncounts,1,1|0,1.0\ncounts,1.0,0|1,1.0\n",
+         "rule file row 2, column 'stage': '1.0' is not an integer"),
+        (f"{_HEAD}\ncounts,99999999999999999999,1|0,1.0\n",
+         "rule file row 1, column 'stage': '99999999999999999999' is not an integer"),
+        # A stop probability that does not read comes before a later one outside [0, 1] ...
+        (f"{_HEAD}\ncounts,1,1|0,abc\ncounts,1,0|1,1.5\n",
+         "rule file row 1, column 'stop_prob': 'abc' is not a number"),
+        # ... and after an earlier one, and after an unknown state above it.
+        (f"{_HEAD}\ncounts,1,1|0,1.5\ncounts,1,0|1,abc\n",
+         "rule file row 2, column 'stop_prob': 'abc' is not a number"),
+        (f"{_HEAD}\ncounts,1,9|9,1.0\ncounts,1,0|1,abc\ncounts,1,1|0,1.0\n",
+         "unknown state '9|9' at stage 1"),
+        # The first row with a cell that does not read, at its leftmost such column.
+        (f"{_HEAD_D}\ncounts,1,1|0,1.0,1.0,y\ncounts,1,0|1,1.0,x,z\n",
+         "rule file row 1, column 'decision_prob_1': 'y' is not a number"),
+        (f"{_HEAD_D}\ncounts,1,1|0,1.0,1.0,0.0\ncounts,1,0|1,1.0,x,z\n",
+         "rule file row 2, column 'decision_prob_0': 'x' is not a number"),
+        # Decision cells are read after every stop probability is checked.
+        (f"{_HEAD_D}\ncounts,1,1|0,1.0,x,0.0\ncounts,1,0|1,2.0,0.0,1.0\n",
+         "stop probability 2.0 outside [0, 1]"),
+        # Quoted text reads as csv.reader reads it.
+        (f'{_HEAD}\n"counts","1","1|0","1.0"\n"counts","1","0|1","one"\n',
+         "rule file row 2, column 'stop_prob': 'one' is not a number"),
+    ],
+    ids=["stage", "stage-float", "stage-overflow", "prob-first", "prob-second",
+         "unknown-state-first", "decision-leftmost", "decision-first-row", "decision-last",
+         "quoted"],
+)
+def test_rule_csv_names_the_first_unreadable_cell(instance_b, text, message):
+    with pytest.raises(so.SeqOptError, match=re.escape(message)):
+        read_rule_csv(io.StringIO(text), instance_b)
+
+
+def test_rule_csv_that_is_not_text_raises(instance_b, tmp_path):
+    path = tmp_path / "rule.csv"
+    path.write_bytes(f"{_HEAD}\ncounts,1,1|0,1.0\n".encode() + b"counts,1,0|1,\xff\n")
+    with open(path, encoding="utf-8") as fh:
+        with pytest.raises(so.SeqOptError, match="rule file is not CSV text"):
+            read_rule_csv(fh, instance_b)
+
+
 @pytest.mark.parametrize(
     "row", ["counts,3000,3000|0,1.0", 'tree,40,"' + ",".join(["0"] * 40) + '",1.0'],
     ids=["counts", "tree"],
@@ -535,10 +598,13 @@ def _corrupt(label: str, sep: str, k: int, pick: int) -> str:
     ),
     decisions=st.booleans(),
     pick=st.integers(0, 3),
+    # Quote-free text is split, quoted text goes through csv.reader: both read alike.
+    quoting=st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]),
+    eol=st.sampled_from(["\r\n", "\n", "\r"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rule_csv_reads_shuffled_rows_and_names_a_corrupt_label(
-    engine_k_horizon, decisions, pick, seed
+    engine_k_horizon, decisions, pick, quoting, eol, seed
 ):
     engine, k, horizon = engine_k_horizon
     rng = np.random.default_rng(seed)
@@ -556,8 +622,8 @@ def test_rule_csv_reads_shuffled_rows_and_names_a_corrupt_label(
     rows = [rows[i] for i in rng.permutation(len(rows))]
 
     def read(body):
-        out = io.StringIO()
-        csv.writer(out).writerows([header] + body)
+        out = io.StringIO(newline="")
+        csv.writer(out, quoting=quoting, lineterminator=eol).writerows([header] + body)
         out.seek(0)
         return read_rule_csv(out, p)
 
