@@ -8,10 +8,14 @@ outputs to a content-addressed directory under --out-root (default ./out):
     seqopt search config.json --targets 0.18,0.045 --mode lagrange
     seqopt simulate config.json --rule rule.csv --reps 100000 --seed 7
 
-The output directory name is <command>-<first 12 hex of a sha256> where the
-hash covers the config bytes and the parameters that affect the result, so
-identical invocations land in the same place and can be diffed byte for byte.
-manifest.json lists what was written; it carries no timestamps.
+Each input (the config, and the --rule file of evaluate and simulate) is
+read once, hashed and parsed as read. The output directory name is
+<command>-<first 12 hex of a sha256> where the hash covers the config bytes
+and the parameters that affect the result, so identical invocations land in
+the same place and can be diffed byte for byte. It is made with the first
+output, once the command has computed its results, so a command that fails
+leaves none. manifest.json lists each output as it is opened; it carries no
+timestamps. search writes the capped ratio test its OCs were evaluated from.
 
 Exit codes: 0 success, 2 invalid config or problem, 3 infeasible or
 unreachable targets, 4 budget exceeded, 5 finished but flagged (simulation
@@ -24,10 +28,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -42,18 +48,16 @@ from .errors import (
     SeqOptError,
     UnreachableTargetsError,
 )
-from .histories import StateSpace, state_space
+from .histories import state_space
 from .lagrange import SearchConfig, match_constraints
-from .model import Problem
 from .monte_carlo import SimConfig, simulate
 from .risk_evaluation import DecisionStrategy, evaluate
-from .sprt import match_sprt_errors, sprt_operating_characteristics, sprt_rule
+from .sprt import match_sprt_errors, sprt_operating_characteristics
 from .stopping_policy import (
     StoppingRule,
     _write_solve_csvs,
     extract_rule,
     read_rule_csv,
-    truncate_rule,
     write_rule_csv,
 )
 
@@ -69,35 +73,75 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _dump_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
-    )
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
 
 
-def _run_dir(args: argparse.Namespace, config_bytes: bytes, params: dict) -> tuple[Path, str]:
-    config_sha = hashlib.sha256(config_bytes).hexdigest()
-    key = hashlib.sha256(
-        json.dumps({"config": config_sha, "params": params}, sort_keys=True).encode()
-    ).hexdigest()[:12]
-    root = Path(args.out_root)
-    return root / f"{args.command}-{key}", config_sha
+class _Run:
+    """One command's run: its inputs, each read once, and its output directory.
 
+    The directory's key hashes the config bytes and `params`, which are set
+    before the first output is opened. The first output opened makes the
+    directory; each output joins the manifest as it is opened, and main
+    writes the manifest once the command has returned.
+    """
 
-def _finish(
-    out_dir: Path, command: str, config_sha: str, params: dict, outputs: list[str]
-) -> None:
-    manifest = {
-        "command": command,
-        "config_sha256": config_sha,
-        "parameters": params,
-        "version": __version__,
-        "outputs": sorted(outputs),
-    }
-    tmp = out_dir / "manifest.json.tmp"
-    _dump_json(tmp, manifest)
-    os.replace(tmp, out_dir / "manifest.json")
-    print(out_dir)
+    def __init__(self, args: argparse.Namespace):
+        self.args = args
+        config = Path(args.config).read_bytes()
+        self.config_sha = hashlib.sha256(config).hexdigest()
+        self.problem = load_problem(config)
+        self.params: dict = {}
+        self.outputs: list[str] = []
+        self._dir: Path | None = None
+
+    def read_rule(self) -> tuple[StoppingRule, DecisionStrategy | None]:
+        """The --rule file's rule and decision strategy (or None), decoded as open() decodes."""
+        data = Path(self.args.rule).read_bytes()
+        self.params["rule_sha256"] = hashlib.sha256(data).hexdigest()
+        p = self.problem
+        rule, probs = read_rule_csv(io.TextIOWrapper(io.BytesIO(data)), p)
+        if probs is None:
+            return rule, None
+        dtype = decision_dtype(p.n_decisions)
+        return rule, DecisionStrategy([q.argmax(axis=1).astype(dtype) for q in probs], probs)
+
+    def open(self, name: str) -> IO[str]:
+        """Output `name`, opened for writing in the run directory, made if need be."""
+        if self._dir is None:
+            key = hashlib.sha256(
+                json.dumps({"config": self.config_sha, "params": self.params},
+                           sort_keys=True).encode()
+            ).hexdigest()[:12]
+            self._dir = Path(self.args.out_root) / f"{self.args.command}-{key}"
+            self._dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return open(self._dir / name, "w")
+
+    def write_json(self, name: str, payload) -> None:
+        with self.open(name) as fh:
+            fh.write(_json_text(payload))
+
+    def write_rule(self, name: str, rule: StoppingRule, decision: DecisionStrategy) -> None:
+        """A rule file that also carries the decision strategy the rule was evaluated with."""
+        p = self.problem
+        probs = [decision.stage_probs(n, p.n_decisions) for n in range(1, rule.horizon + 1)]
+        with self.open(name) as fh:
+            write_rule_csv(fh, rule, state_space(p, rule.engine), probs)
+
+    def finish(self) -> None:
+        """Write manifest.json, listing the outputs, and print the directory."""
+        manifest = {
+            "command": self.args.command,
+            "config_sha256": self.config_sha,
+            "parameters": self.params,
+            "version": __version__,
+            "outputs": sorted(self.outputs),
+        }
+        tmp = self._dir / "manifest.json.tmp"
+        tmp.write_text(_json_text(manifest))
+        os.replace(tmp, self._dir / "manifest.json")
+        print(self._dir)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -107,36 +151,9 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise ConfigError(f"{what} must be comma separated numbers, got {text!r}") from None
 
 
-def _write_rule(
-    path: Path, p: Problem, rule: StoppingRule, decision: DecisionStrategy, space: StateSpace
-) -> None:
-    """A rule file that also carries the decision strategy the rule was evaluated with."""
-    probs = [decision.stage_probs(n, p.n_decisions) for n in range(1, rule.horizon + 1)]
-    with open(path, "w") as fh:
-        write_rule_csv(fh, rule, space, probs)
-
-
-def _read_rule(path: str, p: Problem) -> tuple[StoppingRule, DecisionStrategy | None]:
-    """A rule file's rule and, if it carries one, its decision strategy."""
-    with open(path) as fh:
-        rule, probs = read_rule_csv(fh, p)
-    if probs is None:
-        return rule, None
-    dtype = decision_dtype(p.n_decisions)
-    return rule, DecisionStrategy([q.argmax(axis=1).astype(dtype) for q in probs], probs)
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    config_bytes = Path(args.config).read_bytes()
-    p = load_problem(args.config)
-    params = {
-        "horizon": args.horizon,
-        "tol": args.tol,
-        "cap": args.cap,
-        "engine": args.engine,
-    }
-    out_dir, config_sha = _run_dir(args, config_bytes, params)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _cmd_solve(run: _Run) -> int:
+    args, p = run.args, run.problem
+    run.params = {"horizon": args.horizon, "tol": args.tol, "cap": args.cap, "engine": args.engine}
     if args.horizon is None:
         tables = solve_limit(p, tol=args.tol, n_cap=args.cap, engine=args.engine)
     else:
@@ -144,7 +161,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     rule = extract_rule(tables)
     take, margin = should_take_observations(tables)
     report = evaluate(p, rule)
-    with open(out_dir / "values.csv", "w") as values_fh, open(out_dir / "rule.csv", "w") as rule_fh:
+    with run.open("values.csv") as values_fh, run.open("rule.csv") as rule_fh:
         _write_solve_csvs(values_fh, rule_fh, tables, rule)
     summary = {
         "q0": tables.q0,
@@ -158,8 +175,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "report": report.to_dict(),
         "self_check": _self_check(tables.q0, report.r),
     }
-    _dump_json(out_dir / "summary.json", summary)
-    _finish(out_dir, "solve", config_sha, params, ["values.csv", "rule.csv", "summary.json"])
+    run.write_json("summary.json", summary)
     return FLAGGED if tables.converged is False or summary["self_check"]["flagged"] else 0
 
 
@@ -169,28 +185,20 @@ def _self_check(q0: float, r: float) -> dict:
     return {"gap": gap, "flagged": bool(gap > SELF_CHECK_RTOL * max(1.0, abs(q0)))}
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    config_bytes = Path(args.config).read_bytes()
-    p = load_problem(args.config)
-    params = {"rule_sha256": hashlib.sha256(Path(args.rule).read_bytes()).hexdigest()}
-    out_dir, config_sha = _run_dir(args, config_bytes, params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rule, decision = _read_rule(args.rule, p)
-    report = evaluate(p, rule, decision)
-    _dump_json(out_dir / "report.json", report.to_dict())
-    with open(out_dir / "report.csv", "w") as fh:
+def _cmd_evaluate(run: _Run) -> int:
+    report = evaluate(run.problem, *run.read_rule())
+    run.write_json("report.json", report.to_dict())
+    with run.open("report.csv") as fh:
         report.to_csv(fh)
-    _finish(out_dir, "evaluate", config_sha, params, ["report.json", "report.csv"])
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    config_bytes = Path(args.config).read_bytes()
-    p = load_problem(args.config)
+def _cmd_search(run: _Run) -> int:
+    args, p = run.args, run.problem
     targets = _parse_floats(args.targets, "--targets")
     if args.compare and p.n_decisions != 2:
         raise ConfigError("--compare needs a two-decision loss for the ratio test")
-    params = {
+    run.params = {
         "targets": targets,
         "mode": args.mode,
         "horizon": args.horizon,
@@ -198,33 +206,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
         "compare": args.compare,
         "conservative": args.conservative,
     }
-    out_dir, config_sha = _run_dir(args, config_bytes, params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    flagged = False
 
     lag_result = None
     lag_report = None
     if args.mode == "lagrange" or args.compare:
-        cfg = SearchConfig(horizon=args.horizon)
-        lag_result = match_constraints(p, targets, cfg)
+        lag_result = match_constraints(p, targets, SearchConfig(horizon=args.horizon))
         lag_report = evaluate(p, lag_result.rule, lag_result.decision)
-        flagged = flagged or not lag_result.converged
         st = lag_result.stats
         print(f"lagrange: converged={lag_result.converged} gap={st['gap']:.3g} "
               f"lp_rounds={st['lp_rounds']} probes={st['probes']}", file=sys.stderr)
-        with open(out_dir / "trace.csv", "w") as fh:
-            k = len(lag_result.lam)
-            lam_cols = ",".join(f"lam_{i}" for i in range(k))
-            ach_cols = ",".join(f"achieved_{i}" for i in range(k))
-            fh.write(f"{lam_cols},{ach_cols},n_psi\n")
-            for row in lag_result.frontier_trace:
-                lam = ",".join(f"{v:.17g}" for v in row["lam"])
-                ach = ",".join(f"{v:.17g}" for v in row["achieved"])
-                fh.write(f"{lam},{ach},{row['n_psi']:.17g}\n")
-        space = state_space(p, lag_result.rule.engine)
-        _write_rule(out_dir / "rule.csv", p, lag_result.rule, lag_result.decision, space)
-        outputs += ["trace.csv", "rule.csv"]
 
     sprt_result = None
     if args.mode == "sprt" or args.compare:
@@ -240,14 +230,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
             conservative = args.conservative
         spec = match_sprt_errors(p, alpha_t, beta_t, cap=args.cap, conservative=conservative)
         sprt_result = sprt_operating_characteristics(p, spec)
-        name = "sprt_rule.csv" if args.compare else "rule.csv"
-        rule, decision = sprt_rule(p, spec)
-        space = state_space(p, "counts")
-        _write_rule(out_dir / name, p, truncate_rule(rule, spec.cap, space), decision, space)
-        outputs.append(name)
 
     result_payload: dict = {"mode": args.mode, "targets": targets}
     if lag_result is not None:
+        with run.open("trace.csv") as fh:
+            k = len(lag_result.lam)
+            lam_cols = ",".join(f"lam_{i}" for i in range(k))
+            ach_cols = ",".join(f"achieved_{i}" for i in range(k))
+            fh.write(f"{lam_cols},{ach_cols},n_psi\n")
+            for row in lag_result.frontier_trace:
+                lam = ",".join(f"{v:.17g}" for v in row["lam"])
+                ach = ",".join(f"{v:.17g}" for v in row["achieved"])
+                fh.write(f"{lam},{ach},{row['n_psi']:.17g}\n")
+        run.write_rule("rule.csv", lag_result.rule, lag_result.decision)
         result_payload["lagrange"] = {
             "lam": lag_result.lam.tolist(),
             "achieved": lag_result.achieved.tolist(),
@@ -257,12 +252,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "horizon": lag_result.horizon,
         }
     if sprt_result is not None:
+        name = "sprt_rule.csv" if args.compare else "rule.csv"
+        run.write_rule(name, sprt_result.rule, sprt_result.decision)
         result_payload["sprt"] = sprt_result.to_dict()
-    _dump_json(out_dir / "result.json", result_payload)
-    outputs.append("result.json")
+    run.write_json("result.json", result_payload)
 
-    if args.compare and lag_result is not None and sprt_result is not None:
-        with open(out_dir / "comparison.csv", "w") as fh:
+    if lag_result is not None and sprt_result is not None:
+        with run.open("comparison.csv") as fh:
             theta_cols = ",".join(f"e_tau_{lbl}" for lbl in p.params.labels)
             fh.write(f"method,alpha,beta,n_psi,{theta_cols}\n")
             la, lb = lag_report.error_probs
@@ -273,26 +269,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
             fh.write(
                 f"sprt,{sprt_result.alpha:.17g},{sprt_result.beta:.17g},{sp_n:.17g},{sp_taus}\n"
             )
-        outputs.append("comparison.csv")
 
-    _finish(out_dir, "search", config_sha, params, outputs)
-    return FLAGGED if flagged else 0
+    return FLAGGED if lag_result is not None and not lag_result.converged else 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    config_bytes = Path(args.config).read_bytes()
-    p = load_problem(args.config)
-    params = {
-        "rule_sha256": hashlib.sha256(Path(args.rule).read_bytes()).hexdigest(),
-        "reps": args.reps,
-        "seed": args.seed,
-        "theta_mode": args.theta_mode,
-        "cap": args.cap,
-        "trace": args.trace,
-    }
-    out_dir, config_sha = _run_dir(args, config_bytes, params)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rule, decision = _read_rule(args.rule, p)
+def _cmd_simulate(run: _Run) -> int:
+    args = run.args
+    rule, decision = run.read_rule()
     theta_mode: str | int = args.theta_mode
     if theta_mode not in ("pi1", "pi2"):
         try:
@@ -301,6 +284,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ConfigError(
                 f"--theta-mode must be pi1, pi2, or a parameter index, got {theta_mode!r}"
             ) from None
+    run.params.update(
+        reps=args.reps, seed=args.seed, theta_mode=args.theta_mode, cap=args.cap, trace=args.trace
+    )
     cap = args.cap if args.cap is not None else rule.horizon
     cfg = SimConfig(
         replications=args.reps,
@@ -309,14 +295,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         theta_mode=theta_mode,
         keep_trace=args.trace,
     )
-    result = simulate(p, rule, cfg, decision)
-    _dump_json(out_dir / "estimates.json", result.to_dict())
-    outputs = ["estimates.json"]
+    result = simulate(run.problem, rule, cfg, decision)
+    run.write_json("estimates.json", result.to_dict())
     if args.trace:
-        with open(out_dir / "trace.csv", "w") as fh:
+        with run.open("trace.csv") as fh:
             result.trace_to_csv(fh)
-        outputs.append("trace.csv")
-    _finish(out_dir, "simulate", config_sha, params, outputs)
     return FLAGGED if result.flagged else 0
 
 
@@ -372,7 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        run = _Run(args)
+        code = args.func(run)
+        run.finish()
+        return code
     except (SeqOptError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, (InfeasibleTargetsError, UnreachableTargetsError)):

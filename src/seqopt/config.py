@@ -69,17 +69,23 @@ def _as_matrix(value: Any, key: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def load_problem(source: str | Path | dict) -> Problem:
-    """Build and validate a Problem from a JSON file path or a parsed dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except OSError as e:
-            raise ConfigError(f"cannot read {source}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{source} is not valid JSON: {e}") from e
-    else:
-        doc = source
+def load_problem(source: str | Path | bytes | dict) -> Problem:
+    """Build and validate a Problem from a JSON file path, UTF-8 JSON bytes or a parsed dict.
+
+    A path's file is read as bytes and parsed as given bytes are. An unreadable
+    file, or bytes that are not UTF-8 JSON, raise ConfigError naming the path.
+    """
+    doc, name = source, "problem description"
+    try:
+        if isinstance(source, (str, Path)):
+            name = str(source)
+            source = Path(source).read_bytes()
+        if isinstance(source, bytes):
+            doc = json.loads(source.decode("utf-8"))
+    except OSError as e:
+        raise ConfigError(f"cannot read {name}: {e}") from e
+    except ValueError as e:  # a UnicodeDecodeError or a json.JSONDecodeError
+        raise ConfigError(f"{name} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("problem description must be a JSON object")
     version = doc.get("schema_version", SCHEMA_VERSION)

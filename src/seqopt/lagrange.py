@@ -375,7 +375,7 @@ def match_constraints(
     """Least expected sample size subject to group losses at most the targets.
 
     Column generation over (rule, decision) pairs; see the module docstring
-    for the contract. Raises InfeasibleTargetsError for targets <= 0 or below
+    for the contract. Raises InfeasibleTargetsError for targets < 0 or below
     the achievable frontier, SeqOptError for non-finite targets. A result with
     converged=False is the best mixture found; frontier_trace lists every
     probe and stats["gap"] its uncertified gap.
@@ -388,8 +388,8 @@ def match_constraints(
     t = np.asarray(targets, dtype=float)
     if not np.all(np.isfinite(t)):
         raise SeqOptError(f"targets must be finite, got {t.tolist()}")
-    if np.any(t <= 0):
-        raise InfeasibleTargetsError("targets must be > 0 (nonnegative losses cannot go below)")
+    if np.any(t < 0):
+        raise InfeasibleTargetsError("targets must be >= 0 (nonnegative losses cannot go below)")
     # Every probe's weighted problem shares p's observation model, so all of
     # them read one state space, kept alive by the columns' tables.
     search = _Search(p, cfg)

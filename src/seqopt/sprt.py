@@ -170,11 +170,12 @@ def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, Deci
 class SprtOC:
     """Exact operating characteristics of a capped ratio test.
 
-    `stats` describes the computation, not its result: "rule_s" (seconds
-    building the capped rule and decisions from the log-LR table),
-    "forward_s" (seconds in its forward pass), "stages" and "states" (walked
-    by that pass). It stays out of to_dict, so written outputs are
-    reproducible.
+    `rule` and `decision` are the capped test they were evaluated from, so
+    evaluate(p, rule, decision) gives `report`. `stats` describes the
+    computation, not its result: "rule_s" (seconds building the capped rule
+    and decisions from the log-LR table), "forward_s" (seconds in its forward
+    pass), "stages" and "states" (walked by that pass). It stays out of
+    to_dict, so written outputs are reproducible.
     """
 
     spec: SprtSpec
@@ -183,6 +184,8 @@ class SprtOC:
     e_tau: np.ndarray  # per parameter, cap stops included
     tail_theta: np.ndarray  # per-parameter mass force-stopped by the cap
     report: RiskReport
+    rule: StoppingRule
+    decision: DecisionStrategy
     stats: dict = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
@@ -226,7 +229,7 @@ def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
     i, j = spec.hypotheses
     alpha = float(report.decision_probs[i, 1])
     beta = float(report.decision_probs[j, 0])
-    return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, stats)
+    return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, capped, decision, stats)
 
 
 def _clear_gap(levels: np.ndarray, tops: np.ndarray, k: int, half: float) -> tuple[float, float]:

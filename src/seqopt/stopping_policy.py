@@ -57,12 +57,14 @@ class StoppingRule:
         return self.stop_probs[n - 1]
 
     def with_prob(self, n: int, state: int, value: float) -> "StoppingRule":
-        """Copy with one stop probability replaced; SeqOptError outside [0, 1] or NaN."""
+        """Copy with one stop probability replaced, truncated while its last stage
+        stops everywhere; SeqOptError outside [0, 1] or NaN."""
         if not 0.0 <= value <= 1.0:
             raise SeqOptError(f"stop probability {value!r} outside [0, 1]")
         probs = [a.copy() for a in self.stop_probs]
         probs[n - 1][state] = value
-        return StoppingRule(self.engine, probs, self.truncated, self.tie_states)
+        truncated = self.truncated and (n < self.horizon or value == 1.0)
+        return StoppingRule(self.engine, probs, truncated, self.tie_states)
 
     def to_csv(self, fh: IO[str], space: StateSpace) -> None:
         write_rule_csv(fh, self, space)

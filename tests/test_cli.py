@@ -1,6 +1,9 @@
 """End to end runs of the command line interface, checked through main()."""
 
+import builtins
+import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ import pytest
 import seqopt as so
 from seqopt.cli import _self_check, main
 from seqopt.histories import state_space
+from seqopt.stopping_policy import write_rule_csv
 
 from oracle import reference_rule_csv, reference_values_csv
 
@@ -479,3 +483,110 @@ def test_malformed_rule_cells_exit_2(tmp_path, capsys, command, content, message
     )
     assert code == 2
     assert f"error: {message}" in run.err
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    # A byte that is not UTF-8 once ended in a UnicodeDecodeError traceback, exit 1.
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'{"cost": "\xff"}')
+    code, _ = run(capsys, "--out-root", str(tmp_path / "out"), "solve", str(bad))
+    assert code == 2
+    assert "error: problem description is not valid JSON: 'utf-8' codec can't" in run.err
+    assert not (tmp_path / "out").exists()
+
+
+def _count_reads(monkeypatch) -> Counter:
+    """Opens for reading, by path, from the calls below (pathlib opens through io.open)."""
+    reads: Counter = Counter()
+    real_open = io.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wax+"):
+            reads[str(file)] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return reads
+
+
+def test_each_input_is_read_once(tmp_path, capsys, monkeypatch):
+    root = ("--out-root", str(tmp_path))
+    _, solve_dir = run(capsys, *root, "solve", TWO_CHANNEL, "--horizon", "2")
+    rule = str(solve_dir / "rule.csv")
+    commands = [
+        ("solve", TWO_CHANNEL, "--horizon", "3"),
+        ("search", TWO_CHANNEL, "--targets", "0.18,0.045", "--horizon", "2"),
+        ("evaluate", TWO_CHANNEL, "--rule", rule),
+        ("simulate", TWO_CHANNEL, "--rule", rule, "--reps", "20", "--seed", "1"),
+    ]
+    reads = _count_reads(monkeypatch)
+    for argv in commands:
+        reads.clear()
+        code, _ = run(capsys, *root, *argv)
+        assert code == 0
+        expected = {TWO_CHANNEL: 1, **({rule: 1} if "--rule" in argv else {})}
+        assert dict(reads) == expected, argv
+
+
+def test_manifest_lists_the_run_directory(tmp_path, capsys):
+    root = ("--out-root", str(tmp_path))
+    _, solve_dir = run(capsys, *root, "solve", TWO_CHANNEL, "--horizon", "2")
+    rule = str(solve_dir / "rule.csv")
+    dirs = [solve_dir]
+    for argv in [
+        ("evaluate", TWO_CHANNEL, "--rule", rule),
+        ("search", TWO_CHANNEL, "--targets", "0.18,0.045", "--horizon", "2", "--cap", "25",
+         "--compare"),
+        ("search", SYMMETRIC, "--targets", "0.05,0.05", "--mode", "sprt", "--cap", "30",
+         "--conservative"),
+        ("simulate", TWO_CHANNEL, "--rule", rule, "--reps", "50", "--seed", "3", "--trace"),
+    ]:
+        code, out_dir = run(capsys, *root, *argv)
+        assert code == 0
+        dirs.append(out_dir)
+    assert {d.name.split("-")[0] for d in dirs} == {"solve", "evaluate", "search", "simulate"}
+    for d in dirs:
+        outputs = json.loads((d / "manifest.json").read_text())["outputs"]
+        assert outputs == sorted(f.name for f in d.iterdir() if f.name != "manifest.json")
+    assert "comparison.csv" in json.loads((dirs[2] / "manifest.json").read_text())["outputs"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", TWO_CHANNEL, "--rule", "BAD"),
+        ("search", SYMMETRIC, "--targets", "0.05,0.05", "--mode", "sprt", "--cap", "0"),
+    ],
+    ids=["bad-rule-cell", "cap-0"],
+)
+def test_failed_command_leaves_no_directory(tmp_path, capsys, argv):
+    bad = tmp_path / "bad_rule.csv"
+    bad.write_text(f"{_RULE_HEAD}\ncounts,1,1|0,abc\ncounts,1,0|1,1.0\n")
+    argv = [str(bad) if a == "BAD" else a for a in argv]
+    code, _ = run(capsys, "--out-root", str(tmp_path / "out"), *argv)
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, targets, cap", [(SYMMETRIC, (0.05, 0.05), 50), (TWO_CHANNEL, (0.3, 0.3), 40)]
+)
+def test_sprt_rule_file_is_the_evaluated_ratio_test(tmp_path, capsys, config, targets, cap):
+    code, out_dir = run(
+        capsys, "--out-root", str(tmp_path), "search", config,
+        "--targets", ",".join(map(str, targets)), "--mode", "sprt", "--cap", str(cap),
+        "--conservative",
+    )
+    assert code == 0
+    p = so.load_problem(config)
+    spec = so.match_sprt_errors(p, *targets, cap=cap, conservative=True)
+    oc = so.sprt_operating_characteristics(p, spec)
+    assert so.evaluate(p, oc.rule, oc.decision).to_dict() == oc.report.to_dict()
+    # The referee: the uncapped test of sprt_rule, capped by truncate_rule.
+    space = state_space(p, "counts")
+    rule, decision = so.sprt_rule(p, spec)
+    probs = [decision.stage_probs(n, 2) for n in range(1, cap + 1)]
+    buf = io.StringIO(newline="")
+    write_rule_csv(buf, so.truncate_rule(rule, cap, space), space, probs)
+    assert (out_dir / "rule.csv").read_bytes() == buf.getvalue().encode()

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,23 @@ def test_unreadable_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(so.ConfigError, match="JSON"):
         load_problem(bad)
+
+
+def test_bytes_load_as_their_file_does(tmp_path):
+    data = (CONFIGS / "two_channel.json").read_bytes()
+    assert problem_to_dict(load_problem(data)) == problem_to_dict(
+        load_problem(CONFIGS / "two_channel.json")
+    )
+    # A byte that is not UTF-8 once raised a bare UnicodeDecodeError.
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'{"cost": "\xff"}')
+    not_utf8 = "is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+    with pytest.raises(so.ConfigError, match=re.escape(f"{bad} {not_utf8}")):
+        load_problem(bad)
+    with pytest.raises(so.ConfigError, match=f"problem description {not_utf8}"):
+        load_problem(bad.read_bytes())
+    with pytest.raises(so.ConfigError, match="problem description is not valid JSON"):
+        load_problem(b"{not json")
 
 
 def test_kernel_requires_root_pmf():

@@ -479,6 +479,17 @@ def test_match_at_the_sample_size_floor_is_not_dominated(k, m, n_groups, seed):
     assert oracle.verify_conditional_optimality(p, res, 3).ok
 
 
+def test_zero_target_that_rules_attain_converges():
+    # The second group's target is exactly 0; the match once refused every
+    # zero target as infeasible, though these rules attain it.
+    p, targets = _feasible_instance(3, 2, 1, 2, 1569714666)
+    assert targets[1] == 0.0
+    res = so.match_constraints(p, targets, so.SearchConfig(horizon=1))
+    assert res.converged and res.stats["gap"] <= 1e-12
+    assert np.all(res.achieved <= targets + 1e-12)
+    assert oracle.verify_conditional_optimality(p, res, 1).ok
+
+
 def test_singular_master_basis_is_a_typed_error():
     # Pivoting roundoff leaves this match's master LP at a basis that numpy
     # finds singular; its final solve raised numpy's LinAlgError.
@@ -556,7 +567,6 @@ def test_mixture_reads_the_decision_count_of_the_match_problem():
 def test_match_converges_on_feasible_targets(k, m, horizon, n_groups, seed):
     assume(n_groups <= m)
     p, targets = _feasible_instance(k, m, horizon, n_groups, seed)
-    assume(np.all(targets > 0))
     cfg = so.SearchConfig(horizon=horizon)
     res = so.match_constraints(p, targets, cfg)
     assert res.converged

@@ -50,6 +50,22 @@ def test_with_prob_refuses_a_value_outside_the_unit_interval(instance_b, value):
     assert rule.with_prob(1, 0, 0.25).at(1)[0] == 0.25
 
 
+def test_with_prob_keeps_truncated_only_while_the_last_stage_stops():
+    # Letting state 2|1 continue at the last stage once kept truncated=True,
+    # so truncate_rule extended the rule past the mass still running, and
+    # truncatability_diagnostic reported no reach beyond it.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    rule = so.extract_rule(so.solve_truncated(p, 3))
+    space = state_space(p, "counts")
+    assert rule.with_prob(2, 0, 0.5).truncated and rule.with_prob(3, 2, 1.0).truncated
+    running = rule.with_prob(3, space.index_of(3, (2, 1)), 0.0)
+    assert not running.truncated and not so.evaluate(p, running).r_finite
+    with pytest.raises(so.SeqOptError, match="cannot truncate at 5"):
+        so.truncate_rule(running, 5, space)
+    with pytest.raises(so.SeqOptError, match="rule undefined at stage 4"):
+        so.truncatability_diagnostic(p, running, [3, 4, 5])
+
+
 def test_exact_tie_gets_requested_probability():
     # with zero sampling cost, one observation after a 1 is exactly worthless
     p = so.iid_problem(
