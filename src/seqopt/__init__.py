@@ -47,7 +47,6 @@ from .model import (
 )
 from .monte_carlo import SimConfig, SimResult, simulate
 from .risk_evaluation import (
-    DecisionStrategy,
     RiskReport,
     TruncatabilityDiagnostic,
     evaluate,
@@ -64,6 +63,7 @@ from .sprt import (
     sprt_rule,
 )
 from .stopping_policy import (
+    DecisionStrategy,
     SandwichViolation,
     StoppingRule,
     extract_rule,

@@ -16,8 +16,9 @@ every procedure that stops by N. Comparing it with the stage-0 loss says
 whether observing at all is worth the cost.
 
 Horizon doubling ("limit mode") tracks cont[0] as N doubles and stops when the
-decrease falls below a tolerance; cont[0] is non-increasing in N, so the trace
-is a convergence diagnostic, not a heuristic.
+decrease falls below a tolerance. cont[0] is non-increasing in N, but a small
+decrease certifies nothing: two doublings can agree on a plateau far above the
+unbounded-horizon optimum, so the stop is a heuristic (see solve_limit).
 """
 
 from __future__ import annotations
@@ -171,6 +172,10 @@ def solve_limit(
     returns the last tables with converged=False; that is a flagged result,
     not a failure, since cont[0] decreases monotonically and the trace shows
     how far it got. Each doubling reuses the stages of the one before.
+
+    converged=True means only that two successive doublings agreed within
+    tol. It bounds no error: a plateau passes too. configs/symmetric.json
+    reports it at N=2 with q0 0.31, while N=256 gives q0 0.126108.
     """
     tables = solve_truncated(p, 1, engine)
     trace = [(1, tables.q0)]

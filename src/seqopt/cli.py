@@ -39,7 +39,6 @@ import numpy as np
 
 from . import __version__
 from .backward_induction import should_take_observations, solve_limit, solve_truncated
-from .bayes_decision import decision_dtype
 from .config import load_problem
 from .errors import (
     BudgetExceededError,
@@ -48,17 +47,16 @@ from .errors import (
     SeqOptError,
     UnreachableTargetsError,
 )
-from .histories import state_space
 from .lagrange import SearchConfig, match_constraints
 from .monte_carlo import SimConfig, simulate
-from .risk_evaluation import DecisionStrategy, evaluate
+from .risk_evaluation import evaluate
 from .sprt import match_sprt_errors, sprt_operating_characteristics
 from .stopping_policy import (
+    DecisionStrategy,
     StoppingRule,
     _write_solve_csvs,
     extract_rule,
-    read_rule_csv,
-    write_rule_csv,
+    rule_from_csv,
 )
 
 FLAGGED = 5
@@ -99,12 +97,7 @@ class _Run:
         """The --rule file's rule and decision strategy (or None), decoded as open() decodes."""
         data = Path(self.args.rule).read_bytes()
         self.params["rule_sha256"] = hashlib.sha256(data).hexdigest()
-        p = self.problem
-        rule, probs = read_rule_csv(io.TextIOWrapper(io.BytesIO(data)), p)
-        if probs is None:
-            return rule, None
-        dtype = decision_dtype(p.n_decisions)
-        return rule, DecisionStrategy([q.argmax(axis=1).astype(dtype) for q in probs], probs)
+        return rule_from_csv(io.TextIOWrapper(io.BytesIO(data)), self.problem)
 
     def open(self, name: str) -> IO[str]:
         """Output `name`, opened for writing in the run directory, made if need be."""
@@ -124,10 +117,8 @@ class _Run:
 
     def write_rule(self, name: str, rule: StoppingRule, decision: DecisionStrategy) -> None:
         """A rule file that also carries the decision strategy the rule was evaluated with."""
-        p = self.problem
-        probs = [decision.stage_probs(n, p.n_decisions) for n in range(1, rule.horizon + 1)]
         with self.open(name) as fh:
-            write_rule_csv(fh, rule, state_space(p, rule.engine), probs)
+            rule.to_csv(fh, self.problem, decision)
 
     def finish(self) -> None:
         """Write manifest.json, listing the outputs, and print the directory."""
@@ -208,10 +199,9 @@ def _cmd_search(run: _Run) -> int:
     }
 
     lag_result = None
-    lag_report = None
     if args.mode == "lagrange" or args.compare:
         lag_result = match_constraints(p, targets, SearchConfig(horizon=args.horizon))
-        lag_report = evaluate(p, lag_result.rule, lag_result.decision)
+        lag_report = lag_result.report
         st = lag_result.stats
         print(f"lagrange: converged={lag_result.converged} gap={st['gap']:.3g} "
               f"lp_rounds={st['lp_rounds']} probes={st['probes']}", file=sys.stderr)
@@ -315,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="backward induction values and the optimal rule")
     solve.add_argument("config")
     solve.add_argument("--horizon", type=int, help="truncation horizon; default: limit mode")
-    solve.add_argument("--tol", type=float, default=1e-10, help="limit mode tolerance")
+    solve.add_argument("--tol", type=float, default=1e-10,
+                       help="limit mode: stop once two successive horizon doublings agree "
+                       "within this (a plateau passes too: not an error bound)")
     solve.add_argument("--cap", type=int, default=256, help="limit mode horizon cap")
     solve.add_argument("--engine", default="auto", choices=["auto", "tree", "counts"])
     solve.set_defaults(func=_cmd_solve)

@@ -46,7 +46,8 @@ own simplex over its optimal face; at the sample-size floor every column can
 cost the same, and a basis of least cost may then mix columns that another
 column dominates.
 
-Each probe evaluates its own pair, and a mixture is evaluated once more.
+Each probe evaluates its own pair, and a mixture is evaluated once more;
+`MultiplierSearchResult.report` holds the returned pair's evaluation.
 `MultiplierSearchResult.stats` reports probes, LP solves (lp_rounds), the
 final gap, and the seconds spent solving, extracting, evaluating and in the
 LPs (lp_s); each probe is logged at DEBUG level.
@@ -67,8 +68,8 @@ from .bayes_decision import HistoryTable, decision_dtype
 from .errors import InfeasibleTargetsError, SeqOptError
 from .histories import StateSpace, push_forward
 from .model import Problem, with_loss
-from .risk_evaluation import DecisionStrategy, evaluate
-from .stopping_policy import StoppingRule, extract_rule, truncate_rule
+from .risk_evaluation import RiskReport, evaluate
+from .stopping_policy import DecisionStrategy, StoppingRule, extract_rule, truncate_rule
 
 log = logging.getLogger(__name__)
 
@@ -93,7 +94,9 @@ def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
 
     The identity multiplier vector (all ones, groups covering every parameter)
     returns an equivalent problem; doubling a group's multiplier doubles its
-    contribution to any loss functional.
+    contribution to any loss functional. The constraints stay p's: lam is in
+    the loss alone, so evaluate's Lagrangian of the weighted problem counts
+    it once, and under multipliers of 1 equals lagrangian(p, lam, ...).
     """
     if p.constraints is None:
         raise SeqOptError("weighted_problem needs constraint groups")
@@ -104,10 +107,7 @@ def weighted_problem(p: Problem, lam: Sequence[float]) -> Problem:
         raise SeqOptError(f"multipliers must be finite, got {list(multipliers)}")
     if any(l < 0 for l in multipliers):
         raise SeqOptError("multipliers must be >= 0")
-    return replace(
-        with_loss(p, _weighted_loss(p, multipliers)),
-        constraints=replace(p.constraints, multipliers=multipliers),
-    )
+    return with_loss(p, _weighted_loss(p, multipliers))
 
 
 def lagrangian(
@@ -145,6 +145,8 @@ class MultiplierSearchResult:
     horizon: int
     frontier_trace: list[dict] = field(default_factory=list)
     weighted: Problem | None = None
+    # evaluate(p, rule, decision) of the match problem, computed by the search
+    report: RiskReport | None = None
     # probes, lp_rounds (LP solves), gap (master value minus the last
     # pricing's bound), and seconds spent in solve, extract, evaluate and lp
     stats: dict = field(default_factory=dict)
@@ -155,8 +157,7 @@ class _Pack:
     table: HistoryTable  # the probe's weighted solve table
     rule: StoppingRule
     decision: DecisionStrategy
-    achieved: np.ndarray
-    n_psi: float
+    report: RiskReport  # the probe's pair under p; common_horizon's extension keeps it
     horizon: int
 
 
@@ -170,12 +171,12 @@ class _Search:
         self.stats: dict = {"probes": 0, "lp_rounds": 0, "gap": math.inf,
                             "solve_s": 0.0, "extract_s": 0.0, "evaluate_s": 0.0, "lp_s": 0.0}
 
-    def outcome(self, rule: StoppingRule, decision: DecisionStrategy) -> tuple[np.ndarray, float]:
-        """Group losses and n_psi of the pair, timed into evaluate_s."""
+    def outcome(self, rule: StoppingRule, decision: DecisionStrategy) -> RiskReport:
+        """The pair's report, timed into evaluate_s."""
         t0 = time.perf_counter()
         report = evaluate(self.p, rule, decision)
         self.stats["evaluate_s"] += time.perf_counter() - t0
-        return report.w_groups, report.n_psi
+        return report
 
     def solve_at(self, lam: np.ndarray) -> _Pack:
         """Probe: solve the weighted problem, extract its rule, record the outcome."""
@@ -191,14 +192,15 @@ class _Search:
         decision = DecisionStrategy.bayes(tables.table, tables.horizon)
         self.stats["solve_s"] += t1 - t0
         self.stats["extract_s"] += time.perf_counter() - t1
-        w_groups, n_psi = self.outcome(rule, decision)
+        report = self.outcome(rule, decision)
+        w_groups, n_psi = report.w_groups, report.n_psi
         self.stats["probes"] += 1
         self.trace.append({"lam": lam.tolist(), "achieved": w_groups.tolist(), "n_psi": n_psi})
         log.debug(
             "probe %d lam=%s horizon=%d achieved=%s n_psi=%r",
             self.stats["probes"], lam, tables.horizon, w_groups, n_psi,
         )
-        return _Pack(tables.table, rule, decision, w_groups, n_psi, tables.horizon)
+        return _Pack(tables.table, rule, decision, report, tables.horizon)
 
     def common_horizon(self, packs: list[_Pack]) -> list[_Pack]:
         """Extend every pack's rule (truncated) and decisions to the largest horizon.
@@ -232,8 +234,8 @@ class _Search:
         None when no mixture meets them. Among the cheapest mixtures, mu is one
         of least total group loss, from `_simplex`'s tie-break phase.
         """
-        w = np.array([pk.achieved for pk in cols]).T
-        cost = self.p.cost.c * np.array([pk.n_psi for pk in cols])
+        w = np.array([pk.report.w_groups for pk in cols]).T
+        cost = self.p.cost.c * np.array([pk.report.n_psi for pk in cols])
         if (res := self._lp(cost, w, targets, len(cols), w.sum(axis=0))) is None:
             return None
         value, mu, marginals = res
@@ -245,7 +247,7 @@ class _Search:
         The phase-I LP finds the mixture of least total excess sum_g s_g
         subject to sum_i mu_i W_i - s <= t and sum_i mu_i = 1.
         """
-        w = np.array([pk.achieved for pk in cols]).T
+        w = np.array([pk.report.w_groups for pk in cols]).T
         g, i = w.shape
         _, _, marginals = self._lp(
             np.r_[np.zeros(i), np.ones(g)], np.hstack([w, -np.eye(g)]), targets, i
@@ -396,11 +398,13 @@ def match_constraints(
     c = p.cost.c
 
     def bound(pk: _Pack, lam: np.ndarray) -> float:
-        return float(c * pk.n_psi + lam @ (pk.achieved - t))
+        return float(c * pk.report.n_psi + lam @ (pk.report.w_groups - t))
 
     def add(cols: list[_Pack], pk: _Pack) -> bool:
         """Append pk unless a column with its exact (n_psi, W) is there already."""
-        if any(pk.n_psi == q.n_psi and np.array_equal(pk.achieved, q.achieved) for q in cols):
+        new = pk.report
+        if any(new.n_psi == q.report.n_psi and np.array_equal(new.w_groups, q.report.w_groups)
+               for q in cols):
             return False
         cols.append(pk)
         return True
@@ -438,10 +442,11 @@ def match_constraints(
     active = search.common_horizon([pk for pk, on in zip(cols, keep) if on])
     pk = active[0]
     if len(active) == 1:
-        rule, decision, achieved, n_psi = pk.rule, pk.decision, pk.achieved, pk.n_psi
+        rule, decision, report = pk.rule, pk.decision, pk.report
     else:
         rule, decision = _mixture(pk.table.space, active, mu[keep] / mu[keep].sum(), p.n_decisions)
-        achieved, n_psi = search.outcome(rule, decision)
+        report = search.outcome(rule, decision)
+    achieved, n_psi = report.w_groups, report.n_psi
     tol = cfg.residual_tol
     converged = bool(
         abs(gap) <= gap_tol
@@ -460,5 +465,6 @@ def match_constraints(
         horizon=active[0].horizon,
         frontier_trace=search.trace,
         weighted=weighted_problem(p, lam),
+        report=report,
         stats=dict(search.stats),
     )

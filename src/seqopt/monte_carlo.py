@@ -32,13 +32,12 @@ replication's draws depend only on (seed, r), and estimates are plain means
 over the replication index, so results are bit-identical for a given (seed,
 replications) whatever the chunking. SimResult.stats reports the walk time,
 the chunk and Philox block counts and the replications still running at each
-stage; it stays out of to_dict and to_json.
+stage; it stays out of to_dict.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -48,11 +47,10 @@ import numpy as np
 
 from .errors import SeqOptError
 from .model import Problem
-from .risk_evaluation import DecisionStrategy, _check_coverage
 from .backward_induction import _reprs
 from .bayes_decision import HistoryTable
 from .histories import state_space
-from .stopping_policy import StoppingRule
+from .stopping_policy import DecisionStrategy, StoppingRule, _check_coverage
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 1 << 13  # replications walked together; memory is O(_CHUNK * K)
@@ -117,10 +115,6 @@ class SimResult:
             "flagged": self.flagged,
             "theta_freq": self.theta_freq.tolist(),
         }
-
-    def to_json(self, fh: IO[str]) -> None:
-        json.dump(self.to_dict(), fh, indent=2)
-        fh.write("\n")
 
     def trace_to_csv(self, fh: IO[str]) -> None:
         if self.trace is None:

@@ -1,4 +1,6 @@
-"""Exact evaluation of a stopping rule plus terminal decision strategy.
+"""Exact evaluation of a procedure: a stopping rule plus terminal decision
+strategy, both defined in `stopping_policy` with the check that they fit a
+state space (the strategy is re-exported here).
 
 The evaluator runs one forward pass over the state space, carrying the
 per-parameter measure of histories that are still unstopped (see
@@ -37,75 +39,12 @@ from typing import IO
 
 import numpy as np
 
-from .bayes_decision import HistoryTable, _bayes_loss, decision_dtype
+from .bayes_decision import HistoryTable, _bayes_loss
 from .errors import SeqOptError
-from .histories import StateSpace, check_state_budget, push_forward, state_space
+from .histories import check_state_budget, push_forward, state_space
 from .model import Problem
-from .stopping_policy import StoppingRule, _bad_probs
+from .stopping_policy import DecisionStrategy, StoppingRule, _check_coverage, _kinds, _one_hot
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
-
-
-@dataclass(eq=False)
-class DecisionStrategy:
-    """Terminal decision index per stage and state.
-
-    A randomized strategy also carries probs: per stage an (S, D) array of
-    decision probabilities per state, which evaluate and simulate then use
-    in place of decisions (kept as each state's likeliest decision).
-    """
-
-    decisions: list[np.ndarray]
-    probs: list[np.ndarray] | None = None
-    # The decision count D where the builder knows it (the Bayes and ratio-test
-    # strategies), so with_decision can refuse an index outside [0, D).
-    d_count: int | None = field(default=None, repr=False)
-
-    @classmethod
-    def bayes(cls, table: HistoryTable, horizon: int) -> "DecisionStrategy":
-        decisions = [table.stage(n).decision for n in range(1, horizon + 1)]
-        return cls(decisions, d_count=table.problem.n_decisions)
-
-    @property
-    def horizon(self) -> int:
-        return len(self.decisions)
-
-    def at(self, n: int) -> np.ndarray:
-        if not 1 <= n <= self.horizon:
-            raise IndexError(f"strategy covers stages 1..{self.horizon}, asked for {n}")
-        return self.decisions[n - 1]
-
-    def stage_probs(self, n: int, d_count: int) -> np.ndarray:
-        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions."""
-        if self.probs is not None:
-            return self.probs[n - 1]
-        return _one_hot(self.at(n), _kinds(d_count))
-
-    def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
-        """Copy with one decision index replaced; SeqOptError outside [0, D) where D is known."""
-        if self.probs is not None:
-            raise SeqOptError("with_decision needs a deterministic strategy")
-        d_count = self.d_count
-        if d_count is not None and not (
-            isinstance(decision, (int, np.integer)) and 0 <= decision < d_count
-        ):
-            raise SeqOptError(f"decision {decision!r} is not an index in [0, {d_count})")
-        arrs = [a.copy() for a in self.decisions]
-        arrs[n - 1][state] = decision
-        return DecisionStrategy(arrs, d_count=d_count)
-
-
-def _kinds(d_count: int) -> np.ndarray:
-    """The decision indices 0..D-1 in the type of the Bayes decisions, for _one_hot."""
-    return np.arange(d_count, dtype=decision_dtype(d_count))
-
-
-def _one_hot(decisions: np.ndarray, kinds: np.ndarray) -> np.ndarray:
-    """(S, D) one-hot booleans of (S,) decision indices: the transposed view of a (D, S) array.
-
-    Every strategy the package builds stores its indices in the kinds' type,
-    so they compare without a cast; a comparison across types casts per call.
-    """
-    return (decisions == kinds[:, None]).T
 
 
 @dataclass(eq=False)
@@ -213,54 +152,6 @@ def evaluate(
     live table of the problem (see bayes_decision), such as an extracted rule's.
     """
     return _forward(p, rule, decision, multipliers)[0]
-
-
-def _check_coverage(
-    space: StateSpace,
-    rule: StoppingRule,
-    decision: DecisionStrategy | None,
-    horizon: int,
-    d_count: int,
-) -> None:
-    """Raise SeqOptError unless the rule and the decisions fit stages 1..horizon.
-
-    Each decision stage must give an integer index in [0, d_count) per state;
-    stop probabilities and a randomized strategy's (S_n, d_count) probs must
-    be what a rule file may hold. Shape tests per stage, then one pass per bound.
-    """
-    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
-    for n, size in enumerate(sizes, start=1):
-        if size != len(rule.at(n)):
-            raise SeqOptError(f"rule stage {n} covers {len(rule.at(n))} states, problem has {size}")
-    # min and max take no per-state temporary, and a NaN fails them both.
-    stop = np.concatenate(rule.stop_probs[:horizon])
-    if not (stop.min() >= 0.0 and stop.max() <= 1.0):
-        n = next(n for n in range(1, horizon + 1) if _bad_probs(rule.at(n)).any())
-        raise SeqOptError(f"rule stage {n} has stop probabilities outside [0, 1]")
-    if decision is None:
-        return
-    decs = decision.decisions[:horizon]
-    probs = [] if decision.probs is None else decision.probs[:horizon]
-    if len(decs) < horizon or (decision.probs is not None and len(probs) < horizon):
-        raise SeqOptError("decision strategy does not cover the rule's horizon")
-    for n, (size, dec) in enumerate(zip(sizes, decs), start=1):
-        if np.shape(dec) != (size,):
-            raise SeqOptError(f"decision stage {n} covers {len(dec)} states, problem has {size}")
-    for n, (size, q) in enumerate(zip(sizes, probs), start=1):
-        if np.shape(q) != (size, d_count):
-            raise SeqOptError(
-                f"decision probabilities of stage {n} have shape {np.shape(q)}, "
-                f"expected {(size, d_count)}"
-            )
-    if probs and _bad_probs(np.concatenate(probs)).any():
-        n = next(n for n, q in enumerate(probs, start=1) if _bad_probs(q).any())
-        raise SeqOptError(f"decision probabilities of stage {n} must lie in [0, 1] and sum to 1")
-    flat = np.concatenate(decs)
-    if flat.dtype.kind not in "iu":
-        raise SeqOptError(f"decision indices must be integers, got {flat.dtype}")
-    if flat.min() < 0 or flat.max() >= d_count:
-        n = next(n for n, dec in enumerate(decs, start=1) if dec.min() < 0 or dec.max() >= d_count)
-        raise SeqOptError(f"decision stage {n} has indices outside [0, {d_count})")
 
 
 def _forward(

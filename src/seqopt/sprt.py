@@ -32,8 +32,8 @@ from .bayes_decision import decision_dtype
 from .errors import SeqOptError, UnreachableTargetsError
 from .histories import CountStateSpace, check_state_budget, state_space
 from .model import Problem
-from .risk_evaluation import DecisionStrategy, RiskReport, _forward
-from .stopping_policy import StoppingRule, reachable_sets
+from .risk_evaluation import RiskReport, _forward
+from .stopping_policy import DecisionStrategy, StoppingRule, reachable_sets
 
 log = logging.getLogger(__name__)
 

@@ -1,10 +1,13 @@
-"""Randomized stopping rules and their extraction from solved value tables.
+"""Sequential procedures, their rule file, and rule extraction from value tables.
 
-A stopping rule assigns each stage-n state a stop probability in [0, 1].
-Optimal rules come out of the value tables by the sandwich rule: stop where
-stopping is strictly cheaper than continuing, continue where it is strictly
-dearer, and do anything where the two are tied (within a relative margin).
-The final stage of a truncated rule always stops.
+A procedure is a stopping rule, which gives each stage-n state a stop
+probability in [0, 1], and a terminal decision strategy (randomized: per
+state, decision probabilities); `_check_coverage` checks one against a state
+space. `StoppingRule.to_csv` is the rule file's one writer, `rule_from_csv`
+its one reader. Optimal rules come out of the value tables by the sandwich
+rule: stop where stopping is strictly cheaper than continuing, continue where
+it is strictly dearer, and do anything where the two are tied (within a
+relative margin). The final stage of a truncated rule always stops.
 
 `sandwich_check` verifies that property on the reachable set only: states a
 rule can actually arrive at with positive probability, which depends on the
@@ -16,17 +19,18 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO
 
 import numpy as np
 
 from .backward_induction import VALUES_HEADER, ValueTables, _reprs, _write_rows
+from .bayes_decision import HistoryTable, decision_dtype
 from .errors import SeqOptError
 from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
-from .tolerances import TIE_RTOL
+from .tolerances import NORM_ATOL, TIE_RTOL
 
 
 @dataclass(eq=False)
@@ -66,32 +70,137 @@ class StoppingRule:
         truncated = self.truncated and (n < self.horizon or value == 1.0)
         return StoppingRule(self.engine, probs, truncated, self.tie_states)
 
-    def to_csv(self, fh: IO[str], space: StateSpace) -> None:
-        write_rule_csv(fh, self, space)
+    def to_csv(
+        self, fh: IO[str], problem: Problem, decision: DecisionStrategy | None = None
+    ) -> None:
+        """The rule file: per state of the problem's space, engine, stage, label,
+        stop probability and, with a strategy, one column decision_prob_<d> per
+        decision of the problem (its probs, or one-hot rows of a deterministic one).
+
+        Floats are repr's, each distinct bit pattern of a stage's column
+        formatted once (-0.0 keeps its text). The bytes are csv.writer's (CRLF,
+        comma-bearing labels quoted), each stage written as one block of text.
+        """
+        space = state_space(problem, self.engine)
+        d_count = 0 if decision is None else problem.n_decisions
+        fh.write(_rule_header(d_count))
+        for n in range(1, self.horizon + 1):
+            q = None if decision is None else decision.stage_probs(n, d_count)
+            _write_rule_stage(fh, self, n, space.labels(n), q)
+
+
+@dataclass(eq=False)
+class DecisionStrategy:
+    """Terminal decision index per stage and state.
+
+    A randomized strategy also carries probs: per stage an (S, D) array of
+    decision probabilities per state, which evaluate and simulate then use
+    in place of decisions (kept as each state's likeliest decision).
+    """
+
+    decisions: list[np.ndarray]
+    probs: list[np.ndarray] | None = None
+    # The decision count D where it is known (the Bayes and ratio-test
+    # strategies), so with_decision can refuse an index outside [0, D).
+    d_count: int | None = field(default=None, repr=False)
+
+    @classmethod
+    def bayes(cls, table: HistoryTable, horizon: int) -> "DecisionStrategy":
+        decisions = [table.stage(n).decision for n in range(1, horizon + 1)]
+        return cls(decisions, d_count=table.problem.n_decisions)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.decisions)
+
+    def at(self, n: int) -> np.ndarray:
+        if not 1 <= n <= self.horizon:
+            raise IndexError(f"strategy covers stages 1..{self.horizon}, asked for {n}")
+        return self.decisions[n - 1]
+
+    def stage_probs(self, n: int, d_count: int) -> np.ndarray:
+        """Stage n's (S, D) decision probabilities: probs, or one-hot rows of decisions."""
+        if self.probs is not None:
+            return self.probs[n - 1]
+        return _one_hot(self.at(n), _kinds(d_count))
+
+    def with_decision(self, n: int, state: int, decision: int) -> "DecisionStrategy":
+        """Copy with one decision index replaced; SeqOptError outside [0, D) where D is known."""
+        if self.probs is not None:
+            raise SeqOptError("with_decision needs a deterministic strategy")
+        d_count = self.d_count
+        if d_count is not None and not (
+            isinstance(decision, (int, np.integer)) and 0 <= decision < d_count
+        ):
+            raise SeqOptError(f"decision {decision!r} is not an index in [0, {d_count})")
+        arrs = [a.copy() for a in self.decisions]
+        arrs[n - 1][state] = decision
+        return DecisionStrategy(arrs, d_count=d_count)
+
+
+def _kinds(d_count: int) -> np.ndarray:
+    """The decision indices 0..D-1 in the type of the Bayes decisions, for _one_hot."""
+    return np.arange(d_count, dtype=decision_dtype(d_count))
+
+
+def _one_hot(decisions: np.ndarray, kinds: np.ndarray) -> np.ndarray:
+    """(S, D) one-hot booleans of (S,) decision indices: the transposed view of a (D, S) array.
+
+    Every strategy the package builds stores its indices in the kinds' type,
+    so they compare without a cast; a comparison across types casts per call.
+    """
+    return (decisions == kinds[:, None]).T
+
+
+def _check_coverage(
+    space: StateSpace,
+    rule: StoppingRule,
+    decision: DecisionStrategy | None,
+    horizon: int,
+    d_count: int,
+) -> None:
+    """Raise SeqOptError unless the rule and the decisions fit stages 1..horizon.
+
+    Each decision stage must give an integer index in [0, d_count) per state;
+    stop probabilities and a randomized strategy's (S_n, d_count) probs must
+    be what a rule file may hold. Shape tests per stage, then one pass per bound.
+    """
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    for n, size in enumerate(sizes, start=1):
+        if size != len(rule.at(n)):
+            raise SeqOptError(f"rule stage {n} covers {len(rule.at(n))} states, problem has {size}")
+    # min and max take no per-state temporary, and a NaN fails them both.
+    stop = np.concatenate(rule.stop_probs[:horizon])
+    if not (stop.min() >= 0.0 and stop.max() <= 1.0):
+        n = next(n for n in range(1, horizon + 1) if _bad_probs(rule.at(n)).any())
+        raise SeqOptError(f"rule stage {n} has stop probabilities outside [0, 1]")
+    if decision is None:
+        return
+    decs = decision.decisions[:horizon]
+    probs = [] if decision.probs is None else decision.probs[:horizon]
+    if len(decs) < horizon or (decision.probs is not None and len(probs) < horizon):
+        raise SeqOptError("decision strategy does not cover the rule's horizon")
+    for n, (size, dec) in enumerate(zip(sizes, decs), start=1):
+        if np.shape(dec) != (size,):
+            raise SeqOptError(f"decision stage {n} covers {len(dec)} states, problem has {size}")
+    for n, (size, q) in enumerate(zip(sizes, probs), start=1):
+        if np.shape(q) != (size, d_count):
+            raise SeqOptError(
+                f"decision probabilities of stage {n} have shape {np.shape(q)}, "
+                f"expected {(size, d_count)}"
+            )
+    if probs and _bad_probs(np.concatenate(probs)).any():
+        n = next(n for n, q in enumerate(probs, start=1) if _bad_probs(q).any())
+        raise SeqOptError(f"decision probabilities of stage {n} must lie in [0, 1] and sum to 1")
+    flat = np.concatenate(decs)
+    if flat.dtype.kind not in "iu":
+        raise SeqOptError(f"decision indices must be integers, got {flat.dtype}")
+    if flat.min() < 0 or flat.max() >= d_count:
+        n = next(n for n, dec in enumerate(decs, start=1) if dec.min() < 0 or dec.max() >= d_count)
+        raise SeqOptError(f"decision stage {n} has indices outside [0, {d_count})")
 
 
 DECISION_PROB = "decision_prob_"  # + decision index: the optional decision columns
-
-
-def write_rule_csv(
-    fh: IO[str],
-    rule: StoppingRule,
-    space: StateSpace,
-    decision_probs: list[np.ndarray] | None = None,
-) -> None:
-    """One row per state: engine, stage, label, stop probability (repr).
-
-    With decision_probs (per stage an (S, D) array), each row also carries
-    the state's decision probabilities, one column decision_prob_<d> per
-    decision index. The bytes are those of csv.writer (CRLF line ends,
-    comma-bearing labels quoted); each stage is written as one block of text.
-    Each distinct probability of a stage's column is formatted once; values
-    are told apart by their bits, so -0.0 keeps its own text.
-    """
-    d_count = 0 if decision_probs is None else decision_probs[0].shape[1]
-    fh.write(_rule_header(d_count))
-    for n in range(1, rule.horizon + 1):
-        _write_rule_stage(fh, rule, n, space.labels(n), decision_probs)
 
 
 def _rule_header(d_count: int) -> str:
@@ -100,14 +209,10 @@ def _rule_header(d_count: int) -> str:
 
 
 def _write_rule_stage(
-    fh: IO[str],
-    rule: StoppingRule,
-    n: int,
-    labels: list[str],
-    decision_probs: list[np.ndarray] | None = None,
+    fh: IO[str], rule: StoppingRule, n: int, labels: list[str], q: np.ndarray | None = None
 ) -> None:
-    """write_rule_csv's rows of stage n, given the stage's labels(n)."""
-    extra = [] if decision_probs is None else list(map(_distinct_reprs, decision_probs[n - 1].T))
+    """to_csv's rows of stage n, given the stage's labels(n) and (S, D) decision probabilities."""
+    extra = [] if q is None else list(map(_distinct_reprs, q.T))
     _write_rows(fh, f"{rule.engine},{n},", labels, _distinct_reprs(rule.at(n)), *extra)
 
 
@@ -141,19 +246,15 @@ def _write_solve_csvs(
             _write_rule_stage(rule_fh, rule, n, labels)
 
 
-def rule_from_csv(fh: IO[str], problem: Problem) -> StoppingRule:
-    """Read a rule written by StoppingRule.to_csv; every state must be covered."""
-    return read_rule_csv(fh, problem)[0]
-
-
-def read_rule_csv(
+def rule_from_csv(
     fh: IO[str], problem: Problem
-) -> tuple[StoppingRule, list[np.ndarray] | None]:
-    """A rule file's rule and, if it has decision columns, its decision probabilities.
+) -> tuple[StoppingRule, DecisionStrategy | None]:
+    """A rule file's rule and, if it has decision columns, its decision strategy.
 
-    The decision probabilities (per stage an (S, D) array, as write_rule_csv
-    takes them) are None for a file without decision_prob_<d> columns. Each
-    stage's rows are matched to its labels(n), so rows may come in any order.
+    The strategy is None for a file without decision_prob_<d> columns, and
+    otherwise a randomized one: the columns as its probs, each state's
+    likeliest decision as its decisions. Each stage's rows are matched to its
+    labels(n), so rows may come in any order; every state must be covered.
     Each distinct text of a column is converted once, and rows are handled a
     column at a time (see _csv_columns), with no Python work per row.
 
@@ -256,7 +357,9 @@ def read_rule_csv(
         )
     table = np.empty((offsets[-1], d_count))
     table[at] = q
-    return rule, np.split(table, offsets[1:-1])
+    likeliest = table.argmax(axis=1).astype(decision_dtype(d_count))
+    cuts = offsets[1:-1]
+    return rule, DecisionStrategy(np.split(likeliest, cuts), np.split(table, cuts))
 
 
 def _csv_columns(text: str) -> tuple[list[str], set[int], list[Sequence[str]]]:
@@ -307,9 +410,11 @@ def _read_cells(columns: list[Sequence[str]], names: list[str], dtype: type) -> 
 
 def _bad_probs(probs: np.ndarray) -> np.ndarray:
     """Mask of what a rule file may not hold: stop probabilities outside [0, 1] (NaN
-    too), or (rows, D) decision rows outside [0, 1] or not summing to 1 within 1e-9."""
+    too), or (rows, D) decision rows outside [0, 1] or not summing to 1 within NORM_ATOL."""
     bad = ~((probs >= 0.0) & (probs <= 1.0))
-    return bad if probs.ndim == 1 else bad.any(axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > 1e-9)
+    if probs.ndim == 1:
+        return bad
+    return bad.any(axis=1) | (np.abs(probs.sum(axis=1) - 1.0) > NORM_ATOL)
 
 
 def _strict_sides(stop_loss: np.ndarray, cont: np.ndarray) -> tuple:

@@ -623,7 +623,7 @@ def reference_forward(p, rule, decision=None, multipliers=None):
     return report, mass
 
 
-# The CSV writers below are the ones `ValueTables.to_csv` and `write_rule_csv`
+# The CSV writers below are the ones `ValueTables.to_csv` and `StoppingRule.to_csv`
 # ran before each stage became one block of text: csv.writer, one row and one
 # label at a time. They read the package's arrays and state spaces, and spell
 # each label out themselves.
@@ -657,7 +657,10 @@ def reference_values_csv(tables) -> str:
 
 
 def reference_rule_csv(rule, space, decision_probs=None) -> str:
-    """write_rule_csv as it was written, one row and one label at a time."""
+    """StoppingRule.to_csv as it was written, one row and one label at a time.
+
+    decision_probs is, per stage, the (S, D) array of the strategy to_csv is given.
+    """
     import csv
     import io
 

@@ -11,7 +11,6 @@ import pytest
 import seqopt as so
 from seqopt.cli import _self_check, main
 from seqopt.histories import state_space
-from seqopt.stopping_policy import write_rule_csv
 
 from oracle import reference_rule_csv, reference_values_csv
 
@@ -586,7 +585,6 @@ def test_sprt_rule_file_is_the_evaluated_ratio_test(tmp_path, capsys, config, ta
     # The referee: the uncapped test of sprt_rule, capped by truncate_rule.
     space = state_space(p, "counts")
     rule, decision = so.sprt_rule(p, spec)
-    probs = [decision.stage_probs(n, 2) for n in range(1, cap + 1)]
     buf = io.StringIO(newline="")
-    write_rule_csv(buf, so.truncate_rule(rule, cap, space), space, probs)
+    so.truncate_rule(rule, cap, space).to_csv(buf, p, decision)
     assert (out_dir / "rule.csv").read_bytes() == buf.getvalue().encode()

@@ -169,7 +169,7 @@ def test_evaluate_matches_the_mask_loop(kind, k, m, d, horizon, strategy, trunca
         for _ in range(int(rng.integers(1, 4))):
             pair_rule = _random_rule(rng, space, engine, horizon, True)
             pair_decision = so.DecisionStrategy([rng.integers(0, d, size=s) for s in sizes])
-            packs.append(_Pack(None, pair_rule, pair_decision, None, 0.0, horizon))
+            packs.append(_Pack(None, pair_rule, pair_decision, None, horizon))
         mu = rng.dirichlet(np.ones(len(packs)))
         rule, decision = _mixture(space, packs, mu, d)
     lam = rng.uniform(0.0, 5.0, size=2) if p.constraints is not None else None

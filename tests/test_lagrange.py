@@ -52,7 +52,7 @@ def test_weighted_problem_identity():
     wp = so.weighted_problem(p, [1.0])
     assert np.array_equal(wp.loss.w, p.loss.w)
     assert wp.cost.c == p.cost.c
-    assert wp.constraints.multipliers == (1.0,)
+    assert wp.constraints == p.constraints  # the multipliers are in the loss alone
     assert so.solve_truncated(wp, 2).q0 == pytest.approx(0.256, abs=1e-12)
 
 
@@ -66,6 +66,20 @@ def test_weighted_problem_scales_and_zeroes():
     assert np.array_equal(wp.loss.w[0], 2.0 * p.loss.w[0])
     assert np.array_equal(wp.loss.w[2], 3.0 * p.loss.w[2])
     assert np.all(wp.loss.w[1] == 0.0)  # middle parameter is outside every group
+
+
+def test_weighted_problem_counts_its_multipliers_once():
+    # lam scales the loss and stays out of the constraints, so under
+    # two_channel.json's unit multipliers the weighted problem's Lagrangian is
+    # lagrangian(p, lam). Constraints that also carried lam would count it
+    # twice: n_psi + sum_g lam_g^2 W_g, 3.75975 here.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    rule = so.extract_rule(so.solve_truncated(p, 4))
+    lam = (2.0, 3.0)
+    wp = so.weighted_problem(p, lam)
+    assert wp.constraints == p.constraints
+    assert so.lagrangian(p, lam, rule) == pytest.approx(3.32785, abs=1e-12)
+    assert so.evaluate(wp, rule).lagrangian == pytest.approx(3.32785, abs=1e-12)
 
 
 def test_weighted_problem_validates():
@@ -134,6 +148,19 @@ def test_match_two_groups_trivial_multipliers(instance_b):
     assert res.lam == pytest.approx([1.0, 1.0], abs=1e-9)
     assert res.achieved == pytest.approx([0.18, 0.045], abs=1e-9)
     assert res.n_psi == pytest.approx(1.55, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "targets, horizon, mixed", [((0.18, 0.045), 4, False), ((0.3, 0.03), 5, True)]
+)
+def test_match_report_is_the_evaluation_of_its_pair(targets, horizon, mixed):
+    # One probe's pair, and a mixture of several.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    res = so.match_constraints(p, targets, so.SearchConfig(horizon=horizon))
+    assert (res.rule._table is None) == mixed  # only an extracted rule keeps its table
+    assert res.report.to_dict() == so.evaluate(p, res.rule, res.decision).to_dict()
+    assert res.report.w_groups.tolist() == res.achieved.tolist()
+    assert res.report.n_psi == res.n_psi
 
 
 def test_match_two_groups_symmetric():
@@ -308,7 +335,7 @@ def test_mixture_is_exact(engine):
         rule = so.extract_rule(tables)
         decision = so.DecisionStrategy.bayes(tables.table, horizon)
         rep = so.evaluate(p, rule, decision)
-        packs.append(lg._Pack(tables.table, rule, decision, rep.w_groups, rep.n_psi, horizon))
+        packs.append(lg._Pack(tables.table, rule, decision, rep, horizon))
         reports.append(rep)
     search = lg._Search(p, so.SearchConfig(engine=engine))
     mu = np.array([0.3, 0.7])

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import seqopt as so
 from seqopt.histories import state_space
-from seqopt.stopping_policy import read_rule_csv, write_rule_csv
 
 from conftest import random_instance
 from oracle import (
@@ -171,11 +170,11 @@ def test_sandwich_ignores_unreachable_states(instance_b):
 
 def test_rule_csv_round_trip(instance_b):
     rule = _optimal_rule(instance_b, 3)
-    space = state_space(instance_b, "counts")
     buf = io.StringIO()
-    rule.to_csv(buf, space)
+    rule.to_csv(buf, instance_b)
     buf.seek(0)
-    back = so.rule_from_csv(buf, instance_b)
+    back, decision = so.rule_from_csv(buf, instance_b)
+    assert decision is None
     assert back.engine == rule.engine
     assert back.horizon == rule.horizon
     assert back.truncated == rule.truncated
@@ -185,9 +184,8 @@ def test_rule_csv_round_trip(instance_b):
 
 def test_rule_csv_rejects_gaps(instance_b):
     rule = _optimal_rule(instance_b, 2)
-    space = state_space(instance_b, "counts")
     buf = io.StringIO()
-    rule.to_csv(buf, space)
+    rule.to_csv(buf, instance_b)
     lines = buf.getvalue().splitlines()
     broken = io.StringIO("\n".join(lines[:-1]) + "\n")
     with pytest.raises(so.SeqOptError):
@@ -196,9 +194,8 @@ def test_rule_csv_rejects_gaps(instance_b):
 
 def test_rule_csv_rejects_bad_probability(instance_b):
     rule = _optimal_rule(instance_b, 2)
-    space = state_space(instance_b, "counts")
     buf = io.StringIO()
-    rule.to_csv(buf, space)
+    rule.to_csv(buf, instance_b)
     text = buf.getvalue().replace("1.0", "1.5", 1)
     with pytest.raises(so.SeqOptError):
         so.rule_from_csv(io.StringIO(text), instance_b)
@@ -276,19 +273,20 @@ def _k3_problem() -> so.Problem:
 
 
 def _random_rule_csv(engine: str, horizon: int = 4) -> tuple[so.StoppingRule, str]:
-    space = state_space(_k3_problem(), engine)
+    p = _k3_problem()
+    space = state_space(p, engine)
     rng = np.random.default_rng(5)
     probs = [rng.random(space.n_states(n)) for n in range(1, horizon + 1)]
     rule = so.StoppingRule(engine, probs, truncated=False)
     buf = io.StringIO()
-    rule.to_csv(buf, space)
+    rule.to_csv(buf, p)
     return rule, buf.getvalue()
 
 
 @pytest.mark.parametrize("engine", ["counts", "tree"])
 def test_rule_csv_round_trip_both_engines(engine):
     rule, text = _random_rule_csv(engine)
-    back = so.rule_from_csv(io.StringIO(text), _k3_problem())
+    back, _ = so.rule_from_csv(io.StringIO(text), _k3_problem())
     assert (back.engine, back.horizon, back.truncated) == (engine, 4, False)
     for n in range(1, 5):
         assert back.at(n).tobytes() == rule.at(n).tobytes()
@@ -351,7 +349,7 @@ def test_rule_csv_matches_row_by_row_writer(engine, k, horizon):
     probs[0][0] = 1.0
     rule = so.StoppingRule(engine, probs, truncated=False)
     buf = io.StringIO()
-    rule.to_csv(buf, space)
+    rule.to_csv(buf, p)
     assert buf.getvalue() == reference_rule_csv(rule, space)
 
 
@@ -391,7 +389,8 @@ def _stage_floats(rng, palette, size, fresh_frac=0.5):
 def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count, fresh_frac, seed):
     engine, k, horizon = engine_k_horizon
     rng = np.random.default_rng(seed)
-    p = so.iid_problem(np.full((2, k), 1.0 / k), so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    loss = np.ones((2, max(d_count, 1)))  # the problem's decision count is the file's
+    p = so.iid_problem(np.full((2, k), 1.0 / k), loss, [0.5, 0.5], [0.5, 0.5], 0.01)
     space = state_space(p, engine)
     sizes = [space.n_states(n) for n in range(horizon + 1)]
     stops = [_stage_floats(rng, palette, s) for s in sizes]
@@ -404,14 +403,15 @@ def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count
 
     stage_probs = [_stage_floats(rng, palette, s, fresh_frac) for s in sizes[1:]]
     rule = so.StoppingRule(engine, stage_probs, True)
-    probs = None
+    probs = decision = None
     if d_count:
         probs = [
             _stage_floats(rng, palette, s * d_count, fresh_frac).reshape(s, d_count)
             for s in sizes[1:]
         ]
+        decision = so.DecisionStrategy([np.zeros(s, dtype=np.uint8) for s in sizes[1:]], probs)
     buf = io.StringIO()
-    write_rule_csv(buf, rule, space, probs)
+    rule.to_csv(buf, p, decision)
     assert buf.getvalue() == reference_rule_csv(rule, space, probs)
 
 
@@ -420,42 +420,103 @@ def test_only_extracted_rules_keep_their_table(instance_b):
     rule = so.extract_rule(tables)
     assert rule._table is tables.table
     buf = io.StringIO()
-    rule.to_csv(buf, tables.table.space)
+    rule.to_csv(buf, instance_b)
     buf.seek(0)
     derived = (
         rule.with_prob(1, 0, 0.5),
         so.truncate_rule(rule, 2),
-        so.rule_from_csv(buf, instance_b),
+        so.rule_from_csv(buf, instance_b)[0],
     )
     assert all(r._table is None for r in derived)
 
 
-def _decision_probs(space, horizon: int, d_count: int) -> list[np.ndarray]:
+def _randomized(probs: list[np.ndarray]) -> so.DecisionStrategy:
+    """The strategy of (S, D) decision probabilities, each state's likeliest decision kept."""
+    return so.DecisionStrategy([q.argmax(axis=1) for q in probs], probs)
+
+
+def _decision_probs(space, horizon: int, d_count: int) -> so.DecisionStrategy:
     rng = np.random.default_rng(9)
     out = []
     for n in range(1, horizon + 1):
         q = rng.random((space.n_states(n), d_count))
         out.append(q / q.sum(axis=1, keepdims=True))
-    return out
+    return _randomized(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    engine_k_horizon=st.one_of(
+        st.tuples(st.just("counts"), st.integers(2, 3), st.integers(1, 6)),
+        st.tuples(st.just("tree"), st.integers(2, 3), st.integers(1, 4)),
+    ),
+    d_count=st.integers(1, 3),
+    first_d_count=st.integers(1, 3),
+    kind=st.sampled_from(["deterministic", "bayes", "randomized"]),
+    truncated=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # the shared space's first problem has three decisions, this one two
+    engine_k_horizon=("counts", 2, 3), d_count=2, first_d_count=3, kind="deterministic",
+    truncated=True, seed=1,
+)
+def test_rule_file_round_trips_a_procedure(
+    engine_k_horizon, d_count, first_d_count, kind, truncated, seed
+):
+    """to_csv(fh, p, decision), then rule_from_csv(fh, p), evaluates as the pair did."""
+    engine, k, horizon = engine_k_horizon
+    rng = np.random.default_rng(seed)
+    pmf = rng.uniform(0.1, 1.0, size=(2, k))
+    pmf /= pmf.sum(axis=1, keepdims=True)
+
+    def problem(d: int) -> so.Problem:
+        return so.iid_problem(pmf, rng.uniform(0, 1, (2, d)), [0.4, 0.6], [0.5, 0.5], 0.01)
+
+    # The space is shared per model: a problem with another loss built it first.
+    space = state_space(problem(first_d_count), engine)
+    p = problem(d_count)
+    assert state_space(p, engine) is space
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    stops = [np.where(rng.random(s) < 0.5, rng.choice([0.0, 0.5, 1.0], s), rng.random(s))
+             for s in sizes]
+    if truncated:
+        stops[-1][:] = 1.0
+    rule = so.StoppingRule(engine, stops, truncated)
+    if kind == "deterministic":  # built by hand: int64 indices, no d_count
+        decision = so.DecisionStrategy([rng.integers(0, d_count, s) for s in sizes])
+    elif kind == "bayes":
+        decision = so.DecisionStrategy.bayes(so.HistoryTable(p, engine), horizon)
+    else:
+        q = [rng.random((s, d_count)) for s in sizes]
+        decision = _randomized([x / x.sum(axis=1, keepdims=True) for x in q])
+    buf = io.StringIO()
+    rule.to_csv(buf, p, decision)
+    buf.seek(0)
+    back, back_decision = so.rule_from_csv(buf, p)
+    want = so.evaluate(p, rule, decision).to_dict()
+    assert so.evaluate(p, back, back_decision).to_dict() == want
 
 
 @pytest.mark.parametrize("engine", ["counts", "tree"])
 def test_rule_csv_decision_columns_round_trip(engine):
     rule, _ = _random_rule_csv(engine)
-    space = state_space(_k3_problem(), engine)
-    probs = _decision_probs(space, rule.horizon, 2)
+    p = _k3_problem()
+    decision = _decision_probs(state_space(p, engine), rule.horizon, 2)
     buf = io.StringIO()
-    write_rule_csv(buf, rule, space, probs)
+    rule.to_csv(buf, p, decision)
     assert buf.getvalue().splitlines()[0] == (
         "engine,stage,state,stop_prob,decision_prob_0,decision_prob_1"
     )
     buf.seek(0)
-    back, back_probs = read_rule_csv(buf, _k3_problem())
+    back, back_decision = so.rule_from_csv(buf, p)
+    assert back_decision.d_count is None  # randomized: with_decision refuses it anyway
     for n in range(1, rule.horizon + 1):
         assert back.at(n).tobytes() == rule.at(n).tobytes()
-        assert back_probs[n - 1].tobytes() == probs[n - 1].tobytes()
+        assert back_decision.probs[n - 1].tobytes() == decision.probs[n - 1].tobytes()
+        assert np.array_equal(back_decision.at(n), decision.at(n))
+        assert back_decision.at(n).dtype == np.uint8
     _, text = _random_rule_csv(engine)
-    assert read_rule_csv(io.StringIO(text), _k3_problem())[1] is None
+    assert so.rule_from_csv(io.StringIO(text), p)[1] is None
 
 
 @pytest.mark.parametrize(
@@ -470,15 +531,15 @@ def test_rule_csv_decision_columns_round_trip(engine):
 )
 def test_rule_csv_rejects_bad_decision_columns(edit, message):
     rule, _ = _random_rule_csv("counts")
-    space = state_space(_k3_problem(), "counts")
+    p = _k3_problem()
     buf = io.StringIO()
-    write_rule_csv(buf, rule, space, _decision_probs(space, rule.horizon, 2))
+    rule.to_csv(buf, p, _decision_probs(state_space(p, "counts"), rule.horizon, 2))
     rows = edit(list(csv.reader(io.StringIO(buf.getvalue()))))
     out = io.StringIO()
     csv.writer(out).writerows(rows)
     out.seek(0)
     with pytest.raises(so.SeqOptError, match=message):
-        read_rule_csv(out, _k3_problem())
+        so.rule_from_csv(out, p)
 
 
 def test_rule_csv_reports_the_first_offending_row(instance_b):
@@ -533,7 +594,7 @@ _HEAD_D = _HEAD + ",decision_prob_0,decision_prob_1"
 )
 def test_rule_csv_names_the_first_unreadable_cell(instance_b, text, message):
     with pytest.raises(so.SeqOptError, match=re.escape(message)):
-        read_rule_csv(io.StringIO(text), instance_b)
+        so.rule_from_csv(io.StringIO(text), instance_b)
 
 
 def test_rule_csv_that_is_not_text_raises(instance_b, tmp_path):
@@ -541,7 +602,7 @@ def test_rule_csv_that_is_not_text_raises(instance_b, tmp_path):
     path.write_bytes(f"{_HEAD}\ncounts,1,1|0,1.0\n".encode() + b"counts,1,0|1,\xff\n")
     with open(path, encoding="utf-8") as fh:
         with pytest.raises(so.SeqOptError, match="rule file is not CSV text"):
-            read_rule_csv(fh, instance_b)
+            so.rule_from_csv(fh, instance_b)
 
 
 @pytest.mark.parametrize(
@@ -628,12 +689,12 @@ def test_rule_csv_reads_shuffled_rows_and_names_a_corrupt_label(
     space = state_space(p, engine)
     sizes = [space.n_states(n) for n in range(1, horizon + 1)]
     rule = so.StoppingRule(engine, [rng.random(s) for s in sizes], truncated=False)
-    probs = None
+    decision = None
     if decisions:
         probs = [rng.random((s, p.n_decisions)) for s in sizes]
-        probs = [q / q.sum(axis=1, keepdims=True) for q in probs]
+        decision = _randomized([q / q.sum(axis=1, keepdims=True) for q in probs])
     buf = io.StringIO()
-    write_rule_csv(buf, rule, space, probs)
+    rule.to_csv(buf, p, decision)
     header, *rows = csv.reader(io.StringIO(buf.getvalue()))
     rows = [rows[i] for i in rng.permutation(len(rows))]
 
@@ -641,14 +702,14 @@ def test_rule_csv_reads_shuffled_rows_and_names_a_corrupt_label(
         out = io.StringIO(newline="")
         csv.writer(out, quoting=quoting, lineterminator=eol).writerows([header] + body)
         out.seek(0)
-        return read_rule_csv(out, p)
+        return so.rule_from_csv(out, p)
 
-    back, back_probs = read(rows)
+    back, back_decision = read(rows)
     assert [a.tobytes() for a in back.stop_probs] == [a.tobytes() for a in rule.stop_probs]
     if decisions:
-        assert [q.tobytes() for q in back_probs] == [q.tobytes() for q in probs]
+        assert [q.tobytes() for q in back_decision.probs] == [q.tobytes() for q in decision.probs]
     else:
-        assert back_probs is None
+        assert back_decision is None
     row = rows[rng.integers(len(rows))]
     row[2] = _corrupt(row[2], "|" if engine == "counts" else ",", k, pick)
     message = f"unknown state '{row[2]}' at stage {row[1]}"
