@@ -146,10 +146,17 @@ def solve_truncated(
     cont: list[np.ndarray | None] = [None] * horizon
     value = table.stage(horizon).stop_loss
     for n in range(horizon - 1, -1, -1):
-        kids = value[space.children(n).T]  # (K, S): row x, the children by x
         # numpy adds 8 or more terms along a contiguous axis pairwise and fewer
-        # (or a leading axis) one by one: either way the (S, K) row sums' bits.
-        sums = kids.sum(axis=0) if len(kids) < 8 else np.ascontiguousarray(kids.T).sum(axis=1)
+        # one by one, from the first: the (S, K) row sums' bits come from
+        # value[row_0] + value[row_1] + ... below 8 symbols (each slice row a
+        # view), and from the gathered rows' contiguous sums from 8 on.
+        if space.k < 8:
+            rows = space.child_rows(n)
+            sums = value[rows[0]]
+            for row in rows[1:]:
+                sums = sums + value[row]
+        else:
+            sums = np.ascontiguousarray(value[space.children(n)]).sum(axis=1)
         cont[n] = p.cost.c * (space.densities(n) @ p.priors.pi2) + sums
         value = np.minimum(table.stage(n).stop_loss, cont[n])
     sizes = [space.n_states(n) for n in range(horizon + 1)]

@@ -14,9 +14,9 @@ HistoryTable is a view of pi1 and the loss over a space: per stage it adds
 the stage loss and the minimizing decision (lowest index on ties); pi2 and
 c price observations, in the solve alone (see backward_induction).
 
-Both walk the state axis innermost: f_theta is built parameter-major, one
-scatter per (parameter, symbol) along a child-table row, and the view takes
-its minimum and argmin one decision column at a time. The arrays stay C-ordered
+Both walk the state axis innermost: f_theta is built one (S, m) product per
+symbol, written along that symbol's child row, and the view takes its
+minimum and argmin one decision column at a time. The arrays stay C-ordered
 (S, m) and (S, D), as BLAS may round a product of an F-ordered operand
 differently, so every stored array is the state-by-state form's, bit for bit.
 

@@ -50,7 +50,7 @@ from .errors import (
 from .lagrange import SearchConfig, match_constraints
 from .monte_carlo import SimConfig, simulate
 from .risk_evaluation import evaluate
-from .sprt import match_sprt_errors, sprt_operating_characteristics
+from .sprt import _match
 from .stopping_policy import (
     DecisionStrategy,
     StoppingRule,
@@ -218,8 +218,8 @@ def _cmd_search(run: _Run) -> int:
                 raise ConfigError("sprt mode needs exactly two targets: alpha,beta")
             alpha_t, beta_t = targets
             conservative = args.conservative
-        spec = match_sprt_errors(p, alpha_t, beta_t, cap=args.cap, conservative=conservative)
-        sprt_result = sprt_operating_characteristics(p, spec)
+        # The match's own OC of the spec it returns: no second log-LR table or pass.
+        sprt_result = _match(p, alpha_t, beta_t, cap=args.cap, conservative=conservative)
 
     result_payload: dict = {"mode": args.mode, "targets": targets}
     if lag_result is not None:

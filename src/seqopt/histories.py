@@ -16,14 +16,23 @@ Two engines share one interface:
 Per stage n every engine provides the state count `n_states(n)` (a closed
 form, so sizing a stage builds nothing), the child table `children(n)`
 ((S_n, K) indices at stage n+1, the transposed view of a contiguous (K, S_n)
-array: row x of `children(n).T` lists every state's child by symbol x, so the
-stage kernels walk the state axis innermost; on the tree child s*K + x), the
-conditional step probabilities `step_probs(n)` (step[s, theta, x], (S_n, m, K)
-for kernels; iid rows do not depend on the state and come as one (1, m, K)
-block), each state's symbol counts `states(n)` and printable `labels(n)`;
-a rule file's reader inverts labels by looking them up in `labels(n)`, and
-the joint densities `densities(n)` ((S_n, m) f_theta, read-only, built once).
-No other module asks which engine it holds.
+array: row x of `children(n).T` lists every state's child by symbol x; on
+the tree child s*K + x), the conditional step probabilities `step_probs(n)`
+(step[s, theta, x], (S_n, m, K) for kernels; iid rows do not depend on the
+state and come as one (1, m, K) block), each state's symbol counts
+`states(n)` and printable `labels(n)`; a rule file's reader inverts labels
+by looking them up in `labels(n)`, and the joint densities `densities(n)`
+((S_n, m) f_theta, read-only, built once, one (S_n, m) product per symbol).
+
+The stage kernels (the densities, the backward pass's child sums below 8
+symbols and `push_forward`) read `child_rows(n)` instead: per symbol x,
+every state's child by x, as a `slice` where those children form a range
+and as row x of the child table otherwise, so they walk the state axis
+innermost. Every tree row is the slice x::K; count row 0 is the block after
+the new first-count-0 states; on two symbols count row 1 keeps each index.
+So a binary count space builds its child tables and state arrays only when
+`children`, `states` or `labels` asks for them. No other module asks which
+engine it holds.
 
 States are stored as int32: no count exceeds the horizon, and the state
 budget keeps the horizon far below 2^31. Child tables stay intp, numpy's
@@ -37,13 +46,15 @@ weighted problems of a multiplier search, say, reuse its built stages while
 any table, result or caller holds it; once nothing does, it is freed.
 
 `push_forward` is the one forward propagation: it carries stage-n mass,
-mixture flows or reachability to stage n+1 with one weighted `np.bincount`
-over the symbol-major flattened child table per trailing column, whatever
-the dtype. bincount adds in input order, symbol by symbol and within a
-symbol state by state. A child has at most one parent per symbol (a tree
-child the single parent s, a count state c the parent c - e_x), so each
-child receives the sum, in symbol order from 0, of what its parents send:
-the float sums of a scatter-add per symbol, bit for bit.
+mixture flows or reachability to stage n+1, whatever the dtype. A child has
+at most one parent per symbol (a tree child the single parent s, a count
+state c the parent c - e_x), so each child receives the sum, in symbol order
+from 0, of what its parents send: the float sums of a scatter-add per
+symbol, bit for bit, by either of two kernels. Where every child row is a
+slice (the tree; counts on at most two symbols) that scatter-add is the
+kernel, on all columns at once. Otherwise it is one weighted `np.bincount`
+over the symbol-major flattened child table per trailing column; bincount
+adds in input order, symbol by symbol and within a symbol state by state.
 """
 
 from __future__ import annotations
@@ -76,15 +87,12 @@ class _Densities:
             f_theta = np.ones((1, m))
         else:
             prev = self._densities[n - 1]
-            table = self.children(n - 1).T
             step = self.step_probs(n - 1)
             f_theta = np.empty((self.n_states(n), m))
-            for j in range(m):
-                column = f_theta[:, j]
-                for x in range(self.k):
-                    # Same value lands on a count state from every predecessor: the
-                    # joint density of a history depends only on its state.
-                    column[table[x]] = prev[:, j] * step[:, j, x]
+            for x, row in enumerate(self.child_rows(n - 1)):
+                # Same value lands on a count state from every predecessor: the
+                # joint density of a history depends only on its state.
+                f_theta[row] = prev * step[:, :, x]
         f_theta.setflags(write=False)
         return f_theta
 
@@ -103,6 +111,10 @@ class TreeStateSpace(_Densities):
 
     def children(self, n: int) -> np.ndarray:
         return np.add.outer(np.arange(self.k), self.k * np.arange(self.n_states(n))).T
+
+    def child_rows(self, n: int) -> list[slice]:
+        """Per symbol x, the stage-(n+1) children of every state: s*K + x, the slice x::K."""
+        return [slice(x, None, self.k) for x in range(self.k)]
 
     def states(self, n: int) -> np.ndarray:
         """Symbol counts of the stage-n histories, shape (S_n, K): base-K digits tallied."""
@@ -142,27 +154,18 @@ class CountStateSpace(_Densities):
         self.problem = problem
         self.k = problem.alphabet_size
         # Per built stage n = 0..top: the (S_n, K) states in lexicographic
-        # order and (below the top stage) the symbol-major (K, S_n) child table.
+        # order; per stage asked for, the symbol-major (K, S_n) child table.
         self._states: dict[int, np.ndarray] = {0: np.zeros((1, self.k), dtype=np.int32)}
         self._children: dict[int, np.ndarray] = {}
         self._densities: list[np.ndarray] = []
         self._heads: dict[int, list[np.ndarray]] = {}  # (K-1)-part stages, see _compositions
 
     def _build_to(self, n: int) -> None:
-        """Build stages top+1..n, each from its predecessor.
-
-        Adding e_x keeps lexicographic order, and its image of stage n is the
-        set of stage-(n+1) states with c_x >= 1, so row x of the child table
-        lists those states' indices in ascending order.
-        """
+        """Build the states of stages top+1..n, each from its predecessor."""
         top = len(self._states) - 1
         states = self._states[top]
         for stage in range(top, n):
-            ch = np.empty((self.k, len(states)), dtype=np.intp)
             states = _next_stage(states, _compositions(self.k - 1, stage + 1, self._heads))
-            for x in range(self.k):
-                ch[x] = np.flatnonzero(states[:, x])
-            self._children[stage] = ch
             self._states[stage + 1] = states
 
     def n_states(self, n: int) -> int:
@@ -183,8 +186,36 @@ class CountStateSpace(_Densities):
         return int(np.flatnonzero((self.states(n) == c).all(axis=1))[0])
 
     def children(self, n: int) -> np.ndarray:
-        self._build_to(n + 1)
-        return self._children[n].T
+        """The child table of stage n, built once from the states of stage n+1.
+
+        Adding e_x keeps lexicographic order, and its image of stage n is the
+        set of stage-(n+1) states with c_x >= 1, so row x of the table lists
+        those states' indices in ascending order.
+        """
+        table = self._children.get(n)
+        if table is None:
+            states = self.states(n + 1)
+            table = np.empty((self.k, self.n_states(n)), dtype=np.intp)
+            for x in range(self.k):
+                table[x] = np.flatnonzero(states[:, x])
+            self._children[n] = table
+        return table.T
+
+    def child_rows(self, n: int) -> list[slice | np.ndarray]:
+        """Per symbol x, the stage-(n+1) children of every state: a slice where they
+        are a range, else row x of the child table.
+
+        Raising the first count maps stage n onto the block after the new
+        first-count-0 states, in order; on two symbols the second keeps the
+        first count, and so the index. Only K > 2 builds the table.
+        """
+        size, top = self.n_states(n), self.n_states(n + 1)
+        rows = [slice(top - size, top)]
+        if self.k == 2:
+            rows.append(slice(0, size))
+        elif self.k > 2:
+            rows += list(self.children(n).T[1:])
+        return rows
 
     def step_probs(self, n: int) -> np.ndarray:
         return self.problem.obs.iid_pmf[None]
@@ -274,15 +305,25 @@ def push_forward(
     values is (S_n,) or (S_n, C), float64 or bool. With `weighted` it is
     (S_n, m) per-parameter mass, and the edge of symbol x multiplies column j
     by P_j(x | state) from step_probs. Without, values travel unchanged; a
-    boolean column comes back True where some parent sent True, as its float
-    sum is then positive, so reachability never underflows.
+    boolean column comes back True where some parent sent True, as its sum
+    is then True (numpy adds booleans as a logical or) or its float sum
+    positive, so reachability never underflows.
 
-    The sums are the per-symbol scatter's, bit for bit (see the module
-    docstring).
+    Where every child row of the stage is a slice, out starts at 0 and, for
+    x = 0..K-1, out[row_x] += values * step[..., x]: the per-symbol scatter
+    itself. Otherwise one np.bincount per column adds the same terms in the
+    same order, symbol-major. Either way the sums are the scatter's, bit for
+    bit (see the module docstring).
     """
     size = space.n_states(n + 1)
-    flat = space.children(n).T.ravel()  # the contiguous (K, S_n) table, symbol by symbol
+    rows = space.child_rows(n)
     step = space.step_probs(n) if weighted else None
+    if all(isinstance(row, slice) for row in rows):
+        out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+        for x, row in enumerate(rows):
+            out[row] += values * step[:, :, x] if weighted else values
+        return out
+    flat = space.children(n).T.ravel()  # the contiguous (K, S_n) table, symbol by symbol
     cols = values.reshape(len(values), -1)
     out = np.empty((size, cols.shape[1]), dtype=values.dtype)
     for j in range(cols.shape[1]):

@@ -239,15 +239,66 @@ def _clear_gap(levels: np.ndarray, tops: np.ndarray, k: int, half: float) -> tup
     A cut there puts every copy of such a level, and with half = bound / 2
     its exact log-LR (within a quarter bound of each copy), on one side.
     Neighbouring levels' copies lie more than a bound apart, so the part is
-    never empty. A level of one copy does not narrow it: llr_by_state gives
-    that level one value, already on one side of any cut in the gap.
+    never empty. A level of one copy bounds it at that copy: llr_by_state
+    gives the level one value, on one side of any cut short of it.
     """
     lo, hi = -math.inf, math.inf
-    if k > 0 and tops[k - 1] > levels[k - 1]:
-        lo = float(tops[k - 1]) + half
-    if k < len(levels) and tops[k] > levels[k]:
-        hi = float(levels[k]) - half
+    if k > 0:
+        lo = float(tops[k - 1]) + half if tops[k - 1] > levels[k - 1] else float(levels[k - 1])
+    if k < len(levels):
+        hi = float(levels[k]) - half if tops[k] > levels[k] else float(levels[k])
     return lo, hi
+
+
+def _clear_midpoint(
+    a: float,
+    b: float,
+    a_gap: tuple[float, float],
+    b_gap: tuple[float, float],
+    levels: np.ndarray,
+    tops: np.ndarray,
+    k: int,
+    half: float,
+) -> tuple[float, float]:
+    """Thresholds a and b moved within their gaps' clear parts, a first, so
+    that their midpoint lies in the clear part of gap k of `levels`, the cap
+    stage's (_clear_gap).
+
+    Where a and b leave no room to move it there, the midpoint goes into the
+    clear part of the next gap on the side they hold it to, so it passes
+    level k - 1 or k, and the cap states of that level decide the other way.
+
+    A midpoint equal to a one-copy level k - 1 lies in gap k - 1 (the rule
+    decides llr >= midpoint upward), so it is then raised by a float or two
+    of the larger threshold, each of which moves a + b by at least half an
+    ulp of the sum.
+    """
+    (a_lo, a_hi), (b_lo, b_hi) = a_gap, b_gap
+    for _ in range(2):
+        m_lo, m_hi = _clear_gap(levels, tops, k, half)
+        if (short := 2 * m_lo - (a + b)) > 0:  # raise the midpoint
+            if short > (a_hi - a) + (b_hi - b):
+                k -= 1
+                continue
+            step = min(short, a_hi - a)
+            a, b = a + step, min(b + (short - step), b_hi)
+        elif (excess := a + b - 2 * m_hi) > 0:  # lower it
+            if excess > (a - a_lo) + (b - b_lo):
+                k += 1
+                continue
+            step = min(excess, a - a_lo)
+            a, b = a - step, max(b - (excess - step), b_lo)
+        break
+    else:
+        return a, b
+    for _ in range(2):
+        if k == 0 or 0.5 * (a + b) != levels[k - 1]:
+            break
+        if abs(a) >= abs(b) and a < a_hi:
+            a = math.nextafter(a, math.inf)
+        elif b < b_hi:
+            b = math.nextafter(b, math.inf)
+    return a, b
 
 
 def _bisect_threshold(error_of: Callable[[float], float], target: float) -> float:
@@ -295,12 +346,16 @@ def match_sprt_errors(
     a log-LR with its float copies merged within their rounding bound (see
     _llr_table), so a threshold inside a level's rounding range decides the
     whole level one way, and probes that differ only there are one rule. The
-    returned thresholds (and an error's best spec) are then moved half a
-    merge bound clear of the levels with several copies next to them, and
-    their midpoint clear of such levels of stage cap, where that leaves the
-    capped rule unchanged, so llr_by_state's copies of such a level and its
-    exact log-LR are stopped and decided one way by them too; models with no
-    such level keep the bisection's thresholds bit for bit. The
+    thresholds of each sweep are then moved half a merge bound clear of the
+    levels with several copies next to them, and their midpoint clear of
+    such levels of stage cap and short of the one-copy ones, so
+    llr_by_state's copies of such a level and its exact log-LR are stopped
+    and decided one way by them too; models with no such level keep the
+    bisection's thresholds bit for bit. Where the moved thresholds leave the
+    midpoint no room in its gap, it passes one cap level, whose cap states
+    then decide the other way. Each sweep is judged by the errors of its
+    moved thresholds' own rule, and those are the returned spec's (or the
+    error's best spec and achieved pair). The
     operating characteristics are step functions of the thresholds, so exact
     equality is generally unattainable:
 
@@ -310,6 +365,21 @@ def match_sprt_errors(
       alpha <= alpha and achieved beta <= beta (never over target), however
       far below the targets the lattice forces them.
     """
+    return _match(p, alpha, beta, cap, hypotheses, conservative, max_sweeps).spec
+
+
+def _match(
+    p: Problem,
+    alpha: float,
+    beta: float,
+    cap: int = 200,
+    hypotheses: tuple[int, int] = (0, 1),
+    conservative: bool = False,
+    max_sweeps: int = 8,
+) -> SprtOC:
+    """match_sprt_errors' spec with its operating characteristics, as the match
+    computed them: each distinct capped rule's SprtOC is kept, so the caller
+    needs no second log-LR table or forward pass."""
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise SeqOptError("targets must be in (0, 1)")
     _check_count("max_sweeps", max_sweeps)
@@ -334,49 +404,58 @@ def match_sprt_errors(
         return (bisect_left(levels, s.a_upper), bisect_right(levels, s.b_lower),
                 bisect_left(cap_levels, 0.5 * (s.a_upper + s.b_lower)))
 
-    memo: dict[tuple[int, int, int], tuple[float, float]] = {}
+    memo: dict[tuple[int, int, int], SprtOC] = {}
 
-    def errors(s: SprtSpec) -> tuple[float, float]:
+    def oc_of(s: SprtSpec) -> SprtOC:
+        # The OC of s's capped rule, computed once per rule: its spec and
+        # decisions are those of the rule's first probe (see own).
         key = rule_key(s)
         if key not in memo:
-            oc = _oc(p, s, table)
-            memo[key] = (oc.alpha, oc.beta)
-        log.debug("a_upper=%r b_lower=%r errors=%r", s.a_upper, s.b_lower, memo[key])
+            memo[key] = _oc(p, s, table)
+        log.debug("a_upper=%r b_lower=%r errors=%r", s.a_upper, s.b_lower,
+                  (memo[key].alpha, memo[key].beta))
         return memo[key]
 
     def cleared(s: SprtSpec) -> SprtSpec:
-        # s with each threshold, then their midpoint, moved into the clear
-        # part of its gap (_clear_gap); s itself where that changes the rule.
+        # s with each threshold moved into the clear part of its gap
+        # (_clear_gap), then their midpoint into that of its cap gap or, past
+        # one cap level, of the next (_clear_midpoint): a new rule then, whose
+        # errors the caller reads. s itself where the thresholds would pass a
+        # level or each other.
         ka, kb, km = rule_key(s)
-        a_lo, a_hi = _clear_gap(table.levels, table.tops, ka, half)
-        b_lo, b_hi = _clear_gap(table.levels, table.tops, kb, half)
-        m_lo, m_hi = _clear_gap(table.levels[on_cap], table.tops[on_cap], km, half)
-        a, b = min(max(s.a_upper, a_lo), a_hi), min(max(s.b_lower, b_lo), b_hi)
-        if (short := 2 * m_lo - (a + b)) > 0:  # raise the midpoint: a first, then b
-            step = min(short, a_hi - a)
-            a, b = a + step, min(b + (short - step), b_hi)
-        elif (excess := a + b - 2 * m_hi) > 0:  # lower it: a first, then b
-            step = min(excess, a - a_lo)
-            a, b = a - step, max(b - (excess - step), b_lo)
+        a_gap = _clear_gap(table.levels, table.tops, ka, half)
+        b_gap = _clear_gap(table.levels, table.tops, kb, half)
+        a, b = min(max(s.a_upper, a_gap[0]), a_gap[1]), min(max(s.b_lower, b_gap[0]), b_gap[1])
+        a, b = _clear_midpoint(a, b, a_gap, b_gap, table.levels[on_cap], table.tops[on_cap],
+                               km, half)
         out = replace(s, a_upper=a, b_lower=b)
-        return out if out.b_lower < out.a_upper and rule_key(out) == rule_key(s) else s
+        return out if out.b_lower < out.a_upper and rule_key(out)[:2] == (ka, kb) else s
 
-    achieved = (math.inf, math.inf)
+    def own(oc: SprtOC, s: SprtSpec) -> SprtOC:
+        # oc as s's own: the same capped rule, but s's decisions, which differ
+        # from the probe's only at states that continue, so not in the report.
+        return replace(oc, spec=s, decision=_rule_from_llr(s, table)[1])
+
+    # Each sweep's spec is judged by its cleared form, so the spec returned,
+    # or carried by the error, has the errors of its own rule.
+    best, achieved = spec, (math.inf, math.inf)
     for _ in range(max_sweeps):
-        a = _bisect_threshold(lambda t: errors(replace(spec, a_upper=t))[0], alpha)
+        a = _bisect_threshold(lambda t: oc_of(replace(spec, a_upper=t)).alpha, alpha)
         spec = replace(spec, a_upper=a)
-        b = _bisect_threshold(lambda t: errors(replace(spec, b_lower=-t))[1], beta)
+        b = _bisect_threshold(lambda t: oc_of(replace(spec, b_lower=-t)).beta, beta)
         spec = replace(spec, b_lower=-b)
-        achieved = errors(spec)
+        best = cleared(spec)
+        oc = oc_of(best)
+        achieved = (oc.alpha, oc.beta)
         if conservative:
             if achieved[0] <= alpha and achieved[1] <= beta:
-                return cleared(spec)
+                return own(oc, best)
         elif abs(achieved[0] - alpha) <= _MATCH_TOL and abs(achieved[1] - beta) <= _MATCH_TOL:
-            return cleared(spec)
+            return own(oc, best)
     raise UnreachableTargetsError(
         f"no thresholds reach alpha={alpha}, beta={beta} within tol={_MATCH_TOL} at cap={cap}; "
         f"best achieved {achieved}",
-        best=cleared(spec),
+        best=best,
         achieved=achieved,
     )
 

@@ -80,9 +80,19 @@ class StoppingRule:
         Floats are repr's, each distinct bit pattern of a stage's column
         formatted once (-0.0 keeps its text). The bytes are csv.writer's (CRLF,
         comma-bearing labels quoted), each stage written as one block of text.
+        A strategy whose probs are not that wide is refused before anything is
+        written, as rule_from_csv would refuse the file; probabilities are
+        written as they are, NaN and infinite ones too.
         """
         space = state_space(problem, self.engine)
         d_count = 0 if decision is None else problem.n_decisions
+        probs = [] if decision is None or decision.probs is None else decision.probs
+        for n, q in enumerate(probs[: self.horizon], start=1):
+            if (width := np.shape(q)[1] if np.ndim(q) == 2 else None) != d_count:
+                raise SeqOptError(
+                    f"decision probabilities of stage {n} are {width} decisions wide "
+                    f"(shape {np.shape(q)}), the problem has {d_count}"
+                )
         fh.write(_rule_header(d_count))
         for n in range(1, self.horizon + 1):
             q = None if decision is None else decision.stage_probs(n, d_count)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import seqopt as so
+from seqopt import sprt
 from seqopt.cli import _self_check, main
 from seqopt.histories import state_space
 
@@ -260,6 +261,32 @@ def test_search_sprt_result_leaves_stats_out(tmp_path, capsys):
     payload = {"mode": "sprt", "targets": [0.3, 0.3], "sprt": oc.to_dict()}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert (out_dir / "result.json").read_text() == text
+
+
+@pytest.mark.parametrize("mode", ["sprt", "compare"])
+def test_search_evaluates_the_matched_ratio_test_once(tmp_path, capsys, monkeypatch, mode):
+    # The CLI writes the OC the match computed for the spec it returns: it
+    # makes no _oc call and builds no log-LR table beyond the match's own.
+    calls = Counter()
+    for name in ("_oc", "_llr_table"):
+        def counted(*args, _real=getattr(sprt, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sprt, name, counted)
+    extra = ("--mode", "sprt", "--conservative") if mode == "sprt" else ("--compare",)
+    code, out_dir = run(capsys, "--out-root", str(tmp_path), "search", TWO_CHANNEL,
+                        "--targets", "0.3,0.3", "--horizon", "2", "--cap", "40", *extra)
+    assert code == 0
+    targets = (0.3, 0.3)
+    if mode == "compare":  # matched to the Lagrange rule's errors, as written
+        row = (out_dir / "comparison.csv").read_text().splitlines()[1].split(",")
+        targets = (float(row[1]), float(row[2]))
+    from_cli = dict(calls)
+    calls.clear()
+    spec = so.match_sprt_errors(so.load_problem(TWO_CHANNEL), *targets, cap=40, conservative=True)
+    assert from_cli == dict(calls) and calls["_llr_table"] == 1 and calls["_oc"] > 0
+    assert json.loads((out_dir / "result.json").read_text())["sprt"]["a_upper"] == spec.a_upper
 
 
 def test_search_compare(tmp_path, capsys):

@@ -97,6 +97,71 @@ def test_push_forward_is_the_scatter_bit_for_bit(kind, k, m, n, seed):
         assert _bits(got) == _bits(want)
 
 
+def _scatter_densities(space, top):
+    """Stages 0..top of f_theta as the per-column scatter along child-table rows."""
+    m = space.problem.n_params
+    out = [np.ones((1, m))]
+    for n in range(top):
+        table, step = space.children(n).T, space.step_probs(n)
+        f_theta = np.empty((space.n_states(n + 1), m))
+        for j in range(m):
+            for x in range(space.k):
+                f_theta[table[x], j] = out[-1][:, j] * step[:, j, x]
+        out.append(f_theta)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind_k=st.one_of(
+        st.tuples(st.just("counts"), st.integers(1, 3)),
+        st.tuples(st.sampled_from(["tree_iid", "markov"]), st.integers(1, 4)),
+    ),
+    m=st.integers(1, 3),
+    horizon=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_kernels_are_the_index_table_forms_bit_for_bit(kind_k, m, horizon, seed):
+    # Slice rows (every tree row, the binary count rows) and the index rows of
+    # K = 3 counts, against the forms that gather and scatter by children(n):
+    # the forward push, the stage densities, the solve's child sums and the
+    # reachable sets. The kernels run before the references ask for a child table.
+    kind, k = kind_k
+    rng = np.random.default_rng(seed)
+    if kind != "counts":
+        horizon = min(horizon, {1: 8, 2: 8, 3: 5}.get(k, 4))
+    p = _problem(rng, kind, k, m)
+    engine = _engine(kind)
+    tables = so.solve_truncated(p, horizon, engine)
+    space = tables.table.space
+    rule = _random_rule(rng, space, engine, horizon, truncated=True)
+    reach = reachable_sets(rule, space)
+    cases = []
+    for n in range(horizon):
+        s = space.n_states(n)
+        alive = rng.uniform(size=(s, 1)) < 0.7
+        for values, weighted in [
+            (rng.uniform(size=(s, m)) * alive, True),  # per-parameter mass
+            (rng.uniform(size=(s, 2)) * alive, False),  # mixture flows
+            (alive[:, 0], False),  # reachability
+        ]:
+            cases.append((n, values, weighted, push_forward(space, n, values, weighted)))
+
+    for n, values, weighted, got in cases:
+        want = scatter_push(space, n, values, weighted)
+        assert got.dtype == want.dtype and _bits(got) == _bits(want)
+    for n, want in enumerate(_scatter_densities(space, horizon)):
+        assert _bits(space.densities(n)) == _bits(want), n
+    for n in range(horizon):
+        sums = tables.value[n + 1][space.children(n).T].sum(axis=0)
+        want = p.cost.c * (space.densities(n) @ p.priors.pi2) + sums
+        assert _bits(tables.cont[n]) == _bits(want), n
+    masks = [np.ones(space.n_states(1), dtype=bool)]
+    for n in range(1, horizon):
+        masks.append(scatter_push(space, n, masks[-1] & (rule.at(n) < 1.0), weighted=False))
+    assert len(reach) == len(masks) and all(map(np.array_equal, reach, masks))
+
+
 def _assert_same_report(got, want):
     for f in dataclasses.fields(want):
         if f.name == "stats":

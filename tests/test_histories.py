@@ -88,6 +88,35 @@ def test_deep_binary_space_children_and_index():
     assert space.index_of(n, (250, 350)) == 250
 
 
+def test_binary_pipeline_builds_child_tables_on_request(monkeypatch):
+    # A binary count stage's children are ranges, so a solve, its rule and
+    # their evaluation build no child table or state array. Asked for, they
+    # are the enumeration's, and the Monte Carlo walk then reads every child
+    # table from that cache.
+    n = 30
+    p = so.iid_problem([[0.61, 0.39], [0.27, 0.73]], so.zero_one_loss(2), [0.5, 0.5],
+                       [0.5, 0.5], 0.01)
+    tables = so.solve_truncated(p, n, "counts")
+    rule = so.extract_rule(tables)
+    so.evaluate(p, rule)
+    space = tables.table.space
+    assert space._children == {} and list(space._states) == [0]
+    ref_states, _, ref_children = reference_count_stages(2, n)
+    for stage in range(n + 1):
+        assert [tuple(row) for row in space.states(stage).tolist()] == ref_states[stage]
+        if stage < n:
+            assert np.array_equal(space.children(stage), ref_children[stage])
+
+    def no_build(*args):
+        raise AssertionError("a stage was built again")
+
+    monkeypatch.setattr(so.histories, "_next_stage", no_build)
+    cached = dict(space._children)
+    so.simulate(p, rule, so.SimConfig(replications=200, seed=1, cap=n))
+    assert space._children.keys() == cached.keys()
+    assert all(space._children[s] is table for s, table in cached.items())
+
+
 @pytest.mark.parametrize(
     "counts",
     [(1, 1), (2, 0, 0, 0), (3, -1, 0), (1, 0, 0), (2, 1, 0)],

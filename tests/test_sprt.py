@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 from dataclasses import replace
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import seqopt as so
@@ -423,15 +424,58 @@ def test_matched_thresholds_clear_every_copy_of_a_level(case):
     targets=st.tuples(st.floats(0.01, 0.2), st.floats(0.01, 0.2)),
     conservative=st.booleans(),
 )
+# Clearing both thresholds of the level pair +-3 moves their midpoint 4.9e-15
+# past the cap's one-copy level 0.0: the best spec takes that new rule, and
+# reports its errors.
+@example(q=0.65625, cap=16, targets=(0.125, 0.15625), conservative=False)
 def test_matched_thresholds_clear_reversed_row_levels(q, cap, targets, conservative):
     # Thresholds that land at a level can put the midpoint at a cap level
-    # too; both are moved clear, and an unreachable match's best spec is.
+    # too; both are moved clear, and an unreachable match's best spec is,
+    # with the errors of its own rule.
     p = so.iid_problem([[q, 1 - q], [1 - q, q]], so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
     try:
         spec = so.match_sprt_errors(p, *targets, cap=cap, conservative=conservative)
+        achieved = None
     except so.UnreachableTargetsError as err:
-        spec = err.best
+        spec, achieved = err.best, err.achieved
     assert_thresholds_clear_of_levels(p, spec)
+    oc = so.sprt_operating_characteristics(p, spec)
+    if achieved is not None:
+        assert (oc.alpha, oc.beta) == achieved
+    elif conservative:
+        assert oc.alpha <= targets[0] and oc.beta <= targets[1]
+    else:
+        assert abs(oc.alpha - targets[0]) <= 1e-4 and abs(oc.beta - targets[1]) <= 1e-4
+
+
+@pytest.mark.parametrize(
+    "tops, start, a_gap, b_gap, want",
+    [
+        # Room below level 0's copies [0, 1e-3]: a goes down.
+        ([0.0, 1e-3], (1.5, -1.499), (1.0, 2.0), (-1.6, -0.5), (1.497, -1.499)),
+        # No room below: the midpoint goes past level 0's copies, clear above them.
+        ([0.0, 1e-3], (1.0, -0.999), (1.0, 2.0), (-0.999, -0.5), (1.003, -0.999)),
+        # Past a one-copy level 0.0 is clear already: nothing moves.
+        ([0.0, 0.0], (1.0, -0.9), (1.0, 2.0), (-0.9, -0.5), (1.0, -0.9)),
+    ],
+    ids=["room", "past-several-copies", "past-one-copy"],
+)
+def test_midpoint_clears_its_cap_gap_or_the_next(tops, start, a_gap, b_gap, want):
+    # Cap levels -1, 0 and 1, with level 0's copies from tops[0] to tops[1];
+    # the midpoint starts in the gap below level 0, and half a bound is 1e-3.
+    levels, top = np.array([-1.0, tops[0], 1.0]), np.array([-1.0, tops[1], 1.0])
+    a, b = sprt._clear_midpoint(*start, a_gap, b_gap, levels, top, 1, 1e-3)
+    assert (a, b) == pytest.approx(want, abs=1e-12)
+
+
+def test_midpoint_leaves_a_one_copy_level_it_lands_on():
+    # Thresholds cleared symmetrically put the midpoint exactly on the one-copy
+    # cap level 0.0, which bisect_left (and the rule, llr >= midpoint) files
+    # in the gap below it; a float more of a keeps it in gap 2, above the level.
+    levels = np.array([-1.0, 0.0, 1.0])
+    a, b = sprt._clear_midpoint(1.0, -1.0, (1.0, 2.0), (-1.5, -1.0), levels, levels, 2, 1e-3)
+    assert (a, b) == (math.nextafter(1.0, math.inf), -1.0)
+    assert bisect.bisect_left(levels.tolist(), 0.5 * (a + b)) == 2
 
 
 def llr_table_and_levels(p, cap, hypotheses):

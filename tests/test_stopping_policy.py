@@ -415,6 +415,23 @@ def test_csv_writers_match_row_by_row_writers(engine_k_horizon, palette, d_count
     assert buf.getvalue() == reference_rule_csv(rule, space, probs)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_rule_csv_refuses_probs_of_another_width(width):
+    # A file with two decision columns over three-column rows would be refused
+    # by rule_from_csv; the writer refuses the strategy first and writes nothing.
+    p = so.load_problem(CONFIGS / "two_channel.json")
+    rule = so.extract_rule(so.solve_truncated(p, 3))
+    sizes = [state_space(p).n_states(n) for n in range(1, 4)]
+    decision = so.DecisionStrategy([np.zeros(s, dtype=np.uint8) for s in sizes],
+                                   [np.full((s, width), 1.0 / width) for s in sizes])
+    buf = io.StringIO()
+    message = f"decision probabilities of stage 1 are {width} decisions wide"
+    with pytest.raises(so.SeqOptError, match=message) as exc:
+        rule.to_csv(buf, p, decision)
+    assert f"the problem has {p.n_decisions}" in str(exc.value)
+    assert buf.getvalue() == ""
+
+
 def test_only_extracted_rules_keep_their_table(instance_b):
     tables = so.solve_truncated(instance_b, 3)
     rule = so.extract_rule(tables)
