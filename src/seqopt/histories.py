@@ -302,34 +302,46 @@ def push_forward(
 ) -> np.ndarray:
     """Carry stage-n values to stage n+1: each child sums what its parents send.
 
-    values is (S_n,) or (S_n, C), float64 or bool. With `weighted` it is
-    (S_n, m) per-parameter mass, and the edge of symbol x multiplies column j
-    by P_j(x | state) from step_probs. Without, values travel unchanged; a
+    values is (S_n,) or (S_n, C), float64 or bool, or a stack (R, S_n, C) of
+    R such blocks, each carried alone. With `weighted` a block is (S_n, m)
+    per-parameter mass, and the edge of symbol x multiplies column j by
+    P_j(x | state) from step_probs. Without, values travel unchanged; a
     boolean column comes back True where some parent sent True, as its sum
     is then True (numpy adds booleans as a logical or) or its float sum
     positive, so reachability never underflows.
 
     Where every child row of the stage is a slice, out starts at 0 and, for
     x = 0..K-1, out[row_x] += values * step[..., x]: the per-symbol scatter
-    itself. Otherwise one np.bincount per column adds the same terms in the
-    same order, symbol-major. Either way the sums are the scatter's, bit for
-    bit (see the module docstring).
+    itself, on every block at once. Otherwise one np.bincount per column adds
+    the same terms in the same order, symbol-major, each block into bins of
+    its own. Either way the sums are the scatter's, bit for bit (see the
+    module docstring).
     """
     size = space.n_states(n + 1)
     rows = space.child_rows(n)
     step = space.step_probs(n) if weighted else None
+    stacked = values.ndim == 3
     if all(isinstance(row, slice) for row in rows):
-        out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+        shape = list(values.shape)
+        shape[stacked] = size  # the state axis
+        out = np.zeros(shape, dtype=values.dtype)
         for x, row in enumerate(rows):
-            out[row] += values * step[:, :, x] if weighted else values
+            out[(slice(None), row) if stacked else row] += (
+                values * step[:, :, x] if weighted else values
+            )
         return out
+    blocks = values if stacked else values.reshape(1, len(values), -1)  # (R, S_n, C)
+    r_count = len(blocks)
     flat = space.children(n).T.ravel()  # the contiguous (K, S_n) table, symbol by symbol
-    cols = values.reshape(len(values), -1)
-    out = np.empty((size, cols.shape[1]), dtype=values.dtype)
-    for j in range(cols.shape[1]):
-        sent = step[:, j].T * cols[:, j] if weighted else np.tile(cols[:, j], space.k)
-        out[:, j] = np.bincount(flat, weights=sent.ravel(), minlength=size)
-    return out.reshape((size,) + values.shape[1:])
+    if r_count > 1:  # block r's children in bins r * S_{n+1} on
+        flat = (flat + size * np.arange(r_count)[:, None]).ravel()
+    out = np.empty((r_count, size, blocks.shape[2]), dtype=values.dtype)
+    for j in range(blocks.shape[2]):
+        col = blocks[:, :, j]
+        sent = step[:, j].T * col[:, None] if weighted else np.tile(col, space.k)
+        sums = np.bincount(flat, weights=sent.ravel(), minlength=r_count * size)
+        out[:, :, j] = sums.reshape(r_count, size)
+    return out if stacked else out.reshape((size,) + values.shape[1:])
 
 
 def check_state_budget(space: StateSpace, horizon: int, budget: int = DEFAULT_STATE_BUDGET) -> None:

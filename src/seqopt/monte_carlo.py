@@ -199,7 +199,7 @@ def simulate(
     reps, cap = int(cfg.replications), int(cfg.cap)
     mode = cfg.theta_mode if isinstance(cfg.theta_mode, str) else int(cfg.theta_mode)
     space = state_space(p, rule.engine)  # held so the table below shares it
-    _check_coverage(space, rule, decision, cap, p.n_decisions)
+    _check_coverage(space, [rule], [decision], cap, p.n_decisions)
     if decision is None:
         decision = DecisionStrategy.bayes(HistoryTable(p, rule.engine), cap)
     theta_cdf = None if isinstance(mode, int) else np.cumsum(getattr(p.priors, mode))

@@ -27,6 +27,16 @@ stage. Everything else comes from those two after the pass:
 
 The stopping mass reads only p, so decision probabilities whose rows sum to 1
 within rounding leave it unchanged.
+
+The pass has a leading rule axis: it walks a stack of R (rule, decision)
+pairs of one engine and horizon at once, with M an (R, S, m) array whose
+(S, m) block per pair is contiguous, and `evaluate` is its R = 1 case. Each
+product above runs per block as np.matmul of the stacked operands, the
+booked one the transposed view of an (R, S, D) array, so every pair books
+bit for bit what a pass of it alone books. The per-stage Python work is
+shared, so a stack of small stages costs little more than one pair's pass.
+The walk ends when every pair's mass is zero; until then a pair whose mass
+is all zero rides along, booking exactly 0.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -41,7 +52,7 @@ import numpy as np
 
 from .bayes_decision import HistoryTable, _bayes_loss
 from .errors import SeqOptError
-from .histories import check_state_budget, push_forward, state_space
+from .histories import StateSpace, check_state_budget, push_forward, state_space
 from .model import Problem
 from .stopping_policy import DecisionStrategy, StoppingRule, _check_coverage, _kinds, _one_hot
 from .tolerances import PRUNE_EPS, STOP_MASS_ATOL
@@ -151,58 +162,145 @@ def evaluate(
     n_psi + sum_i lambda_i * w_group_i. The Bayes stages are shared with every
     live table of the problem (see bayes_decision), such as an extracted rule's.
     """
-    return _forward(p, rule, decision, multipliers)[0]
+    return _forward(p, [(rule, decision)], multipliers)[0][0]
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """R arrays of one shape as one (R, ...) array; the one array itself where R = 1."""
+    return arrays[0] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _stages(flat: np.ndarray, own: list[np.ndarray], r_count: int) -> list[np.ndarray]:
+    """Per stage n, the (R, S_n) arrays of a stack's R pairs, views of `flat`,
+    every pair's concatenated stage after stage and pair after pair; the
+    one pair's own (S_n,) stage arrays `own` where R = 1."""
+    if r_count == 1:
+        return own
+    rows = flat.reshape(r_count, -1)
+    ends = np.cumsum([0] + [len(a) for a in own]).tolist()
+    return [rows[:, a:b] for a, b in zip(ends, ends[1:])]
 
 
 def _forward(
     p: Problem,
-    rule: StoppingRule,
-    decision: DecisionStrategy | None = None,
+    pairs: Sequence[tuple[StoppingRule, DecisionStrategy | None]],
     multipliers: np.ndarray | None = None,
-) -> tuple[RiskReport, np.ndarray]:
-    """evaluate's pass, also returning the (S, m) mass that arrives at the last stage."""
-    space = state_space(p, rule.engine)
-    horizon = rule.horizon
+) -> list[tuple[RiskReport, np.ndarray]]:
+    """evaluate's pass over a stack of (rule, decision) pairs of one engine and
+    horizon: per pair its report and the (S, m) mass that arrives at the last
+    stage, each as a pass of that pair alone gives it. The reports' stats are
+    the pass's: a pair whose walk ends early rides along with zero mass."""
+    rules = [rule for rule, _ in pairs]
+    decisions = [decision for _, decision in pairs]
+    engine, horizon = rules[0].engine, rules[0].horizon
+    if len({(rule.engine, rule.horizon) for rule in rules}) > 1:
+        raise SeqOptError("a stack of rules needs one engine and one horizon")
+    space = state_space(p, engine)
     d_count = p.n_decisions
-    _check_coverage(space, rule, decision, horizon, d_count)
-    bayes = HistoryTable(p, rule.engine) if decision is None else None
-
-    start = time.perf_counter()
-    m = p.n_params
+    stop, indices = _check_coverage(space, rules, decisions, horizon, d_count)
+    r_count = len(pairs)
+    stops = _stages(stop, rules[0].stop_probs, r_count)
+    bayes = HistoryTable(p, engine) if any(d is None for d in decisions) else None
     kinds = _kinds(d_count)
-    stop_dist = np.zeros((horizon, m))
-    blocks = np.zeros((d_count, m))  # mass stopped per (decision, parameter)
-    mass = space.densities(1).copy()
-    leftover = np.zeros(m)
+    # Each stage's decision probabilities, one-hot booleans for indices; the
+    # Bayes decisions are read as the walk reaches them.
+    if bayes is None and all(d.probs is None for d in decisions):
+        q_of = _one_hot_stages(_stages(indices, decisions[0].decisions[:horizon], r_count),
+                               d_count)
+    elif all(d is None for d in decisions):  # one (D, S_n) for every pair
+
+        def q_of(n: int) -> np.ndarray:
+            return bayes.stage(n).decision == kinds[:, None]
+    else:
+
+        def q_of(n: int) -> np.ndarray:
+            return _stack([
+                (_one_hot(bayes.stage(n).decision, kinds) if d is None
+                 else d.stage_probs(n, d_count)).T
+                for d in decisions
+            ])
+    del stop, indices  # a single pair's stages are its own arrays, not these copies
+    return _walk(p, space, stops, q_of, multipliers)
+
+
+def _one_hot_stages(stages: list[np.ndarray], d_count: int) -> Callable[[int], np.ndarray]:
+    """The q_of of _walk for stacked decision indices per stage: stage n's
+    one-hot (R, D, S_n) booleans."""
+    kinds = _kinds(d_count)[:, None]
+    return lambda n: stages[n - 1][..., None, :] == kinds
+
+
+def _walk(
+    p: Problem,
+    space: StateSpace,
+    stops: list[np.ndarray],
+    q_of: Callable[[int], np.ndarray],
+    multipliers: np.ndarray | None = None,
+) -> list[tuple[RiskReport, np.ndarray]]:
+    """_forward's stage loop over stacked stages that fit the space: stops[n - 1]
+    is stage n's (R, S_n) stop probabilities and q_of(n) its (R, D, S_n)
+    decision probabilities (one-hot booleans for indices; (D, S_n) where every
+    pair shares them).
+
+    The rule axis leads every array of a stack of R > 1 pairs and is left out
+    where R = 1, so a single pair's pass runs on (S, m) arrays.
+    """
+    horizon = len(stops)
+    r_count = len(stops[0]) if stops[0].ndim == 2 else 1
+    lead = (r_count,) if r_count > 1 else ()
+    start = time.perf_counter()
+    m, d_count = p.n_params, p.n_decisions
+    stop_dist = np.zeros(lead + (horizon, m))
+    blocks = np.zeros(lead + (d_count, m))  # mass stopped per (decision, parameter)
+    mass = np.empty(lead + (space.n_states(1), m))  # each pair's (S, m) block contiguous
+    mass[...] = space.densities(1)
+    leftover = np.zeros((r_count, m))
     states = 0
     for n in range(1, horizon + 1):
-        probs = rule.at(n)
-        states += len(probs)
-        stop_dist[n - 1] = probs @ mass
-        if bayes is not None:
-            q = _one_hot(bayes.stage(n).decision, kinds)
-        elif decision.probs is None:
-            q = _one_hot(decision.at(n), kinds)
-        else:
-            q = decision.probs[n - 1]
-        # q * p[:, None], written through its (D, S) transpose: the state axis
-        # innermost, and the (S, D) C-ordered operand BLAS always got.
-        booked = np.empty((len(probs), d_count))
-        np.multiply(q.T, probs, out=booked.T)
-        blocks += booked.T @ mass
+        probs = stops[n - 1]
+        states += probs.shape[-1]
+        p_row = probs[..., None, :]
+        stop_dist[..., n - 1, :] = (p_row @ mass)[..., 0, :]
+        # q * p[:, None] per pair, written through its (D, S) transpose: the
+        # state axis innermost, and each (S, D) C-ordered operand BLAS always got.
+        booked_t = np.empty(lead + (probs.shape[-1], d_count)).swapaxes(-1, -2)
+        np.multiply(q_of(n), p_row, out=booked_t)
+        blocks += booked_t @ mass
         if n == horizon:
-            leftover = (mass * (1.0 - probs)[:, None]).sum(axis=0)
+            leftover = [(block * (1.0 - row)[:, None]).sum(axis=0)
+                        for block, row in zip(mass.reshape(r_count, -1, m),
+                                              probs.reshape(r_count, -1))]
             break
-        mass = push_forward(space, n, mass * (1.0 - probs)[:, None])
+        mass = push_forward(space, n, mass * (1.0 - probs)[..., None])
         mass[mass < PRUNE_EPS] = 0.0
         if not np.count_nonzero(mass):  # every later stage would book 0
-            mass = np.zeros((space.n_states(horizon), m))
+            mass = np.zeros(lead + (space.n_states(horizon), m))
             break
+    stats = {"forward_s": time.perf_counter() - start, "stages": n, "states": states}
+    stop_dist = stop_dist.reshape(r_count, horizon, m)
+    blocks = blocks.reshape(r_count, d_count, m)
+    mass = mass.reshape(r_count, -1, m)
+    return [
+        (_report(p, stop_dist[i], blocks[i], leftover[i], multipliers, dict(stats)), mass[i])
+        for i in range(r_count)
+    ]
+
+
+def _report(
+    p: Problem,
+    stop_dist: np.ndarray,
+    blocks: np.ndarray,
+    leftover: np.ndarray,
+    multipliers: np.ndarray | None,
+    stats: dict,
+) -> RiskReport:
+    """A pair's RiskReport from what its pass booked: (horizon, m) stop_dist,
+    (D, m) blocks and the (m,) mass left unstopped past the last stage."""
+    horizon, m = stop_dist.shape
     by_theta = np.ascontiguousarray(blocks.T)
     loss_theta = (by_theta * p.loss.w).sum(axis=1)
     # A pmf row may sum to 1 + 2^-52, and a decision's probability with it.
     decision_probs = by_theta.clip(0.0, 1.0)
-    stats = {"forward_s": time.perf_counter() - start, "stages": n, "states": states}
 
     stages = np.arange(1, horizon + 1, dtype=float)
     n_theta = stages @ stop_dist
@@ -229,11 +327,11 @@ def _forward(
             lagrangian = float(n_psi + np.dot(np.asarray(lam, dtype=float), w_groups))
 
     error_probs = None
-    if d_count == 2 and m >= 2:
+    if p.n_decisions == 2 and m >= 2:
         i1, i2 = _hypothesis_indices(p)
         error_probs = (float(decision_probs[i1, 1]), float(decision_probs[i2, 0]))
 
-    report = RiskReport(
+    return RiskReport(
         n_psi=n_psi,
         n_theta=n_theta,
         w_total=w_total,
@@ -254,7 +352,6 @@ def _forward(
         decision_labels=p.loss.decisions,
         stats=stats,
     )
-    return report, mass
 
 
 @dataclass(eq=False)

@@ -13,6 +13,9 @@ range decides the whole level one way. The same enumeration makes the
 operating characteristics step functions of the thresholds, so threshold
 matching computes them once per step however many probes land on it, and
 returns thresholds clear of the rounding ranges of the levels next to them.
+It computes them in stacked forward passes (see risk_evaluation): where the
+cap stage is small, a probe whose capped rule is new computes with it the
+rules the bisection's next few halvings may probe, still once per rule.
 """
 
 from __future__ import annotations
@@ -32,13 +35,15 @@ from .bayes_decision import decision_dtype
 from .errors import SeqOptError, UnreachableTargetsError
 from .histories import CountStateSpace, check_state_budget, state_space
 from .model import Problem
-from .risk_evaluation import RiskReport, _forward
+from .risk_evaluation import RiskReport, _one_hot_stages, _walk
 from .stopping_policy import DecisionStrategy, StoppingRule, reachable_sets
 
 log = logging.getLogger(__name__)
 
 _MATCH_TOL = 1e-4  # match_sprt_errors: |achieved - target| allowed per error
 _THRESHOLD_LIMIT = 60.0  # match_sprt_errors: largest threshold magnitude searched
+_PREFETCH_LEVELS = 3  # match_sprt_errors: halving levels one stacked pass computes
+_PREFETCH_MAX_CELLS = 1500  # match_sprt_errors: most cap-stage states x parameters to stack
 
 
 class _LlrTable(NamedTuple):
@@ -101,8 +106,12 @@ def llr_by_state(
     p: Problem, space, n: int, hypotheses: tuple[int, int] = (0, 1)
 ) -> np.ndarray:
     """Log-LR of every stage-n state; nan where both hypotheses have density 0."""
-    inc = llr_increments(p, hypotheses)
-    counts = np.asarray(space.states(n), dtype=float)
+    return _llr_of_counts(space.states(n), llr_increments(p, hypotheses))
+
+
+def _llr_of_counts(counts: np.ndarray, inc: np.ndarray) -> np.ndarray:
+    """llr_by_state of count vectors (S, K), given the increments of llr_increments."""
+    counts = np.asarray(counts, dtype=float)
     terms = np.multiply(counts, inc, out=np.zeros(counts.shape), where=counts > 0)
     if np.isposinf(inc).any() and np.isneginf(inc).any():  # inf - inf: both densities 0
         terms[np.isposinf(terms).any(axis=1) & np.isneginf(terms).any(axis=1)] = np.nan
@@ -115,7 +124,8 @@ def sprt_rule(p: Problem, spec: SprtSpec) -> tuple[StoppingRule, DecisionStrateg
     Stage `cap` keeps the threshold stop probabilities (the rule is not
     truncated); cap it with truncate_rule for exact capped evaluation.
     """
-    return _rule_from_llr(spec, _llr_table(p, _check_sprt_inputs(p, spec), spec))
+    table = _llr_table(p, _check_sprt_inputs(p, spec), spec)
+    return _views(*_stop_and_decide([spec], table), table, truncated=False)[0]
 
 
 def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> _LlrTable:
@@ -130,10 +140,10 @@ def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> _LlrTable:
     differ by at most about K * eps * cap * max|inc_x|; twice that is the
     merge bound. Infinite and nan log-LRs are kept as they are.
     """
-    llrs = [llr_by_state(p, space, n, spec.hypotheses) for n in range(1, spec.cap + 1)]
+    inc = llr_increments(p, spec.hypotheses)
+    llrs = [_llr_of_counts(space.states(n), inc) for n in range(1, spec.cap + 1)]
     ends = np.cumsum([len(a) for a in llrs]).tolist()
     llr = np.concatenate(llrs)
-    inc = llr_increments(p, spec.hypotheses)
     scale = np.abs(inc[np.isfinite(inc)]).max(initial=0.0)
     bound = float(2 * len(inc) * np.finfo(float).eps * spec.cap * scale)
     copies = np.sort(llr)  # -inf first, then the finite values, +inf and nan
@@ -152,18 +162,36 @@ def _llr_table(p: Problem, space: CountStateSpace, spec: SprtSpec) -> _LlrTable:
     return _LlrTable(llr, stages, levels, tops, bound)
 
 
-def _rule_from_llr(spec: SprtSpec, table: _LlrTable) -> tuple[StoppingRule, DecisionStrategy]:
-    """sprt_rule from a log-LR table of _llr_table.
+def _stop_and_decide(specs: list[SprtSpec], table: _LlrTable) -> tuple[np.ndarray, np.ndarray]:
+    """The specs' ratio tests over every stage of a log-LR table from
+    _llr_table: (R, states) stop probabilities and decisions, a row per spec."""
+    llr = table.llr
+    a = np.array([[s.a_upper] for s in specs])
+    b = np.array([[s.b_lower] for s in specs])
+    stop = np.where((llr > b) & (llr < a), 0.0, 1.0)
+    decide = (llr >= 0.5 * (a + b)).astype(decision_dtype(2))
+    return stop, decide
 
-    One stop mask and one decision array cover every stage; the rule and the
-    strategy hold per-stage views of them.
-    """
-    llr, stages = table.llr, table.stages
-    mid = 0.5 * (spec.a_upper + spec.b_lower)
-    stop = np.where((llr > spec.b_lower) & (llr < spec.a_upper), 0.0, 1.0)
-    decide = (llr >= mid).astype(decision_dtype(2))
-    rule = StoppingRule("counts", [stop[s] for s in stages], truncated=False)
-    return rule, DecisionStrategy([decide[s] for s in stages], d_count=2)
+
+def _capped(specs: list[SprtSpec], table: _LlrTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_stop_and_decide with each rule capped at the table's last stage, and
+    per spec that stage's continuation (1 where the uncapped rule continues)."""
+    stop, decide = _stop_and_decide(specs, table)
+    last = table.stages[-1]
+    go_on = 1.0 - stop[:, last]
+    stop[:, last] = 1.0
+    return stop, decide, go_on
+
+
+def _views(
+    stop: np.ndarray, decide: np.ndarray, table: _LlrTable, truncated: bool
+) -> list[tuple[StoppingRule, DecisionStrategy]]:
+    """Per row of stop and decide, the rule and strategy that hold its stages as views."""
+    return [
+        (StoppingRule("counts", [row[s] for s in table.stages], truncated=truncated),
+         DecisionStrategy([dec[s] for s in table.stages], d_count=2))
+        for row, dec in zip(stop, decide)
+    ]
 
 
 @dataclass(eq=False)
@@ -174,8 +202,9 @@ class SprtOC:
     evaluate(p, rule, decision) gives `report`. `stats` describes the
     computation, not its result: "rule_s" (seconds building the capped rule
     and decisions from the log-LR table), "forward_s" (seconds in its forward
-    pass), "stages" and "states" (walked by that pass). It stays out of
-    to_dict, so written outputs are reproducible.
+    pass), "stages" and "states" (walked by that pass), all of a stacked pass
+    where several rules shared one. It stays out of to_dict, so written
+    outputs are reproducible.
     """
 
     spec: SprtSpec
@@ -208,28 +237,46 @@ def sprt_operating_characteristics(p: Problem, spec: SprtSpec) -> SprtOC:
     its sum per parameter is tail_theta.
     """
     space = _check_sprt_inputs(p, spec)  # held so the calls below share it
-    return _oc(p, spec, _llr_table(p, space, spec))
+    table = _llr_table(p, space, spec)
+    return _with_rule(_oc(p, [spec], table)[0], table)
 
 
-def _oc(p: Problem, spec: SprtSpec, table: _LlrTable) -> SprtOC:
-    """sprt_operating_characteristics over a log-LR table from _llr_table."""
+def _oc(p: Problem, specs: list[SprtSpec], table: _LlrTable) -> list[SprtOC]:
+    """sprt_operating_characteristics of each spec over a log-LR table from
+    _llr_table, in one stacked forward pass, but without their capped rules
+    and decisions (None; _with_rule adds them). The OCs share the pass's
+    rule_s and forward_s.
+
+    The stages are slices of the stacked stop and decision arrays, made to
+    fit the count space, so the pass reads them as they are.
+    """
     start = time.perf_counter()
-    rule, decision = _rule_from_llr(spec, table)
-    # The rule's stages are views of one fresh stop array: the cap stage's
-    # continuation is read, then the stage is set to stop, capping the rule.
-    last = rule.at(spec.cap)
-    go_on = 1.0 - last
-    last[:] = 1.0
-    capped = StoppingRule(rule.engine, rule.stop_probs, truncated=True)
+    stop, decide, go_on = _capped(specs, table)
     built = time.perf_counter()
-    report, arrived = _forward(p, capped, decision)
-    stats = {"rule_s": built - start, "forward_s": time.perf_counter() - built,
-             "stages": report.stats["stages"], "states": report.stats["states"]}
-    tail = (arrived * go_on[:, None]).sum(axis=0)
-    i, j = spec.hypotheses
-    alpha = float(report.decision_probs[i, 1])
-    beta = float(report.decision_probs[j, 0])
-    return SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, capped, decision, stats)
+    if len(specs) == 1:  # a single rule's pass runs without the rule axis
+        stop, decide = stop[0], decide[0]
+    stops = [stop[..., s] for s in table.stages]
+    decided = [decide[..., s] for s in table.stages]
+    passes = _walk(p, state_space(p, "counts"), stops, _one_hot_stages(decided, 2))
+    forward_s = time.perf_counter() - built
+    log.debug("stacked forward pass of %d capped rules", len(specs))
+    out = []
+    for spec, (report, arrived), cont in zip(specs, passes, go_on):
+        stats = {"rule_s": built - start, "forward_s": forward_s,
+                 "stages": report.stats["stages"], "states": report.stats["states"]}
+        tail = (arrived * cont[:, None]).sum(axis=0)
+        i, j = spec.hypotheses
+        alpha = float(report.decision_probs[i, 1])
+        beta = float(report.decision_probs[j, 0])
+        out.append(SprtOC(spec, alpha, beta, report.n_theta.copy(), tail, report, None, None,
+                          stats))
+    return out
+
+
+def _with_rule(oc: SprtOC, table: _LlrTable) -> SprtOC:
+    """oc with the capped rule and decisions of its spec."""
+    [(rule, decision)] = _views(*_capped([oc.spec], table)[:2], table, truncated=True)
+    return replace(oc, rule=rule, decision=decision)
 
 
 def _clear_gap(levels: np.ndarray, tops: np.ndarray, k: int, half: float) -> tuple[float, float]:
@@ -301,21 +348,36 @@ def _clear_midpoint(
     return a, b
 
 
-def _bisect_threshold(error_of: Callable[[float], float], target: float) -> float:
+def _halvings(lo: float, hi: float, levels: int) -> list[float]:
+    """The midpoints that the next `levels` steps of _bisect_threshold's
+    halving of [lo, hi] may probe, level by level, each as it computes them."""
+    spans, mids = [(lo, hi)], []
+    for _ in range(levels):
+        split = [(a, 0.5 * (a + b), b) for a, b in spans]
+        mids += [mid for _, mid, _ in split]
+        spans = [span for a, mid, b in split for span in ((a, mid), (mid, b))]
+    return mids
+
+
+def _bisect_threshold(error_of: Callable[[float, float, float], float], target: float) -> float:
     """Threshold magnitude from 60 halvings of [1e-6, _THRESHOLD_LIMIT].
 
-    The smallest threshold found whose error is <= target, assuming `error_of`
+    The smallest threshold found whose error is <= target, assuming the error
     is non-increasing; the limit when even its error exceeds the target.
+    error_of(t, lo, hi) is the error at t, a probe of the bracket [lo, hi]:
+    one of its ends on the first two probes, its midpoint on each halving. So
+    an error_of that computes several errors in one pass can compute with
+    t's those that the next halvings of [lo, hi] may probe (_halvings).
     """
     lo, hi = 1e-6, _THRESHOLD_LIMIT
-    f_lo, f_hi = error_of(lo), error_of(hi)
+    f_lo, f_hi = error_of(lo, lo, hi), error_of(hi, lo, hi)
     if f_hi > target:
         return hi
     if f_lo <= target:
         return lo
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if error_of(mid) <= target:
+        if error_of(mid, lo, hi) <= target:
             hi = mid
         else:
             lo = mid
@@ -342,7 +404,12 @@ def match_sprt_errors(
     of stages 1..cap (the stopping sets), or where the thresholds' midpoint
     passes one of stage cap (the decisions of the states the cap
     force-stops), so each distinct capped rule's operating characteristics
-    are computed once per match, however many probes land on it. A level is
+    are computed once per match, however many probes land on it. Where the
+    cap stage's states times parameters stay within _PREFETCH_MAX_CELLS, the
+    first probe of a new rule computes, in one stacked forward pass, the new
+    rules of the probes of the next _PREFETCH_LEVELS halvings too (and of
+    the bracket's ends on a search's first probe); the bisection, its
+    comparisons and so the result are those of one rule per pass. A level is
     a log-LR with its float copies merged within their rounding bound (see
     _llr_table), so a threshold inside a level's rounding range decides the
     whole level one way, and probes that differ only there are one rule. The
@@ -379,7 +446,8 @@ def _match(
 ) -> SprtOC:
     """match_sprt_errors' spec with its operating characteristics, as the match
     computed them: each distinct capped rule's SprtOC is kept, so the caller
-    needs no second log-LR table or forward pass."""
+    needs no second log-LR table or forward pass. Its stats add the match's
+    stacked forward "passes" and the distinct capped "rules" they computed."""
     if not (0 < alpha < 1 and 0 < beta < 1):
         raise SeqOptError("targets must be in (0, 1)")
     _check_count("max_sweeps", max_sweeps)
@@ -404,17 +472,48 @@ def _match(
         return (bisect_left(levels, s.a_upper), bisect_right(levels, s.b_lower),
                 bisect_left(cap_levels, 0.5 * (s.a_upper + s.b_lower)))
 
+    # A stacked pass over small stages costs little more than one rule's pass,
+    # so a probe whose rule is new computes with it those of the probes of the
+    # next _PREFETCH_LEVELS halvings. Over large stages the stacked work
+    # outgrows the saved per-stage overhead, and each rule is computed alone
+    # when the bisection reaches it.
+    small = space.n_states(cap) * p.n_params <= _PREFETCH_MAX_CELLS
+    depth = _PREFETCH_LEVELS if small else 1
     memo: dict[tuple[int, int, int], SprtOC] = {}
+    passes = 0
 
-    def oc_of(s: SprtSpec) -> SprtOC:
-        # The OC of s's capped rule, computed once per rule: its spec and
-        # decisions are those of the rule's first probe (see own).
+    def oc_of(s: SprtSpec, ahead: Callable[[], list[SprtSpec]] = list) -> SprtOC:
+        # The OC of s's capped rule, computed once per rule, in one stacked
+        # pass with the new rules of the specs ahead, and without the rule
+        # (own adds the returned one's); its spec is the first the rule was
+        # computed for.
+        nonlocal passes
         key = rule_key(s)
         if key not in memo:
-            memo[key] = _oc(p, s, table)
+            new = {key: s}
+            for t in ahead():
+                new.setdefault(rule_key(t), t)
+            new = {k: t for k, t in new.items() if k not in memo}
+            memo.update(zip(new, _oc(p, list(new.values()), table)))
+            passes += 1
         log.debug("a_upper=%r b_lower=%r errors=%r", s.a_upper, s.b_lower,
                   (memo[key].alpha, memo[key].beta))
         return memo[key]
+
+    def search(at: Callable[[float], SprtSpec], error: str, target: float) -> float:
+        # _bisect_threshold of at(t)'s error; a new rule's pass also computes
+        # the rules of the next `depth` halvings of its bracket and, on a
+        # search's first probe, of the bracket's ends.
+        def error_of(t: float, lo: float, hi: float) -> float:
+            def ahead() -> list[SprtSpec]:
+                if depth == 1:
+                    return []
+                ends = [lo, hi] if t in (lo, hi) else []
+                return [at(u) for u in ends + _halvings(lo, hi, depth)]
+
+            return getattr(oc_of(at(t), ahead), error)
+
+        return _bisect_threshold(error_of, target)
 
     def cleared(s: SprtSpec) -> SprtSpec:
         # s with each threshold moved into the clear part of its gap
@@ -432,17 +531,20 @@ def _match(
         return out if out.b_lower < out.a_upper and rule_key(out)[:2] == (ka, kb) else s
 
     def own(oc: SprtOC, s: SprtSpec) -> SprtOC:
-        # oc as s's own: the same capped rule, but s's decisions, which differ
-        # from the probe's only at states that continue, so not in the report.
-        return replace(oc, spec=s, decision=_rule_from_llr(s, table)[1])
+        # oc as s's own, with s's capped rule, which is the probe's, and its
+        # decisions, which differ from the probe's only at states that
+        # continue, so not in the report; and the match's passes and
+        # distinct rules in its stats.
+        stats = {**oc.stats, "passes": passes, "rules": len(memo)}
+        return _with_rule(replace(oc, spec=s, stats=stats), table)
 
     # Each sweep's spec is judged by its cleared form, so the spec returned,
     # or carried by the error, has the errors of its own rule.
     best, achieved = spec, (math.inf, math.inf)
     for _ in range(max_sweeps):
-        a = _bisect_threshold(lambda t: oc_of(replace(spec, a_upper=t)).alpha, alpha)
+        a = search(lambda t: SprtSpec(t, spec.b_lower, hypotheses, cap), "alpha", alpha)
         spec = replace(spec, a_upper=a)
-        b = _bisect_threshold(lambda t: oc_of(replace(spec, b_lower=-t)).beta, beta)
+        b = search(lambda t: SprtSpec(spec.a_upper, -t, hypotheses, cap), "beta", beta)
         spec = replace(spec, b_lower=-b)
         best = cleared(spec)
         oc = oc_of(best)
@@ -471,8 +573,9 @@ def continuation_is_interval(
     """
     space = state_space(p, rule.engine)
     masks = reachable_sets(rule, space)
+    inc = llr_increments(p, hypotheses)
     for n in range(1, rule.horizon):
-        llr = llr_by_state(p, space, n, hypotheses)
+        llr = _llr_of_counts(space.states(n), inc)
         usable = masks[n - 1] & ~np.isnan(llr)
         if not usable.any():
             continue

@@ -2,12 +2,12 @@
 
 A procedure is a stopping rule, which gives each stage-n state a stop
 probability in [0, 1], and a terminal decision strategy (randomized: per
-state, decision probabilities); `_check_coverage` checks one against a state
-space. `StoppingRule.to_csv` is the rule file's one writer, `rule_from_csv`
-its one reader. Optimal rules come out of the value tables by the sandwich
-rule: stop where stopping is strictly cheaper than continuing, continue where
-it is strictly dearer, and do anything where the two are tied (within a
-relative margin). The final stage of a truncated rule always stops.
+state, decision probabilities); `_check_coverage` checks a stack of them
+against a state space. `StoppingRule.to_csv` is the rule file's one writer,
+`rule_from_csv` its one reader. Optimal rules come out of the value tables by
+the sandwich rule: stop where stopping is strictly cheaper than continuing,
+continue where it is strictly dearer, and do anything where the two are tied
+(within a relative margin). The final stage of a truncated rule always stops.
 
 `sandwich_check` verifies that property on the reachable set only: states a
 rule can actually arrive at with positive probability, which depends on the
@@ -164,50 +164,68 @@ def _one_hot(decisions: np.ndarray, kinds: np.ndarray) -> np.ndarray:
 
 def _check_coverage(
     space: StateSpace,
-    rule: StoppingRule,
-    decision: DecisionStrategy | None,
+    rules: Sequence[StoppingRule],
+    decisions: Sequence[DecisionStrategy | None],
     horizon: int,
     d_count: int,
-) -> None:
-    """Raise SeqOptError unless the rule and the decisions fit stages 1..horizon.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Raise SeqOptError unless each rule and decision strategy of a stack fits
+    stages 1..horizon (a strategy of None, the Bayes one, always does).
 
     Each decision stage must give an integer index in [0, d_count) per state;
     stop probabilities and a randomized strategy's (S_n, d_count) probs must
-    be what a rule file may hold. Shape tests per stage, then one pass per bound.
+    be what a rule file may hold. Shape tests per stage, then one pass per
+    bound over the whole stack. Returns what it checked: the stop
+    probabilities and the given strategies' decision indices (None without
+    one), each concatenated stage after stage and pair after pair.
     """
     sizes = [space.n_states(n) for n in range(1, horizon + 1)]
-    for n, size in enumerate(sizes, start=1):
-        if size != len(rule.at(n)):
-            raise SeqOptError(f"rule stage {n} covers {len(rule.at(n))} states, problem has {size}")
-    # min and max take no per-state temporary, and a NaN fails them both.
-    stop = np.concatenate(rule.stop_probs[:horizon])
-    if not (stop.min() >= 0.0 and stop.max() <= 1.0):
-        n = next(n for n in range(1, horizon + 1) if _bad_probs(rule.at(n)).any())
-        raise SeqOptError(f"rule stage {n} has stop probabilities outside [0, 1]")
-    if decision is None:
-        return
-    decs = decision.decisions[:horizon]
-    probs = [] if decision.probs is None else decision.probs[:horizon]
-    if len(decs) < horizon or (decision.probs is not None and len(probs) < horizon):
-        raise SeqOptError("decision strategy does not cover the rule's horizon")
-    for n, (size, dec) in enumerate(zip(sizes, decs), start=1):
-        if np.shape(dec) != (size,):
-            raise SeqOptError(f"decision stage {n} covers {len(dec)} states, problem has {size}")
-    for n, (size, q) in enumerate(zip(sizes, probs), start=1):
-        if np.shape(q) != (size, d_count):
+    for rule in rules:
+        if [len(a) for a in rule.stop_probs[:horizon]] != sizes:
+            n = next(n for n, size in enumerate(sizes, start=1) if size != len(rule.at(n)))
             raise SeqOptError(
-                f"decision probabilities of stage {n} have shape {np.shape(q)}, "
-                f"expected {(size, d_count)}"
+                f"rule stage {n} covers {len(rule.at(n))} states, problem has {sizes[n - 1]}"
             )
+    # min and max take no per-state temporary, and a NaN fails them both.
+    stop = np.concatenate([a for rule in rules for a in rule.stop_probs[:horizon]])
+    if not (stop.min() >= 0.0 and stop.max() <= 1.0):
+        n = next(n for rule in rules for n in range(1, horizon + 1) if _bad_probs(rule.at(n)).any())
+        raise SeqOptError(f"rule stage {n} has stop probabilities outside [0, 1]")
+    decs, probs = [], []  # every strategy's stages 1..horizon, strategy after strategy
+    for decision in decisions:
+        if decision is None:
+            continue
+        own_decs = decision.decisions[:horizon]
+        own_probs = [] if decision.probs is None else decision.probs[:horizon]
+        if len(own_decs) < horizon or (decision.probs is not None and len(own_probs) < horizon):
+            raise SeqOptError("decision strategy does not cover the rule's horizon")
+        if [getattr(dec, "shape", None) for dec in own_decs] != [(size,) for size in sizes]:
+            for n, (size, dec) in enumerate(zip(sizes, own_decs), start=1):
+                if np.shape(dec) != (size,):
+                    raise SeqOptError(
+                        f"decision stage {n} covers {len(dec)} states, problem has {size}"
+                    )
+        for n, (size, q) in enumerate(zip(sizes, own_probs), start=1):
+            if np.shape(q) != (size, d_count):
+                raise SeqOptError(
+                    f"decision probabilities of stage {n} have shape {np.shape(q)}, "
+                    f"expected {(size, d_count)}"
+                )
+        decs += own_decs
+        probs += own_probs
     if probs and _bad_probs(np.concatenate(probs)).any():
-        n = next(n for n, q in enumerate(probs, start=1) if _bad_probs(q).any())
+        n = next(i % horizon + 1 for i, q in enumerate(probs) if _bad_probs(q).any())
         raise SeqOptError(f"decision probabilities of stage {n} must lie in [0, 1] and sum to 1")
+    if not decs:
+        return stop, None
     flat = np.concatenate(decs)
     if flat.dtype.kind not in "iu":
         raise SeqOptError(f"decision indices must be integers, got {flat.dtype}")
     if flat.min() < 0 or flat.max() >= d_count:
-        n = next(n for n, dec in enumerate(decs, start=1) if dec.min() < 0 or dec.max() >= d_count)
+        n = next(i % horizon + 1 for i, dec in enumerate(decs)
+                 if dec.min() < 0 or dec.max() >= d_count)
         raise SeqOptError(f"decision stage {n} has indices outside [0, {d_count})")
+    return stop, flat
 
 
 DECISION_PROB = "decision_prob_"  # + decision index: the optional decision columns

@@ -95,6 +95,11 @@ def test_push_forward_is_the_scatter_bit_for_bit(kind, k, m, n, seed):
         want = scatter_push(space, n, values, weighted=weighted)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert _bits(got) == _bits(want)
+    # A stack of (S, m) mass blocks: each block is carried as it is alone.
+    stack = rng.uniform(size=(3, s, m)) * alive
+    got = push_forward(space, n, stack)
+    want = np.stack([scatter_push(space, n, block, weighted=True) for block in stack])
+    assert got.shape == want.shape and _bits(got) == _bits(want)
 
 
 def _scatter_densities(space, top):
@@ -238,7 +243,7 @@ def test_evaluate_matches_the_mask_loop(kind, k, m, d, horizon, strategy, trunca
         mu = rng.dirichlet(np.ones(len(packs)))
         rule, decision = _mixture(space, packs, mu, d)
     lam = rng.uniform(0.0, 5.0, size=2) if p.constraints is not None else None
-    got, got_mass = _forward(p, rule, decision, lam)
+    [(got, got_mass)] = _forward(p, [(rule, decision)], lam)
     want, want_mass = reference_forward(p, rule, decision, lam)
     _assert_same_report(got, want)
     assert _bits(got_mass) == _bits(want_mass)
@@ -260,7 +265,7 @@ def test_capped_sprt_matches_the_mask_loop(k, cap, a, b, seed):
     spec = so.SprtSpec(a_upper=a, b_lower=-b, cap=cap)
     rule, decision = so.sprt_rule(p, spec)
     capped = so.truncate_rule(rule, cap, state_space(p, "counts"))
-    got, got_mass = _forward(p, capped, decision)
+    [(got, got_mass)] = _forward(p, [(capped, decision)])
     want, want_mass = reference_forward(p, capped, decision)
     _assert_same_report(got, want)
     assert _bits(got_mass) == _bits(want_mass)
@@ -311,7 +316,7 @@ def test_the_walk_ends_with_its_mass(kind_k, m, d, horizon_stop, strategy, trunc
         return build(self, n)
 
     with mock.patch.object(HistoryTable, "_build_stage", counted):
-        got, got_mass = _forward(p, rule, decision, lam)  # evaluate's pass, with its mass
+        [(got, got_mass)] = _forward(p, [(rule, decision)], lam)  # evaluate's pass
     assert max(built, default=0) <= stop_at
     assert built == ([] if decision is not None else list(range(1, len(built) + 1)))
     assert got.stats["stages"] <= stop_at
@@ -320,6 +325,88 @@ def test_the_walk_ends_with_its_mass(kind_k, m, d, horizon_stop, strategy, trunc
     want, want_mass = reference_forward(p, rule, decision, lam)
     _assert_same_report(got, want)
     assert _bits(got_mass) == _bits(want_mass)
+
+
+def _assert_same_bits(got, want):
+    for f in dataclasses.fields(want):
+        if f.name == "stats":
+            continue
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and _bits(a) == _bits(b), f.name
+        elif isinstance(b, float):
+            assert np.float64(a).tobytes() == np.float64(b).tobytes(), f.name
+        elif isinstance(b, tuple) and b and isinstance(b[0], float):
+            assert _bits(np.array(a)) == _bits(np.array(b)), f.name
+        else:
+            assert a == b, f.name
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind_k=st.one_of(
+        st.tuples(st.sampled_from(["tree_iid", "markov"]), st.integers(1, 4)),
+        st.tuples(st.just("counts"), st.integers(1, 3)),
+    ),
+    m=st.integers(1, 3),
+    d=st.integers(1, 3),
+    horizon=st.integers(1, 6),
+    strategies=st.lists(st.sampled_from(["bayes", "deterministic", "randomized"]),
+                        min_size=1, max_size=5),
+    truncated=st.booleans(),
+    ends=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stacked_pass_is_its_single_passes_bit_for_bit(
+    kind_k, m, d, horizon, strategies, truncated, ends, seed
+):
+    # R = 1..5 (rule, decision) pairs in one pass, each pair's report and
+    # arriving mass against a pass of that pair alone. With `ends` the first
+    # rule stops everything at stage 1 and the last runs to the horizon, so
+    # one pair's walk ends while another's goes on.
+    kind, k = kind_k
+    rng = np.random.default_rng(seed)
+    if kind != "counts":
+        horizon = min(horizon, {1: 6, 2: 5, 3: 4}.get(k, 3))
+    p = _problem(rng, kind, k, m, d, groups=True)
+    engine = _engine(kind)
+    space = state_space(p, engine)
+    sizes = [space.n_states(n) for n in range(1, horizon + 1)]
+    pairs = []
+    for strategy in strategies:
+        rule = _random_rule(rng, space, engine, horizon, truncated)
+        decision = None
+        if strategy == "deterministic":
+            decision = so.DecisionStrategy([rng.integers(0, d, size=s) for s in sizes])
+        elif strategy == "randomized":
+            probs = _random_probs(rng, space, horizon, d)
+            decision = so.DecisionStrategy([q.argmax(axis=1) for q in probs], probs)
+        pairs.append((rule, decision))
+    if ends:
+        pairs[0][0].stop_probs[0] = np.ones(sizes[0])
+        pairs[-1][0].stop_probs[:-1] = [np.zeros(s) for s in sizes[:-1]]
+    lam = rng.uniform(0.0, 5.0, size=2) if p.constraints is not None else None
+    stacked = _forward(p, pairs, lam)
+    assert len(stacked) == len(pairs)
+    walked = []
+    for (got, got_mass), pair in zip(stacked, pairs):
+        [(want, want_mass)] = _forward(p, [pair], lam)
+        _assert_same_bits(got, want)
+        assert got_mass.shape == want_mass.shape and _bits(got_mass) == _bits(want_mass)
+        walked.append(want.stats["stages"])
+    # The stats are the pass's: it walks until the last pair's walk ends.
+    stages = stacked[0][0].stats["stages"]
+    assert stages == max(walked) and all(got.stats["stages"] == stages for got, _ in stacked)
+    assert stacked[0][0].stats["states"] == sum(sizes[:stages])
+    if ends and len(pairs) > 1:
+        assert walked[0] == 1 and stages == horizon
+
+
+def test_a_stack_needs_one_engine_and_horizon(symmetric):
+    short = so.extract_rule(so.solve_truncated(symmetric, 4))
+    long = so.extract_rule(so.solve_truncated(symmetric, 6))
+    with pytest.raises(so.SeqOptError, match="one engine and one horizon"):
+        _forward(symmetric, [(short, None), (long, None)])
 
 
 def test_stats_describe_the_pass_and_stay_out_of_outputs(symmetric):

@@ -291,5 +291,5 @@ def test_reachable_sets_do_not_underflow_at_depth():
     masks = so.reachable_sets(never, space)
     assert all(mask.all() for mask in masks)
     # the forward mass of the same rule vanishes there: 0.1^400 is below the float range
-    _, arrived = _forward(p, never)
+    [(_, arrived)] = _forward(p, [(never, None)])
     assert (arrived == 0.0).any()

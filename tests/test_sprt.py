@@ -1,4 +1,5 @@
 import bisect
+import logging
 import math
 import re
 from dataclasses import replace
@@ -279,7 +280,8 @@ def test_one_pass_oc_matches_two_pass_random(k, weights, cap, a, b, hypotheses):
     assert np.abs(oc.tail_theta - tail).max() <= (cap + 1) * 2.0**-51
     # Every field is bit for bit the forward pass of sprt_rule capped by truncate_rule.
     rule, decision = so.sprt_rule(p, spec)
-    _, arrived = _forward(p, so.truncate_rule(rule, cap, state_space(p, "counts")), decision)
+    capped = so.truncate_rule(rule, cap, state_space(p, "counts"))
+    [(_, arrived)] = _forward(p, [(capped, decision)])
     i, j = hypotheses
     assert oc.alpha == report.decision_probs[i, 1] and oc.beta == report.decision_probs[j, 0]
     assert np.array_equal(oc.e_tau, report.n_theta)
@@ -298,24 +300,43 @@ def test_oc_stats_describe_the_pass_and_stay_out_of_outputs(channel):
 
 
 def count_oc_calls(monkeypatch):
-    """Record the spec of every _oc call the threshold search makes."""
-    calls = []
+    """Record the specs of every stacked _oc pass the threshold search makes."""
+    passes = []
     real = sprt._oc
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counted(p, specs, table):
+        passes.append(list(specs))
+        return real(p, specs, table)
 
     monkeypatch.setattr(sprt, "_oc", counted)
-    return calls
+    return passes
+
+
+def rule_key(p, spec):
+    """The ratio test of spec as bytes: its stop mask over stages 1..cap and its
+    decisions at the cap. Each level of the log-LR table has states there, so
+    these fix which levels each threshold and the midpoint pass, the key of
+    the capped rule within a match."""
+    rule, decision = so.sprt_rule(p, spec)
+    return np.concatenate(rule.stop_probs).tobytes() + decision.at(spec.cap).tobytes()
+
+
+def assert_each_rule_once(p, passes):
+    keys = [rule_key(p, spec) for specs in passes for spec in specs]
+    assert len(set(keys)) == len(keys)
 
 
 def test_symmetric_match_needs_few_oc_calls(monkeypatch):
+    # The benchmark's match: 16 capped rules computed one per pass become 32
+    # computed in 5 stacked passes (9, 7, 9, 6 and 1 rules).
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
-    calls = count_oc_calls(monkeypatch)
-    spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
-    assert 0 < len(calls) <= 16
-    oc = so.sprt_operating_characteristics(p, spec)
+    passes = count_oc_calls(monkeypatch)
+    matched = sprt._match(p, 0.05, 0.05, cap=50, conservative=True)
+    assert 0 < len(passes) <= 5
+    assert_each_rule_once(p, passes)
+    assert matched.stats["passes"] == len(passes)
+    assert matched.stats["rules"] == sum(map(len, passes))
+    oc = so.sprt_operating_characteristics(p, matched.spec)
     assert oc.alpha <= 0.05 and oc.beta <= 0.05
 
 
@@ -324,10 +345,83 @@ def test_unreachable_match_computes_each_capped_rule_once(monkeypatch):
     # each one's operating characteristics are computed once, and probes that
     # differ only in where they cut a level's rounding copies are one rule.
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
-    calls = count_oc_calls(monkeypatch)
+    passes = count_oc_calls(monkeypatch)
     with pytest.raises(so.UnreachableTargetsError):
         so.match_sprt_errors(p, 0.05, 0.05, cap=200)
-    assert 0 < len(calls) <= 18
+    assert 0 < len(passes) <= 7
+    assert_each_rule_once(p, passes)
+
+
+def match_result(p, alpha, beta, cap, conservative):
+    """All a match returns: its spec, errors, e_tau, tail, report and capped
+    rule and decisions, bit for bit; or its error's best spec and achieved pair."""
+    try:
+        oc = sprt._match(p, alpha, beta, cap, conservative=conservative)
+    except so.UnreachableTargetsError as err:
+        return "unreachable", err.best, err.achieved
+    return ("matched", oc.spec, oc.alpha, oc.beta, oc.e_tau.tobytes(), oc.tail_theta.tobytes(),
+            oc.report.to_dict(), oc.rule.truncated, np.concatenate(oc.rule.stop_probs).tobytes(),
+            np.concatenate(oc.decision.decisions).tobytes())
+
+
+def assert_prefetch_changes_nothing(monkeypatch, p, alpha, beta, cap, conservative):
+    """The match against the same match with each capped rule computed alone
+    when the bisection reaches it."""
+    passes = count_oc_calls(monkeypatch)
+    got = match_result(p, alpha, beta, cap, conservative)
+    assert_each_rule_once(p, passes)
+    passes.clear()
+    monkeypatch.setattr(sprt, "_PREFETCH_LEVELS", 1)
+    want = match_result(p, alpha, beta, cap, conservative)
+    monkeypatch.undo()
+    assert all(len(specs) == 1 for specs in passes)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "config, cap, conservative",
+    [("symmetric.json", 50, True), ("symmetric.json", 200, False),
+     ("two_channel.json", 200, False)],
+    ids=["benchmark", "unreachable", "two_channel"],
+)
+def test_prefetch_changes_no_fixed_match(monkeypatch, config, cap, conservative):
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / config)
+    assert_prefetch_changes_nothing(monkeypatch, p, 0.05, 0.05, cap, conservative)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(2, 3),
+    weights=st.lists(st.integers(1, 9), min_size=6, max_size=6),
+    cap=st.integers(1, 30),
+    a=st.floats(0.05, 4.0),
+    b=st.floats(0.05, 4.0),
+    slack=st.sampled_from([0.0, 0.0, 0.01, 0.2]),
+    conservative=st.booleans(),
+)
+def test_prefetch_changes_no_random_match(k, weights, cap, a, b, slack, conservative):
+    # test_lattice_match_agrees_with_real_bisection's instances and targets.
+    pmf = np.array(weights[: 2 * k], dtype=float).reshape(2, k)
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    p = so.iid_problem(pmf, so.zero_one_loss(2), [0.5, 0.5], [0.5, 0.5], 0.01)
+    drawn = so.sprt_operating_characteristics(p, so.SprtSpec(a, -b, cap=cap))
+    alpha, beta = drawn.alpha * (1 + slack), drawn.beta * (1 + slack)
+    if not (0 < alpha < 1 and 0 < beta < 1):
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_prefetch_changes_nothing(monkeypatch, p, alpha, beta, cap, conservative)
+
+
+def test_match_stats_count_passes_and_stay_out_of_outputs(caplog):
+    p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
+    with caplog.at_level(logging.DEBUG, logger="seqopt.sprt"):
+        matched = sprt._match(p, 0.05, 0.05, cap=50, conservative=True)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stacked")]
+    assert len(lines) == matched.stats["passes"]
+    rules = [int(re.fullmatch(r"stacked forward pass of (\d+) capped rules", ln)[1]) for ln in lines]
+    assert sum(rules) == matched.stats["rules"] and max(rules) > 1
+    assert {"passes", "rules"} <= set(matched.stats)
+    assert "stats" not in matched.to_dict() and "passes" not in repr(matched)
 
 
 @pytest.mark.parametrize("sweeps", [0, -1, 1.5, True], ids=["zero", "negative", "float", "bool"])
@@ -341,20 +435,26 @@ def test_bad_max_sweeps_rejected(channel, sweeps):
 
 def test_match_reads_one_llr_table(monkeypatch):
     # The threshold search reads one log-LR table of stages 1..cap for its
-    # breakpoints and every OC it computes.
+    # breakpoints and every OC it computes, and the table computes the
+    # per-symbol increments once.
     p = so.load_problem(Path(__file__).resolve().parent.parent / "configs" / "symmetric.json")
-    stages = []
-    real_llr = sprt.llr_by_state
+    stages, increments = [], []
+    real_llr, real_inc = sprt._llr_of_counts, sprt.llr_increments
 
-    def llr_counted(p_, space, n, hypotheses=(0, 1)):
-        stages.append(n)
-        return real_llr(p_, space, n, hypotheses)
+    def llr_counted(counts, inc):
+        stages.append(int(counts[0].sum()))  # every count vector of stage n sums to n
+        return real_llr(counts, inc)
 
-    monkeypatch.setattr(sprt, "llr_by_state", llr_counted)
+    def inc_counted(*args):
+        increments.append(args)
+        return real_inc(*args)
+
+    monkeypatch.setattr(sprt, "_llr_of_counts", llr_counted)
+    monkeypatch.setattr(sprt, "llr_increments", inc_counted)
     ocs = count_oc_calls(monkeypatch)
     spec = so.match_sprt_errors(p, 0.05, 0.05, cap=50, conservative=True)
-    assert stages == list(range(1, 51))
-    assert 0 < len(ocs) <= 30
+    assert stages == list(range(1, 51)) and len(increments) == 1
+    assert 0 < len(ocs) <= 5
     monkeypatch.undo()
     oc = so.sprt_operating_characteristics(p, spec)
     assert oc.alpha <= 0.05 and oc.beta <= 0.05
